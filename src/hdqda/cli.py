@@ -1,10 +1,13 @@
 """Benchmark command line.
 
 Every subcommand renders a single CSV: one metadata comment line (seed and a
-hash of the effective configuration), a header row, then data rows. Output is
-byte-identical for a given configuration and seed regardless of --threads,
-because each task draws from its own seeded stream and assembly follows task
-order, never completion order.
+hash of the effective configuration), a header row, then data rows. At a fixed
+BLAS thread setting, output is byte-identical for a given configuration and
+seed regardless of --threads, because each task draws from its own seeded
+stream and assembly follows task order, never completion order. The BLAS
+library's own thread count (for OpenBLAS, OPENBLAS_NUM_THREADS) is another
+matter: it changes the summation order inside matrix products, so estimates
+such as g_estimate can differ in their last digits between BLAS settings.
 
 Exit codes: 0 success, 1 configuration or data-format problem, 2 numerical
 failure inside an otherwise valid run.
@@ -32,23 +35,10 @@ from .errors import CsvFormatError, HdqdaError, InsufficientSamplesError
 from .estimation import TrainingSet, fit, fit_pooled
 from .gestim import g_estimator_error
 from .ingestion import load_csv, make_imbalanced_split
-from .model import MixtureModel, ScenarioConfig, build_mixture, sample_scenario
+from .model import _CONFIG_FIELDS, MixtureModel, ScenarioConfig, build_mixture, sample_scenario
 from .pipeline import ImprovedModel, default_grid, fit_improved, tune_gamma0
 from .rmt import asymptotic_error, eigen_delta_solver, gamma1_theoretical, theta_star_theoretical
 
-_SCENARIO_KEYS = (
-    "p",
-    "n0",
-    "n1",
-    "test0",
-    "test1",
-    "base_scale",
-    "spike_strength",
-    "spike_rank",
-    "mean_offset",
-    "prior0",
-    "seed",
-)
 _SCENARIO_DEFAULTS = {
     "p": 200,
     "n0": 200,
@@ -86,7 +76,7 @@ def _check_known_keys(cfg: dict, allowed: set[str]) -> None:
 
 def _scenario_from(cfg: dict, seed: int | None, overrides: dict | None = None) -> ScenarioConfig:
     values = dict(_SCENARIO_DEFAULTS)
-    for key in _SCENARIO_KEYS:
+    for key in _CONFIG_FIELDS:
         if key in cfg:
             values[key] = cfg[key]
     if overrides:
@@ -267,7 +257,7 @@ _common = [
     click.option("--seed", type=int, default=None, help="Master seed (overrides config)."),
     click.option("--out", type=str, default="-", show_default=True, help="Output CSV path, '-' for stdout."),
     click.option("--replicates", type=int, default=None, help="Training replicates to average (default 20)."),
-    click.option("--threads", type=int, default=None, help="Worker threads (default 1; output bytes never depend on this)."),
+    click.option("--threads", type=int, default=None, help="Worker threads (default 1). Output bytes do not depend on this; they can differ in the last digits between BLAS thread settings."),
 ]
 
 
@@ -299,7 +289,7 @@ def histogram(config_path, seed, out, replicates, threads, gamma0) -> None:
     """Score samples per rule and true class for one scenario draw."""
     del replicates, threads
     cfg = _load_config_file(config_path)
-    _check_known_keys(cfg, set(_SCENARIO_KEYS) | {"gamma0"})
+    _check_known_keys(cfg, set(_CONFIG_FIELDS) | {"gamma0"})
     scenario = _scenario_from(cfg, seed)
     if gamma0 is None:
         gamma0 = float(cfg.get("gamma0", 1.0))
@@ -364,7 +354,7 @@ def sweep_gamma(config_path, seed, out, replicates, threads, grid_min, grid_max,
     cfg = _load_config_file(config_path)
     _check_known_keys(
         cfg,
-        set(_SCENARIO_KEYS) | {"grid_min", "grid_max", "grid_points", "replicates", "threads"},
+        set(_CONFIG_FIELDS) | {"grid_min", "grid_max", "grid_points", "replicates", "threads"},
     )
     scenario = _scenario_from(cfg, seed)
     replicates = _resolve_int(replicates, cfg, "replicates", 20)
@@ -427,7 +417,7 @@ def sweep_p(config_path, seed, out, replicates, threads, gamma0, p_list_text) ->
     """Error versus dimension at fixed sample ratios n0=p, n1=p/2."""
     cfg = _load_config_file(config_path)
     _check_known_keys(
-        cfg, set(_SCENARIO_KEYS) | {"gamma0", "p_list", "replicates", "threads"}
+        cfg, set(_CONFIG_FIELDS) | {"gamma0", "p_list", "replicates", "threads"}
     )
     replicates = _resolve_int(replicates, cfg, "replicates", 20)
     threads = _resolve_int(threads, cfg, "threads", 1)
@@ -631,7 +621,7 @@ def tune(config_path, seed, out, replicates, threads) -> None:
     """Shrinkage tuning trace for one synthetic training draw."""
     del replicates, threads
     cfg = _load_config_file(config_path)
-    _check_known_keys(cfg, set(_SCENARIO_KEYS) | {"grid_min", "grid_max", "grid_points"})
+    _check_known_keys(cfg, set(_CONFIG_FIELDS) | {"grid_min", "grid_max", "grid_points"})
     scenario = _scenario_from(cfg, seed)
     lo = float(cfg.get("grid_min", 1e-2))
     hi = float(cfg.get("grid_max", 1e2))

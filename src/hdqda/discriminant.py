@@ -1,8 +1,8 @@
 """Classification scores, the decision rule, and empirical error measurement.
 
 Three quadratic rules share one decision convention: a positive score assigns
-class 0, anything else (ties included) assigns class 1. Scores come in a
-single-observation form returning a tagged Score and a batch form returning a
+class 0, anything else (ties included) assigns class 1. Every score function
+takes a block of observations (a single one is a one-row block) and returns a
 plain value vector.
 """
 
@@ -24,17 +24,11 @@ __all__ = [
     "RULE_STANDARD_RQDA",
     "RULE_IMPROVED_RQDA",
     "RULE_RLDA",
-    "Score",
     "ErrorReport",
-    "qda_score_true",
     "qda_scores_true",
-    "rqda_score",
     "rqda_scores",
-    "improved_score",
     "improved_scores",
-    "rlda_score",
     "rlda_scores",
-    "classify",
     "classify_values",
     "empirical_error",
     "conditional_score_moments",
@@ -44,23 +38,6 @@ RULE_TRUE_QDA = "true-qda"
 RULE_STANDARD_RQDA = "standard-rqda"
 RULE_IMPROVED_RQDA = "improved-rqda"
 RULE_RLDA = "rlda"
-
-_RULE_KINDS = (RULE_TRUE_QDA, RULE_STANDARD_RQDA, RULE_IMPROVED_RQDA, RULE_RLDA)
-
-
-@dataclass(frozen=True)
-class Score:
-    """A finite discriminant value tagged with the rule that produced it."""
-
-    value: float
-    rule_kind: str
-
-    def __post_init__(self):
-        if self.rule_kind not in _RULE_KINDS:
-            raise ValueError("unknown rule kind %r" % (self.rule_kind,))
-        if not math.isfinite(self.value):
-            raise ValueError("score must be finite, got %r" % (self.value,))
-
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -89,6 +66,8 @@ def _rows(X: np.ndarray, p: int) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != p:
         raise ValueError("observations have %d columns, expected %d" % (X.shape[1], p))
+    if not np.all(np.isfinite(X)):
+        raise ValueError("observations must be finite; found NaN or inf")
     return X
 
 
@@ -125,10 +104,6 @@ def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:
     return const - 0.5 * q0 + 0.5 * q1
 
 
-def qda_score_true(x: np.ndarray, model: MixtureModel) -> Score:
-    return Score(float(qda_scores_true(x, model)[0]), RULE_TRUE_QDA)
-
-
 def _require_shared_gamma(fit: FittedStats) -> float:
     if fit.gamma0 != fit.gamma1:
         raise ValueError(
@@ -156,20 +131,12 @@ def rqda_scores(X: np.ndarray, fit: FittedStats, priors: tuple[float, float]) ->
     return const - 0.5 * q0 + 0.5 * q1
 
 
-def rqda_score(x: np.ndarray, fit: FittedStats, priors: tuple[float, float]) -> Score:
-    return Score(float(rqda_scores(x, fit, priors)[0]), RULE_STANDARD_RQDA)
-
-
 def improved_scores(X: np.ndarray, fit: FittedStats, theta: float) -> np.ndarray:
     """Two-shrinkage rule with an explicit bias replacing log-det and priors."""
     X = _rows(X, fit.p)
     q0 = _quad_rows(X - fit.mu_hat0, fit.H0)
     q1 = _quad_rows(X - fit.mu_hat1, fit.H1)
     return -0.5 * theta * math.sqrt(fit.p) - 0.5 * q0 + 0.5 * q1
-
-
-def improved_score(x: np.ndarray, fit: FittedStats, theta: float) -> Score:
-    return Score(float(improved_scores(x, fit, theta)[0]), RULE_IMPROVED_RQDA)
 
 
 def rlda_scores(X: np.ndarray, pooled: PooledStats, priors: tuple[float, float]) -> np.ndarray:
@@ -181,17 +148,9 @@ def rlda_scores(X: np.ndarray, pooled: PooledStats, priors: tuple[float, float])
     return (X - midpoint) @ direction - math.log(priors[1] / priors[0])
 
 
-def rlda_score(x: np.ndarray, pooled: PooledStats, priors: tuple[float, float]) -> Score:
-    return Score(float(rlda_scores(x, pooled, priors)[0]), RULE_RLDA)
-
-
 def classify_values(values: np.ndarray) -> np.ndarray:
     """Label 0 where the score is strictly positive, label 1 otherwise."""
     return np.where(np.asarray(values) > 0.0, 0, 1)
-
-
-def classify(score: Score) -> int:
-    return int(classify_values(np.asarray([score.value]))[0])
 
 
 def empirical_error(

@@ -41,6 +41,8 @@ class TrainingSet:
             raise ValueError(
                 "class blocks disagree on dimension: %d vs %d" % (x0.shape[1], x1.shape[1])
             )
+        if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(x1))):
+            raise ValueError("training data must be finite; found NaN or inf")
         if x0.shape[0] < 2 or x1.shape[0] < 2:
             raise InsufficientSamplesError(
                 "need at least 2 rows per class, got %d and %d" % (x0.shape[0], x1.shape[0])
@@ -121,13 +123,6 @@ class FittedStats:
     @property
     def p(self) -> int:
         return self.mu_hat0.shape[0]
-
-    def resolvent_residual(self) -> tuple[float, float]:
-        """Max-abs residuals of H_i (I + gamma_i S_i) - I, one per class."""
-        p = self.p
-        r0 = self.H0 @ (np.eye(p) + self.gamma0 * self.sigma_hat0) - np.eye(p)
-        r1 = self.H1 @ (np.eye(p) + self.gamma1 * self.sigma_hat1) - np.eye(p)
-        return float(np.max(np.abs(r0))), float(np.max(np.abs(r1)))
 
 
 def fit(train: TrainingSet, gamma0: float, gamma1: float) -> FittedStats:

@@ -334,11 +334,28 @@ def g_estimator_error(
     parts split so that their differences reproduce the margins of
     :func:`theta_hat` exactly.
     """
-    p = fit.p
-    sqrt_p = math.sqrt(p)
+    pieces = _pieces(fit)
+    return _error_from(fit, pieces, _bias_from(pieces, priors), theta, priors)
+
+
+def _bias_and_error(
+    fit: FittedStats, priors: tuple[float, float]
+) -> tuple[BiasEstimate, GEstimate]:
+    """:func:`theta_hat` and the error estimate at that bias, from one ``_pieces``."""
     pieces = _pieces(fit)
     bias = _bias_from(pieces, priors)
+    return bias, _error_from(fit, pieces, bias, bias.theta_hat, priors)
 
+
+def _error_from(
+    fit: FittedStats,
+    pieces: _Pieces,
+    bias: BiasEstimate,
+    theta: float,
+    priors: tuple[float, float],
+) -> GEstimate:
+    p = fit.p
+    sqrt_p = math.sqrt(p)
     xi0 = theta - (
         pieces.quad1 - pieces.cross_trace0 / fit.n0 - pieces.own_trace0 / fit.n0
     ) / sqrt_p

@@ -94,11 +94,16 @@ def _parse_feature(cell: str, line: int, column: int) -> float:
             "line %d, column %d: missing value" % (line, column)
         )
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise CsvFormatError(
             "line %d, column %d: feature %r is not numeric" % (line, column, cell)
         ) from None
+    if not math.isfinite(value):
+        raise CsvFormatError(
+            "line %d, column %d: feature %r is not finite" % (line, column, cell)
+        )
+    return value
 
 
 def _looks_like_header(row: list[str]) -> bool:

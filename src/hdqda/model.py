@@ -311,7 +311,3 @@ def sample_scenario(
         test1=sample_class(model.class1, config.test1, stream(config.seed, 4, replicate)),
     )
 
-
-def config_as_dict(config: ScenarioConfig) -> dict:
-    """Plain dict view with the serialization field set."""
-    return {k: getattr(config, k) for k in _CONFIG_FIELDS}

@@ -17,7 +17,7 @@ import numpy as np
 from .discriminant import classify_values, improved_scores
 from .errors import HdqdaError, TuningError
 from .estimation import FittedStats, TrainingSet, regularized_resolvent, sample_moments
-from .gestim import delta_hat, g_estimator_error, gamma1_hat, theta_hat
+from .gestim import BiasEstimate, _bias_and_error, delta_hat, gamma1_hat, theta_hat
 
 __all__ = [
     "FORMAT_VERSION",
@@ -44,10 +44,12 @@ def _check_priors(priors) -> tuple[float, float]:
     return p0, p1
 
 
-def _fit_matched(train: TrainingSet, gamma0: float) -> FittedStats:
-    """Fit both classes with the majority shrinkage matched to ``gamma0``."""
-    mu0, sigma0 = sample_moments(train.X0)
-    mu1, sigma1 = sample_moments(train.X1)
+def _fit_matched(train: TrainingSet, moments: tuple, gamma0: float) -> FittedStats:
+    """Fit both classes with the majority shrinkage matched to ``gamma0``.
+
+    ``moments`` holds the ``sample_moments`` of ``train.X0`` and ``train.X1``.
+    """
+    (mu0, sigma0), (mu1, sigma1) = moments
     H0 = regularized_resolvent(sigma0, gamma0)
     d0 = delta_hat(H0, train.n0, gamma0)
     g1 = gamma1_hat(d0, train.n0, train.n1, gamma0)
@@ -99,6 +101,15 @@ def tune_gamma0(
     TuningError
         If every candidate fails; per-candidate reasons ride along.
     """
+    return _tune(train, grid, priors)[0]
+
+
+def _tune(
+    train: TrainingSet,
+    grid: np.ndarray | None,
+    priors: tuple[float, float] | None,
+) -> tuple[TuningResult, FittedStats, BiasEstimate]:
+    """:func:`tune_gamma0` plus the winning candidate's fit and bias."""
     if train.n1 < train.n0:
         raise ValueError(
             "expected the minority class first: n0=%d exceeds n1=%d"
@@ -114,16 +125,16 @@ def tune_gamma0(
         raise ValueError("candidate shrinkage values must be strictly positive")
     candidates = np.sort(candidates)
 
+    moments = (sample_moments(train.X0), sample_moments(train.X1))
     entries: list[TuningEntry] = []
-    best_gamma: float | None = None
+    best: tuple[float, FittedStats, BiasEstimate] | None = None
     best_total: float | None = None
     failures: dict[float, str] = {}
     for gamma0 in candidates:
         gamma0 = float(gamma0)
         try:
-            fit = _fit_matched(train, gamma0)
-            bias = theta_hat(fit, priors)
-            estimate = g_estimator_error(fit, bias.theta_hat, priors)
+            fit = _fit_matched(train, moments, gamma0)
+            bias, estimate = _bias_and_error(fit, priors)
         except HdqdaError as exc:
             reason = "%s: %s" % (type(exc).__name__, exc)
             entries.append(TuningEntry(gamma0=gamma0, total_hat=None, failure=reason))
@@ -134,13 +145,14 @@ def tune_gamma0(
         )
         if best_total is None or estimate.total_hat < best_total:
             best_total = estimate.total_hat
-            best_gamma = gamma0
-    if best_gamma is None:
+            best = (gamma0, fit, bias)
+    if best is None:
         raise TuningError(
             "all %d shrinkage candidates failed" % (candidates.size,),
             failures=failures,
         )
-    return TuningResult(gamma0=best_gamma, entries=tuple(entries))
+    best_gamma, best_fit, best_bias = best
+    return TuningResult(gamma0=best_gamma, entries=tuple(entries)), best_fit, best_bias
 
 
 @dataclass(frozen=True)
@@ -264,16 +276,16 @@ def fit_improved(
         priors = (canonical.n0 / canonical.n, canonical.n1 / canonical.n)
 
     if gamma0 is None:
-        tuning = tune_gamma0(canonical, grid=grid, priors=priors)
-        gamma0 = tuning.gamma0
+        tuning, fit, bias = _tune(canonical, grid, priors)
         trace = tuning.entries
     else:
         if gamma0 <= 0.0:
             raise ValueError("shrinkage must be strictly positive, got %r" % (gamma0,))
+        moments = (sample_moments(canonical.X0), sample_moments(canonical.X1))
+        fit = _fit_matched(canonical, moments, float(gamma0))
+        bias = theta_hat(fit, priors)
         trace = ()
 
-    fit = _fit_matched(canonical, float(gamma0))
-    bias = theta_hat(fit, priors)
     return ImprovedModel(
         fit=fit,
         theta=bias.theta_hat,

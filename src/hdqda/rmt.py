@@ -2,11 +2,14 @@
 
 In the proportional regime (dimension and sample counts growing together) the
 resolvent of each shrunken sample covariance concentrates around a
-deterministic matrix driven by a scalar fixed point. This module computes
-those limits by two independent routes (a damped dense fixed-point iteration
-and a scalar root-find on the spectrum), turns them into per-class error
-predictions, and derives the matched shrinkage and bias for the two-parameter
-rule.
+deterministic matrix driven by a scalar fixed point. The limiting error, the
+matched shrinkage and the designed bias need only a few traces and quadratic
+forms of those limits, and one spectral route computes them all: each class
+covariance is diagonalized once, the fixed point is a scalar root-find on its
+spectrum (:func:`eigen_delta_solver`), and every cross-class trace is a
+weighted sum over the two eigenbases. :func:`solve_delta`, a damped dense
+fixed-point iteration that never touches the spectrum, locates the same fixed
+point independently and serves as the cross-check of the root-find.
 """
 
 from __future__ import annotations
@@ -100,7 +103,6 @@ class AsymptoticPrediction:
     delta: np.ndarray
     phi: np.ndarray
     phi_tilde: np.ndarray
-    method: str
 
 
 @dataclass(frozen=True)
@@ -269,16 +271,18 @@ def _scalar_resolvent(
 
 @dataclass(frozen=True)
 class _Functionals:
-    """Scalar spectral functionals shared by both computation routes.
+    """Scalar spectral functionals of the two resolvent limits.
 
     Indexing convention: ``mean_quad[j]`` contracts the mean gap against the
     class-j resolvent limit; every other tuple is indexed by the class of the
-    test observation.
+    test observation. ``margin`` holds each class's stability margin
+    1 - gamma^2 phi phi_tilde, already checked to be positive.
     """
 
     delta: tuple[float, float]
     phi: tuple[float, float]
     phi_tilde: tuple[float, float]
+    margin: tuple[float, float]
     mean_quad: tuple[float, float]
     trace_gap: tuple[float, float]
     cross_sq: tuple[float, float]
@@ -287,134 +291,88 @@ class _Functionals:
     offset_quad: tuple[float, float]
 
 
-def _dense_functionals(
-    model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float
-) -> _Functionals:
-    sigmas = (model.class0.covariance, model.class1.covariance)
-    counts = (n0, n1)
-    gammas = (gamma0, gamma1)
-    eqs = [solve_delta(sigmas[i], counts[i], gammas[i]) for i in (0, 1)]
-    mu = model.class1.mean - model.class0.mean
-    T = (eqs[0].T, eqs[1].T)
-    sandwiched = tuple(T[j] @ sigmas[j] @ T[j] for j in (0, 1))
-
-    mean_quad = tuple(float(mu @ T[j] @ mu) for j in (0, 1))
-    trace_gap = tuple(float(np.sum(sigmas[i] * (T[1] - T[0]))) for i in (0, 1))
-    cross_sq = tuple(
-        float(np.sum((sigmas[i] @ T[1 - i]) ** 2)) for i in (0, 1)
-    )
-    mixed_sq = tuple(
-        float(np.sum((sigmas[i] @ T[1]) * (sigmas[i] @ T[0]).T)) for i in (0, 1)
-    )
-    sandwich = tuple(float(np.sum(sigmas[i] * sandwiched[1 - i])) for i in (0, 1))
-    offset_quad = tuple(float(mu @ sandwiched[1 - i] @ mu) for i in (0, 1))
-    return _Functionals(
-        delta=(eqs[0].delta, eqs[1].delta),
-        phi=(eqs[0].phi, eqs[1].phi),
-        phi_tilde=(eqs[0].phi_tilde, eqs[1].phi_tilde),
-        mean_quad=mean_quad,
-        trace_gap=trace_gap,
-        cross_sq=cross_sq,
-        mixed_sq=mixed_sq,
-        sandwich=sandwich,
-        offset_quad=offset_quad,
-    )
-
-
-def _simultaneous_spectra(
-    model: MixtureModel, tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Joint eigenbasis of the two covariances, or None if they do not share one."""
-    sigma0 = model.class0.covariance
-    sigma1 = model.class1.covariance
-    _, basis = np.linalg.eigh(sigma0 + sigma1)
-    rotated0 = basis.T @ sigma0 @ basis
-    rotated1 = basis.T @ sigma1 @ basis
-    for rotated in (rotated0, rotated1):
-        diag_scale = max(1.0, float(np.max(np.abs(np.diag(rotated)))))
-        off = rotated - np.diag(np.diag(rotated))
-        if float(np.max(np.abs(off))) > tol * diag_scale:
-            return None
-    eig0 = np.clip(np.diag(rotated0), 0.0, None)
-    eig1 = np.clip(np.diag(rotated1), 0.0, None)
-    mu = basis.T @ (model.class1.mean - model.class0.mean)
-    return eig0, eig1, mu
-
-
-def _eigen_functionals(
-    eig0: np.ndarray,
-    eig1: np.ndarray,
-    mu: np.ndarray,
-    n0: int,
-    n1: int,
-    gamma0: float,
-    gamma1: float,
-) -> _Functionals:
-    counts = (n0, n1)
-    gammas = (gamma0, gamma1)
-    spectra = (eig0, eig1)
-    solved = [_scalar_resolvent(spectra[j], counts[j], gammas[j]) for j in (0, 1)]
-    weights = (solved[0][1], solved[1][1])
-    mu_sq = mu**2
-
-    mean_quad = tuple(float(np.sum(mu_sq * weights[j])) for j in (0, 1))
-    trace_gap = tuple(
-        float(np.sum(spectra[i] * (weights[1] - weights[0]))) for i in (0, 1)
-    )
-    cross_sq = tuple(
-        float(np.sum(spectra[i] ** 2 * weights[1 - i] ** 2)) for i in (0, 1)
-    )
-    mixed_sq = tuple(
-        float(np.sum(spectra[i] ** 2 * weights[1] * weights[0])) for i in (0, 1)
-    )
-    sandwich = tuple(
-        float(np.sum(spectra[i] * spectra[1 - i] * weights[1 - i] ** 2))
-        for i in (0, 1)
-    )
-    offset_quad = tuple(
-        float(np.sum(mu_sq * spectra[1 - i] * weights[1 - i] ** 2)) for i in (0, 1)
-    )
-    return _Functionals(
-        delta=(solved[0][0], solved[1][0]),
-        phi=(solved[0][2], solved[1][2]),
-        phi_tilde=(solved[0][3], solved[1][3]),
-        mean_quad=mean_quad,
-        trace_gap=trace_gap,
-        cross_sq=cross_sq,
-        mixed_sq=mixed_sq,
-        sandwich=sandwich,
-        offset_quad=offset_quad,
-    )
-
-
-def _functionals(
-    model: MixtureModel,
-    n0: int,
-    n1: int,
-    gamma0: float,
-    gamma1: float,
-    method: str,
-) -> tuple[_Functionals, str]:
-    if method not in ("auto", "dense", "eigen"):
-        raise ValueError("unknown method %r" % (method,))
-    if method in ("auto", "eigen"):
-        spectra = _simultaneous_spectra(model)
-        if spectra is not None:
-            return (
-                _eigen_functionals(*spectra, n0, n1, gamma0, gamma1),
-                "eigen",
-            )
-        if method == "eigen":
-            raise ValueError(
-                "eigen route needs covariances sharing an eigenbasis; use dense"
-            )
-    return _dense_functionals(model, n0, n1, gamma0, gamma1), "dense"
-
-
 def _stability(value: float) -> float:
     if value <= 0.0:
         raise StabilityError("spectral stability margin is %r" % (value,))
     return value
+
+
+def _spectral_functionals(
+    model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float
+) -> _Functionals:
+    """Every functional from one eigendecomposition per class.
+
+    With sigma_i = U_i diag(l_i) U_i^T the resolvent limit is
+    T_i = U_i diag(t_i) U_i^T with t_i = 1 / (1 + s_i l_i) and
+    s_i = gamma_i / (1 + gamma_i delta_i). A trace of a class-0
+    spectral function against a class-1 one is then a0^T W a1 with
+    W = (U_0^T U_1) o (U_0^T U_1), and a trace within one class is a plain
+    sum. Covariances that share a basis are the case W = I (up to rotations
+    inside repeated eigenvalues, which leave every trace unchanged).
+    """
+    counts = (n0, n1)
+    gammas = (gamma0, gamma1)
+    bases = []
+    spectra = []
+    for stats in (model.class0, model.class1):
+        eig, basis = np.linalg.eigh(stats.covariance)
+        spectra.append(np.clip(eig, 0.0, None))
+        bases.append(basis)
+    rotation = bases[0].T @ bases[1]
+    W = rotation * rotation
+    gap = model.class1.mean - model.class0.mean
+    gap_sq = tuple((basis.T @ gap) ** 2 for basis in bases)
+    (delta0, t0, phi0, tilde0), (delta1, t1, phi1, tilde1) = (
+        _scalar_resolvent(spectra[j], counts[j], gammas[j]) for j in (0, 1)
+    )
+    l0, l1 = spectra
+    phi = (phi0, phi1)
+    phi_tilde = (tilde0, tilde1)
+
+    def across(a0: np.ndarray, a1: np.ndarray) -> float:
+        return float(a0 @ W @ a1)
+
+    return _Functionals(
+        delta=(delta0, delta1),
+        phi=phi,
+        phi_tilde=phi_tilde,
+        margin=tuple(
+            _stability(1.0 - gammas[k] ** 2 * phi[k] * phi_tilde[k]) for k in (0, 1)
+        ),
+        mean_quad=(float(np.sum(gap_sq[0] * t0)), float(np.sum(gap_sq[1] * t1))),
+        trace_gap=(
+            across(l0, t1) - float(np.sum(l0 * t0)),
+            float(np.sum(l1 * t1)) - across(t0, l1),
+        ),
+        cross_sq=(across(l0**2, t1**2), across(t0**2, l1**2)),
+        mixed_sq=(across(l0**2 * t0, t1), across(t0, l1**2 * t1)),
+        sandwich=(across(l0, l1 * t1**2), across(l0 * t0**2, l1)),
+        offset_quad=(
+            float(np.sum(gap_sq[1] * l1 * t1**2)),
+            float(np.sum(gap_sq[0] * l0 * t0**2)),
+        ),
+    )
+
+
+def _quad_variance(
+    f: _Functionals,
+    i: int,
+    counts: tuple[int, int],
+    gammas: tuple[float, float],
+    p: int,
+) -> float:
+    """Limiting variance of the quadratic-form part of the class-i score."""
+    j = 1 - i
+    # The sandwich-squared fluctuation is sourced by the resolvent's own
+    # Wishart noise, so it scales with the opposite class's sample count.
+    return (
+        counts[i] / p * f.phi[i] / f.margin[i]
+        + f.cross_sq[i] / p
+        - 2.0 * f.mixed_sq[i] / p
+        + (gammas[j] ** 2 * f.phi_tilde[j] / f.margin[j])
+        * f.sandwich[i] ** 2
+        / (counts[j] * p)
+    )
 
 
 def asymptotic_error(
@@ -424,8 +382,6 @@ def asymptotic_error(
     gamma0: float,
     gamma1: float,
     theta: float,
-    *,
-    method: str = "auto",
 ) -> AsymptoticPrediction:
     """Limiting per-class error of the two-shrinkage rule with bias ``theta``.
 
@@ -435,7 +391,7 @@ def asymptotic_error(
     """
     _check_solver_args(n0, gamma0)
     _check_solver_args(n1, gamma1)
-    f, route = _functionals(model, n0, n1, gamma0, gamma1, method)
+    f = _spectral_functionals(model, n0, n1, gamma0, gamma1)
     p = model.dim
     sqrt_p = math.sqrt(p)
     counts = (n0, n1)
@@ -448,22 +404,11 @@ def asymptotic_error(
     eps = np.empty(2)
     for i in (0, 1):
         j = 1 - i
-        margin_i = _stability(1.0 - gammas[i] ** 2 * f.phi[i] * f.phi_tilde[i])
-        margin_j = _stability(1.0 - gammas[j] ** 2 * f.phi[j] * f.phi_tilde[j])
         sign = -1.0 if i == 0 else 1.0
         mean_shift[i] = theta + sign * f.mean_quad[j] / sqrt_p
         trace_gap[i] = f.trace_gap[i] / sqrt_p
-        # The sandwich-squared fluctuation is sourced by the resolvent's own
-        # Wishart noise, so it scales with the opposite class's sample count.
-        quad_variance[i] = (
-            counts[i] / p * f.phi[i] / margin_i
-            + f.cross_sq[i] / p
-            - 2.0 * f.mixed_sq[i] / p
-            + (gammas[j] ** 2 * f.phi_tilde[j] / margin_j)
-            * f.sandwich[i] ** 2
-            / (counts[j] * p)
-        )
-        offset_variance[i] = f.offset_quad[i] / p / margin_j
+        quad_variance[i] = _quad_variance(f, i, counts, gammas, p)
+        offset_variance[i] = f.offset_quad[i] / p / f.margin[j]
         spread = 2.0 * quad_variance[i] + 4.0 * offset_variance[i]
         if spread <= 0.0:
             raise StabilityError("limiting score variance is %r" % (spread,))
@@ -482,7 +427,6 @@ def asymptotic_error(
         delta=np.asarray(f.delta),
         phi=np.asarray(f.phi),
         phi_tilde=np.asarray(f.phi_tilde),
-        method=route,
     )
 
 
@@ -523,8 +467,6 @@ def theta_star_theoretical(
     n1: int,
     gamma0: float,
     gamma1: float,
-    *,
-    method: str = "auto",
 ) -> ThetaDesign:
     """Bias minimizing the limiting total error at the given shrinkage pair.
 
@@ -532,20 +474,13 @@ def theta_star_theoretical(
     unequal priors a log-odds correction scaled by the common variance is
     subtracted, which requires the margins not to cancel.
     """
-    f, _ = _functionals(model, n0, n1, gamma0, gamma1, method)
+    f = _spectral_functionals(model, n0, n1, gamma0, gamma1)
     p = model.dim
     sqrt_p = math.sqrt(p)
     beta0 = -f.mean_quad[1] / sqrt_p - f.trace_gap[0] / sqrt_p
     beta1 = -f.mean_quad[0] / sqrt_p + f.trace_gap[1] / sqrt_p
 
-    margin0 = _stability(1.0 - gamma0**2 * f.phi[0] * f.phi_tilde[0])
-    margin1 = _stability(1.0 - gamma1**2 * f.phi[1] * f.phi_tilde[1])
-    quad_var0 = (
-        n0 / p * f.phi[0] / margin0
-        + f.cross_sq[0] / p
-        - 2.0 * f.mixed_sq[0] / p
-        + (gamma1**2 * f.phi_tilde[1] / margin1) * f.sandwich[0] ** 2 / (n1 * p)
-    )
+    quad_var0 = _quad_variance(f, 0, (n0, n1), (gamma0, gamma1), p)
     if quad_var0 <= 0.0:
         raise StabilityError("limiting score variance is %r" % (quad_var0,))
     alpha = math.sqrt(2.0 * quad_var0)

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from hdqda.discriminant import (
-    RULE_IMPROVED_RQDA,
-    Score,
-    classify,
     classify_values,
     conditional_score_moments,
     empirical_error,
-    improved_score,
     improved_scores,
     qda_scores_true,
     rlda_scores,
@@ -50,16 +46,16 @@ def test_improved_score_matches_hand_computed_quadratics():
         - 0.5 * d0 @ fitted.H0 @ d0
         + 0.5 * d1 @ fitted.H1 @ d1
     )
-    got = improved_score(x, fitted, theta)
-    assert got.value == pytest.approx(expected, abs=1e-12)
-    assert got.rule_kind == RULE_IMPROVED_RQDA
+    got = improved_scores(x[None, :], fitted, theta)
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_improved_scores_batch_agrees_with_single_point():
     fitted = _toy_fit(seed=3)
     X = np.random.default_rng(4).standard_normal((11, 5))
     batch = improved_scores(X, fitted, -0.9)
-    singles = [improved_score(x, fitted, -0.9).value for x in X]
+    singles = [improved_scores(x[None, :], fitted, -0.9)[0] for x in X]
     np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 
@@ -89,15 +85,15 @@ def test_classify_positive_is_class_zero_ties_go_to_class_one():
     np.testing.assert_array_equal(
         classify_values(np.array([1e-12, 0.0, -1e-12])), [0, 1, 1]
     )
-    assert classify(Score(0.0, RULE_IMPROVED_RQDA)) == 1
-    assert classify(Score(2.0, RULE_IMPROVED_RQDA)) == 0
 
 
-def test_score_rejects_nonfinite_and_unknown_kind():
-    with pytest.raises(ValueError):
-        Score(float("nan"), RULE_IMPROVED_RQDA)
-    with pytest.raises(ValueError):
-        Score(1.0, "made-up")
+def test_scores_reject_nonfinite_observations():
+    fitted = _toy_fit(seed=2)
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.random.default_rng(9).standard_normal((3, 5))
+        X[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            improved_scores(X, fitted, 0.0)
 
 
 def test_standard_rule_includes_logdet_and_prior_offsets(small_train):

@@ -36,6 +36,11 @@ def test_training_set_validation():
         TrainingSet(X0=np.zeros((4, 3)), X1=np.zeros((4, 2)))
     train = TrainingSet(X0=np.zeros((4, 3)), X1=np.ones((6, 3)))
     assert (train.n0, train.n1, train.n, train.p) == (4, 6, 10, 3)
+    for bad in (np.nan, np.inf):
+        X0 = np.zeros((4, 3))
+        X0[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TrainingSet(X0=X0, X1=np.ones((6, 3)))
     back = train.swapped()
     assert back.n0 == 6
     np.testing.assert_array_equal(back.X1, train.X0)
@@ -75,8 +80,10 @@ def test_fit_wires_moments_and_resolvents(small_train):
     )
     assert (fitted.gamma0, fitted.gamma1) == (0.7, 2.5)
     assert (fitted.n0, fitted.n1) == (small_train.n0, small_train.n1)
-    r0, r1 = fitted.resolvent_residual()
-    assert max(r0, r1) < 1e-10
+    p = small_train.p
+    for H, gamma, sigma in ((fitted.H0, 0.7, fitted.sigma_hat0), (fitted.H1, 2.5, fitted.sigma_hat1)):
+        residual = H @ (np.eye(p) + gamma * sigma) - np.eye(p)
+        assert np.max(np.abs(residual)) < 1e-10
 
 
 def test_fit_pooled_uses_n_minus_two_normalization(small_train):

@@ -46,6 +46,9 @@ def test_load_csv_strict_cell_errors_carry_positions(tmp_path):
         load_csv(_write(tmp_path, "f,label\n1,0\nx,1\n"), "label")
     with pytest.raises(CsvFormatError, match="missing value"):
         load_csv(_write(tmp_path, "f,label\n1,0\n,1\n", "m.csv"), "label")
+    for cell in ("nan", "inf", "-Infinity"):
+        with pytest.raises(CsvFormatError, match="line 3, column 1.*not finite"):
+            load_csv(_write(tmp_path, "f,label\n1,0\n%s,1\n" % cell, "f.csv"), "label")
     with pytest.raises(CsvFormatError, match="not an integer"):
         load_csv(_write(tmp_path, "f,label\n1,0.5\n", "h.csv"), "label")
     with pytest.raises(CsvFormatError, match="fields, expected"):

@@ -109,7 +109,7 @@ def test_tuning_failure_entries_record_the_reason(majority_first_train, monkeypa
     calls = {"count": 0}
     import hdqda.pipeline as pipeline_module
 
-    real = pipeline_module.theta_hat
+    real = pipeline_module._bias_and_error
 
     def flaky(fit, priors):
         calls["count"] += 1
@@ -117,7 +117,7 @@ def test_tuning_failure_entries_record_the_reason(majority_first_train, monkeypa
             raise DegenerateEstimateError("synthetic failure for the first candidate")
         return real(fit, priors)
 
-    monkeypatch.setattr(pipeline_module, "theta_hat", flaky)
+    monkeypatch.setattr(pipeline_module, "_bias_and_error", flaky)
     result = tune_gamma0(canonical, grid=np.array([0.5, 1.0, 2.0]))
     assert result.entries[0].failure is not None
     assert "synthetic failure" in result.entries[0].failure
@@ -133,7 +133,7 @@ def test_tuning_raises_when_every_candidate_fails(majority_first_train, monkeypa
     def broken(fit, priors):
         raise DegenerateEstimateError("every candidate is bad")
 
-    monkeypatch.setattr(pipeline_module, "theta_hat", broken)
+    monkeypatch.setattr(pipeline_module, "_bias_and_error", broken)
     with pytest.raises(TuningError):
         tune_gamma0(canonical, grid=np.array([0.5, 1.0]))
 
@@ -144,6 +144,16 @@ def test_fit_improved_tunes_when_no_shrinkage_given(majority_first_train):
     model = fit_improved(train, None, grid=grid)
     assert model.trace and len(model.trace) == 5
     assert model.fit.gamma0 in grid
+
+
+def test_tuned_model_equals_a_fit_at_the_chosen_shrinkage(majority_first_train):
+    train, _ = majority_first_train
+    tuned = fit_improved(train, None, grid=np.logspace(-1, 1, 5))
+    direct = fit_improved(train, tuned.fit.gamma0)
+    for name in ("mu_hat0", "mu_hat1", "sigma_hat0", "sigma_hat1", "H0", "H1"):
+        assert np.array_equal(getattr(tuned.fit, name), getattr(direct.fit, name)), name
+    assert tuned.fit.gamma1 == direct.fit.gamma1
+    assert tuned.theta == direct.theta
 
 
 def test_model_json_round_trip_preserves_predictions(majority_first_train):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hdqda.errors import (
@@ -11,8 +13,10 @@ from hdqda.errors import (
     NotSpdError,
     StabilityError,
 )
+from hdqda import rmt
 from hdqda.model import ClassStatistics, MixtureModel, build_mixture
 from hdqda.rmt import (
+    _Functionals,
     asymptotic_error,
     eigen_delta_solver,
     gamma1_theoretical,
@@ -105,34 +109,113 @@ def _commuting_model(p=48, seed=0):
     return build_mixture(config)
 
 
-def test_asymptotic_error_routes_agree_and_auto_detects_the_basis():
-    model = _commuting_model()
-    args = (60, 90, 0.7, 1.1, 0.4)
-    eig = asymptotic_error(model, *args, method="eigen")
-    dense = asymptotic_error(model, *args, method="dense")
-    auto = asymptotic_error(model, *args)
-    assert auto.method == "eigen" and dense.method == "dense"
-    for field in ("eps0", "eps1", "total"):
-        assert getattr(eig, field) == pytest.approx(getattr(dense, field), abs=1e-8)
-    np.testing.assert_allclose(eig.quad_variance, dense.quad_variance, atol=1e-8)
-    np.testing.assert_allclose(eig.trace_gap, dense.trace_gap, atol=1e-8)
-    np.testing.assert_allclose(eig.delta, dense.delta, atol=1e-8)
-
-
-def test_asymptotic_error_noncommuting_falls_back_to_dense():
-    rng = np.random.default_rng(9)
-    model = MixtureModel(
-        class0=ClassStatistics(np.zeros(12), random_spd(12, rng)),
-        class1=ClassStatistics(np.ones(12) * 0.2, random_spd(12, rng)),
-        prior0=0.4,
-        prior1=0.6,
+def _dense_functionals(
+    model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float
+) -> _Functionals:
+    """Reference functionals from the dense resolvent limits; no eigendecomposition."""
+    sigmas = (model.class0.covariance, model.class1.covariance)
+    counts = (n0, n1)
+    gammas = (gamma0, gamma1)
+    eqs = [solve_delta(sigmas[i], counts[i], gammas[i], tol=1e-13) for i in (0, 1)]
+    mu = model.class1.mean - model.class0.mean
+    T = (eqs[0].T, eqs[1].T)
+    sandwiched = tuple(T[j] @ sigmas[j] @ T[j] for j in (0, 1))
+    return _Functionals(
+        delta=tuple(eq.delta for eq in eqs),
+        phi=tuple(eq.phi for eq in eqs),
+        phi_tilde=tuple(eq.phi_tilde for eq in eqs),
+        margin=tuple(eq.stability_margin() for eq in eqs),
+        mean_quad=tuple(float(mu @ T[j] @ mu) for j in (0, 1)),
+        trace_gap=tuple(float(np.sum(sigmas[i] * (T[1] - T[0]))) for i in (0, 1)),
+        cross_sq=tuple(float(np.sum((sigmas[i] @ T[1 - i]) ** 2)) for i in (0, 1)),
+        mixed_sq=tuple(
+            float(np.sum((sigmas[i] @ T[1]) * (sigmas[i] @ T[0]).T)) for i in (0, 1)
+        ),
+        sandwich=tuple(float(np.sum(sigmas[i] * sandwiched[1 - i])) for i in (0, 1)),
+        offset_quad=tuple(float(mu @ sandwiched[1 - i] @ mu) for i in (0, 1)),
     )
-    auto = asymptotic_error(model, 30, 40, 1.0, 1.0, 0.0)
-    assert auto.method == "dense"
-    with pytest.raises(ValueError, match="eigen route"):
-        asymptotic_error(model, 30, 40, 1.0, 1.0, 0.0, method="eigen")
-    with pytest.raises(ValueError, match="unknown method"):
-        asymptotic_error(model, 30, 40, 1.0, 1.0, 0.0, method="fast")
+
+
+def _covariance_pair(kind: str, p: int, rng: np.random.Generator):
+    if kind == "generic":
+        return random_spd(p, rng), random_spd(p, rng)
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    base = rng.uniform(0.5, 3.0)
+    rank = max(1, p // 4)
+    spikes1 = np.zeros(p)
+    spikes1[-rank:] = rng.uniform(1.0, 8.0, rank)
+    sigma1 = (q * (base + spikes1)) @ q.T
+    if kind == "isotropic":
+        return base * np.eye(p), sigma1
+    spikes0 = np.zeros(p)
+    spikes0[:rank] = rng.uniform(1.0, 8.0, rank)
+    return (q * (base + spikes0)) @ q.T, sigma1
+
+
+def _assert_close(got, want, what: str) -> None:
+    # Relative to max(1, |want|): the normalized margins are differences of
+    # O(1) terms and may sit near zero without being ill-determined.
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    gap = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+    assert np.all(gap <= 1e-10), "%s: %r vs dense %r" % (what, got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["generic", "shared-basis", "isotropic"]),
+    seed=st.integers(0, 10_000),
+    p=st.integers(4, 40),
+    n_scale=st.floats(0.5, 3.0),
+    imbalance=st.floats(1.0, 2.0),
+    gamma0=st.floats(0.05, 20.0),
+    gamma1=st.floats(0.05, 20.0),
+    prior0=st.sampled_from([0.5, 0.3]),
+)
+def test_spectral_route_matches_the_dense_reference(
+    kind, seed, p, n_scale, imbalance, gamma0, gamma1, prior0
+):
+    """Spectral functionals and the error and bias built on them equal the
+    dense-resolvent reference for non-commuting, commuting and isotropic pairs."""
+    rng = np.random.default_rng(seed)
+    sigma0, sigma1 = _covariance_pair(kind, p, rng)
+    mu = rng.standard_normal(p) * 3.0 / math.sqrt(p)
+    model = MixtureModel(
+        class0=ClassStatistics(np.zeros(p), 0.5 * (sigma0 + sigma0.T)),
+        class1=ClassStatistics(mu, 0.5 * (sigma1 + sigma1.T)),
+        prior0=prior0,
+        prior1=1.0 - prior0,
+    )
+    n0 = max(2, int(n_scale * p))
+    n1 = max(n0, int(imbalance * n0))
+    args = (model, n0, n1, gamma0, gamma1)
+
+    spectral = rmt._spectral_functionals(*args)
+    dense = _dense_functionals(*args)
+    for field in dataclasses.fields(_Functionals):
+        _assert_close(
+            getattr(spectral, field.name), getattr(dense, field.name), field.name
+        )
+
+    design = theta_star_theoretical(*args)
+    prediction = asymptotic_error(*args, design.theta_star)
+    with mock.patch.object(rmt, "_spectral_functionals", _dense_functionals):
+        dense_design = theta_star_theoretical(*args)
+        dense_prediction = asymptotic_error(*args, design.theta_star)
+    # With unequal priors the bias divides by beta0 + beta1; near cancellation
+    # that division amplifies any last-digit difference, whichever route.
+    balance = abs(dense_design.beta0 + dense_design.beta1)
+    assume(balance >= 1e-2 * max(1.0, abs(dense_design.beta0), abs(dense_design.beta1)))
+    for field in dataclasses.fields(design):
+        _assert_close(
+            getattr(design, field.name), getattr(dense_design, field.name), field.name
+        )
+    for field in dataclasses.fields(prediction):
+        _assert_close(
+            getattr(prediction, field.name),
+            getattr(dense_prediction, field.name),
+            field.name,
+        )
 
 
 def test_prediction_is_a_proper_error_pair():
