@@ -36,7 +36,7 @@ from .estimation import TrainingSet, fit, fit_pooled
 from .gestim import g_estimator_error
 from .ingestion import load_csv, make_imbalanced_split
 from .model import _CONFIG_FIELDS, MixtureModel, ScenarioConfig, build_mixture, sample_scenario
-from .pipeline import ImprovedModel, default_grid, fit_improved, tune_gamma0
+from .pipeline import ImprovedModel, default_grid, fit_improved
 from .rmt import asymptotic_error, eigen_delta_solver, gamma1_theoretical, theta_star_theoretical
 
 _SCENARIO_DEFAULTS = {
@@ -169,8 +169,7 @@ def _theory_total(model: MixtureModel, n0: int, n1: int, gamma0: float) -> float
         canonical, c0, c1 = model, n0, n1
     else:
         canonical, c0, c1 = model.swapped(), n1, n0
-    spectrum = np.linalg.eigvalsh(canonical.class0.covariance)
-    delta0 = eigen_delta_solver(spectrum, c0, gamma0)
+    delta0 = eigen_delta_solver(canonical.class0.spectrum[0], c0, gamma0)
     gamma1 = gamma1_theoretical(
         canonical.class0.covariance, c0, c1, gamma0, delta0=delta0
     )
@@ -634,22 +633,15 @@ def tune(config_path, seed, out, replicates, threads) -> None:
         model = build_mixture(scenario)
         data = sample_scenario(scenario, model=model)
         train = TrainingSet(X0=data.train0, X1=data.train1)
-        swapped = train.n1 < train.n0
-        canonical = train.swapped() if swapped else train
-        priors = (
-            (model.prior1, model.prior0) if swapped else (model.prior0, model.prior1)
-        )
-        result = tune_gamma0(canonical, grid=grid, priors=priors)
+        tuned = fit_improved(train, None, priors=(model.prior0, model.prior1), grid=grid)
     except HdqdaError as exc:
         raise _numerical_failure(exc)
 
-    rows = [
-        [entry.gamma0, entry.total_hat, entry.failure] for entry in result.entries
-    ]
+    rows = [[entry.gamma0, entry.total_hat, entry.failure] for entry in tuned.trace]
     meta = {
         "command": "tune",
         "seed": scenario.seed,
-        "chosen_gamma0": "%.17g" % result.gamma0,
+        "chosen_gamma0": "%.17g" % tuned.fit.gamma0,
         "config_hash": _config_hash(
             {"scenario": scenario.to_json(), "grid": [lo, hi, count]}
         ),

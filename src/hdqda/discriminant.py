@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import linalg as sla
@@ -50,16 +50,7 @@ class ErrorReport:
     n_test1: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eps0": self.eps0,
-                "eps1": self.eps1,
-                "total": self.total,
-                "n_test0": self.n_test0,
-                "n_test1": self.n_test1,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _rows(X: np.ndarray, p: int) -> np.ndarray:
@@ -86,22 +77,17 @@ def _quad_rows(diff: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:
-    """Oracle quadratic rule evaluated with the true class statistics."""
+    """Oracle quadratic rule evaluated with the true class statistics and the
+    Cholesky factors their validation computed."""
     p = model.dim
     X = _rows(X, p)
-    try:
-        f0 = sla.cho_factor(model.class0.covariance, lower=True, check_finite=False)
-        f1 = sla.cho_factor(model.class1.covariance, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("true covariance is singular: %s" % exc) from exc
-    logdet0 = 2.0 * float(np.sum(np.log(np.diag(f0[0]))))
-    logdet1 = 2.0 * float(np.sum(np.log(np.diag(f1[0]))))
-    d0 = X - model.class0.mean
-    d1 = X - model.class1.mean
-    q0 = np.einsum("ij,ij->i", d0, sla.cho_solve(f0, d0.T, check_finite=False).T)
-    q1 = np.einsum("ij,ij->i", d1, sla.cho_solve(f1, d1.T, check_finite=False).T)
-    const = 0.5 * (logdet1 - logdet0) - math.log(model.prior1 / model.prior0)
-    return const - 0.5 * q0 + 0.5 * q1
+    halves = []
+    for stats in (model.class0, model.class1):
+        d = X - stats.mean
+        solved = sla.cho_solve((stats.cholesky, True), d.T, check_finite=False)
+        half_logdet = float(np.sum(np.log(np.diag(stats.cholesky))))
+        halves.append(0.5 * np.einsum("ij,ji->i", d, solved) + half_logdet)
+    return halves[1] - halves[0] - math.log(model.prior1 / model.prior0)
 
 
 def _require_shared_gamma(fit: FittedStats) -> float:

@@ -1,13 +1,18 @@
-"""Sample statistics and the shrunken resolvents every classifier builds on.
+"""Sample statistics, the shrunken resolvents every classifier builds on, and
+the spectral kernel that the error estimator and the theory share.
 
 The resolvent of a sample covariance at shrinkage gamma is (I + gamma * S)^{-1},
 always SPD for gamma >= 0, computed by a symmetric factorization rather than an
-explicit inverse formula.
+explicit inverse formula. A trace or quadratic form of covariances against
+resolvents needs no resolvent: with each covariance diagonalized once
+(:func:`eigenpair`), a resolvent is a weight vector on its eigenvalues, and
+:class:`SpectralPair` takes every such trace at O(p^2) cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
@@ -20,6 +25,8 @@ __all__ = [
     "PooledStats",
     "sample_moments",
     "regularized_resolvent",
+    "eigenpair",
+    "SpectralPair",
     "fit",
     "fit_pooled",
 ]
@@ -105,9 +112,48 @@ def regularized_resolvent(sigma_hat: np.ndarray, gamma: float) -> np.ndarray:
     return 0.5 * (resolvent + resolvent.T)
 
 
+def eigenpair(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending, rounding negatives clipped to zero) and eigenbasis
+    of a symmetric positive semidefinite matrix."""
+    values, basis = np.linalg.eigh(matrix)
+    return np.clip(values, 0.0, None), basis
+
+
+class SpectralPair:
+    """Two covariances sigma_i = U_i diag(l_i) U_i^T, coupled by W = R o R with
+    R = U_0^T U_1, and a mean ``gap`` expressed in each eigenbasis.
+
+    A trace of a class-0 spectral function against a class-1 one is a0^T W a1
+    (:meth:`across`); a trace within one class is a plain sum. A shared basis
+    is the case W = I, up to rotations inside repeated eigenvalues.
+    """
+
+    def __init__(self, spectra, gap: np.ndarray):
+        (self.values0, basis0), (self.values1, basis1) = spectra
+        self.rotation = basis0.T @ basis1
+        self.weights = self.rotation * self.rotation
+        self.gap = (basis0.T @ gap, basis1.T @ gap)
+
+    def across(self, a0: np.ndarray, a1: np.ndarray) -> float:
+        return float(a0 @ self.weights @ a1)
+
+    @cached_property
+    def quartic_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M0 o M0, M1 o M1) for M0 = R^T diag(l0) R and M1 = R diag(l1) R^T, each
+        covariance in the other's basis: Tr[sigma_0 H sigma_0 H] for
+        H = U_1 diag(w) U_1^T is w^T (M0 o M0) w, and symmetrically."""
+        R = self.rotation
+        m0 = R.T @ (self.values0[:, None] * R)
+        m1 = (R * self.values1) @ R.T
+        return np.square(m0, out=m0), np.square(m1, out=m1)
+
+
 @dataclass(frozen=True)
 class FittedStats:
-    """Per-class sample moments, shrinkage parameters, and resolvents."""
+    """Per-class sample moments, shrinkage parameters, and resolvents.
+
+    :attr:`spectra` diagonalizes the sample covariances once, on first use.
+    """
 
     mu_hat0: np.ndarray
     mu_hat1: np.ndarray
@@ -119,16 +165,33 @@ class FittedStats:
     H1: np.ndarray
     n0: int
     n1: int
+    _spectra: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
         return self.mu_hat0.shape[0]
 
+    @property
+    def spectra(self) -> tuple:
+        """:func:`eigenpair` of ``sigma_hat0`` and of ``sigma_hat1``."""
+        if self._spectra is None:
+            object.__setattr__(
+                self, "_spectra", (eigenpair(self.sigma_hat0), eigenpair(self.sigma_hat1))
+            )
+        return self._spectra
+
 
 def fit(train: TrainingSet, gamma0: float, gamma1: float) -> FittedStats:
     """Sample moments for both classes plus their shrunken resolvents."""
-    mu0, sig0 = sample_moments(train.X0)
-    mu1, sig1 = sample_moments(train.X1)
+    return _fitted(train, (sample_moments(train.X0), sample_moments(train.X1)), gamma0, gamma1)
+
+
+def _fitted(
+    train: TrainingSet, moments: tuple, gamma0: float, gamma1: float, spectra=None
+) -> FittedStats:
+    """:func:`fit` from the ``sample_moments`` of both classes, optionally
+    with their eigenpairs already computed."""
+    (mu0, sig0), (mu1, sig1) = moments
     return FittedStats(
         mu_hat0=mu0,
         mu_hat1=mu1,
@@ -140,6 +203,7 @@ def fit(train: TrainingSet, gamma0: float, gamma1: float) -> FittedStats:
         H1=regularized_resolvent(sig1, gamma1),
         n0=train.n0,
         n1=train.n1,
+        _spectra=spectra,
     )
 
 

@@ -4,8 +4,14 @@ Every quantity here is a function of the fitted sample statistics; no test
 data and no true parameters enter. The estimators deliberately invert the
 resolvent traces of the training fit instead of holding data out, so the full
 sample stays available to the classifier and the estimate is deterministic
-given the fit. All functions are pure: calling them twice on the same fit
-yields byte-identical results.
+given the fit. Calling an estimator twice on the same fit yields
+byte-identical results.
+
+Every ingredient is a trace or quadratic form of a sample covariance against
+one or two shrunk resolvents, taken on the spectral kernel of
+:mod:`hdqda.estimation` from the eigenpairs a fit keeps
+(:attr:`FittedStats.spectra`). A shrinkage candidate thus costs O(p^2) and
+forms no resolvent, which is what makes grid tuning cheap.
 
 Counts enter through the effective sample size n - 1: the de-meaned covariance
 spends one degree of freedom on the mean, and at moderate dimension the
@@ -21,13 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateEstimateError, InvalidRegularizerError
-from .estimation import FittedStats
+from .estimation import FittedStats, SpectralPair
 
 __all__ = [
     "BiasEstimate",
@@ -54,18 +60,22 @@ def delta_hat(H: np.ndarray, n: int, gamma: float) -> float:
         raise ValueError("resolvent must be square, got shape %r" % (H.shape,))
     if n < 2:
         raise ValueError("need at least two observations, got n=%d" % (n,))
+    return _delta_from_trace(float(np.trace(H)), H.shape[0], n, gamma)
+
+
+def _delta_from_trace(trace: float, p: int, n: int, gamma: float) -> float:
+    """:func:`delta_hat` given Tr[H] = ``trace`` of a p x p resolvent."""
     if gamma <= 0.0:
         raise InvalidRegularizerError(
             "fixed-point inversion needs strictly positive shrinkage, got %r" % (gamma,)
         )
     m = n - 1
-    p = H.shape[0]
-    ratio = float(np.trace(H)) / m
+    ratio = trace / m
     numerator = p / m - ratio
     denominator = 1.0 - p / m + ratio
     if denominator <= 0.0 or numerator < 0.0:
         raise DegenerateEstimateError(
-            "resolvent trace %r is inconsistent with n=%d, p=%d" % (ratio * m, n, p)
+            "resolvent trace %r is inconsistent with n=%d, p=%d" % (trace, n, p)
         )
     return numerator / (gamma * denominator)
 
@@ -98,69 +108,6 @@ def gamma1_hat(delta0: float, n0: int, n1: int, gamma0: float) -> float:
     return gamma0 / denominator
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Tr[a b] for symmetric a and b."""
-    return float(np.sum(a * b))
-
-
-def _trace_quartic(sigma: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
-    """Tr[sigma left sigma right]."""
-    return float(np.sum((sigma @ left) * (sigma @ right).T))
-
-
-def _delta_corrected(
-    sigma: np.ndarray, H: np.ndarray, delta: float, gamma: float, n: int, p: int
-) -> float:
-    """Fixed-point estimate with its second-order inversion bias removed.
-
-    The trace inversion behind :func:`delta_hat` is exact only on average over
-    the per-sample quadratic forms; the curvature of the inversion map leaves
-    a downward bias of order one over n that matters in the own-class trace
-    terms of the margins. The curvature scale is estimated from the same
-    debiased quartic that the variance estimate uses, clipped at zero so a
-    noisy small-sample quartic can only shrink the correction.
-    """
-    m = n - 1
-    shrink = 1.0 + gamma * delta
-    own_quartic = _trace_quartic(sigma, H, H)
-    curvature = shrink**4 * own_quartic / p - (m / p) * delta**2 * shrink**2
-    return delta + gamma * p * max(curvature, 0.0) / (m * m * shrink)
-
-
-def _quad_variance_hat(
-    sigma: np.ndarray,
-    own_H: np.ndarray,
-    other_H: np.ndarray,
-    delta: float,
-    gamma: float,
-    n: int,
-    p: int,
-) -> float:
-    """Estimated quadratic-form variance for one class.
-
-    ``own_H`` is the class's resolvent at its own shrinkage, ``other_H`` the
-    opposite class's resolvent; ``delta`` and ``gamma`` belong to the own
-    class, and ``n`` is its training count. The de-biasing powers of
-    (1 + gamma delta) undo the self-averaging of the sample covariance inside
-    its own resolvent; the subtracted squares remove the noise the sample
-    covariance contributes to the plain trace products.
-    """
-    m = n - 1
-    shrink = 1.0 + gamma * delta
-    own_quartic = _trace_quartic(sigma, own_H, own_H)
-    cross_quartic = _trace_quartic(sigma, other_H, other_H)
-    mixed_quartic = _trace_quartic(sigma, own_H, other_H)
-    cross_trace = _trace_product(sigma, other_H)
-    return (
-        shrink**4 / p * own_quartic
-        - m / p * delta**2 * shrink**2
-        + cross_quartic / p
-        - cross_trace**2 / (m * p)
-        - 2.0 * shrink**2 / p * mixed_quartic
-        + delta * shrink * 2.0 / p * cross_trace
-    )
-
-
 @dataclass(frozen=True)
 class BiasEstimate:
     """Estimated error-minimizing bias with its margin components."""
@@ -174,90 +121,122 @@ class BiasEstimate:
 
 @dataclass(frozen=True)
 class _Pieces:
-    """Shared ingredients of the bias and error estimates."""
+    """Shared ingredients of the bias and error estimates, with the shrinkage
+    pair, counts and dimension they were taken at.
 
-    d0: float
-    d1: float
-    own_trace0: float
-    own_trace1: float
-    quad0: float
-    quad1: float
-    cross_trace0: float
-    cross_trace1: float
-    beta0: float
-    beta1: float
-    B0: float
-    B1: float
+    ``quad[j]`` contracts the mean gap against the class-j resolvent; every
+    other pair is indexed by the class whose sample covariance it carries.
+    """
+
+    gammas: tuple[float, float]
+    counts: tuple[int, int]
+    p: int
+    delta: tuple[float, float]
+    own_trace: tuple[float, float]
+    quad: tuple[float, float]
+    cross_trace: tuple[float, float]
+    beta: tuple[float, float]
+    B: tuple[float, float]
+    r: tuple[float, float]
 
 
-def _pieces(fit: FittedStats) -> _Pieces:
-    p = fit.p
+def _pieces(
+    pair: SpectralPair, gammas: tuple[float, float], counts: tuple[int, int]
+) -> _Pieces:
+    """Every trace and quadratic form of the estimates, on the spectral kernel.
+
+    ``pair`` holds the two sample covariances S_i and the mean gap
+    mu_hat0 - mu_hat1; the resolvents H_i = (I + gamma_i S_i)^{-1} enter only
+    as their eigenvalue weights w_i = 1 / (1 + gamma_i l_i), so no p x p
+    product or factorization is formed here.
+    """
+    l = (pair.values0, pair.values1)
+    p = l[0].shape[0]
     sqrt_p = math.sqrt(p)
-    d0 = delta_hat(fit.H0, fit.n0, fit.gamma0)
-    d1 = delta_hat(fit.H1, fit.n1, fit.gamma1)
-    own0 = (fit.n0 - 1) * _delta_corrected(
-        fit.sigma_hat0, fit.H0, d0, fit.gamma0, fit.n0, p
-    )
-    own1 = (fit.n1 - 1) * _delta_corrected(
-        fit.sigma_hat1, fit.H1, d1, fit.gamma1, fit.n1, p
-    )
-    gap = fit.mu_hat0 - fit.mu_hat1
-    quad0 = float(gap @ fit.H0 @ gap)
-    quad1 = float(gap @ fit.H1 @ gap)
-    cross_trace0 = _trace_product(fit.sigma_hat0, fit.H1)
-    cross_trace1 = _trace_product(fit.sigma_hat1, fit.H0)
-
-    # The gap quadratic feels the noise of its own estimated mean (upward, by
-    # the cross trace over the count) and the own-mean quadratic that the rule
-    # subtracts (upward, by the own trace over the count); both are removed so
-    # the margins center where the realized rule actually sits.
-    beta0 = (
-        -quad1 / sqrt_p
-        - (1.0 - 1.0 / fit.n0) * cross_trace0 / sqrt_p
-        + (1.0 + 1.0 / fit.n0) * own0 / sqrt_p
-    )
-    beta1 = (
-        -quad0 / sqrt_p
-        - (1.0 - 1.0 / fit.n1) * cross_trace1 / sqrt_p
-        + (1.0 + 1.0 / fit.n1) * own1 / sqrt_p
-    )
-    B0 = _quad_variance_hat(fit.sigma_hat0, fit.H0, fit.H1, d0, fit.gamma0, fit.n0, p)
-    B1 = _quad_variance_hat(fit.sigma_hat1, fit.H1, fit.H0, d1, fit.gamma1, fit.n1, p)
+    w = (1.0 / (1.0 + gammas[0] * l[0]), 1.0 / (1.0 + gammas[1] * l[1]))
+    quad = (float(np.sum(pair.gap[0] ** 2 * w[0])), float(np.sum(pair.gap[1] ** 2 * w[1])))
+    # Tr[S_i H_j] and Tr[S_i H_i S_i H_j] for j = 1 - i, over both bases.
+    cross_trace = (pair.across(l[0], w[1]), pair.across(w[0], l[1]))
+    mixed_quartic = (pair.across(l[0] ** 2 * w[0], w[1]), pair.across(w[0], l[1] ** 2 * w[1]))
+    # gap^T H_j S_i H_j gap: carry the resolvent-weighted gap into the other basis.
+    carried = (pair.rotation @ (w[1] * pair.gap[1]), pair.rotation.T @ (w[0] * pair.gap[0]))
+    delta, own, beta, B, r = [], [], [], [], []
+    for i in (0, 1):
+        j, n, gamma = 1 - i, counts[i], gammas[i]
+        m = n - 1
+        d = _delta_from_trace(float(np.sum(w[i])), p, n, gamma)
+        shrink = 1.0 + gamma * d
+        # Debiased own quartic Tr[S_i H_i S_i H_i]: the powers of shrink undo
+        # the self-averaging of the sample covariance inside its own resolvent.
+        curvature = shrink**4 * float(np.sum((l[i] * w[i]) ** 2)) / p - m / p * d**2 * shrink**2
+        # The trace inversion behind delta_hat is exact only on average; the
+        # curvature of the inversion map leaves a downward bias of order 1/n in
+        # the own trace, clipped so a noisy quartic can only shrink it.
+        own.append(m * (d + gamma * p * max(curvature, 0.0) / (m * m * shrink)))
+        # The gap quadratic feels the noise of its own estimated mean (upward,
+        # by the cross trace over the count) and the own-mean quadratic that
+        # the rule subtracts (upward, by the own trace over the count); both
+        # are removed so the margins center where the realized rule sits.
+        beta.append(
+            -quad[j] / sqrt_p
+            - (1.0 - 1.0 / n) * cross_trace[i] / sqrt_p
+            + (1.0 + 1.0 / n) * own[i] / sqrt_p
+        )
+        # Quadratic-form variance; the subtracted squares remove the noise the
+        # sample covariance adds to the plain trace products.
+        B.append(
+            curvature
+            + float(w[j] @ pair.quartic_weights[i] @ w[j]) / p
+            - cross_trace[i] ** 2 / (m * p)
+            - 2.0 * shrink**2 / p * mixed_quartic[i]
+            + d * shrink * 2.0 / p * cross_trace[i]
+        )
+        delta.append(d)
+        r.append(float(np.sum(l[i] * carried[i] ** 2)) / p)
     return _Pieces(
-        d0=d0,
-        d1=d1,
-        own_trace0=own0,
-        own_trace1=own1,
-        quad0=quad0,
-        quad1=quad1,
-        cross_trace0=cross_trace0,
-        cross_trace1=cross_trace1,
-        beta0=beta0,
-        beta1=beta1,
-        B0=B0,
-        B1=B1,
+        gammas, counts, p, tuple(delta), tuple(own), quad, cross_trace, tuple(beta), tuple(B), tuple(r)
     )
+
+
+def _fit_pieces(fit: FittedStats) -> _Pieces:
+    pair = SpectralPair(fit.spectra, fit.mu_hat0 - fit.mu_hat1)
+    return _pieces(pair, (fit.gamma0, fit.gamma1), (fit.n0, fit.n1))
+
+
+def _candidate(
+    pair: SpectralPair,
+    gamma0: float,
+    counts: tuple[int, int],
+    priors: tuple[float, float],
+) -> tuple[float, BiasEstimate, GEstimate]:
+    """One tuning candidate: the matched shrinkage :func:`gamma1_hat` at
+    ``gamma0``, then :func:`theta_hat` and the error estimate at that bias, all
+    from one set of pieces on ``pair``."""
+    p = pair.values0.shape[0]
+    trace0 = float(np.sum(1.0 / (1.0 + gamma0 * pair.values0)))
+    d0 = _delta_from_trace(trace0, p, counts[0], gamma0)
+    gamma1 = gamma1_hat(d0, counts[0], counts[1], gamma0)
+    pieces = _pieces(pair, (gamma0, gamma1), counts)
+    bias = _bias_from(pieces, priors)
+    return gamma1, bias, _error_from(pieces, bias, bias.theta_hat, priors)
 
 
 def _bias_from(pieces: _Pieces, priors: tuple[float, float]) -> BiasEstimate:
-    if pieces.B0 <= 0.0:
-        raise DegenerateEstimateError("estimated score variance is %r" % (pieces.B0,))
-    alpha = math.sqrt(2.0 * pieces.B0)
+    (beta0, beta1), B0 = pieces.beta, pieces.B[0]
+    if B0 <= 0.0:
+        raise DegenerateEstimateError("estimated score variance is %r" % (B0,))
+    alpha = math.sqrt(2.0 * B0)
     log_odds = math.log(priors[1] / priors[0])
-    theta = (pieces.beta1 - pieces.beta0) / 2.0
+    theta = (beta1 - beta0) / 2.0
     if log_odds != 0.0:
-        balance = pieces.beta1 + pieces.beta0
-        if abs(balance) <= 1e-12 * max(1.0, abs(pieces.beta0), abs(pieces.beta1)):
+        balance = beta1 + beta0
+        if abs(balance) <= 1e-12 * max(1.0, abs(beta0), abs(beta1)):
             raise DegenerateEstimateError(
                 "estimated class margins cancel; prior correction is undefined"
             )
         theta -= 2.0 * alpha**2 / balance * log_odds
     return BiasEstimate(
-        theta_hat=theta,
-        beta_hat0=pieces.beta0,
-        beta_hat1=pieces.beta1,
-        alpha_hat=alpha,
-        B_hat0=pieces.B0,
+        theta_hat=theta, beta_hat0=beta0, beta_hat1=beta1, alpha_hat=alpha, B_hat0=B0
     )
 
 
@@ -267,7 +246,7 @@ def theta_hat(fit: FittedStats, priors: tuple[float, float]) -> BiasEstimate:
     ``fit`` should carry the matched majority-class shrinkage (the estimate
     from :func:`gamma1_hat`); the consistency of the result depends on it.
     """
-    return _bias_from(_pieces(fit), priors)
+    return _bias_from(_fit_pieces(fit), priors)
 
 
 @dataclass(frozen=True)
@@ -299,29 +278,7 @@ class GEstimate:
     total_hat: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delta_hat0": self.delta_hat0,
-                "delta_hat1": self.delta_hat1,
-                "gamma1_hat": self.gamma1_hat,
-                "beta_hat0": self.beta_hat0,
-                "beta_hat1": self.beta_hat1,
-                "alpha_hat": self.alpha_hat,
-                "B_hat0": self.B_hat0,
-                "B_hat1": self.B_hat1,
-                "theta_hat": self.theta_hat,
-                "xi_hat0": self.xi_hat0,
-                "xi_hat1": self.xi_hat1,
-                "b_hat0": self.b_hat0,
-                "b_hat1": self.b_hat1,
-                "r_hat0": self.r_hat0,
-                "r_hat1": self.r_hat1,
-                "eps_hat0": self.eps_hat0,
-                "eps_hat1": self.eps_hat1,
-                "total_hat": self.total_hat,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def g_estimator_error(
@@ -334,64 +291,40 @@ def g_estimator_error(
     parts split so that their differences reproduce the margins of
     :func:`theta_hat` exactly.
     """
-    pieces = _pieces(fit)
-    return _error_from(fit, pieces, _bias_from(pieces, priors), theta, priors)
-
-
-def _bias_and_error(
-    fit: FittedStats, priors: tuple[float, float]
-) -> tuple[BiasEstimate, GEstimate]:
-    """:func:`theta_hat` and the error estimate at that bias, from one ``_pieces``."""
-    pieces = _pieces(fit)
-    bias = _bias_from(pieces, priors)
-    return bias, _error_from(fit, pieces, bias, bias.theta_hat, priors)
+    pieces = _fit_pieces(fit)
+    return _error_from(pieces, _bias_from(pieces, priors), theta, priors)
 
 
 def _error_from(
-    fit: FittedStats,
-    pieces: _Pieces,
-    bias: BiasEstimate,
-    theta: float,
-    priors: tuple[float, float],
+    pieces: _Pieces, bias: BiasEstimate, theta: float, priors: tuple[float, float]
 ) -> GEstimate:
-    p = fit.p
-    sqrt_p = math.sqrt(p)
-    xi0 = theta - (
-        pieces.quad1 - pieces.cross_trace0 / fit.n0 - pieces.own_trace0 / fit.n0
-    ) / sqrt_p
-    b0 = (pieces.cross_trace0 - pieces.own_trace0) / sqrt_p
-    xi1 = theta + (
-        pieces.quad0 - pieces.cross_trace1 / fit.n1 - pieces.own_trace1 / fit.n1
-    ) / sqrt_p
-    b1 = (-pieces.cross_trace1 + pieces.own_trace1) / sqrt_p
-
-    gap = fit.mu_hat0 - fit.mu_hat1
-    r0 = float(gap @ fit.H1 @ fit.sigma_hat0 @ fit.H1 @ gap) / p
-    r1 = float(gap @ fit.H0 @ fit.sigma_hat1 @ fit.H0 @ gap) / p
-
-    spreads = (2.0 * pieces.B0 + 4.0 * r0, 2.0 * pieces.B1 + 4.0 * r1)
-    for spread in spreads:
+    sqrt_p = math.sqrt(pieces.p)
+    xi, b, eps = [], [], []
+    for i, sign in ((0, -1.0), (1, 1.0)):
+        n, cross, own = pieces.counts[i], pieces.cross_trace[i], pieces.own_trace[i]
+        xi.append(theta + sign * (pieces.quad[1 - i] - cross / n - own / n) / sqrt_p)
+        b.append(-sign * (cross - own) / sqrt_p)
+        spread = 2.0 * pieces.B[i] + 4.0 * pieces.r[i]
         if spread <= 0.0:
             raise DegenerateEstimateError("estimated score spread is %r" % (spread,))
-    eps0 = float(ndtr((xi0 - b0) / math.sqrt(spreads[0])))
-    eps1 = float(ndtr(-(xi1 - b1) / math.sqrt(spreads[1])))
+        eps.append(float(ndtr(-sign * (xi[i] - b[i]) / math.sqrt(spread))))
     return GEstimate(
-        delta_hat0=pieces.d0,
-        delta_hat1=pieces.d1,
-        gamma1_hat=fit.gamma1,
-        beta_hat0=pieces.beta0,
-        beta_hat1=pieces.beta1,
+        delta_hat0=pieces.delta[0],
+        delta_hat1=pieces.delta[1],
+        gamma1_hat=pieces.gammas[1],
+        beta_hat0=pieces.beta[0],
+        beta_hat1=pieces.beta[1],
         alpha_hat=bias.alpha_hat,
-        B_hat0=pieces.B0,
-        B_hat1=pieces.B1,
+        B_hat0=pieces.B[0],
+        B_hat1=pieces.B[1],
         theta_hat=theta,
-        xi_hat0=xi0,
-        xi_hat1=xi1,
-        b_hat0=b0,
-        b_hat1=b1,
-        r_hat0=r0,
-        r_hat1=r1,
-        eps_hat0=eps0,
-        eps_hat1=eps1,
-        total_hat=priors[0] * eps0 + priors[1] * eps1,
+        xi_hat0=xi[0],
+        xi_hat1=xi[1],
+        b_hat0=b[0],
+        b_hat1=b[1],
+        r_hat0=pieces.r[0],
+        r_hat1=pieces.r[1],
+        eps_hat0=eps[0],
+        eps_hat1=eps[1],
+        total_hat=priors[0] * eps[0] + priors[1] * eps[1],
     )

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotSpdError
+from .estimation import eigenpair
 
 __all__ = [
     "ClassStatistics",
@@ -42,10 +44,12 @@ def _as_matrix(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassStatistics:
-    """Mean and SPD covariance of one Gaussian class."""
+    """Mean and SPD covariance of one Gaussian class, with the lower Cholesky
+    factor its validation computes and, kept from first use, its spectrum."""
 
     mean: np.ndarray
     covariance: np.ndarray
+    cholesky: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -59,15 +63,21 @@ class ClassStatistics:
         if float(np.max(np.abs(cov - cov.T), initial=0.0)) > _SYM_RTOL * max(scale, 1.0):
             raise NotSpdError("covariance is not symmetric within tolerance")
         try:
-            np.linalg.cholesky(cov)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise NotSpdError("covariance is not positive definite: %s" % exc) from exc
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "cholesky", chol)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~hdqda.estimation.eigenpair` of the covariance."""
+        return eigenpair(self.covariance)
 
 
 @dataclass(frozen=True)
@@ -246,19 +256,15 @@ def validate_assumptions(
 
 
 def sample_class(stats: ClassStatistics, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n rows from the class distribution via a Cholesky factor.
+    """Draw n rows from the class distribution via its Cholesky factor.
 
     Any L with L L^T equal to the covariance yields the same law; the Cholesky
     factor is the cheapest such choice.
     """
     if n < 1:
         raise ValueError("need at least one sample, got n=%d" % n)
-    try:
-        chol = np.linalg.cholesky(stats.covariance)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("covariance factorization failed: %s" % exc) from exc
     z = rng.standard_normal((n, stats.dim))
-    return stats.mean + z @ chol.T
+    return stats.mean + z @ stats.cholesky.T
 
 
 def build_mixture(config: ScenarioConfig) -> MixtureModel:

@@ -16,8 +16,16 @@ import numpy as np
 
 from .discriminant import classify_values, improved_scores
 from .errors import HdqdaError, TuningError
-from .estimation import FittedStats, TrainingSet, regularized_resolvent, sample_moments
-from .gestim import BiasEstimate, _bias_and_error, delta_hat, gamma1_hat, theta_hat
+from .estimation import (
+    FittedStats,
+    SpectralPair,
+    TrainingSet,
+    _fitted,
+    eigenpair,
+    regularized_resolvent,
+    sample_moments,
+)
+from .gestim import BiasEstimate, _candidate
 
 __all__ = [
     "FORMAT_VERSION",
@@ -44,28 +52,19 @@ def _check_priors(priors) -> tuple[float, float]:
     return p0, p1
 
 
-def _fit_matched(train: TrainingSet, moments: tuple, gamma0: float) -> FittedStats:
-    """Fit both classes with the majority shrinkage matched to ``gamma0``.
+class _Sample:
+    """Moments and eigenpairs of both classes, computed once per fit; every
+    candidate is evaluated on ``pair``, and only the returned fit forms resolvents."""
 
-    ``moments`` holds the ``sample_moments`` of ``train.X0`` and ``train.X1``.
-    """
-    (mu0, sigma0), (mu1, sigma1) = moments
-    H0 = regularized_resolvent(sigma0, gamma0)
-    d0 = delta_hat(H0, train.n0, gamma0)
-    g1 = gamma1_hat(d0, train.n0, train.n1, gamma0)
-    H1 = regularized_resolvent(sigma1, g1)
-    return FittedStats(
-        mu_hat0=mu0,
-        mu_hat1=mu1,
-        sigma_hat0=sigma0,
-        sigma_hat1=sigma1,
-        gamma0=float(gamma0),
-        gamma1=g1,
-        H0=H0,
-        H1=H1,
-        n0=train.n0,
-        n1=train.n1,
-    )
+    def __init__(self, train: TrainingSet):
+        self.train = train
+        self.counts = (train.n0, train.n1)
+        self.moments = (sample_moments(train.X0), sample_moments(train.X1))
+        self.spectra = tuple(eigenpair(sigma) for _, sigma in self.moments)
+        self.pair = SpectralPair(self.spectra, self.moments[0][0] - self.moments[1][0])
+
+    def fit(self, gamma0: float, gamma1: float) -> FittedStats:
+        return _fitted(self.train, self.moments, gamma0, gamma1, self.spectra)
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,9 @@ def _tune(
     train: TrainingSet,
     grid: np.ndarray | None,
     priors: tuple[float, float] | None,
-) -> tuple[TuningResult, FittedStats, BiasEstimate]:
-    """:func:`tune_gamma0` plus the winning candidate's fit and bias."""
+) -> tuple[TuningResult, _Sample, float, BiasEstimate]:
+    """:func:`tune_gamma0` plus the sample it tuned on and the winning
+    candidate's matched gamma1 and bias."""
     if train.n1 < train.n0:
         raise ValueError(
             "expected the minority class first: n0=%d exceeds n1=%d"
@@ -125,16 +125,15 @@ def _tune(
         raise ValueError("candidate shrinkage values must be strictly positive")
     candidates = np.sort(candidates)
 
-    moments = (sample_moments(train.X0), sample_moments(train.X1))
+    sample = _Sample(train)
     entries: list[TuningEntry] = []
-    best: tuple[float, FittedStats, BiasEstimate] | None = None
+    best: tuple[float, float, BiasEstimate] | None = None
     best_total: float | None = None
     failures: dict[float, str] = {}
     for gamma0 in candidates:
         gamma0 = float(gamma0)
         try:
-            fit = _fit_matched(train, moments, gamma0)
-            bias, estimate = _bias_and_error(fit, priors)
+            gamma1, bias, estimate = _candidate(sample.pair, gamma0, sample.counts, priors)
         except HdqdaError as exc:
             reason = "%s: %s" % (type(exc).__name__, exc)
             entries.append(TuningEntry(gamma0=gamma0, total_hat=None, failure=reason))
@@ -145,14 +144,15 @@ def _tune(
         )
         if best_total is None or estimate.total_hat < best_total:
             best_total = estimate.total_hat
-            best = (gamma0, fit, bias)
+            best = (gamma0, gamma1, bias)
     if best is None:
         raise TuningError(
             "all %d shrinkage candidates failed" % (candidates.size,),
             failures=failures,
         )
-    best_gamma, best_fit, best_bias = best
-    return TuningResult(gamma0=best_gamma, entries=tuple(entries)), best_fit, best_bias
+    best_gamma0, best_gamma1, best_bias = best
+    result = TuningResult(gamma0=best_gamma0, entries=tuple(entries))
+    return result, sample, best_gamma1, best_bias
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,13 @@ class ImprovedModel:
 
     @classmethod
     def from_json(cls, payload: str) -> "ImprovedModel":
-        """Rebuild a model; resolvents are recomputed from the stored moments."""
+        """Rebuild a model; resolvents are recomputed from the stored moments.
+
+        Raises ValueError for a file this build cannot trust: another format
+        version, moments of inconsistent shape, an asymmetric covariance, a
+        NaN or infinite number, nonpositive shrinkage, a training count below
+        2, or a bad label map or priors.
+        """
         data = json.loads(payload)
         version = data.get("format_version")
         if version != FORMAT_VERSION:
@@ -218,19 +224,15 @@ class ImprovedModel:
                 "unsupported model format %r; this build reads %d"
                 % (version, FORMAT_VERSION)
             )
-        sigma0 = np.asarray(data["sigma_hat0"], dtype=float)
-        sigma1 = np.asarray(data["sigma_hat1"], dtype=float)
-        fit = FittedStats(
-            mu_hat0=np.asarray(data["mu_hat0"], dtype=float),
-            mu_hat1=np.asarray(data["mu_hat1"], dtype=float),
-            sigma_hat0=sigma0,
-            sigma_hat1=sigma1,
-            gamma0=float(data["gamma0"]),
-            gamma1=float(data["gamma1"]),
-            H0=regularized_resolvent(sigma0, float(data["gamma0"])),
-            H1=regularized_resolvent(sigma1, float(data["gamma1"])),
-            n0=int(data["n0"]),
-            n1=int(data["n1"]),
+        mu0, mu1, sigma0, sigma1 = (
+            np.asarray(data[key], dtype=float)
+            for key in ("mu_hat0", "mu_hat1", "sigma_hat0", "sigma_hat1")
+        )
+        p = mu0.shape[0] if mu0.ndim == 1 else 0
+        if p < 1 or (mu1.shape, sigma0.shape, sigma1.shape) != ((p,), (p, p), (p, p)):
+            raise ValueError("model moments disagree on shape")
+        theta, gamma0, gamma1, n0, n1 = (
+            float(data[key]) for key in ("theta", "gamma0", "gamma1", "n0", "n1")
         )
         trace = tuple(
             TuningEntry(
@@ -240,13 +242,38 @@ class ImprovedModel:
             )
             for entry in data["trace"]
         )
+        numbers = [theta, gamma0, gamma1, n0, n1] + [
+            value for entry in trace for value in (entry.gamma0, entry.total_hat) if value is not None
+        ]
+        if not all(np.all(np.isfinite(a)) for a in (mu0, mu1, sigma0, sigma1, numbers)):
+            raise ValueError("model file holds a NaN or infinite number")
+        for sigma in (sigma0, sigma1):
+            if np.max(np.abs(sigma - sigma.T)) > 1e-12 * max(1.0, np.max(np.abs(sigma))):
+                raise ValueError("model covariance is not symmetric")
+        if min(gamma0, gamma1) <= 0.0 or min(n0, n1) < 2:
+            raise ValueError(
+                "model needs positive shrinkage and at least 2 training rows per class, "
+                "got gamma %r, %r and counts %r, %r" % (gamma0, gamma1, n0, n1)
+            )
+        fit = FittedStats(
+            mu_hat0=mu0,
+            mu_hat1=mu1,
+            sigma_hat0=sigma0,
+            sigma_hat1=sigma1,
+            gamma0=gamma0,
+            gamma1=gamma1,
+            H0=regularized_resolvent(sigma0, gamma0),
+            H1=regularized_resolvent(sigma1, gamma1),
+            n0=int(n0),
+            n1=int(n1),
+        )
         label_map = tuple(int(v) for v in data["label_map"])
         if sorted(label_map) != [0, 1]:
             raise ValueError("label map must be a permutation of (0, 1)")
         priors = _check_priors(data["priors"])
         return cls(
             fit=fit,
-            theta=float(data["theta"]),
+            theta=theta,
             label_map=label_map,  # type: ignore[arg-type]
             priors=priors,
             trace=trace,
@@ -276,18 +303,17 @@ def fit_improved(
         priors = (canonical.n0 / canonical.n, canonical.n1 / canonical.n)
 
     if gamma0 is None:
-        tuning, fit, bias = _tune(canonical, grid, priors)
-        trace = tuning.entries
+        tuning, sample, gamma1, bias = _tune(canonical, grid, priors)
+        gamma0, trace = tuning.gamma0, tuning.entries
     else:
         if gamma0 <= 0.0:
             raise ValueError("shrinkage must be strictly positive, got %r" % (gamma0,))
-        moments = (sample_moments(canonical.X0), sample_moments(canonical.X1))
-        fit = _fit_matched(canonical, moments, float(gamma0))
-        bias = theta_hat(fit, priors)
-        trace = ()
+        gamma0, trace = float(gamma0), ()
+        sample = _Sample(canonical)
+        gamma1, bias, _ = _candidate(sample.pair, gamma0, sample.counts, priors)
 
     return ImprovedModel(
-        fit=fit,
+        fit=sample.fit(gamma0, gamma1),
         theta=bias.theta_hat,
         label_map=(1, 0) if swapped else (0, 1),
         priors=priors,

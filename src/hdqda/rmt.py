@@ -7,9 +7,11 @@ matched shrinkage and the designed bias need only a few traces and quadratic
 forms of those limits, and one spectral route computes them all: each class
 covariance is diagonalized once, the fixed point is a scalar root-find on its
 spectrum (:func:`eigen_delta_solver`), and every cross-class trace is a
-weighted sum over the two eigenbases. :func:`solve_delta`, a damped dense
-fixed-point iteration that never touches the spectrum, locates the same fixed
-point independently and serves as the cross-check of the root-find.
+weighted sum over the two eigenbases, on the kernel the training-only
+estimator shares (:class:`~hdqda.estimation.SpectralPair`).
+:func:`solve_delta`, a damped dense fixed-point iteration that never touches
+the spectrum, locates the same fixed point independently and serves as the
+cross-check of the root-find.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import (
     NotSpdError,
     StabilityError,
 )
+from .estimation import SpectralPair
 from .model import MixtureModel
 
 __all__ = [
@@ -300,40 +303,27 @@ def _stability(value: float) -> float:
 def _spectral_functionals(
     model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float
 ) -> _Functionals:
-    """Every functional from one eigendecomposition per class.
+    """Every functional on the spectral kernel of the two class covariances,
+    each diagonalized once and kept on its ClassStatistics.
 
-    With sigma_i = U_i diag(l_i) U_i^T the resolvent limit is
-    T_i = U_i diag(t_i) U_i^T with t_i = 1 / (1 + s_i l_i) and
-    s_i = gamma_i / (1 + gamma_i delta_i). A trace of a class-0
-    spectral function against a class-1 one is then a0^T W a1 with
-    W = (U_0^T U_1) o (U_0^T U_1), and a trace within one class is a plain
-    sum. Covariances that share a basis are the case W = I (up to rotations
-    inside repeated eigenvalues, which leave every trace unchanged).
+    The resolvent limit is T_i = U_i diag(t_i) U_i^T with t_i = 1 / (1 + s_i l_i)
+    and s_i = gamma_i / (1 + gamma_i delta_i).
     """
     counts = (n0, n1)
     gammas = (gamma0, gamma1)
-    bases = []
-    spectra = []
-    for stats in (model.class0, model.class1):
-        eig, basis = np.linalg.eigh(stats.covariance)
-        spectra.append(np.clip(eig, 0.0, None))
-        bases.append(basis)
-    rotation = bases[0].T @ bases[1]
-    W = rotation * rotation
-    gap = model.class1.mean - model.class0.mean
-    gap_sq = tuple((basis.T @ gap) ** 2 for basis in bases)
-    (delta0, t0, phi0, tilde0), (delta1, t1, phi1, tilde1) = (
-        _scalar_resolvent(spectra[j], counts[j], gammas[j]) for j in (0, 1)
+    pair = SpectralPair(
+        (model.class0.spectrum, model.class1.spectrum),
+        model.class1.mean - model.class0.mean,
     )
-    l0, l1 = spectra
-    phi = (phi0, phi1)
-    phi_tilde = (tilde0, tilde1)
-
-    def across(a0: np.ndarray, a1: np.ndarray) -> float:
-        return float(a0 @ W @ a1)
+    l0, l1 = pair.values0, pair.values1
+    gap_sq = (pair.gap[0] ** 2, pair.gap[1] ** 2)
+    delta, (t0, t1), phi, phi_tilde = zip(
+        *(_scalar_resolvent(l, counts[j], gammas[j]) for j, l in enumerate((l0, l1)))
+    )
+    across = pair.across
 
     return _Functionals(
-        delta=(delta0, delta1),
+        delta=delta,
         phi=phi,
         phi_tilde=phi_tilde,
         margin=tuple(
@@ -443,7 +433,8 @@ def gamma1_theoretical(
     Balances the resolvent traces of the two classes so the trace asymmetry of
     the score stays bounded as the dimension grows. Requires the class-1 count
     to be at least the class-0 count (canonical orientation); equal counts
-    return ``gamma0`` exactly.
+    return ``gamma0`` exactly. Without ``delta0`` the class-0 fixed point comes
+    from :func:`eigen_delta_solver` on the spectrum of ``sigma0``.
     """
     if n1 < n0:
         raise ValueError(
@@ -451,7 +442,7 @@ def gamma1_theoretical(
         )
     _check_solver_args(n0, gamma0)
     if delta0 is None:
-        delta0 = solve_delta(sigma0, n0, gamma0).delta
+        delta0 = eigen_delta_solver(np.linalg.eigvalsh(sigma0), n0, gamma0)
     trace0 = n0 * delta0
     denominator = 1.0 - (1.0 / n1 - 1.0 / n0) * gamma0 * trace0
     if denominator <= 0.0:

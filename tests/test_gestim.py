@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hdqda.errors import DegenerateEstimateError, InvalidRegularizerError
 from hdqda.estimation import TrainingSet, fit, regularized_resolvent, sample_moments
-from hdqda.gestim import delta_hat, g_estimator_error, gamma1_hat, theta_hat
+from hdqda.gestim import _fit_pieces, delta_hat, g_estimator_error, gamma1_hat, theta_hat
 from hdqda.model import build_mixture, sample_scenario
-from hdqda.rmt import eigen_delta_solver
+from hdqda.pipeline import fit_improved
+from hdqda.rmt import asymptotic_error, eigen_delta_solver, theta_star_theoretical
 
 from conftest import small_config
 
@@ -77,8 +78,13 @@ def test_estimate_is_deterministic_on_the_same_fit():
 def test_reported_delta_is_the_plain_trace_inversion():
     fitted = _fitted(seed=3)
     estimate = g_estimator_error(fitted, 0.1, (0.5, 0.5))
-    assert estimate.delta_hat0 == delta_hat(fitted.H0, fitted.n0, fitted.gamma0)
-    assert estimate.delta_hat1 == delta_hat(fitted.H1, fitted.n1, fitted.gamma1)
+    # Sum of eigenvalue weights against Tr[H]: equal up to summation order.
+    assert estimate.delta_hat0 == pytest.approx(
+        delta_hat(fitted.H0, fitted.n0, fitted.gamma0), rel=1e-12
+    )
+    assert estimate.delta_hat1 == pytest.approx(
+        delta_hat(fitted.H1, fitted.n1, fitted.gamma1), rel=1e-12
+    )
     assert estimate.gamma1_hat == fitted.gamma1
 
 
@@ -131,10 +137,129 @@ def test_matched_estimate_never_leaves_its_domain(seed, gamma0):
     assert g1 <= gamma0
 
 
+def _trace_quartic(sigma, left, right):
+    """Tr[sigma left sigma right], the dense reference."""
+    return float(np.sum((sigma @ left) * (sigma @ right).T))
+
+
+def _dense_pieces(fitted):
+    """Every ingredient of the spectral pieces from dense p x p products, and
+    the leading term shrink**4 Tr[S H S H] / p of each variance estimate."""
+    S0, S1, H0, H1 = fitted.sigma_hat0, fitted.sigma_hat1, fitted.H0, fitted.H1
+    n0, n1, p = fitted.n0, fitted.n1, fitted.p
+    gap = fitted.mu_hat0 - fitted.mu_hat1
+    d0 = delta_hat(H0, n0, fitted.gamma0)
+    d1 = delta_hat(H1, n1, fitted.gamma1)
+
+    def own(sigma, H, delta, gamma, n):
+        shrink = 1.0 + gamma * delta
+        curvature = shrink**4 * _trace_quartic(sigma, H, H) / p - (n - 1) / p * delta**2 * shrink**2
+        return (n - 1) * (delta + gamma * p * max(curvature, 0.0) / ((n - 1) ** 2 * shrink))
+
+    def variance(sigma, H, G, delta, gamma, n):
+        m, shrink = n - 1, 1.0 + gamma * delta
+        cross = float(np.sum(sigma * G))
+        return (
+            shrink**4 / p * _trace_quartic(sigma, H, H)
+            - m / p * delta**2 * shrink**2
+            + _trace_quartic(sigma, G, G) / p
+            - cross**2 / (m * p)
+            - 2.0 * shrink**2 / p * _trace_quartic(sigma, H, G)
+            + delta * shrink * 2.0 / p * cross
+        )
+
+    own0 = own(S0, H0, d0, fitted.gamma0, n0)
+    own1 = own(S1, H1, d1, fitted.gamma1, n1)
+    quad0, quad1 = float(gap @ H0 @ gap), float(gap @ H1 @ gap)
+    cross0, cross1 = float(np.sum(S0 * H1)), float(np.sum(S1 * H0))
+    sqrt_p = np.sqrt(p)
+    leading = [
+        (1.0 + gamma * delta) ** 4 * _trace_quartic(sigma, H, H) / p
+        for sigma, H, delta, gamma in ((S0, H0, d0, fitted.gamma0), (S1, H1, d1, fitted.gamma1))
+    ]
+    return leading, dict(
+        delta=(d0, d1),
+        own_trace=(own0, own1),
+        quad=(quad0, quad1),
+        cross_trace=(cross0, cross1),
+        beta=(
+            (-quad1 - (1 - 1 / n0) * cross0 + (1 + 1 / n0) * own0) / sqrt_p,
+            (-quad0 - (1 - 1 / n1) * cross1 + (1 + 1 / n1) * own1) / sqrt_p,
+        ),
+        B=(
+            variance(S0, H0, H1, d0, fitted.gamma0, n0),
+            variance(S1, H1, H0, d1, fitted.gamma1, n1),
+        ),
+        r=(float(gap @ H1 @ S0 @ H1 @ gap) / p, float(gap @ H0 @ S1 @ H0 @ gap) / p),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    p=st.sampled_from([12, 30, 70]),
+    n0=st.integers(8, 60),
+    extra=st.integers(0, 60),
+    gamma0=st.floats(0.01, 50.0),
+    gamma1=st.floats(0.01, 50.0),
+)
+@example(seed=1, p=30, n0=20, extra=8, gamma0=0.3, gamma1=1.7)  # both ranks below p
+@example(seed=1, p=70, n0=40, extra=10, gamma0=0.2, gamma1=0.9)
+@example(seed=2, p=12, n0=40, extra=20, gamma0=2.0, gamma1=0.5)  # both full rank
+def test_spectral_pieces_match_the_dense_reference(seed, p, n0, extra, gamma0, gamma1):
+    """Rank-deficient (p > n - 1) and full-rank fits, with gamma0 != gamma1.
+
+    Each variance estimate B is a difference of terms as large as
+    shrink**4 Tr[S H S H] / p. Where that leading term exceeds max(1, |B|)
+    thirtyfold, the cancellation amplifies the last digits of either route
+    past the tolerance (about 1e-14 times the ratio, on random draws; an
+    extended-precision check of one such draw put the dense route off too),
+    so those draws are skipped.
+    """
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.3, 3.0, p)
+    rotation = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    X0 = rng.standard_normal((n0, p)) * scales
+    X1 = rng.standard_normal((n0 + extra, p)) @ rotation + 0.4
+    fitted = fit(TrainingSet(X0=X0, X1=X1), gamma0, gamma1)
+    try:
+        leading, reference = _dense_pieces(fitted)
+    except DegenerateEstimateError:
+        with pytest.raises(DegenerateEstimateError):
+            _fit_pieces(fitted)
+        return
+    assume(all(term <= 30.0 * max(1.0, abs(B)) for term, B in zip(leading, reference["B"])))
+    pieces = _fit_pieces(fitted)
+    for name, expected in reference.items():
+        for i in (0, 1):
+            got = getattr(pieces, name)[i]
+            assert abs(got - expected[i]) <= 1e-12 * max(1.0, abs(expected[i])), (name, i, got, expected[i])
+
+
+def test_each_covariance_is_diagonalized_once(monkeypatch):
+    calls = {"count": 0}
+    real = np.linalg.eigh
+
+    def counting(matrix, *args, **kwargs):
+        calls["count"] += 1
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    config = small_config(p=30, n0=60, n1=30, seed=9)
+    model = build_mixture(config)
+    data = sample_scenario(config, model=model)
+    tuned = fit_improved(TrainingSet(X0=data.train0, X1=data.train1), None)
+    g_estimator_error(tuned.fit, tuned.theta, tuned.priors)
+    assert calls["count"] == 2
+
+    calls["count"] = 0
+    design = theta_star_theoretical(model, 60, 30, 0.9, 0.8)
+    asymptotic_error(model, 60, 30, 0.9, 0.8, design.theta_star)
+    assert calls["count"] == 2
+
+
 def test_error_estimate_tracks_the_limit_on_one_draw():
     """Single-replicate sanity under the asymptotic regime; loose bound."""
-    from hdqda.rmt import asymptotic_error
-
     config = small_config(p=200, n0=200, n1=100, test0=10, test1=10, seed=7)
     model = build_mixture(config)
     data = sample_scenario(config, model=model)

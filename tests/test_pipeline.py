@@ -109,15 +109,15 @@ def test_tuning_failure_entries_record_the_reason(majority_first_train, monkeypa
     calls = {"count": 0}
     import hdqda.pipeline as pipeline_module
 
-    real = pipeline_module._bias_and_error
+    real = pipeline_module._candidate
 
-    def flaky(fit, priors):
+    def flaky(*args):
         calls["count"] += 1
         if calls["count"] == 1:
             raise DegenerateEstimateError("synthetic failure for the first candidate")
-        return real(fit, priors)
+        return real(*args)
 
-    monkeypatch.setattr(pipeline_module, "_bias_and_error", flaky)
+    monkeypatch.setattr(pipeline_module, "_candidate", flaky)
     result = tune_gamma0(canonical, grid=np.array([0.5, 1.0, 2.0]))
     assert result.entries[0].failure is not None
     assert "synthetic failure" in result.entries[0].failure
@@ -130,10 +130,10 @@ def test_tuning_raises_when_every_candidate_fails(majority_first_train, monkeypa
     canonical = train.swapped()
     import hdqda.pipeline as pipeline_module
 
-    def broken(fit, priors):
+    def broken(*args):
         raise DegenerateEstimateError("every candidate is bad")
 
-    monkeypatch.setattr(pipeline_module, "_bias_and_error", broken)
+    monkeypatch.setattr(pipeline_module, "_candidate", broken)
     with pytest.raises(TuningError):
         tune_gamma0(canonical, grid=np.array([0.5, 1.0]))
 
@@ -179,3 +179,32 @@ def test_model_json_rejects_other_format_versions(majority_first_train):
     payload["format_version"] = 99
     with pytest.raises(ValueError, match="format"):
         ImprovedModel.from_json(json.dumps(payload))
+
+
+def test_model_json_rejects_broken_fields(majority_first_train):
+    import json
+
+    train, _ = majority_first_train
+    good = json.loads(fit_improved(train, 1.0).to_json())
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        ("mu_hat0", lambda v: v[:-1]),
+        ("mu_hat1", lambda v: [v]),
+        ("sigma_hat0", lambda v: [row[:-1] for row in v]),
+        ("sigma_hat1", lambda v: v[:-1]),
+        ("sigma_hat0", lambda v: [[x + 0.5 * (i < j) for j, x in enumerate(row)] for i, row in enumerate(v)]),
+        ("theta", lambda v: nan),
+        ("gamma1", lambda v: inf),
+        ("mu_hat1", lambda v: [nan] + v[1:]),
+        ("sigma_hat1", lambda v: [[inf] + v[0][1:]] + v[1:]),
+        ("n1", lambda v: nan),
+        ("gamma0", lambda v: 0.0),
+        ("gamma1", lambda v: -1.0),
+        ("n0", lambda v: 1),
+        ("n1", lambda v: 0),
+    ]
+    for field, breaks in cases:
+        payload = dict(good, **{field: breaks(good[field])})
+        with pytest.raises(ValueError):
+            ImprovedModel.from_json(json.dumps(payload))
+            pytest.fail("accepted a broken %s" % field)
