@@ -255,15 +255,20 @@ _common = [
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON config file; flags override its values."),
     click.option("--seed", type=int, default=None, help="Master seed (overrides config)."),
     click.option("--out", type=str, default="-", show_default=True, help="Output CSV path, '-' for stdout."),
+]
+_replicated = [
     click.option("--replicates", type=int, default=None, help="Training replicates to average (default 20)."),
     click.option("--threads", type=int, default=None, help="Worker threads (default 1). Output bytes do not depend on this; they can differ in the last digits between BLAS thread settings."),
 ]
 
 
-def _with_common(command):
-    for option in reversed(_common):
-        command = option(command)
-    return command
+def _with(options):
+    def decorate(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+
+    return decorate
 
 
 def _resolve_int(flag: int | None, cfg: dict, key: str, fallback: int) -> int:
@@ -282,11 +287,10 @@ def _numerical_failure(exc: HdqdaError) -> "click.exceptions.Exit":
 
 
 @main.command()
-@_with_common
+@_with(_common)
 @click.option("--gamma0", type=float, default=None, help="Shared shrinkage for the fitted rules (default 1.0).")
-def histogram(config_path, seed, out, replicates, threads, gamma0) -> None:
+def histogram(config_path, seed, out, gamma0) -> None:
     """Score samples per rule and true class for one scenario draw."""
-    del replicates, threads
     cfg = _load_config_file(config_path)
     _check_known_keys(cfg, set(_CONFIG_FIELDS) | {"gamma0"})
     scenario = _scenario_from(cfg, seed)
@@ -344,7 +348,7 @@ def _sweep_outcome(config, model, gamma0, replicate):
 
 
 @main.command(name="sweep-gamma")
-@_with_common
+@_with(_common + _replicated)
 @click.option("--grid-min", type=float, default=None, help="Smallest shrinkage candidate (default 1e-2).")
 @click.option("--grid-max", type=float, default=None, help="Largest shrinkage candidate (default 1e2).")
 @click.option("--grid-points", type=int, default=None, help="Grid size (default 10).")
@@ -409,7 +413,7 @@ def sweep_gamma(config_path, seed, out, replicates, threads, grid_min, grid_max,
 
 
 @main.command(name="sweep-p")
-@_with_common
+@_with(_common + _replicated)
 @click.option("--gamma0", type=float, default=None, help="Minority shrinkage (default 1.0).")
 @click.option("--p-list", "p_list_text", type=str, default=None, help="Comma-separated dimensions (default 100,200,400).")
 def sweep_p(config_path, seed, out, replicates, threads, gamma0, p_list_text) -> None:
@@ -505,7 +509,7 @@ def _real_split_totals(ds, class_a, class_b, ratio, n1, grid, split_seed):
 
 
 @main.command()
-@_with_common
+@_with(_common + _replicated)
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
 @click.option("--label-column", type=str, default=None, help="Label column name, or 0-based index if integer-like.")
 @click.option("--class-a", type=int, default=None, help="Label becoming class 0 (default 0).")
@@ -615,10 +619,9 @@ def real(config_path, seed, out, replicates, threads, dataset, label_column, cla
 
 
 @main.command()
-@_with_common
-def tune(config_path, seed, out, replicates, threads) -> None:
+@_with(_common)
+def tune(config_path, seed, out) -> None:
     """Shrinkage tuning trace for one synthetic training draw."""
-    del replicates, threads
     cfg = _load_config_file(config_path)
     _check_known_keys(cfg, set(_CONFIG_FIELDS) | {"grid_min", "grid_max", "grid_points"})
     scenario = _scenario_from(cfg, seed)

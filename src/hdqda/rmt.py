@@ -5,18 +5,21 @@ resolvent of each shrunken sample covariance concentrates around a
 deterministic matrix driven by a scalar fixed point. The limiting error, the
 matched shrinkage and the designed bias need only a few traces and quadratic
 forms of those limits, and one spectral route computes them all: each class
-covariance is diagonalized once, the fixed point is a scalar root-find on its
-spectrum (:func:`eigen_delta_solver`), and every cross-class trace is a
-weighted sum over the two eigenbases, on the kernel the training-only
-estimator shares (:class:`~hdqda.estimation.SpectralPair`).
-:func:`solve_delta`, a damped dense fixed-point iteration that never touches
-the spectrum, locates the same fixed point independently and serves as the
-cross-check of the root-find.
+covariance is diagonalized once, the fixed point is found on its spectrum
+(:func:`eigen_delta_solver`), and every cross-class trace is a weighted sum
+over the two eigenbases, on the kernel the training-only estimator shares
+(:class:`~hdqda.estimation.SpectralPair`).
+
+The fixed point has one bracketed root-find and two independent trace maps:
+:func:`eigen_delta_solver` sums over the spectrum, and :func:`solve_delta`
+factorizes the dense covariance and never touches the spectrum, so the two
+agreeing cross-checks the trace.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +56,9 @@ class DeterministicEquivalents:
     ``delta`` solves delta = (1/n) Tr[sigma (I + gamma/(1+gamma*delta) sigma)^-1]
     and ``T`` is the matrix inverse evaluated at the solution. ``phi`` is the
     second spectral moment (1/n) Tr[sigma^2 T^2] and ``phi_tilde`` the squared
-    shrinkage of the fixed-point denominator. ``residual`` records the fixed
-    point gap measured at acceptance.
+    shrinkage of the fixed-point denominator. ``residual`` is the fixed-point
+    gap |delta - (1/n) Tr[sigma T]| at the returned root and ``iterations``
+    the number of trace-map evaluations the root-find spent.
     """
 
     delta: float
@@ -135,22 +139,44 @@ def _shifted_cholesky(sigma: np.ndarray, scale: float) -> np.ndarray:
         ) from exc
 
 
-def solve_delta(
-    sigma: np.ndarray,
-    n: int,
-    gamma: float,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 10000,
-    omega: float = 0.5,
-    initial: float | None = None,
-) -> DeterministicEquivalents:
-    """Damped fixed-point iteration on the dense covariance.
+def _fixed_point(
+    trace_map: Callable[[float], float], upper: float, n: int, gamma: float
+) -> tuple[float, int]:
+    """The one root-find both solvers share: delta = trace_map(s(delta)) / n.
 
-    Each sweep refactorizes the shifted covariance and evaluates the trace of
-    the resolvent through the identity
-    Tr[sigma (I + a sigma)^-1] = (p - Tr[(I + a sigma)^-1]) / a, so the route
-    never touches the spectrum explicitly.
+    ``trace_map(s)`` returns Tr[sigma (I + s sigma)^-1] and
+    s(delta) = gamma / (1 + gamma delta). The root lies in [0, upper] with
+    upper = Tr[sigma] / n, where the gap delta - trace_map(s)/n changes sign,
+    and a derivative-free bracketing method closes in on it. Returns the root
+    and the number of trace-map evaluations spent.
+    """
+    if gamma == 0.0 or upper == 0.0:
+        return upper, 0
+
+    def gap(delta: float) -> float:
+        return delta - trace_map(gamma / (1.0 + gamma * delta)) / n
+
+    if gap(upper) <= 0.0:
+        return upper, 1
+    root, info = optimize.brentq(
+        gap, 0.0, upper, xtol=1e-14, full_output=True, disp=False
+    )
+    if not info.converged:
+        raise ConvergenceError(
+            "fixed-point root-find did not converge after %d iterations: %s"
+            % (info.iterations, info.flag)
+        )
+    return float(root), 1 + info.function_calls
+
+
+def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquivalents:
+    """Fixed point and resolvent limit on the dense covariance.
+
+    One bracketed root-find, two independent trace maps: this one factorizes
+    the shifted covariance and takes the trace through the identity
+    Tr[sigma (I + a sigma)^-1] = (p - Tr[(I + a sigma)^-1]) / a, so it never
+    touches the spectrum and serves as the dense cross-check of
+    :func:`eigen_delta_solver`.
 
     Parameters
     ----------
@@ -160,84 +186,45 @@ def solve_delta(
         Training sample count for the class.
     gamma : float
         Shrinkage parameter, nonnegative.
-    tol : float
-        Acceptance threshold on the fixed-point gap, relative to max(1, delta).
-    max_iter : int
-        Iteration cap; exceeding it raises ConvergenceError.
-    omega : float
-        Damping weight in (0, 1] on the fixed-point update.
-    initial : float, optional
-        Starting value; defaults to Tr[sigma]/n, which upper-bounds the root.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("covariance must be square, got shape %r" % (sigma.shape,))
     _check_solver_args(n, gamma)
-    if not 0.0 < omega <= 1.0:
-        raise ValueError("damping weight must lie in (0, 1], got %r" % (omega,))
     p = sigma.shape[0]
-    upper = float(np.trace(sigma)) / n
 
-    if gamma == 0.0 or upper == 0.0:
-        phi = float(np.sum(sigma * sigma)) / n if gamma == 0.0 else 0.0
-        return DeterministicEquivalents(
-            delta=upper, T=np.eye(p), phi=phi, phi_tilde=1.0, gamma=gamma, n=n
-        )
-
-    delta = upper if initial is None else float(initial)
-    if delta < 0.0:
-        raise ValueError("initial value must be nonnegative, got %r" % (initial,))
-
-    residuals: list[float] = []
-    chol = None
-    for iteration in range(1, max_iter + 1):
-        scale = gamma / (1.0 + gamma * delta)
+    def inverse_factor(scale: float) -> np.ndarray:
         chol = _shifted_cholesky(sigma, scale)
-        inv_chol = sla.solve_triangular(
-            chol, np.eye(p), lower=True, check_finite=False
-        )
-        inverse_trace = float(np.sum(inv_chol * inv_chol))
-        mapped = (p - inverse_trace) / (n * scale)
-        residual = abs(mapped - delta)
-        residuals.append(residual)
-        if residual <= tol * max(1.0, abs(mapped)):
-            delta = mapped
-            break
-        delta = (1.0 - omega) * delta + omega * mapped
-    else:
-        raise ConvergenceError(
-            "fixed point did not settle within %d sweeps" % (max_iter,),
-            residuals=residuals[-10:],
-        )
+        return sla.solve_triangular(chol, np.eye(p), lower=True, check_finite=False)
 
-    scale = gamma / (1.0 + gamma * delta)
-    chol = _shifted_cholesky(sigma, scale)
-    inv_chol = sla.solve_triangular(chol, np.eye(p), lower=True, check_finite=False)
+    def trace_map(scale: float) -> float:
+        inv_chol = inverse_factor(scale)
+        return (p - float(np.sum(inv_chol * inv_chol))) / scale
+
+    delta, evaluations = _fixed_point(trace_map, float(np.trace(sigma)) / n, n, gamma)
+    inv_chol = inverse_factor(gamma / (1.0 + gamma * delta))
     T = inv_chol.T @ inv_chol
     T = 0.5 * (T + T.T)
     product = sigma @ T
-    phi = float(np.sum(product * product)) / n
-    phi_tilde = 1.0 / (1.0 + gamma * delta) ** 2
     return DeterministicEquivalents(
-        delta=float(delta),
+        delta=delta,
         T=T,
-        phi=phi,
-        phi_tilde=phi_tilde,
+        phi=float(np.sum(product * product)) / n,
+        phi_tilde=1.0 / (1.0 + gamma * delta) ** 2,
         gamma=gamma,
         n=n,
-        residual=residuals[-1],
-        iterations=len(residuals),
+        residual=abs(delta - float(np.trace(product)) / n),
+        iterations=evaluations,
     )
 
 
-def eigen_delta_solver(
-    eigenvalues: np.ndarray, n: int, gamma: float, *, xtol: float = 1e-14
-) -> float:
-    """Scalar root-find for the fixed point on a known spectrum.
+def eigen_delta_solver(eigenvalues: np.ndarray, n: int, gamma: float) -> float:
+    """Fixed point on a known spectrum.
 
-    Independent of :func:`solve_delta`: brackets the root between zero and the
-    spectral mean and lets a derivative-free root finder close in. The two
-    routes agreeing is a meaningful cross-check, not a redundancy.
+    One bracketed root-find, two independent trace maps: this one sums
+    l / (1 + s l) over the eigenvalues, while :func:`solve_delta` factorizes
+    the dense covariance, so the two agreeing is a meaningful cross-check of
+    the trace, not a redundancy.
     """
     eig = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if eig.size == 0:
@@ -247,17 +234,12 @@ def eigen_delta_solver(
         raise NotSpdError("covariance spectrum has negative entries")
     eig = np.clip(eig, 0.0, None)
     _check_solver_args(n, gamma)
-    upper = float(np.sum(eig)) / n
-    if gamma == 0.0 or upper == 0.0:
-        return upper
-
-    def gap(delta: float) -> float:
-        scale = gamma / (1.0 + gamma * delta)
-        return delta - float(np.sum(eig / (1.0 + scale * eig))) / n
-
-    if gap(upper) <= 0.0:
-        return upper
-    return float(optimize.brentq(gap, 0.0, upper, xtol=xtol))
+    return _fixed_point(
+        lambda scale: float(np.sum(eig / (1.0 + scale * eig))),
+        float(np.sum(eig)) / n,
+        n,
+        gamma,
+    )[0]
 
 
 def _scalar_resolvent(

@@ -56,13 +56,16 @@ def test_fixed_point_matches_isotropic_closed_form():
     start = time.perf_counter()
     p = 100
     worst = 0.0
+    evaluations = 0
     for sigma in (1.0, 4.0, 10.0):
         for gamma in (0.1, 1.0, 10.0):
             for c in (0.5, 1.0, 2.0):
                 n = int(round(p / c))
                 b = 1.0 + gamma * sigma - c * gamma * sigma
                 root = (-b + math.sqrt(b * b + 4.0 * gamma * c * sigma)) / (2.0 * gamma)
-                dense = solve_delta(sigma * np.eye(p), n, gamma).delta
+                solved = solve_delta(sigma * np.eye(p), n, gamma)
+                evaluations += solved.iterations
+                dense = solved.delta
                 eigen = eigen_delta_solver(np.full(p, sigma), n, gamma)
                 worst = max(worst, abs(dense - root), abs(eigen - root))
     elapsed = time.perf_counter() - start
@@ -72,6 +75,8 @@ def test_fixed_point_matches_isotropic_closed_form():
         "worst |delta - closed form| = %.2e (tol 1e-8) over 27 configs, %.2fs (budget 1s)"
         % (worst, elapsed),
     )
+    # The bracketed root-find needs about ten dense trace evaluations a solve.
+    assert evaluations <= 300, "%d dense trace evaluations" % (evaluations,)
 
 
 def test_balanced_counts_collapse_the_minority_shrinkage():

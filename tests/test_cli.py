@@ -144,6 +144,8 @@ def test_usage_and_configuration_problems_exit_one(runner, tmp_path):
     bad_config = _config(tmp_path, dict(TINY, bogus=1), "bad.json")
     assert runner.invoke(main, ["histogram", "--config", bad_config]).exit_code == 1
     assert runner.invoke(main, ["real", "/nonexistent.csv"]).exit_code == 1
+    assert runner.invoke(main, ["tune", "--threads", "2"]).exit_code == 1
+    assert runner.invoke(main, ["histogram", "--replicates", "3"]).exit_code == 1
     nan_csv = tmp_path / "nan.csv"
     nan_csv.write_text("f,label\n" + "1,0\n2,1\n" * 4 + "nan,0\n", encoding="utf-8")
     result = runner.invoke(main, ["real", str(nan_csv), "--label-column", "label"])

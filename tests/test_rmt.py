@@ -45,6 +45,8 @@ def test_dense_route_satisfies_its_own_fixed_point():
     np.testing.assert_allclose(eq.T, T_direct, atol=1e-9)
     assert eq.delta == pytest.approx(np.trace(sigma @ eq.T) / 60, abs=1e-8)
     assert eq.stability_margin() > 0.0
+    assert eq.residual <= 1e-12 * max(1.0, eq.delta)
+    assert 2 <= eq.iterations <= 20
 
 
 def test_both_routes_agree_on_a_generic_spectrum():
@@ -54,12 +56,12 @@ def test_both_routes_agree_on_a_generic_spectrum():
     for n, gamma in ((25, 0.2), (50, 1.0), (100, 8.0)):
         dense = solve_delta(sigma, n, gamma).delta
         scalar = eigen_delta_solver(eigs, n, gamma)
-        assert dense == pytest.approx(scalar, abs=1e-8)
+        assert dense == pytest.approx(scalar, rel=1e-12)
 
 
 def test_isotropic_fixed_point_matches_the_closed_form():
     p, n = 80, 40
-    delta = solve_delta(3.0 * np.eye(p), n, 2.0, tol=1e-13).delta
+    delta = solve_delta(3.0 * np.eye(p), n, 2.0).delta
     assert delta == pytest.approx(_isotropic_delta(3.0, 2.0, p / n), abs=1e-9)
 
 
@@ -79,12 +81,20 @@ def test_solver_argument_validation():
         solve_delta(sigma, 0, 1.0)
     with pytest.raises(InvalidRegularizerError):
         solve_delta(sigma, 5, -1.0)
-    with pytest.raises(ValueError):
-        solve_delta(sigma, 5, 1.0, omega=0.0)
-    with pytest.raises(ConvergenceError):
-        solve_delta(random_spd(30, np.random.default_rng(0)), 10, 5.0, max_iter=2)
     with pytest.raises(NotSpdError):
         eigen_delta_solver(np.array([1.0, -2.0]), 5, 1.0)
+
+
+def test_nonconverged_root_find_raises(monkeypatch):
+    brentq = rmt.optimize.brentq
+    monkeypatch.setattr(
+        rmt.optimize, "brentq", lambda *args, **kwargs: brentq(*args, maxiter=1, **kwargs)
+    )
+    sigma = random_spd(30, np.random.default_rng(0))
+    with pytest.raises(ConvergenceError):
+        solve_delta(sigma, 10, 5.0)
+    with pytest.raises(ConvergenceError):
+        eigen_delta_solver(np.linalg.eigvalsh(sigma), 10, 5.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,13 +105,13 @@ def test_solver_argument_validation():
     scale=st.floats(0.1, 10.0),
 )
 def test_route_agreement_property(seed, n, gamma, scale):
-    """The dense iteration and the spectrum root-find locate the same point."""
+    """The dense and the spectral trace map give the same root."""
     rng = np.random.default_rng(seed)
     eigs = scale * rng.uniform(0.2, 3.0, size=16)
-    dense = solve_delta(np.diag(eigs), n, gamma, tol=1e-12).delta
+    dense = solve_delta(np.diag(eigs), n, gamma).delta
     scalar = eigen_delta_solver(eigs, n, gamma)
     assert dense >= 0.0
-    assert abs(dense - scalar) <= 1e-8 * max(1.0, scalar)
+    assert abs(dense - scalar) <= 1e-12 * max(1.0, scalar)
 
 
 def _commuting_model(p=48, seed=0):
@@ -116,7 +126,7 @@ def _dense_functionals(
     sigmas = (model.class0.covariance, model.class1.covariance)
     counts = (n0, n1)
     gammas = (gamma0, gamma1)
-    eqs = [solve_delta(sigmas[i], counts[i], gammas[i], tol=1e-13) for i in (0, 1)]
+    eqs = [solve_delta(sigmas[i], counts[i], gammas[i]) for i in (0, 1)]
     mu = model.class1.mean - model.class0.mean
     T = (eqs[0].T, eqs[1].T)
     sandwiched = tuple(T[j] @ sigmas[j] @ T[j] for j in (0, 1))
