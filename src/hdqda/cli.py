@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -36,21 +38,23 @@ from .estimation import TrainingSet, fit, fit_pooled
 from .gestim import g_estimator_error
 from .ingestion import load_csv, make_imbalanced_split
 from .model import _CONFIG_FIELDS, MixtureModel, ScenarioConfig, build_mixture, sample_scenario
-from .pipeline import ImprovedModel, default_grid, fit_improved
+from .pipeline import ImprovedModel, fit_improved
 from .rmt import asymptotic_error, eigen_delta_solver, gamma1_theoretical, theta_star_theoretical
 
-_SCENARIO_DEFAULTS = {
-    "p": 200,
-    "n0": 200,
-    "n1": 100,
-    "test0": 2000,
-    "test1": 1000,
-    "base_scale": 4.0,
-    "spike_strength": 3.0,
-    "spike_rank": None,
-    "mean_offset": 3.0,
-    "prior0": None,
-    "seed": 0,
+# Scenario fields pass through unconverted: ScenarioConfig checks them. A
+# prior0 of None means the training ratio n0 / (n0 + n1).
+_SCENARIO_KEYS = {
+    "p": (None, 200),
+    "n0": (None, 200),
+    "n1": (None, 100),
+    "test0": (None, 2000),
+    "test1": (None, 1000),
+    "base_scale": (None, 4.0),
+    "spike_strength": (None, 3.0),
+    "spike_rank": (None, None),
+    "mean_offset": (None, 3.0),
+    "prior0": (None, None),
+    "seed": (None, 0),
 }
 
 
@@ -68,26 +72,98 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _check_known_keys(cfg: dict, allowed: set[str]) -> None:
-    unknown = sorted(set(cfg) - allowed)
+def _integer(minimum: float = -math.inf):
+    """Converter to an int >= ``minimum`` from an integer, a whole float or its text."""
+
+    def convert(value) -> int:
+        if not isinstance(value, int):
+            value = float(value)
+            if not value.is_integer():
+                raise ValueError("expected an integer, got %r" % (value,))
+        if value < minimum:
+            raise ValueError("must be >= %d, got %d" % (minimum, value))
+        return int(value)
+
+    return convert
+
+
+def _positive(value) -> float:
+    number = float(value)
+    if not (math.isfinite(number) and number > 0.0):
+        raise ValueError("expected a finite number > 0, got %r" % (value,))
+    return number
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("expected true or false, got %r" % (value,))
+    return value
+
+
+def _label(value) -> str | int:
+    """A label column name, or a 0-based index when the text is integer-like."""
+    text = str(value)
+    return int(text) if text.lstrip("-").isdigit() else text
+
+
+def _list_of(item):
+    """A non-empty list from a JSON list or a comma-separated string."""
+
+    def convert(value) -> list:
+        if isinstance(value, str):
+            value = [piece for piece in value.split(",") if piece.strip()]
+        if not isinstance(value, list) or not value:
+            raise ValueError("expected a non-empty list, got %r" % (value,))
+        return [item(piece) for piece in value]
+
+    return convert
+
+
+_GRID_BOUNDS = {"grid_min": (_positive, 1e-2), "grid_max": (_positive, 1e2)}
+_REPLICATE_KEYS = {"replicates": (_integer(1), 20), "threads": (_integer(), 1)}
+
+
+def _settings(flags: dict, spec: dict) -> dict:
+    """Every key of ``spec`` resolved as flag > config file > default.
+
+    ``spec`` maps a key to ``(convert, default)``; a ``None`` converter keeps
+    the value as given. A config key outside ``spec``, or a value that fails
+    its conversion or range check, exits 1 with a message naming the key.
+    """
+    cfg = _load_config_file(flags["config_path"])
+    unknown = sorted(set(cfg) - set(spec))
     if unknown:
         raise click.ClickException("unknown config keys: %s" % ", ".join(unknown))
+    resolved = {}
+    for key, (convert, default) in spec.items():
+        value = flags.get(key)
+        if value is None:
+            value = cfg.get(key, default)
+        try:
+            resolved[key] = value if convert is None else convert(value)
+        except (TypeError, ValueError) as exc:
+            raise click.ClickException("invalid %s: %s" % (key, exc))
+    return resolved
 
 
-def _scenario_from(cfg: dict, seed: int | None, overrides: dict | None = None) -> ScenarioConfig:
-    values = dict(_SCENARIO_DEFAULTS)
-    for key in _CONFIG_FIELDS:
-        if key in cfg:
-            values[key] = cfg[key]
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    if seed is not None:
-        values["seed"] = seed
-    if values["prior0"] is None:
-        values["prior0"] = values["n0"] / (values["n0"] + values["n1"])
+def _grid(settings: dict) -> tuple[np.ndarray, list]:
+    """The log-spaced shrinkage grid and its ``[min, max, points]`` record."""
+    lo, hi, count = settings["grid_min"], settings["grid_max"], settings["grid_points"]
+    if not lo < hi:
+        raise click.ClickException("need grid_min < grid_max, got %r and %r" % (lo, hi))
+    return np.logspace(np.log10(lo), np.log10(hi), count), [lo, hi, count]
+
+
+def _scenario_from(settings: dict, **overrides) -> ScenarioConfig:
+    values = {key: settings[key] for key in _CONFIG_FIELDS}
+    values.update(overrides)
+    prior0 = values.pop("prior0")
     try:
-        return ScenarioConfig(**values)
-    except (TypeError, ValueError) as exc:
+        config = ScenarioConfig(**values)
+        if prior0 is None:
+            prior0 = config.n0 / (config.n0 + config.n1)
+        return replace(config, prior0=prior0)
+    except ValueError as exc:
         raise click.ClickException("invalid scenario: %s" % (exc,))
 
 
@@ -129,20 +205,6 @@ def _run_tasks(tasks, threads: int) -> list:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(task) for task in tasks]
         return [future.result() for future in futures]
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    parts = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not parts:
-        raise click.UsageError("%s list is empty" % (what,))
-    try:
-        return [float(piece) for piece in parts]
-    except ValueError as exc:
-        raise click.UsageError("bad %s list %r: %s" % (what, text, exc))
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    return [int(round(v)) for v in _parse_float_list(text, what)]
 
 
 def _error_from_labels(pred0, pred1, priors) -> ErrorReport:
@@ -271,16 +333,6 @@ def _with(options):
     return decorate
 
 
-def _resolve_int(flag: int | None, cfg: dict, key: str, fallback: int) -> int:
-    if flag is not None:
-        return flag
-    value = cfg.get(key, fallback)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise click.ClickException("config key %r must be an integer" % (key,))
-
-
 def _numerical_failure(exc: HdqdaError) -> "click.exceptions.Exit":
     click.echo("numerical failure: %s: %s" % (type(exc).__name__, exc), err=True)
     return click.exceptions.Exit(2)
@@ -289,15 +341,11 @@ def _numerical_failure(exc: HdqdaError) -> "click.exceptions.Exit":
 @main.command()
 @_with(_common)
 @click.option("--gamma0", type=float, default=None, help="Shared shrinkage for the fitted rules (default 1.0).")
-def histogram(config_path, seed, out, gamma0) -> None:
+def histogram(**flags) -> None:
     """Score samples per rule and true class for one scenario draw."""
-    cfg = _load_config_file(config_path)
-    _check_known_keys(cfg, set(_CONFIG_FIELDS) | {"gamma0"})
-    scenario = _scenario_from(cfg, seed)
-    if gamma0 is None:
-        gamma0 = float(cfg.get("gamma0", 1.0))
-    if gamma0 <= 0.0:
-        raise click.ClickException("gamma0 must be strictly positive")
+    settings = _settings(flags, {**_SCENARIO_KEYS, "gamma0": (_positive, 1.0)})
+    scenario = _scenario_from(settings)
+    gamma0 = settings["gamma0"]
 
     try:
         model = build_mixture(scenario)
@@ -337,7 +385,7 @@ def histogram(config_path, seed, out, gamma0) -> None:
         "seed": scenario.seed,
         "config_hash": _config_hash({"scenario": scenario.to_json(), "gamma0": gamma0}),
     }
-    _write_csv(out, meta, ["rule", "true_class", "score"], rows)
+    _write_csv(flags["out"], meta, ["rule", "true_class", "score"], rows)
 
 
 def _sweep_outcome(config, model, gamma0, replicate):
@@ -347,137 +395,92 @@ def _sweep_outcome(config, model, gamma0, replicate):
         return "fail", "%s: %s" % (type(exc).__name__, exc)
 
 
-@main.command(name="sweep-gamma")
-@_with(_common + _replicated)
-@click.option("--grid-min", type=float, default=None, help="Smallest shrinkage candidate (default 1e-2).")
-@click.option("--grid-max", type=float, default=None, help="Largest shrinkage candidate (default 1e2).")
-@click.option("--grid-points", type=int, default=None, help="Grid size (default 10).")
-def sweep_gamma(config_path, seed, out, replicates, threads, grid_min, grid_max, grid_points) -> None:
-    """Error versus minority shrinkage: empirical, limiting, and estimated."""
-    cfg = _load_config_file(config_path)
-    _check_known_keys(
-        cfg,
-        set(_CONFIG_FIELDS) | {"grid_min", "grid_max", "grid_points", "replicates", "threads"},
-    )
-    scenario = _scenario_from(cfg, seed)
-    replicates = _resolve_int(replicates, cfg, "replicates", 20)
-    threads = _resolve_int(threads, cfg, "threads", 1)
-    lo = grid_min if grid_min is not None else float(cfg.get("grid_min", 1e-2))
-    hi = grid_max if grid_max is not None else float(cfg.get("grid_max", 1e2))
-    count = grid_points if grid_points is not None else int(cfg.get("grid_points", 10))
-    if not 0.0 < lo < hi:
-        raise click.ClickException("need 0 < grid-min < grid-max")
-    if count < 1 or replicates < 1:
-        raise click.ClickException("grid points and replicates must be >= 1")
-    grid = np.logspace(np.log10(lo), np.log10(hi), count)
+_SWEEP_HEADER = ["empirical_std_rqda", "empirical_improved", "theorem1", "g_estimate", "failure"]
 
-    model = build_mixture(scenario)
-    tasks = [
-        (lambda g=g, r=r: _sweep_outcome(scenario, model, g, r))
-        for g in grid
-        for r in range(replicates)
-    ]
+
+def _sweep_rows(points: list, replicates: int, threads: int) -> list[list]:
+    """The shared core of the sweeps: one row per ``(label, scenario, gamma0)`` point.
+
+    Every point x replicate task runs through :func:`_run_tasks`; each point's
+    replicates fold through :func:`_aggregate`, and a failed limiting-error
+    evaluation is appended to the point's failure text.
+    """
     try:
-        outcomes = _run_tasks(tasks, threads)
+        models = {s: build_mixture(s) for s in dict.fromkeys(s for _, s, _ in points)}
     except HdqdaError as exc:
         raise _numerical_failure(exc)
-
+    tasks = [
+        (lambda s=scenario, g=gamma0, r=r: _sweep_outcome(s, models[s], g, r))
+        for _, scenario, gamma0 in points
+        for r in range(replicates)
+    ]
+    outcomes = _run_tasks(tasks, threads)
     rows = []
-    for index, gamma0 in enumerate(grid):
+    for index, (label, scenario, gamma0) in enumerate(points):
         chunk = outcomes[index * replicates : (index + 1) * replicates]
         improved, standard, estimate, failure = _aggregate(chunk)
         theory = None
         if improved is not None:
             try:
-                theory = _theory_total(model, scenario.n0, scenario.n1, float(gamma0))
+                theory = _theory_total(models[scenario], scenario.n0, scenario.n1, float(gamma0))
             except HdqdaError as exc:
                 failure = (failure + "; " if failure else "") + "theory: %s" % (exc,)
-        rows.append([float(gamma0), standard, improved, theory, estimate, failure])
+        rows.append([label, standard, improved, theory, estimate, failure])
+    return rows
+
+
+@main.command(name="sweep-gamma")
+@_with(_common + _replicated)
+@click.option("--grid-min", type=float, default=None, help="Smallest shrinkage candidate (default 1e-2).")
+@click.option("--grid-max", type=float, default=None, help="Largest shrinkage candidate (default 1e2).")
+@click.option("--grid-points", type=int, default=None, help="Grid size (default 10).")
+def sweep_gamma(**flags) -> None:
+    """Error versus minority shrinkage: empirical, limiting, and estimated."""
+    settings = _settings(
+        flags, {**_SCENARIO_KEYS, **_REPLICATE_KEYS, **_GRID_BOUNDS, "grid_points": (_integer(1), 10)}
+    )
+    scenario = _scenario_from(settings)
+    grid, bounds = _grid(settings)
+    replicates = settings["replicates"]
+    rows = _sweep_rows([(float(g), scenario, g) for g in grid], replicates, settings["threads"])
     meta = {
         "command": "sweep-gamma",
         "seed": scenario.seed,
         "config_hash": _config_hash(
-            {
-                "scenario": scenario.to_json(),
-                "grid": [lo, hi, count],
-                "replicates": replicates,
-            }
+            {"scenario": scenario.to_json(), "grid": bounds, "replicates": replicates}
         ),
     }
-    _write_csv(
-        out,
-        meta,
-        ["gamma0", "empirical_std_rqda", "empirical_improved", "theorem1", "g_estimate", "failure"],
-        rows,
-    )
+    _write_csv(flags["out"], meta, ["gamma0", *_SWEEP_HEADER], rows)
 
 
 @main.command(name="sweep-p")
 @_with(_common + _replicated)
 @click.option("--gamma0", type=float, default=None, help="Minority shrinkage (default 1.0).")
-@click.option("--p-list", "p_list_text", type=str, default=None, help="Comma-separated dimensions (default 100,200,400).")
-def sweep_p(config_path, seed, out, replicates, threads, gamma0, p_list_text) -> None:
+@click.option("--p-list", type=str, default=None, help="Comma-separated dimensions (default 100,200,400).")
+def sweep_p(**flags) -> None:
     """Error versus dimension at fixed sample ratios n0=p, n1=p/2."""
-    cfg = _load_config_file(config_path)
-    _check_known_keys(
-        cfg, set(_CONFIG_FIELDS) | {"gamma0", "p_list", "replicates", "threads"}
+    settings = _settings(
+        flags,
+        {
+            **_SCENARIO_KEYS,
+            **_REPLICATE_KEYS,
+            "gamma0": (_positive, 1.0),
+            "p_list": (_list_of(_integer(4)), [100, 200, 400]),  # p >= 4 keeps n1 = p/2 >= 2
+        },
     )
-    replicates = _resolve_int(replicates, cfg, "replicates", 20)
-    threads = _resolve_int(threads, cfg, "threads", 1)
-    if gamma0 is None:
-        gamma0 = float(cfg.get("gamma0", 1.0))
-    if gamma0 <= 0.0:
-        raise click.ClickException("gamma0 must be strictly positive")
-    if p_list_text is not None:
-        dims = _parse_int_list(p_list_text, "p")
-    else:
-        raw = cfg.get("p_list", [100, 200, 400])
-        dims = [int(v) for v in raw] if isinstance(raw, list) else _parse_int_list(str(raw), "p")
-    if replicates < 1:
-        raise click.ClickException("replicates must be >= 1")
-    dims = sorted(dims)
-    if any(d < 4 for d in dims):
-        raise click.ClickException("each dimension must be >= 4 so n1 = p/2 >= 2")
-
-    rows = []
-    for p in dims:
-        scenario = _scenario_from(
-            cfg, seed, overrides={"p": p, "n0": p, "n1": p // 2, "prior0": None}
-        )
-        model = build_mixture(scenario)
-        tasks = [
-            (lambda s=scenario, m=model, r=r: _sweep_outcome(s, m, gamma0, r))
-            for r in range(replicates)
-        ]
-        outcomes = _run_tasks(tasks, threads)
-        improved, standard, estimate, failure = _aggregate(outcomes)
-        theory = None
-        if improved is not None:
-            try:
-                theory = _theory_total(model, scenario.n0, scenario.n1, gamma0)
-            except HdqdaError as exc:
-                failure = (failure + "; " if failure else "") + "theory: %s" % (exc,)
-        rows.append([p, standard, improved, theory, estimate, failure])
-
-    base = _scenario_from(cfg, seed)
+    base = _scenario_from(settings)
+    dims = sorted(settings["p_list"])
+    gamma0, replicates = settings["gamma0"], settings["replicates"]
+    points = [(p, _scenario_from(settings, p=p, n0=p, n1=p // 2), gamma0) for p in dims]
+    rows = _sweep_rows(points, replicates, settings["threads"])
     meta = {
         "command": "sweep-p",
         "seed": base.seed,
         "config_hash": _config_hash(
-            {
-                "scenario": base.to_json(),
-                "gamma0": gamma0,
-                "p_list": dims,
-                "replicates": replicates,
-            }
+            {"scenario": base.to_json(), "gamma0": gamma0, "p_list": dims, "replicates": replicates}
         ),
     }
-    _write_csv(
-        out,
-        meta,
-        ["p", "empirical_std_rqda", "empirical_improved", "theorem1", "g_estimate", "failure"],
-        rows,
-    )
+    _write_csv(flags["out"], meta, ["p", *_SWEEP_HEADER], rows)
 
 
 def _real_split_totals(ds, class_a, class_b, ratio, n1, grid, split_seed):
@@ -514,66 +517,43 @@ def _real_split_totals(ds, class_a, class_b, ratio, n1, grid, split_seed):
 @click.option("--label-column", type=str, default=None, help="Label column name, or 0-based index if integer-like.")
 @click.option("--class-a", type=int, default=None, help="Label becoming class 0 (default 0).")
 @click.option("--class-b", type=int, default=None, help="Label becoming class 1 (default 1).")
-@click.option("--ratios", "ratios_text", type=str, default=None, help="Comma-separated n0/n1 ratios (default 0.25,0.5,1.0).")
+@click.option("--ratios", type=str, default=None, help="Comma-separated n0/n1 ratios (default 0.25,0.5,1.0).")
 @click.option("--n1", type=int, default=None, help="Class-1 training count per split (default 100).")
-@click.option("--standardize", is_flag=True, default=False, help="Standardize features over the full file.")
-def real(config_path, seed, out, replicates, threads, dataset, label_column, class_a, class_b, ratios_text, n1, standardize) -> None:
+@click.option("--standardize", is_flag=True, default=None, help="Standardize features over the full file.")
+def real(**flags) -> None:
     """Imbalance protocol on a CSV dataset, averaged over split seeds."""
-    cfg = _load_config_file(config_path)
-    _check_known_keys(
-        cfg,
+    settings = _settings(
+        flags,
         {
-            "label_column",
-            "class_a",
-            "class_b",
-            "ratios",
-            "n1",
-            "standardize",
-            "grid_min",
-            "grid_max",
-            "grid_points",
-            "replicates",
-            "threads",
-            "seed",
+            "seed": (_integer(), 0),
+            **_REPLICATE_KEYS,
+            "replicates": (_integer(1), 5),
+            "label_column": (_label, "0"),
+            "class_a": (_integer(), 0),
+            "class_b": (_integer(), 1),
+            "ratios": (_list_of(_positive), [0.25, 0.5, 1.0]),
+            "n1": (_integer(2), 100),
+            "standardize": (_boolean, False),
+            **_GRID_BOUNDS,
+            "grid_points": (_integer(1), 25),
         },
     )
-    if seed is None:
-        seed = int(cfg.get("seed", 0))
-    replicates = _resolve_int(replicates, cfg, "replicates", 5)
-    threads = _resolve_int(threads, cfg, "threads", 1)
-    if label_column is None:
-        label_column = str(cfg.get("label_column", "0"))
-    label: str | int = int(label_column) if label_column.lstrip("-").isdigit() else label_column
-    class_a = class_a if class_a is not None else int(cfg.get("class_a", 0))
-    class_b = class_b if class_b is not None else int(cfg.get("class_b", 1))
-    n1 = n1 if n1 is not None else int(cfg.get("n1", 100))
-    if ratios_text is not None:
-        ratios = _parse_float_list(ratios_text, "ratio")
-    else:
-        raw = cfg.get("ratios", [0.25, 0.5, 1.0])
-        if isinstance(raw, list):
-            ratios = [float(v) for v in raw]
-        else:
-            ratios = _parse_float_list(str(raw), "ratio")
-    if not ratios:
-        raise click.UsageError("ratio list is empty")
-    if replicates < 1:
-        raise click.ClickException("replicates must be >= 1")
-    grid = None
-    if {"grid_min", "grid_max", "grid_points"} & set(cfg):
-        lo = float(cfg.get("grid_min", 1e-2))
-        hi = float(cfg.get("grid_max", 1e2))
-        count = int(cfg.get("grid_points", 25))
-        if not 0.0 < lo < hi or count < 1:
-            raise click.ClickException("bad tuning grid in config")
-        grid = np.logspace(np.log10(lo), np.log10(hi), count)
+    seed, replicates = settings["seed"], settings["replicates"]
+    label, class_a, class_b = settings["label_column"], settings["class_a"], settings["class_b"]
+    n1, standardize = settings["n1"], settings["standardize"]
+    ratios = sorted(settings["ratios"])
+    grid, bounds = _grid(settings)
+    dataset = flags["dataset"]
+    if class_a == class_b:
+        raise click.ClickException("class_a and class_b must differ, got %d twice" % (class_a,))
 
     try:
         ds = load_csv(dataset, label, standardize=standardize)
-    except (CsvFormatError, InsufficientSamplesError) as exc:
+        for cls in (class_a, class_b):
+            ds.class_indices(cls)
+    except (CsvFormatError, InsufficientSamplesError, ValueError) as exc:
         raise click.ClickException("%s: %s" % (dataset, exc))
 
-    ratios = sorted(ratios)
     tasks = []
     for ratio_index, ratio in enumerate(ratios):
         for split in range(replicates):
@@ -588,7 +568,7 @@ def real(config_path, seed, out, replicates, threads, dataset, label_column, cla
                 )
             )
     try:
-        totals = _run_tasks(tasks, threads)
+        totals = _run_tasks(tasks, settings["threads"])
     except (CsvFormatError, InsufficientSamplesError) as exc:
         raise click.ClickException(str(exc))
     except HdqdaError as exc:
@@ -612,25 +592,20 @@ def real(config_path, seed, out, replicates, threads, dataset, label_column, cla
                 "n1": n1,
                 "standardize": standardize,
                 "replicates": replicates,
+                "grid": bounds,
             }
         ),
     }
-    _write_csv(out, meta, ["ratio", "method", "error"], rows)
+    _write_csv(flags["out"], meta, ["ratio", "method", "error"], rows)
 
 
 @main.command()
 @_with(_common)
-def tune(config_path, seed, out) -> None:
+def tune(**flags) -> None:
     """Shrinkage tuning trace for one synthetic training draw."""
-    cfg = _load_config_file(config_path)
-    _check_known_keys(cfg, set(_CONFIG_FIELDS) | {"grid_min", "grid_max", "grid_points"})
-    scenario = _scenario_from(cfg, seed)
-    lo = float(cfg.get("grid_min", 1e-2))
-    hi = float(cfg.get("grid_max", 1e2))
-    count = int(cfg.get("grid_points", 25))
-    if not 0.0 < lo < hi or count < 1:
-        raise click.ClickException("bad tuning grid in config")
-    grid = np.logspace(np.log10(lo), np.log10(hi), count)
+    settings = _settings(flags, {**_SCENARIO_KEYS, **_GRID_BOUNDS, "grid_points": (_integer(1), 25)})
+    scenario = _scenario_from(settings)
+    grid, bounds = _grid(settings)
 
     try:
         model = build_mixture(scenario)
@@ -645,11 +620,9 @@ def tune(config_path, seed, out) -> None:
         "command": "tune",
         "seed": scenario.seed,
         "chosen_gamma0": "%.17g" % tuned.fit.gamma0,
-        "config_hash": _config_hash(
-            {"scenario": scenario.to_json(), "grid": [lo, hi, count]}
-        ),
+        "config_hash": _config_hash({"scenario": scenario.to_json(), "grid": bounds}),
     }
-    _write_csv(out, meta, ["gamma0", "total_hat", "failure"], rows)
+    _write_csv(flags["out"], meta, ["gamma0", "total_hat", "failure"], rows)
 
 
 if __name__ == "__main__":

@@ -20,14 +20,11 @@ class NotSpdError(HdqdaError, ValueError):
 
 
 class ConvergenceError(HdqdaError, RuntimeError):
-    """An iterative solver exhausted its iteration budget.
+    """A root-find stopped short of convergence.
 
-    Carries the trailing residuals so the failure can be diagnosed.
+    The message carries the iteration count and the status flag that scipy's
+    ``brentq`` reported.
     """
-
-    def __init__(self, message: str, residuals: list[float] | None = None):
-        super().__init__(message)
-        self.residuals = list(residuals) if residuals is not None else []
 
 
 class StabilityError(HdqdaError, RuntimeError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -146,6 +147,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _CONFIG_FIELDS:
+            value = getattr(self, name)
+            if name in ("base_scale", "spike_strength", "mean_offset", "prior0"):
+                if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                    raise ValueError("%s must be a finite number, got %r" % (name, value))
+            elif not isinstance(value, numbers.Integral) and (name, value) != ("spike_rank", None):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.p < 1:
             raise ValueError("dimension p must be >= 1")
         if self.n0 < 2 or self.n1 < 2:
@@ -154,6 +162,17 @@ class ScenarioConfig:
             raise ValueError("test counts must each be >= 1")
         if self.spike_rank is None:
             object.__setattr__(self, "spike_rank", math.isqrt(self.p - 1) + 1 if self.p > 1 else 1)
+        if not 0 <= self.spike_rank <= self.p:
+            raise ValueError("spike_rank must lie in [0, p=%d], got %d" % (self.p, self.spike_rank))
+        if not 0.0 < self.prior0 < 1.0:
+            raise ValueError("prior0 must lie in (0, 1), got %r" % (self.prior0,))
+        if self.base_scale <= 0.0:
+            raise ValueError("base_scale must be > 0, got %r" % (self.base_scale,))
+        if self.base_scale + min(0.0, self.spike_strength) <= 0.0:
+            raise ValueError(
+                "base_scale + spike_strength must be > 0, got %r + %r"
+                % (self.base_scale, self.spike_strength)
+            )
 
     def to_json(self) -> str:
         return json.dumps({k: getattr(self, k) for k in _CONFIG_FIELDS}, sort_keys=True)

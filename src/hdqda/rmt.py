@@ -156,17 +156,21 @@ def _fixed_point(
     def gap(delta: float) -> float:
         return delta - trace_map(gamma / (1.0 + gamma * delta)) / n
 
-    if gap(upper) <= 0.0:
+    top = gap(upper)
+    if top <= 0.0:
         return upper, 1
+    # brentq evaluates both ends itself: answering the upper one from ``top``
+    # makes its call count the number of trace-map evaluations made.
     root, info = optimize.brentq(
-        gap, 0.0, upper, xtol=1e-14, full_output=True, disp=False
+        lambda delta: top if delta == upper else gap(delta),
+        0.0, upper, xtol=1e-14, full_output=True, disp=False,
     )
     if not info.converged:
         raise ConvergenceError(
             "fixed-point root-find did not converge after %d iterations: %s"
             % (info.iterations, info.flag)
         )
-    return float(root), 1 + info.function_calls
+    return float(root), info.function_calls
 
 
 def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquivalents:

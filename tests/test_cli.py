@@ -172,3 +172,140 @@ def test_numerical_failures_exit_two(runner, tmp_path, monkeypatch):
 def test_help_exits_zero(runner):
     assert runner.invoke(main, ["--help"]).exit_code == 0
     assert runner.invoke(main, ["sweep-gamma", "--help"]).exit_code == 0
+
+
+def _blobs(tmp_path):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "blobs3.csv"
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["a", "b", "c", "d", "e", "label"])
+        for label, shift in ((0, 0.0), (1, 1.5), (2, -1.0)):
+            for _ in range(30):
+                writer.writerow([*(10.0 + shift + 3.0 * rng.standard_normal(5)), label])
+    return str(path)
+
+
+# subcommand -> (base arguments, base config, {config key: (flag arguments, config value)})
+_FLAG_KEYS = {
+    "histogram": (
+        [], TINY,
+        {"seed": (["--seed", "4"], 4), "gamma0": (["--gamma0", "2.5"], 2.5)},
+    ),
+    "sweep-gamma": (
+        [], dict(TINY, grid_points=2, replicates=1),
+        {
+            "seed": (["--seed", "4"], 4),
+            "replicates": (["--replicates", "2"], 2),
+            "threads": (["--threads", "2"], 2),
+            "grid_min": (["--grid-min", "0.5"], 0.5),
+            "grid_max": (["--grid-max", "20"], 20),
+            "grid_points": (["--grid-points", "3"], 3),
+        },
+    ),
+    "sweep-p": (
+        [], dict(TINY, p_list=[8], replicates=1),
+        {
+            "seed": (["--seed", "4"], 4),
+            "replicates": (["--replicates", "2"], 2),
+            "threads": (["--threads", "2"], 2),
+            "gamma0": (["--gamma0", "2.5"], 2.5),
+            "p_list": (["--p-list", "12,8"], [12, 8]),
+        },
+    ),
+    "real": (
+        [], {"label_column": "label", "ratios": [1.0], "n1": 12, "replicates": 1},
+        {
+            "seed": (["--seed", "4"], 4),
+            "replicates": (["--replicates", "2"], 2),
+            "threads": (["--threads", "2"], 2),
+            "label_column": (["--label-column", "5"], 5),
+            "class_a": (["--class-a", "2"], 2),
+            "class_b": (["--class-b", "2"], 2),
+            "ratios": (["--ratios", "0.5,1.0"], "0.5,1.0"),
+            "n1": (["--n1", "10"], 10),
+            "standardize": (["--standardize"], True),
+        },
+    ),
+    "tune": ([], dict(TINY, grid_points=3), {"seed": (["--seed", "4"], 4)}),
+}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command, (_, _, keys) in _FLAG_KEYS.items() for key in keys],
+)
+def test_config_key_matches_its_flag(runner, tmp_path, command, key):
+    """A config value and its flag resolve alike: same stdout bytes."""
+    base_args, base_config, keys = _FLAG_KEYS[command]
+    flag_args, value = keys[key]
+    args = [command] + ([_blobs(tmp_path)] if command == "real" else []) + base_args
+    base = _config(tmp_path, base_config, "base.json")
+    with_key = _config(tmp_path, dict(base_config, **{key: value}), "key.json")
+    by_flag = runner.invoke(main, args + ["--config", base] + flag_args)
+    by_config = runner.invoke(main, args + ["--config", with_key])
+    plain = runner.invoke(main, args + ["--config", base])
+    assert by_flag.exit_code == 0, by_flag.output
+    assert by_config.stdout == by_flag.stdout
+    if key != "threads":  # thread count never changes the bytes
+        assert plain.stdout != by_flag.stdout
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("sweep-gamma", dict(TINY, grid_points="ten"), "grid_points"),
+        ("sweep-gamma", dict(TINY, grid_min=5, grid_max=1), "grid_min"),
+        ("histogram", dict(TINY, gamma0="x"), "gamma0"),
+        ("histogram", dict(TINY, gamma0=-1.0), "gamma0"),
+        ("sweep-p", dict(TINY, p_list=[8, "x"]), "p_list"),
+        ("sweep-p", dict(TINY, p_list=[8.7]), "p_list"),
+        ("sweep-p", dict(TINY, p_list="8.7"), "p_list"),
+        ("sweep-p", dict(TINY, p_list=[2]), "p_list"),
+        ("sweep-p", dict(TINY, replicates=0), "replicates"),
+        ("real", {"class_a": "z"}, "class_a"),
+        ("real", {"class_a": 7}, "7"),
+        ("real", {"class_a": 1}, "class_a"),
+        ("real", {"standardize": "yes"}, "standardize"),
+        ("real", {"ratios": []}, "ratios"),
+        ("real", {"ratios": [0.5, -1]}, "ratios"),
+        ("tune", dict(TINY, grid_points=0), "grid_points"),
+        ("tune", dict(TINY, p="10"), "p"),
+    ]
+    + [
+        (command, dict(TINY, **bad), key)
+        for command in ("histogram", "sweep-gamma", "sweep-p", "tune")
+        for bad, key in (
+            ({"prior0": 1.5}, "prior0"),
+            ({"p": 20, "spike_rank": 50}, "spike_rank"),
+            ({"base_scale": -1}, "base_scale"),
+        )
+    ],
+)
+def test_malformed_config_values_exit_one_naming_the_key(runner, tmp_path, command, payload, key):
+    args = [command] + ([_blobs(tmp_path)] if command == "real" else [])
+    if command == "real":
+        payload = dict(payload, label_column="label")
+    result = runner.invoke(main, args + ["--config", _config(tmp_path, payload)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert key in result.stderr
+
+
+def test_p_list_text_and_json_list_resolve_alike(runner, tmp_path):
+    args = ["sweep-p", "--seed", "3", "--replicates", "1"]
+    as_text = runner.invoke(main, args + ["--config", _config(tmp_path, dict(TINY, p_list="12, 8"))])
+    as_list = runner.invoke(main, args + ["--config", _config(tmp_path, dict(TINY, p_list=[8, 12]))])
+    assert as_text.exit_code == 0, as_text.output
+    assert as_text.stdout == as_list.stdout
+
+
+def test_sweep_p_output_is_thread_invariant(runner, tmp_path):
+    args = [
+        "sweep-p", "--config", _config(tmp_path, TINY), "--seed", "6",
+        "--p-list", "8,12", "--replicates", "2",
+    ]
+    single = runner.invoke(main, args + ["--threads", "1"])
+    pooled = runner.invoke(main, args + ["--threads", "2"])
+    assert single.exit_code == 0, single.output
+    assert single.stdout == pooled.stdout

@@ -28,6 +28,25 @@ def test_scenario_config_rejects_bad_sizes():
         small_config(test0=0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("prior0", 1.5, "prior0"),
+        ("prior0", 0.0, "prior0"),
+        ("spike_rank", 50, "spike_rank"),
+        ("spike_rank", -1, "spike_rank"),
+        ("base_scale", -1.0, "base_scale"),
+        ("spike_strength", -4.0, "base_scale \\+ spike_strength"),
+        ("p", 10.0, "p must be an integer"),
+        ("seed", "3", "seed must be an integer"),
+        ("mean_offset", float("nan"), "mean_offset"),
+    ],
+)
+def test_scenario_config_rejects_what_build_mixture_rejects(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        small_config(**{"p": 20, field: value})
+
+
 def test_scenario_config_default_spike_rank_scales_with_sqrt_p():
     assert small_config(p=100).spike_rank == 10
     assert small_config(p=101).spike_rank == 11

@@ -91,10 +91,28 @@ def test_nonconverged_root_find_raises(monkeypatch):
         rmt.optimize, "brentq", lambda *args, **kwargs: brentq(*args, maxiter=1, **kwargs)
     )
     sigma = random_spd(30, np.random.default_rng(0))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="after 1 iterations"):
         solve_delta(sigma, 10, 5.0)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="after 1 iterations"):
         eigen_delta_solver(np.linalg.eigvalsh(sigma), 10, 5.0)
+
+
+def test_root_find_evaluates_each_point_once(monkeypatch):
+    """Every trace-map evaluation is at a new point, and ``iterations`` counts them."""
+    shifted_cholesky = rmt._shifted_cholesky
+    scales = []
+
+    def spy(sigma, scale):
+        scales.append(scale)
+        return shifted_cholesky(sigma, scale)
+
+    monkeypatch.setattr(rmt, "_shifted_cholesky", spy)
+    sigma = random_spd(60, np.random.default_rng(0))
+    eq = solve_delta(sigma, 30, 2.0)
+    evaluated = scales[:-1]  # the last factorization forms T at the root
+    assert eq.iterations == len(evaluated) >= 3
+    assert len(set(evaluated)) == len(evaluated)
+    assert abs(eq.delta - eigen_delta_solver(np.linalg.eigvalsh(sigma), 30, 2.0)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
