@@ -120,7 +120,8 @@ def _list_of(item):
 
 
 _GRID_BOUNDS = {"grid_min": (_positive, 1e-2), "grid_max": (_positive, 1e2)}
-_REPLICATE_KEYS = {"replicates": (_integer(1), 20), "threads": (_integer(), 1)}
+_SWEEP_REPLICATES, _REAL_REPLICATES = 20, 5
+_REPLICATE_KEYS = {"replicates": (_integer(1), _SWEEP_REPLICATES), "threads": (_integer(), 1)}
 
 
 def _settings(flags: dict, spec: dict) -> dict:
@@ -318,10 +319,14 @@ _common = [
     click.option("--seed", type=int, default=None, help="Master seed (overrides config)."),
     click.option("--out", type=str, default="-", show_default=True, help="Output CSV path, '-' for stdout."),
 ]
-_replicated = [
-    click.option("--replicates", type=int, default=None, help="Training replicates to average (default 20)."),
-    click.option("--threads", type=int, default=None, help="Worker threads (default 1). Output bytes do not depend on this; they can differ in the last digits between BLAS thread settings."),
-]
+
+
+def _replicated(replicates: int) -> list:
+    """``--replicates``, documented with the subcommand's default, and ``--threads``."""
+    return [
+        click.option("--replicates", type=int, default=None, help="Training replicates to average (default %d)." % replicates),
+        click.option("--threads", type=int, default=None, help="Worker threads (default 1). Output bytes do not depend on this; they can differ in the last digits between BLAS thread settings."),
+    ]
 
 
 def _with(options):
@@ -430,7 +435,7 @@ def _sweep_rows(points: list, replicates: int, threads: int) -> list[list]:
 
 
 @main.command(name="sweep-gamma")
-@_with(_common + _replicated)
+@_with(_common + _replicated(_SWEEP_REPLICATES))
 @click.option("--grid-min", type=float, default=None, help="Smallest shrinkage candidate (default 1e-2).")
 @click.option("--grid-max", type=float, default=None, help="Largest shrinkage candidate (default 1e2).")
 @click.option("--grid-points", type=int, default=None, help="Grid size (default 10).")
@@ -454,7 +459,7 @@ def sweep_gamma(**flags) -> None:
 
 
 @main.command(name="sweep-p")
-@_with(_common + _replicated)
+@_with(_common + _replicated(_SWEEP_REPLICATES))
 @click.option("--gamma0", type=float, default=None, help="Minority shrinkage (default 1.0).")
 @click.option("--p-list", type=str, default=None, help="Comma-separated dimensions (default 100,200,400).")
 def sweep_p(**flags) -> None:
@@ -512,7 +517,7 @@ def _real_split_totals(ds, class_a, class_b, ratio, n1, grid, split_seed):
 
 
 @main.command()
-@_with(_common + _replicated)
+@_with(_common + _replicated(_REAL_REPLICATES))
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
 @click.option("--label-column", type=str, default=None, help="Label column name, or 0-based index if integer-like.")
 @click.option("--class-a", type=int, default=None, help="Label becoming class 0 (default 0).")
@@ -527,7 +532,7 @@ def real(**flags) -> None:
         {
             "seed": (_integer(), 0),
             **_REPLICATE_KEYS,
-            "replicates": (_integer(1), 5),
+            "replicates": (_integer(1), _REAL_REPLICATES),
             "label_column": (_label, "0"),
             "class_a": (_integer(), 0),
             "class_b": (_integer(), 1),

@@ -71,9 +71,14 @@ def _logdet_spd(matrix: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def _quad_rows(diff: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Row-wise quadratic forms d^T M d."""
-    return np.einsum("ij,ij->i", diff @ matrix, diff)
+def _quad_gap(X: np.ndarray, fit: FittedStats) -> np.ndarray:
+    """Row-wise q1 - q0 for q_i = (x - mu_i)^T H_i (x - mu_i), with one
+    rows x p x p product: centred at mu_0 with d = x - mu_0, e = mu_1 - mu_0 and
+    h = H_1 e, it is d^T (H_1 - H_0) d - 2 d^T h + e^T h."""
+    d = X - fit.mu_hat0
+    e = fit.mu_hat1 - fit.mu_hat0
+    h = fit.H1 @ e
+    return np.einsum("ij,ij->i", d @ (fit.H1 - fit.H0), d) - 2.0 * (d @ h) + float(e @ h)
 
 
 def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:
@@ -111,18 +116,14 @@ def rqda_scores(X: np.ndarray, fit: FittedStats, priors: tuple[float, float]) ->
     """Standard plug-in rule: shared shrinkage, log-det and prior offsets."""
     _require_shared_gamma(fit)
     X = _rows(X, fit.p)
-    q0 = _quad_rows(X - fit.mu_hat0, fit.H0)
-    q1 = _quad_rows(X - fit.mu_hat1, fit.H1)
     const = 0.5 * _logdet_ratio(fit) - math.log(priors[1] / priors[0])
-    return const - 0.5 * q0 + 0.5 * q1
+    return const + 0.5 * _quad_gap(X, fit)
 
 
 def improved_scores(X: np.ndarray, fit: FittedStats, theta: float) -> np.ndarray:
     """Two-shrinkage rule with an explicit bias replacing log-det and priors."""
     X = _rows(X, fit.p)
-    q0 = _quad_rows(X - fit.mu_hat0, fit.H0)
-    q1 = _quad_rows(X - fit.mu_hat1, fit.H1)
-    return -0.5 * theta * math.sqrt(fit.p) - 0.5 * q0 + 0.5 * q1
+    return -0.5 * theta * math.sqrt(fit.p) + 0.5 * _quad_gap(X, fit)
 
 
 def rlda_scores(X: np.ndarray, pooled: PooledStats, priors: tuple[float, float]) -> np.ndarray:

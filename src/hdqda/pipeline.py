@@ -9,7 +9,9 @@ whole model.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +39,8 @@ __all__ = [
     "fit_improved",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_ARRAY_FIELDS = ("mu_hat0", "mu_hat1", "sigma_hat0", "sigma_hat1")
 
 
 def default_grid() -> np.ndarray:
@@ -50,6 +53,33 @@ def _check_priors(priors) -> tuple[float, float]:
     if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0) or abs(p0 + p1 - 1.0) > 1e-12:
         raise ValueError("priors must be positive and sum to one, got %r" % (priors,))
     return p0, p1
+
+
+def _encode_array(array: np.ndarray) -> str:
+    """Base64 text of the little-endian float64 bytes of ``array``, row-major."""
+    return base64.b64encode(np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_array(data: dict, key: str, version: int, shape: tuple[int, ...] | None) -> np.ndarray:
+    """A stored moment as a writable native float64 array of ``shape`` (a
+    nonempty vector when None): nested lists in format 1, :func:`_encode_array`
+    text in format 2. Any decode failure or wrong size raises ValueError."""
+    try:
+        if version == 1:
+            array = np.array(data[key], dtype=float)
+        else:
+            raw = base64.b64decode(data[key], validate=True)
+            array = np.frombuffer(raw, dtype="<f8").astype(float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("model field %s does not decode: %s" % (key, exc)) from exc
+    expected = (array.size,) if shape is None else shape
+    if version != 1 and array.size == math.prod(expected):
+        array = array.reshape(expected)
+    if array.size == 0 or array.shape != expected:
+        raise ValueError(
+            "model field %s has shape %s, expected %s" % (key, array.shape, expected)
+        )
+    return array
 
 
 class _Sample:
@@ -192,10 +222,7 @@ class ImprovedModel:
                 "gamma1": fit.gamma1,
                 "n0": fit.n0,
                 "n1": fit.n1,
-                "mu_hat0": fit.mu_hat0.tolist(),
-                "mu_hat1": fit.mu_hat1.tolist(),
-                "sigma_hat0": fit.sigma_hat0.tolist(),
-                "sigma_hat1": fit.sigma_hat1.tolist(),
+                **{key: _encode_array(getattr(fit, key)) for key in _ARRAY_FIELDS},
                 "trace": [
                     {
                         "gamma0": entry.gamma0,
@@ -212,25 +239,32 @@ class ImprovedModel:
     def from_json(cls, payload: str) -> "ImprovedModel":
         """Rebuild a model; resolvents are recomputed from the stored moments.
 
+        Reads format 2, where ``mu_hat0``, ``mu_hat1``, ``sigma_hat0`` and
+        ``sigma_hat1`` are strict base64 text of little-endian float64 bytes
+        (covariances row-major), and format 1, where they are nested JSON
+        lists. Either way the moments come back as writable native float64
+        arrays bitwise equal to the saved ones.
+
         Raises ValueError for a file this build cannot trust: another format
-        version, moments of inconsistent shape, an asymmetric covariance, a
+        version, a moment that does not decode (non-base64 text, a byte count
+        that is not a multiple of 8) or has the wrong size (both means of one
+        length p, each covariance p * p values), an asymmetric covariance, a
         NaN or infinite number, nonpositive shrinkage, a training count below
         2, or a bad label map or priors.
         """
         data = json.loads(payload)
         version = data.get("format_version")
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise ValueError(
-                "unsupported model format %r; this build reads %d"
+                "unsupported model format %r; this build reads 1 and %d"
                 % (version, FORMAT_VERSION)
             )
-        mu0, mu1, sigma0, sigma1 = (
-            np.asarray(data[key], dtype=float)
-            for key in ("mu_hat0", "mu_hat1", "sigma_hat0", "sigma_hat1")
+        mu0 = _decode_array(data, "mu_hat0", version, None)
+        p = mu0.size
+        mu1, sigma0, sigma1 = (
+            _decode_array(data, key, version, shape)
+            for key, shape in zip(_ARRAY_FIELDS[1:], ((p,), (p, p), (p, p)))
         )
-        p = mu0.shape[0] if mu0.ndim == 1 else 0
-        if p < 1 or (mu1.shape, sigma0.shape, sigma1.shape) != ((p,), (p, p), (p, p)):
-            raise ValueError("model moments disagree on shape")
         theta, gamma0, gamma1, n0, n1 = (
             float(data[key]) for key in ("theta", "gamma0", "gamma1", "n0", "n1")
         )

@@ -174,6 +174,13 @@ def test_help_exits_zero(runner):
     assert runner.invoke(main, ["sweep-gamma", "--help"]).exit_code == 0
 
 
+@pytest.mark.parametrize("command, default", [("sweep-gamma", 20), ("sweep-p", 20), ("real", 5)])
+def test_replicates_help_states_the_subcommand_default(runner, command, default):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    assert "replicates to average (default %d)." % default in " ".join(result.output.split())
+
+
 def _blobs(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "blobs3.csv"

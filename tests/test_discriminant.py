@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hdqda.discriminant import (
+    _logdet_ratio,
     classify_values,
     conditional_score_moments,
     empirical_error,
@@ -13,7 +16,7 @@ from hdqda.discriminant import (
     rqda_scores,
 )
 from hdqda.errors import InsufficientSamplesError
-from hdqda.estimation import FittedStats, fit, fit_pooled, regularized_resolvent
+from hdqda.estimation import FittedStats, TrainingSet, fit, fit_pooled, regularized_resolvent
 from hdqda.model import ClassStatistics, MixtureModel, sample_class, stream
 
 
@@ -79,6 +82,71 @@ def test_swapping_class_roles_negates_the_improved_score():
         -improved_scores(X, fitted, 1.1),
         atol=1e-10,
     )
+
+
+def _two_forms(X, fitted, dtype=float):
+    """Reference q0 and q1: one row-wise quadratic form per class, each centred
+    at its own mean, computed in ``dtype``."""
+    X = np.asarray(X, dtype=dtype)
+    forms = []
+    for mu, H in ((fitted.mu_hat0, fitted.H0), (fitted.mu_hat1, fitted.H1)):
+        d = X - np.asarray(mu, dtype=dtype)
+        forms.append(np.einsum("ij,ij->i", d @ np.asarray(H, dtype=dtype), d))
+    return forms
+
+
+def _gap_case(p, n0, n1, offset, separation, seed):
+    """Training set and test rows of two Gaussian classes with unequal random
+    covariances, centred ``offset`` away from the origin."""
+    rng = np.random.default_rng(seed)
+    scales = [rng.uniform(0.3, 3.0, p) for _ in range(2)]
+    means = [np.full(p, offset), np.full(p, offset) + separation * rng.standard_normal(p)]
+    blocks = [
+        mean + (rng.standard_normal((n, p)) @ rng.standard_normal((p, p)) / np.sqrt(p)) * scale
+        for mean, scale, n in zip(means, scales, (n0 + 30, n1 + 30))
+    ]
+    train = TrainingSet(X0=blocks[0][:n0], X1=blocks[1][:n1])
+    return train, np.vstack([blocks[0][n0:], blocks[1][n1:]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(2, 60),
+    n0=st.integers(3, 80),
+    n1=st.integers(3, 80),
+    gamma0=st.floats(0.01, 100.0),
+    gamma1=st.floats(0.01, 100.0),
+    offset=st.floats(-1e3, 1e3),
+    separation=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scores_match_the_dense_two_form_reference(p, n0, n1, gamma0, gamma1, offset, separation, seed):
+    assume(gamma0 != gamma1)
+    train, X = _gap_case(p, n0, n1, offset, separation, seed)
+    priors = (0.3, 0.7)
+    for g0, g1 in ((gamma0, gamma1), (gamma0, gamma0)):
+        fitted = fit(train, g0, g1)
+        q0, q1 = _two_forms(X, fitted)
+        tolerance = 1e-12 * np.maximum(1.0, q0 + q1)
+        improved = -0.5 * 0.7 * math.sqrt(p) - 0.5 * q0 + 0.5 * q1
+        assert np.all(np.abs(improved_scores(X, fitted, 0.7) - improved) <= tolerance)
+        if g0 == g1:
+            const = 0.5 * _logdet_ratio(fitted) - math.log(priors[1] / priors[0])
+            standard = const - 0.5 * q0 + 0.5 * q1
+            assert np.all(np.abs(rqda_scores(X, fitted, priors) - standard) <= tolerance)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="long double carries no extra precision here"
+)
+def test_score_gap_is_accurate_against_a_long_double_reference():
+    train, X = _gap_case(50, 40, 120, 25.0, 3.0, 7)
+    for gamma in (0.01, 1.0, 100.0):
+        fitted = fit(train, gamma, 0.5 * gamma)
+        q0, q1 = _two_forms(X, fitted, np.longdouble)
+        got = 2.0 * improved_scores(X, fitted, 0.0)
+        error = np.abs(got.astype(np.longdouble) - (q1 - q0)).astype(float)
+        assert np.all(error <= 1e-14 * np.maximum(1.0, (q0 + q1).astype(float))), gamma
 
 
 def test_classify_positive_is_class_zero_ties_go_to_class_one():
@@ -179,8 +247,6 @@ def test_conditional_moments_match_monte_carlo():
     rng = np.random.default_rng(11)
     X0 = sample_class(rng_model.class0, 40, rng)
     X1 = sample_class(rng_model.class1, 30, rng)
-    from hdqda.estimation import TrainingSet
-
     fitted = fit(TrainingSet(X0=X0, X1=X1), 0.6, 1.4)
     theta = 0.3
     means, variances = conditional_score_moments(fitted, rng_model, theta)

@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -156,10 +159,38 @@ def test_tuned_model_equals_a_fit_at_the_chosen_shrinkage(majority_first_train):
     assert tuned.theta == direct.theta
 
 
+_ARRAYS = ("mu_hat0", "mu_hat1", "sigma_hat0", "sigma_hat1")
+
+
+def _decoded(text):
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+
+
+def _encoded(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _version1(model):
+    """The format-1 file of ``model``: the moments as nested JSON lists."""
+    payload = json.loads(model.to_json())
+    payload["format_version"] = 1
+    for name in _ARRAYS:
+        payload[name] = getattr(model.fit, name).tolist()
+    return payload
+
+
 def test_model_json_round_trip_preserves_predictions(majority_first_train):
     train, data = majority_first_train
     model = fit_improved(train, 1.0, priors=(2.0 / 3.0, 1.0 / 3.0))
-    clone = ImprovedModel.from_json(model.to_json())
+    payload = model.to_json()
+    clone = ImprovedModel.from_json(payload)
+    stored = json.loads(payload)
+    assert stored["format_version"] == 2
+    for name in _ARRAYS:
+        assert np.array_equal(_decoded(stored[name]), getattr(model.fit, name).ravel()), name
+        reloaded = getattr(clone.fit, name)
+        assert np.array_equal(reloaded, getattr(model.fit, name)), name
+        assert reloaded.dtype == np.float64 and reloaded.flags.writeable, name
     np.testing.assert_array_equal(
         model.predict(data.test0), clone.predict(data.test0)
     )
@@ -173,38 +204,80 @@ def test_model_json_round_trip_preserves_predictions(majority_first_train):
 def test_model_json_rejects_other_format_versions(majority_first_train):
     train, _ = majority_first_train
     model = fit_improved(train, 1.0)
-    import json
-
     payload = json.loads(model.to_json())
     payload["format_version"] = 99
     with pytest.raises(ValueError, match="format"):
         ImprovedModel.from_json(json.dumps(payload))
 
 
-def test_model_json_rejects_broken_fields(majority_first_train):
-    import json
+def test_model_json_reads_format_one_lists_exactly(majority_first_train):
+    train, data = majority_first_train
+    model = fit_improved(train, None, grid=np.logspace(-1, 1, 5))
+    clone = ImprovedModel.from_json(json.dumps(_version1(model)))
+    for name in _ARRAYS:
+        assert np.array_equal(getattr(clone.fit, name), getattr(model.fit, name)), name
+    for X in (data.test0, data.test1):
+        assert np.array_equal(clone.decision_values(X), model.decision_values(X))
+        assert np.array_equal(clone.predict(X), model.predict(X))
+    assert clone.trace == model.trace
+    assert (clone.theta, clone.label_map, clone.priors) == (model.theta, model.label_map, model.priors)
 
+
+# Each case breaks one field in its list form: a mean is a list of numbers, a
+# covariance a list of rows.
+_BROKEN = [
+    ("mu_hat0", lambda v: v[:-1]),
+    ("mu_hat1", lambda v: [v, v]),
+    ("sigma_hat0", lambda v: [row[:-1] for row in v]),
+    ("sigma_hat1", lambda v: v[:-1]),
+    ("sigma_hat0", lambda v: [[x + 0.5 * (i < j) for j, x in enumerate(row)] for i, row in enumerate(v)]),
+    ("theta", lambda v: float("nan")),
+    ("gamma1", lambda v: float("inf")),
+    ("mu_hat1", lambda v: [float("nan")] + v[1:]),
+    ("sigma_hat1", lambda v: [[float("inf")] + v[0][1:]] + v[1:]),
+    ("n1", lambda v: float("nan")),
+    ("gamma0", lambda v: 0.0),
+    ("gamma1", lambda v: -1.0),
+    ("n0", lambda v: 1),
+    ("n1", lambda v: 0),
+]
+
+
+def test_model_json_rejects_broken_fields(majority_first_train):
     train, _ = majority_first_train
-    good = json.loads(fit_improved(train, 1.0).to_json())
-    nan, inf = float("nan"), float("inf")
-    cases = [
-        ("mu_hat0", lambda v: v[:-1]),
-        ("mu_hat1", lambda v: [v]),
-        ("sigma_hat0", lambda v: [row[:-1] for row in v]),
-        ("sigma_hat1", lambda v: v[:-1]),
-        ("sigma_hat0", lambda v: [[x + 0.5 * (i < j) for j, x in enumerate(row)] for i, row in enumerate(v)]),
-        ("theta", lambda v: nan),
-        ("gamma1", lambda v: inf),
-        ("mu_hat1", lambda v: [nan] + v[1:]),
-        ("sigma_hat1", lambda v: [[inf] + v[0][1:]] + v[1:]),
-        ("n1", lambda v: nan),
-        ("gamma0", lambda v: 0.0),
-        ("gamma1", lambda v: -1.0),
-        ("n0", lambda v: 1),
-        ("n1", lambda v: 0),
+    model = fit_improved(train, 1.0)
+    p = model.fit.p
+    for good in (json.loads(model.to_json()), _version1(model)):
+        for field, breaks in _BROKEN:
+            value = good[field]
+            if good["format_version"] == 2 and field in _ARRAYS:
+                listed = _decoded(value).reshape((p, p) if field.startswith("sigma") else (p,)).tolist()
+                broken = _encoded(np.ravel(breaks(listed)))
+            else:
+                broken = breaks(value)
+            with pytest.raises(ValueError):
+                ImprovedModel.from_json(json.dumps(dict(good, **{field: broken})))
+                pytest.fail("accepted a broken %s in format %d" % (field, good["format_version"]))
+    # Format 1 stores each covariance as a list of rows, never flat.
+    flat = dict(_version1(model), sigma_hat0=model.fit.sigma_hat0.ravel().tolist())
+    with pytest.raises(ValueError, match="sigma_hat0"):
+        ImprovedModel.from_json(json.dumps(flat))
+    # Format-2 text that is not strict base64 of p or p * p float64 values.
+    good = json.loads(model.to_json())
+    mean = _decoded(good["mu_hat0"])
+    undecodable = [
+        ("mu_hat0", "!" + good["mu_hat0"][1:]),
+        ("mu_hat1", good["mu_hat1"][:8] + "\n" + good["mu_hat1"][8:]),
+        ("sigma_hat0", "\u00e9" + good["sigma_hat0"][1:]),
+        ("mu_hat0", good["mu_hat0"][:-1]),
+        ("mu_hat1", base64.b64encode(mean.tobytes() + b"\0").decode("ascii")),
+        ("sigma_hat1", _encoded(np.append(_decoded(good["sigma_hat1"]), 0.0))),
+        ("sigma_hat0", _encoded(_decoded(good["sigma_hat0"])[:-1])),
+        ("mu_hat0", ""),
+        ("sigma_hat1", _decoded(good["sigma_hat1"]).tolist()),
+        ("mu_hat1", None),
     ]
-    for field, breaks in cases:
-        payload = dict(good, **{field: breaks(good[field])})
-        with pytest.raises(ValueError):
-            ImprovedModel.from_json(json.dumps(payload))
+    for field, broken in undecodable:
+        with pytest.raises(ValueError, match=field):
+            ImprovedModel.from_json(json.dumps(dict(good, **{field: broken})))
             pytest.fail("accepted a broken %s" % field)
