@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import InsufficientSamplesError, NotSpdError
+from .errors import InsufficientSamplesError
 from .estimation import FittedStats, PooledStats
 from .model import MixtureModel
 
@@ -62,15 +62,6 @@ def _rows(X: np.ndarray, p: int) -> np.ndarray:
     return X
 
 
-def _logdet_spd(matrix: np.ndarray) -> float:
-    """log det of an SPD matrix from Cholesky diagonals; no determinant products."""
-    try:
-        chol = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("log-determinant of a non-SPD matrix: %s" % exc) from exc
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
 def _quad_gap(X: np.ndarray, fit: FittedStats) -> np.ndarray:
     """Row-wise q1 - q0 for q_i = (x - mu_i)^T H_i (x - mu_i), with one
     rows x p x p product: centred at mu_0 with d = x - mu_0, e = mu_1 - mu_0 and
@@ -105,11 +96,9 @@ def _require_shared_gamma(fit: FittedStats) -> float:
 
 
 def _logdet_ratio(fit: FittedStats) -> float:
-    """log det H0 - log det H1, from the factorizations of the shifted covariances."""
-    p = fit.p
-    shifted0 = np.eye(p) + fit.gamma0 * fit.sigma_hat0
-    shifted1 = np.eye(p) + fit.gamma1 * fit.sigma_hat1
-    return _logdet_spd(shifted1) - _logdet_spd(shifted0)
+    """log det H0 - log det H1, kept from the factorizations that formed them."""
+    logdet0, logdet1 = fit._shifted_logdets
+    return logdet1 - logdet0
 
 
 def rqda_scores(X: np.ndarray, fit: FittedStats, priors: tuple[float, float]) -> np.ndarray:

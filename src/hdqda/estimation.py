@@ -2,11 +2,12 @@
 the spectral kernel that the error estimator and the theory share.
 
 The resolvent of a sample covariance at shrinkage gamma is (I + gamma * S)^{-1},
-always SPD for gamma >= 0, computed by a symmetric factorization rather than an
-explicit inverse formula. A trace or quadratic form of covariances against
-resolvents needs no resolvent: with each covariance diagonalized once
-(:func:`eigenpair`), a resolvent is a weight vector on its eigenvalues, and
-:class:`SpectralPair` takes every such trace at O(p^2) cost.
+always SPD for gamma >= 0. Each shifted covariance I + gamma * S is factored
+once, here, by LAPACK's Cholesky; the resolvent is its SPD inverse and its
+log-determinant comes from the same factor. A trace or quadratic form of
+covariances against resolvents needs no resolvent: with each covariance
+diagonalized once (:func:`eigenpair`), a resolvent is a weight vector on its
+eigenvalues, and :class:`SpectralPair` takes every such trace at O(p^2) cost.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import lapack
 
 from .errors import InsufficientSamplesError, NotSpdError
 
@@ -92,24 +93,35 @@ def sample_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def regularized_resolvent(sigma_hat: np.ndarray, gamma: float) -> np.ndarray:
-    """(I + gamma * sigma_hat)^{-1} via Cholesky; eigenvalues lie in (0, 1]."""
+def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
+    """(I + gamma * sigma_hat)^{-1} and log det(I + gamma * sigma_hat) from one
+    LAPACK Cholesky factorization: the log-det from the factor's diagonal, the
+    inverse from ``dpotri`` with its lower triangle mirrored, so it is exactly
+    symmetric. The only place a shifted sample covariance is factored."""
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     if gamma < 0.0:
         raise ValueError("shrinkage parameter must be >= 0, got %r" % gamma)
     p = sigma_hat.shape[0]
     if gamma == 0.0:
-        return np.eye(p)
+        return np.eye(p), 0.0
     shifted = np.eye(p) + gamma * sigma_hat
-    try:
-        factor = sla.cho_factor(shifted, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    factor, info = lapack.dpotrf(shifted, lower=1, clean=0)
+    if info != 0:
         cond = float(np.linalg.cond(shifted))
         raise NotSpdError(
-            "resolvent factorization failed (condition estimate %.3e): %s" % (cond, exc)
-        ) from exc
-    resolvent = sla.cho_solve(factor, np.eye(p), check_finite=False)
-    return 0.5 * (resolvent + resolvent.T)
+            "resolvent factorization failed (condition estimate %.3e): "
+            "leading minor %d is not positive definite" % (cond, info)
+        )
+    logdet = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
+    inverse, _ = lapack.dpotri(factor, lower=1, overwrite_c=1)  # cannot fail on a factor
+    upper = np.triu_indices(p, 1)
+    inverse[upper] = inverse.T[upper]
+    return inverse, logdet
+
+
+def regularized_resolvent(sigma_hat: np.ndarray, gamma: float) -> np.ndarray:
+    """(I + gamma * sigma_hat)^{-1} via Cholesky; eigenvalues lie in (0, 1]."""
+    return _shifted_inverse(sigma_hat, gamma)[0]
 
 
 def eigenpair(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +164,9 @@ class SpectralPair:
 class FittedStats:
     """Per-class sample moments, shrinkage parameters, and resolvents.
 
-    :attr:`spectra` diagonalizes the sample covariances once, on first use.
+    :attr:`spectra` diagonalizes the sample covariances once, on first use;
+    the log-determinants of both shifted covariances are kept from the
+    factorizations that formed ``H0`` and ``H1``, or taken once on first use.
     """
 
     mu_hat0: np.ndarray
@@ -166,6 +180,7 @@ class FittedStats:
     n0: int
     n1: int
     _spectra: tuple | None = field(default=None, repr=False, compare=False)
+    _logdets: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -180,18 +195,35 @@ class FittedStats:
             )
         return self._spectra
 
+    @property
+    def _shifted_logdets(self) -> tuple[float, float]:
+        """log det(I + gamma_i * sigma_hat_i) for classes 0 and 1."""
+        if self._logdets is None:
+            object.__setattr__(
+                self,
+                "_logdets",
+                (
+                    _shifted_inverse(self.sigma_hat0, self.gamma0)[1],
+                    _shifted_inverse(self.sigma_hat1, self.gamma1)[1],
+                ),
+            )
+        return self._logdets
+
 
 def fit(train: TrainingSet, gamma0: float, gamma1: float) -> FittedStats:
     """Sample moments for both classes plus their shrunken resolvents."""
-    return _fitted(train, (sample_moments(train.X0), sample_moments(train.X1)), gamma0, gamma1)
+    moments = (sample_moments(train.X0), sample_moments(train.X1))
+    return _fitted(moments, (train.n0, train.n1), gamma0, gamma1)
 
 
 def _fitted(
-    train: TrainingSet, moments: tuple, gamma0: float, gamma1: float, spectra=None
+    moments: tuple, counts: tuple[int, int], gamma0: float, gamma1: float, spectra=None
 ) -> FittedStats:
-    """:func:`fit` from the ``sample_moments`` of both classes, optionally
-    with their eigenpairs already computed."""
+    """:func:`fit` from the ``sample_moments`` of both classes and their row
+    counts, optionally with their eigenpairs already computed."""
     (mu0, sig0), (mu1, sig1) = moments
+    H0, logdet0 = _shifted_inverse(sig0, gamma0)
+    H1, logdet1 = _shifted_inverse(sig1, gamma1)
     return FittedStats(
         mu_hat0=mu0,
         mu_hat1=mu1,
@@ -199,11 +231,12 @@ def _fitted(
         sigma_hat1=sig1,
         gamma0=float(gamma0),
         gamma1=float(gamma1),
-        H0=regularized_resolvent(sig0, gamma0),
-        H1=regularized_resolvent(sig1, gamma1),
-        n0=train.n0,
-        n1=train.n1,
+        H0=H0,
+        H1=H1,
+        n0=counts[0],
+        n1=counts[1],
         _spectra=spectra,
+        _logdets=(logdet0, logdet1),
     )
 
 

@@ -18,15 +18,7 @@ import numpy as np
 
 from .discriminant import classify_values, improved_scores
 from .errors import HdqdaError, TuningError
-from .estimation import (
-    FittedStats,
-    SpectralPair,
-    TrainingSet,
-    _fitted,
-    eigenpair,
-    regularized_resolvent,
-    sample_moments,
-)
+from .estimation import FittedStats, SpectralPair, TrainingSet, _fitted, eigenpair, sample_moments
 from .gestim import BiasEstimate, _candidate
 
 __all__ = [
@@ -60,15 +52,70 @@ def _encode_array(array: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
 
 
+def _field(data: dict, key: str):
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError("model file lacks the field %s" % key) from None
+
+
+def _number(value, name: str) -> float:
+    """A finite JSON number as a float; text, booleans, null and containers raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("model field %s must be a number, got %r" % (name, value))
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError("model field %s holds a NaN or infinite number" % name)
+    return number
+
+
+def _whole(value, name: str) -> int:
+    """A JSON number that is a whole number, as an int."""
+    number = _number(value, name)
+    if not number.is_integer():
+        raise ValueError("model field %s must be a whole number, got %r" % (name, value))
+    return int(number)
+
+
+def _pair(data: dict, key: str, convert) -> tuple:
+    """A two-entry list field, each entry passed through ``convert``."""
+    value = _field(data, key)
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError("model field %s must be a list of two numbers, got %r" % (key, value))
+    return tuple(convert(entry, key) for entry in value)
+
+
+def _trace_entry(entry, index: int) -> TuningEntry:
+    name = "trace[%d]" % index
+    if not isinstance(entry, dict) or set(entry) != {"gamma0", "total_hat", "failure"}:
+        raise ValueError(
+            "model field %s must hold exactly gamma0, total_hat and failure" % name
+        )
+    total_hat, failure = entry["total_hat"], entry["failure"]
+    if (total_hat is None) == (failure is None) or not isinstance(failure, (str, type(None))):
+        raise ValueError(
+            "model field %s must hold either a total_hat number or a failure text" % name
+        )
+    return TuningEntry(
+        gamma0=_number(entry["gamma0"], name + ".gamma0"),
+        total_hat=None if total_hat is None else _number(total_hat, name + ".total_hat"),
+        failure=failure,
+    )
+
+
 def _decode_array(data: dict, key: str, version: int, shape: tuple[int, ...] | None) -> np.ndarray:
     """A stored moment as a writable native float64 array of ``shape`` (a
     nonempty vector when None): nested lists in format 1, :func:`_encode_array`
     text in format 2. Any decode failure or wrong size raises ValueError."""
+    value = _field(data, key)
     try:
         if version == 1:
-            array = np.array(data[key], dtype=float)
+            array = np.array(value, dtype=float)
         else:
-            raw = base64.b64decode(data[key], validate=True)
+            raw = base64.b64decode(value, validate=True)
             array = np.frombuffer(raw, dtype="<f8").astype(float)
     except (TypeError, ValueError) as exc:
         raise ValueError("model field %s does not decode: %s" % (key, exc)) from exc
@@ -87,14 +134,13 @@ class _Sample:
     candidate is evaluated on ``pair``, and only the returned fit forms resolvents."""
 
     def __init__(self, train: TrainingSet):
-        self.train = train
         self.counts = (train.n0, train.n1)
         self.moments = (sample_moments(train.X0), sample_moments(train.X1))
         self.spectra = tuple(eigenpair(sigma) for _, sigma in self.moments)
         self.pair = SpectralPair(self.spectra, self.moments[0][0] - self.moments[1][0])
 
     def fit(self, gamma0: float, gamma1: float) -> FittedStats:
-        return _fitted(self.train, self.moments, gamma0, gamma1, self.spectra)
+        return _fitted(self.moments, self.counts, gamma0, gamma1, self.spectra)
 
 
 @dataclass(frozen=True)
@@ -245,16 +291,23 @@ class ImprovedModel:
         lists. Either way the moments come back as writable native float64
         arrays bitwise equal to the saved ones.
 
-        Raises ValueError for a file this build cannot trust: another format
-        version, a moment that does not decode (non-base64 text, a byte count
-        that is not a multiple of 8) or has the wrong size (both means of one
-        length p, each covariance p * p values), an asymmetric covariance, a
-        NaN or infinite number, nonpositive shrinkage, a training count below
-        2, or a bad label map or priors.
+        Raises ValueError, naming the field, for a file this build cannot
+        trust: a payload that is not a JSON object, another format version, a
+        missing field, a moment that does not decode (non-base64 text, a byte
+        count that is not a multiple of 8) or has the wrong size (both means of
+        one length p, each covariance p * p values), an asymmetric covariance,
+        a number stored as text, boolean or null, a NaN or infinite number,
+        nonpositive shrinkage, a training count or label that is not a whole
+        number, a training count below 2, a label map that is not a
+        permutation of (0, 1), bad priors, or a trace entry that does not hold
+        exactly a number ``gamma0`` and one of a number ``total_hat`` or a text
+        ``failure``.
         """
         data = json.loads(payload)
+        if not isinstance(data, dict):
+            raise ValueError("model file must hold a JSON object, got %s" % type(data).__name__)
         version = data.get("format_version")
-        if version not in (1, FORMAT_VERSION):
+        if isinstance(version, bool) or version not in (1, FORMAT_VERSION):
             raise ValueError(
                 "unsupported model format %r; this build reads 1 and %d"
                 % (version, FORMAT_VERSION)
@@ -265,46 +318,30 @@ class ImprovedModel:
             _decode_array(data, key, version, shape)
             for key, shape in zip(_ARRAY_FIELDS[1:], ((p,), (p, p), (p, p)))
         )
-        theta, gamma0, gamma1, n0, n1 = (
-            float(data[key]) for key in ("theta", "gamma0", "gamma1", "n0", "n1")
+        theta, gamma0, gamma1 = (
+            _number(_field(data, key), key) for key in ("theta", "gamma0", "gamma1")
         )
-        trace = tuple(
-            TuningEntry(
-                gamma0=float(entry["gamma0"]),
-                total_hat=None if entry["total_hat"] is None else float(entry["total_hat"]),
-                failure=entry["failure"],
-            )
-            for entry in data["trace"]
-        )
-        numbers = [theta, gamma0, gamma1, n0, n1] + [
-            value for entry in trace for value in (entry.gamma0, entry.total_hat) if value is not None
-        ]
-        if not all(np.all(np.isfinite(a)) for a in (mu0, mu1, sigma0, sigma1, numbers)):
-            raise ValueError("model file holds a NaN or infinite number")
-        for sigma in (sigma0, sigma1):
+        n0, n1 = (_whole(_field(data, key), key) for key in ("n0", "n1"))
+        entries = _field(data, "trace")
+        if not isinstance(entries, list):
+            raise ValueError("model field trace must be a list, got %r" % (entries,))
+        trace = tuple(_trace_entry(entry, i) for i, entry in enumerate(entries))
+        for key, array in zip(_ARRAY_FIELDS, (mu0, mu1, sigma0, sigma1)):
+            if not np.all(np.isfinite(array)):
+                raise ValueError("model field %s holds a NaN or infinite number" % key)
+        for key, sigma in (("sigma_hat0", sigma0), ("sigma_hat1", sigma1)):
             if np.max(np.abs(sigma - sigma.T)) > 1e-12 * max(1.0, np.max(np.abs(sigma))):
-                raise ValueError("model covariance is not symmetric")
+                raise ValueError("model field %s is not symmetric" % key)
         if min(gamma0, gamma1) <= 0.0 or min(n0, n1) < 2:
             raise ValueError(
                 "model needs positive shrinkage and at least 2 training rows per class, "
                 "got gamma %r, %r and counts %r, %r" % (gamma0, gamma1, n0, n1)
             )
-        fit = FittedStats(
-            mu_hat0=mu0,
-            mu_hat1=mu1,
-            sigma_hat0=sigma0,
-            sigma_hat1=sigma1,
-            gamma0=gamma0,
-            gamma1=gamma1,
-            H0=regularized_resolvent(sigma0, gamma0),
-            H1=regularized_resolvent(sigma1, gamma1),
-            n0=int(n0),
-            n1=int(n1),
-        )
-        label_map = tuple(int(v) for v in data["label_map"])
+        label_map = _pair(data, "label_map", _whole)
         if sorted(label_map) != [0, 1]:
-            raise ValueError("label map must be a permutation of (0, 1)")
-        priors = _check_priors(data["priors"])
+            raise ValueError("model field label_map must be a permutation of (0, 1)")
+        priors = _check_priors(_pair(data, "priors", _number))
+        fit = _fitted(((mu0, sigma0), (mu1, sigma1)), (n0, n1), gamma0, gamma1)
         return cls(
             fit=fit,
             theta=theta,

@@ -23,8 +23,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import optimize
+from scipy.linalg import lapack
 from scipy.special import ndtr
 
 from .errors import (
@@ -130,13 +130,15 @@ def _check_solver_args(n: int, gamma: float) -> None:
 
 
 def _shifted_cholesky(sigma: np.ndarray, scale: float) -> np.ndarray:
-    shifted = np.eye(sigma.shape[0]) + scale * sigma
-    try:
-        return np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError as exc:
+    """Lower Cholesky factor of I + scale * sigma, upper triangle zero."""
+    shifted = scale * sigma
+    shifted.flat[:: sigma.shape[0] + 1] += 1.0
+    chol, info = lapack.dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
         raise NotSpdError(
             "shifted covariance is not positive definite at scale %r" % (scale,)
-        ) from exc
+        )
+    return chol
 
 
 def _fixed_point(
@@ -198,12 +200,12 @@ def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquival
     p = sigma.shape[0]
 
     def inverse_factor(scale: float) -> np.ndarray:
-        chol = _shifted_cholesky(sigma, scale)
-        return sla.solve_triangular(chol, np.eye(p), lower=True, check_finite=False)
+        inv_chol, _ = lapack.dtrtri(_shifted_cholesky(sigma, scale), lower=1, overwrite_c=1)
+        return inv_chol
 
     def trace_map(scale: float) -> float:
-        inv_chol = inverse_factor(scale)
-        return (p - float(np.sum(inv_chol * inv_chol))) / scale
+        entries = inverse_factor(scale).ravel(order="K")  # a view of the factor
+        return (p - float(entries @ entries)) / scale
 
     delta, evaluations = _fixed_point(trace_map, float(np.trace(sigma)) / n, n, gamma)
     inv_chol = inverse_factor(gamma / (1.0 + gamma * delta))

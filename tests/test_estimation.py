@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hdqda import estimation
+from hdqda.discriminant import RULE_STANDARD_RQDA, conditional_score_moments, rqda_scores
 from hdqda.errors import InsufficientSamplesError, NotSpdError
 from hdqda.estimation import (
     TrainingSet,
+    _shifted_inverse,
     fit,
     fit_pooled,
     regularized_resolvent,
     sample_moments,
 )
+from hdqda.pipeline import ImprovedModel, fit_improved
 
 from conftest import random_spd
 
@@ -68,6 +74,53 @@ def test_resolvent_gamma_zero_is_identity_and_negative_rejected():
 def test_resolvent_fails_loudly_off_the_spd_cone():
     with pytest.raises(NotSpdError):
         regularized_resolvent(-10.0 * np.eye(3), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 60),
+    rank_share=st.floats(0.02, 2.0),
+    gamma=st.floats(0.01, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shifted_inverse_matches_the_dense_reference(p, rank_share, gamma, seed):
+    """One factorization gives the dense inverse, exactly symmetric, and the
+    log-determinant, for rank-deficient and full-rank sample covariances."""
+    rng = np.random.default_rng(seed)
+    m = max(1, round(rank_share * p))
+    A = rng.standard_normal((p, m))
+    S = A @ A.T / max(m, p)
+    shifted = np.eye(p) + gamma * S
+    H, logdet = _shifted_inverse(S, gamma)
+    reference = np.linalg.inv(shifted)
+    assert np.all(np.abs(H - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+    assert np.array_equal(H, H.T)
+    sign, reference_logdet = np.linalg.slogdet(shifted)
+    assert sign == 1.0
+    assert abs(logdet - reference_logdet) <= 1e-12 * max(1.0, abs(reference_logdet))
+
+
+def test_each_shifted_covariance_is_factored_once(small_scenario, small_train, monkeypatch):
+    """A fit, a reload and a tuned fit factor each class once; scoring with the
+    standard rule and its exact moments reuse the fit's log-determinants."""
+    _, model, data = small_scenario
+    calls = []
+    factor = estimation._shifted_inverse
+
+    def spy(sigma, gamma):
+        calls.append(gamma)
+        return factor(sigma, gamma)
+
+    monkeypatch.setattr(estimation, "_shifted_inverse", spy)
+    fitted = fit(small_train, 0.7, 0.7)
+    assert len(calls) == 2
+    rqda_scores(data.test0, fitted, (0.4, 0.6))
+    conditional_score_moments(fitted, model, rule_kind=RULE_STANDARD_RQDA)
+    assert len(calls) == 2
+    tuned = fit_improved(small_train, None, grid=np.logspace(-1, 1, 5))
+    assert len(calls) == 4
+    ImprovedModel.from_json(tuned.to_json())
+    assert len(calls) == 6
 
 
 def test_fit_wires_moments_and_resolvents(small_train):

@@ -281,3 +281,45 @@ def test_model_json_rejects_broken_fields(majority_first_train):
         with pytest.raises(ValueError, match=field):
             ImprovedModel.from_json(json.dumps(dict(good, **{field: broken})))
             pytest.fail("accepted a broken %s" % field)
+    # A payload that is no JSON object, a missing field, a number that is text,
+    # null, boolean, fractional where a whole number belongs, or a malformed
+    # trace entry: each is refused with the field named.
+    for payload in ("[]", "3", '"model"', "null"):
+        with pytest.raises(ValueError, match="JSON object"):
+            ImprovedModel.from_json(payload)
+    for field in ("theta", "gamma1", "n0", "label_map", "priors", "trace", "sigma_hat1"):
+        missing = {key: value for key, value in good.items() if key != field}
+        with pytest.raises(ValueError, match=field):
+            ImprovedModel.from_json(json.dumps(missing))
+    entry = {"gamma0": 1.0, "total_hat": 0.1, "failure": None}
+    with pytest.raises(ValueError, match="format"):
+        ImprovedModel.from_json(json.dumps(dict(good, format_version=True)))
+    malformed = [
+        ("n0", 30.7),
+        ("n1", "20"),
+        ("n0", True),
+        ("theta", None),
+        ("gamma0", "1.0"),
+        ("label_map", [0.5, 1]),
+        ("label_map", [0]),
+        ("label_map", [1, 1]),
+        ("label_map", "01"),
+        ("priors", [0.5]),
+        ("priors", {"0": 0.5}),
+        ("priors", ["0.5", 0.5]),
+        ("trace", {}),
+        ("trace", [[1.0, 0.1, None]]),
+        ("trace", [{"gamma0": 1.0, "total_hat": 0.1}]),
+        ("trace", [dict(entry, extra=1)]),
+        ("trace", [dict(entry, total_hat=None)]),
+        ("trace", [dict(entry, failure="ValueError: boom")]),
+        ("trace", [dict(entry, total_hat=None, failure=3)]),
+        ("trace", [dict(entry, gamma0="1.0")]),
+        ("trace", [entry, dict(entry, total_hat=float("nan"))]),
+    ]
+    for field, broken in malformed:
+        with pytest.raises(ValueError, match=field):
+            ImprovedModel.from_json(json.dumps(dict(good, **{field: broken})))
+            pytest.fail("accepted %r as %s" % (broken, field))
+    accepted = ImprovedModel.from_json(json.dumps(dict(good, n0=float(good["n0"]), trace=[entry])))
+    assert accepted.fit.n0 == good["n0"] and accepted.trace[0].total_hat == 0.1
