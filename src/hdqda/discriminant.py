@@ -111,6 +111,8 @@ def rqda_scores(X: np.ndarray, fit: FittedStats, priors: tuple[float, float]) ->
 
 def improved_scores(X: np.ndarray, fit: FittedStats, theta: float) -> np.ndarray:
     """Two-shrinkage rule with an explicit bias replacing log-det and priors."""
+    if not math.isfinite(theta):
+        raise ValueError("bias must be finite, got %r" % (theta,))
     X = _rows(X, fit.p)
     return -0.5 * theta * math.sqrt(fit.p) + 0.5 * _quad_gap(X, fit)
 

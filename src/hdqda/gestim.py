@@ -21,6 +21,9 @@ of the mean gap are debiased for the noise of the estimated means, and the
 own-class resolvent trace carries a second-order correction for the curvature
 of the trace inversion. Both adjustments vanish as the dimension grows, so the
 large-p behavior is unchanged.
+
+This module computes the sample-spectrum margins; the bias, error and matched
+shrinkage formulas they feed live once in :mod:`hdqda.rmt`.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateEstimateError, InvalidRegularizerError
 from .estimation import FittedStats, SpectralPair
+from .model import _check_priors
+from .rmt import _class_errors, _designed_bias, _matched_shrinkage, _Vocabulary
+
+_ESTIMATED = _Vocabulary("estimated", DegenerateEstimateError, DegenerateEstimateError)
 
 __all__ = [
     "BiasEstimate",
@@ -65,7 +71,7 @@ def delta_hat(H: np.ndarray, n: int, gamma: float) -> float:
 
 def _delta_from_trace(trace: float, p: int, n: int, gamma: float) -> float:
     """:func:`delta_hat` given Tr[H] = ``trace`` of a p x p resolvent."""
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise InvalidRegularizerError(
             "fixed-point inversion needs strictly positive shrinkage, got %r" % (gamma,)
         )
@@ -73,7 +79,7 @@ def _delta_from_trace(trace: float, p: int, n: int, gamma: float) -> float:
     ratio = trace / m
     numerator = p / m - ratio
     denominator = 1.0 - p / m + ratio
-    if denominator <= 0.0 or numerator < 0.0:
+    if not (denominator > 0.0 and numerator >= 0.0):
         raise DegenerateEstimateError(
             "resolvent trace %r is inconsistent with n=%d, p=%d" % (trace, n, p)
         )
@@ -93,19 +99,11 @@ def gamma1_hat(delta0: float, n0: int, n1: int, gamma0: float) -> float:
         )
     if n0 < 2:
         raise ValueError("need at least two observations, got n0=%d" % (n0,))
-    if gamma0 <= 0.0:
+    if not gamma0 > 0.0:
         raise InvalidRegularizerError(
             "matched shrinkage needs strictly positive gamma0, got %r" % (gamma0,)
         )
-    if delta0 < 0.0:
-        raise ValueError("fixed-point estimate must be nonnegative, got %r" % (delta0,))
-    ratio = (n0 - 1.0) / (n1 - 1.0)
-    denominator = 1.0 - gamma0 * (ratio * delta0 - delta0)
-    if denominator <= 0.0:
-        raise DegenerateEstimateError(
-            "matched shrinkage denominator is %r" % (denominator,)
-        )
-    return gamma0 / denominator
+    return _matched_shrinkage(gamma0, delta0, (n0 - 1.0) / (n1 - 1.0), _ESTIMATED)
 
 
 @dataclass(frozen=True)
@@ -223,18 +221,7 @@ def _candidate(
 
 def _bias_from(pieces: _Pieces, priors: tuple[float, float]) -> BiasEstimate:
     (beta0, beta1), B0 = pieces.beta, pieces.B[0]
-    if B0 <= 0.0:
-        raise DegenerateEstimateError("estimated score variance is %r" % (B0,))
-    alpha = math.sqrt(2.0 * B0)
-    log_odds = math.log(priors[1] / priors[0])
-    theta = (beta1 - beta0) / 2.0
-    if log_odds != 0.0:
-        balance = beta1 + beta0
-        if abs(balance) <= 1e-12 * max(1.0, abs(beta0), abs(beta1)):
-            raise DegenerateEstimateError(
-                "estimated class margins cancel; prior correction is undefined"
-            )
-        theta -= 2.0 * alpha**2 / balance * log_odds
+    theta, alpha = _designed_bias(beta0, beta1, B0, priors, _ESTIMATED)
     return BiasEstimate(
         theta_hat=theta, beta_hat0=beta0, beta_hat1=beta1, alpha_hat=alpha, B_hat0=B0
     )
@@ -246,7 +233,7 @@ def theta_hat(fit: FittedStats, priors: tuple[float, float]) -> BiasEstimate:
     ``fit`` should carry the matched majority-class shrinkage (the estimate
     from :func:`gamma1_hat`); the consistency of the result depends on it.
     """
-    return _bias_from(_fit_pieces(fit), priors)
+    return _bias_from(_fit_pieces(fit), _check_priors(priors))
 
 
 @dataclass(frozen=True)
@@ -291,6 +278,7 @@ def g_estimator_error(
     parts split so that their differences reproduce the margins of
     :func:`theta_hat` exactly.
     """
+    priors = _check_priors(priors)
     pieces = _fit_pieces(fit)
     return _error_from(pieces, _bias_from(pieces, priors), theta, priors)
 
@@ -299,15 +287,12 @@ def _error_from(
     pieces: _Pieces, bias: BiasEstimate, theta: float, priors: tuple[float, float]
 ) -> GEstimate:
     sqrt_p = math.sqrt(pieces.p)
-    xi, b, eps = [], [], []
+    shift, b = [], []
     for i, sign in ((0, -1.0), (1, 1.0)):
         n, cross, own = pieces.counts[i], pieces.cross_trace[i], pieces.own_trace[i]
-        xi.append(theta + sign * (pieces.quad[1 - i] - cross / n - own / n) / sqrt_p)
+        shift.append((pieces.quad[1 - i] - cross / n - own / n) / sqrt_p)
         b.append(-sign * (cross - own) / sqrt_p)
-        spread = 2.0 * pieces.B[i] + 4.0 * pieces.r[i]
-        if spread <= 0.0:
-            raise DegenerateEstimateError("estimated score spread is %r" % (spread,))
-        eps.append(float(ndtr(-sign * (xi[i] - b[i]) / math.sqrt(spread))))
+    xi, eps, total = _class_errors(theta, shift, b, pieces.B, pieces.r, priors, _ESTIMATED)
     return GEstimate(
         delta_hat0=pieces.delta[0],
         delta_hat1=pieces.delta[1],
@@ -326,5 +311,5 @@ def _error_from(
         r_hat1=pieces.r[1],
         eps_hat0=eps[0],
         eps_hat1=eps[1],
-        total_hat=priors[0] * eps[0] + priors[1] * eps[1],
+        total_hat=total,
     )

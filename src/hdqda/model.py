@@ -81,6 +81,13 @@ class ClassStatistics:
         return eigenpair(self.covariance)
 
 
+def _check_priors(priors) -> tuple[float, float]:
+    p0, p1 = float(priors[0]), float(priors[1])
+    if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0) or abs(p0 + p1 - 1.0) > 1e-12:
+        raise ValueError("priors must be positive and sum to one, got %r" % (priors,))
+    return p0, p1
+
+
 @dataclass(frozen=True)
 class MixtureModel:
     """Two Gaussian classes with prior probabilities summing to one."""
@@ -96,10 +103,7 @@ class MixtureModel:
                 "classes live in different dimensions: %d vs %d"
                 % (self.class0.dim, self.class1.dim)
             )
-        if not (0.0 < self.prior0 < 1.0 and 0.0 < self.prior1 < 1.0):
-            raise ValueError("priors must lie strictly inside (0, 1)")
-        if abs(self.prior0 + self.prior1 - 1.0) > 1e-12:
-            raise ValueError("priors must sum to 1, got %r" % (self.prior0 + self.prior1))
+        _check_priors((self.prior0, self.prior1))
 
     @property
     def dim(self) -> int:

@@ -20,6 +20,7 @@ from .discriminant import classify_values, improved_scores
 from .errors import HdqdaError, TuningError
 from .estimation import FittedStats, SpectralPair, TrainingSet, _fitted, eigenpair, sample_moments
 from .gestim import BiasEstimate, _candidate
+from .model import _check_priors
 
 __all__ = [
     "FORMAT_VERSION",
@@ -38,13 +39,6 @@ _ARRAY_FIELDS = ("mu_hat0", "mu_hat1", "sigma_hat0", "sigma_hat1")
 def default_grid() -> np.ndarray:
     """25 logarithmically spaced shrinkage candidates spanning 1e-2 to 1e2."""
     return np.logspace(-2.0, 2.0, 25)
-
-
-def _check_priors(priors) -> tuple[float, float]:
-    p0, p1 = float(priors[0]), float(priors[1])
-    if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0) or abs(p0 + p1 - 1.0) > 1e-12:
-        raise ValueError("priors must be positive and sum to one, got %r" % (priors,))
-    return p0, p1
 
 
 def _encode_array(array: np.ndarray) -> str:
@@ -279,6 +273,7 @@ class ImprovedModel:
                 ],
             },
             sort_keys=True,
+            allow_nan=False,
         )
 
     @classmethod

@@ -14,6 +14,10 @@ The fixed point has one bracketed root-find and two independent trace maps:
 :func:`eigen_delta_solver` sums over the spectrum, and :func:`solve_delta`
 factorizes the dense covariance and never touches the spectrum, so the two
 agreeing cross-checks the trace.
+
+The designed bias, the class-error assembly and the matched shrinkage live here
+once; this module feeds them true-spectrum margins and :mod:`hdqda.gestim`
+feeds them sample-spectrum margins, each naming its own failures.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
@@ -122,10 +127,70 @@ class ThetaDesign:
     alpha: float
 
 
+class _Vocabulary(NamedTuple):
+    """How a caller names its failures: margin adjective, bad-spread and degenerate-design errors."""
+
+    adjective: str
+    unstable: type[Exception]
+    degenerate: type[Exception]
+
+
+_LIMITING = _Vocabulary("limiting", StabilityError, DegenerateDesignError)
+
+
+def _designed_bias(
+    beta0: float, beta1: float, B0: float, priors: tuple[float, float], words: _Vocabulary
+) -> tuple[float, float]:
+    """Bias minimizing the total error at margins beta0, beta1 and variance 2 B0, and
+    alpha = sqrt(2 B0); unequal priors add a log-odds term that needs uncancelled margins."""
+    if not B0 > 0.0:
+        raise words.unstable("%s score variance is %r" % (words.adjective, B0))
+    alpha = math.sqrt(2.0 * B0)
+    log_odds = math.log(priors[1] / priors[0])
+    theta = (beta1 - beta0) / 2.0
+    if log_odds != 0.0:
+        balance = beta1 + beta0
+        if abs(balance) <= 1e-12 * max(1.0, abs(beta0), abs(beta1)):
+            raise words.degenerate(
+                "%s class margins cancel; prior correction is undefined" % (words.adjective,)
+            )
+        theta -= 2.0 * alpha**2 / balance * log_odds
+    return theta, alpha
+
+
+def _class_errors(
+    theta: float, shift, trace_gap, variance, offset_variance, priors, words: _Vocabulary
+) -> tuple[list[float], list[float], float]:
+    """Per class i (pairs indexed by class): the center xi_i = theta -/+ shift_i,
+    the error Phi(+/-(xi_i - trace_gap_i) / sqrt(2 variance_i + 4 offset_variance_i))
+    with upper signs for class 0, and the prior-weighted total."""
+    if not math.isfinite(theta):
+        raise ValueError("bias must be finite, got %r" % (theta,))
+    xi, eps = [], []
+    for i, sign in ((0, -1.0), (1, 1.0)):
+        xi.append(theta + sign * shift[i])
+        spread = 2.0 * variance[i] + 4.0 * offset_variance[i]
+        if not spread > 0.0:
+            raise words.unstable("%s score spread is %r" % (words.adjective, spread))
+        eps.append(float(ndtr(-sign * (xi[i] - trace_gap[i]) / math.sqrt(spread))))
+    return xi, eps, priors[0] * eps[0] + priors[1] * eps[1]
+
+
+def _matched_shrinkage(gamma0: float, delta0: float, ratio: float, words: _Vocabulary) -> float:
+    """Majority shrinkage gamma0 / (1 - gamma0 (ratio - 1) delta0) balancing the
+    two resolvent traces at count ratio n0/n1; a ratio of 1 returns gamma0 exactly."""
+    if not delta0 >= 0.0:
+        raise ValueError("fixed-point estimate must be nonnegative, got %r" % (delta0,))
+    denominator = 1.0 - gamma0 * (ratio * delta0 - delta0)
+    if not denominator > 0.0:
+        raise words.degenerate("matched shrinkage denominator is %r" % (denominator,))
+    return gamma0 / denominator
+
+
 def _check_solver_args(n: int, gamma: float) -> None:
     if n < 1:
         raise ValueError("sample count must be positive, got %d" % (n,))
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise InvalidRegularizerError("shrinkage must be nonnegative, got %r" % (gamma,))
 
 
@@ -354,12 +419,7 @@ def _quad_variance(
 
 
 def asymptotic_error(
-    model: MixtureModel,
-    n0: int,
-    n1: int,
-    gamma0: float,
-    gamma1: float,
-    theta: float,
+    model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float, theta: float
 ) -> AsymptoticPrediction:
     """Limiting per-class error of the two-shrinkage rule with bias ``theta``.
 
@@ -372,33 +432,16 @@ def asymptotic_error(
     f = _spectral_functionals(model, n0, n1, gamma0, gamma1)
     p = model.dim
     sqrt_p = math.sqrt(p)
-    counts = (n0, n1)
-    gammas = (gamma0, gamma1)
-
-    mean_shift = np.empty(2)
-    trace_gap = np.empty(2)
-    quad_variance = np.empty(2)
-    offset_variance = np.empty(2)
-    eps = np.empty(2)
-    for i in (0, 1):
-        j = 1 - i
-        sign = -1.0 if i == 0 else 1.0
-        mean_shift[i] = theta + sign * f.mean_quad[j] / sqrt_p
-        trace_gap[i] = f.trace_gap[i] / sqrt_p
-        quad_variance[i] = _quad_variance(f, i, counts, gammas, p)
-        offset_variance[i] = f.offset_quad[i] / p / f.margin[j]
-        spread = 2.0 * quad_variance[i] + 4.0 * offset_variance[i]
-        if spread <= 0.0:
-            raise StabilityError("limiting score variance is %r" % (spread,))
-        orientation = 1.0 if i == 0 else -1.0
-        eps[i] = float(ndtr(orientation * (mean_shift[i] - trace_gap[i]) / math.sqrt(spread)))
-
-    total = model.prior0 * eps[0] + model.prior1 * eps[1]
+    trace_gap = np.array(f.trace_gap) / sqrt_p
+    quad_variance = np.array([_quad_variance(f, i, (n0, n1), (gamma0, gamma1), p) for i in (0, 1)])
+    offset_variance = np.array([f.offset_quad[i] / p / f.margin[1 - i] for i in (0, 1)])
+    shift = (f.mean_quad[1] / sqrt_p, f.mean_quad[0] / sqrt_p)
+    mean_shift, eps, total = _class_errors(
+        theta, shift, trace_gap, quad_variance, offset_variance, (model.prior0, model.prior1), _LIMITING
+    )
     return AsymptoticPrediction(
-        eps0=float(eps[0]),
-        eps1=float(eps[1]),
-        total=float(total),
-        mean_shift=mean_shift,
+        eps0=eps[0], eps1=eps[1], total=total,
+        mean_shift=np.array(mean_shift),
         trace_gap=trace_gap,
         quad_variance=quad_variance,
         offset_variance=offset_variance,
@@ -409,12 +452,7 @@ def asymptotic_error(
 
 
 def gamma1_theoretical(
-    sigma0: np.ndarray,
-    n0: int,
-    n1: int,
-    gamma0: float,
-    *,
-    delta0: float | None = None,
+    sigma0: np.ndarray, n0: int, n1: int, gamma0: float, *, delta0: float | None = None
 ) -> float:
     """Majority-class shrinkage matched to the minority-class choice.
 
@@ -431,21 +469,11 @@ def gamma1_theoretical(
     _check_solver_args(n0, gamma0)
     if delta0 is None:
         delta0 = eigen_delta_solver(np.linalg.eigvalsh(sigma0), n0, gamma0)
-    trace0 = n0 * delta0
-    denominator = 1.0 - (1.0 / n1 - 1.0 / n0) * gamma0 * trace0
-    if denominator <= 0.0:
-        raise DegenerateDesignError(
-            "matched shrinkage denominator is %r" % (denominator,)
-        )
-    return gamma0 / denominator
+    return _matched_shrinkage(gamma0, delta0, n0 / n1, _LIMITING)
 
 
 def theta_star_theoretical(
-    model: MixtureModel,
-    n0: int,
-    n1: int,
-    gamma0: float,
-    gamma1: float,
+    model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float
 ) -> ThetaDesign:
     """Bias minimizing the limiting total error at the given shrinkage pair.
 
@@ -454,23 +482,9 @@ def theta_star_theoretical(
     subtracted, which requires the margins not to cancel.
     """
     f = _spectral_functionals(model, n0, n1, gamma0, gamma1)
-    p = model.dim
-    sqrt_p = math.sqrt(p)
+    sqrt_p = math.sqrt(model.dim)
     beta0 = -f.mean_quad[1] / sqrt_p - f.trace_gap[0] / sqrt_p
     beta1 = -f.mean_quad[0] / sqrt_p + f.trace_gap[1] / sqrt_p
-
-    quad_var0 = _quad_variance(f, 0, (n0, n1), (gamma0, gamma1), p)
-    if quad_var0 <= 0.0:
-        raise StabilityError("limiting score variance is %r" % (quad_var0,))
-    alpha = math.sqrt(2.0 * quad_var0)
-
-    log_odds = math.log(model.prior1 / model.prior0)
-    theta = (beta1 - beta0) / 2.0
-    if log_odds != 0.0:
-        balance = beta1 + beta0
-        if abs(balance) <= 1e-12 * max(1.0, abs(beta0), abs(beta1)):
-            raise DegenerateDesignError(
-                "class margins cancel; prior correction is undefined"
-            )
-        theta -= 2.0 * alpha**2 / balance * log_odds
+    B0 = _quad_variance(f, 0, (n0, n1), (gamma0, gamma1), model.dim)
+    theta, alpha = _designed_bias(beta0, beta1, B0, (model.prior0, model.prior1), _LIMITING)
     return ThetaDesign(theta_star=theta, beta0=beta0, beta1=beta1, alpha=alpha)

@@ -162,6 +162,8 @@ def test_scores_reject_nonfinite_observations():
         X[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             improved_scores(X, fitted, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            improved_scores(np.zeros((3, 5)), fitted, bad)
 
 
 def test_standard_rule_includes_logdet_and_prior_offsets(small_train):

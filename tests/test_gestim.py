@@ -3,12 +3,23 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hdqda.errors import DegenerateEstimateError, InvalidRegularizerError
+from hdqda import gestim, rmt
+from hdqda.errors import (
+    DegenerateDesignError,
+    DegenerateEstimateError,
+    InvalidRegularizerError,
+    StabilityError,
+)
 from hdqda.estimation import TrainingSet, fit, regularized_resolvent, sample_moments
 from hdqda.gestim import _fit_pieces, delta_hat, g_estimator_error, gamma1_hat, theta_hat
 from hdqda.model import build_mixture, sample_scenario
 from hdqda.pipeline import fit_improved
-from hdqda.rmt import asymptotic_error, eigen_delta_solver, theta_star_theoretical
+from hdqda.rmt import (
+    asymptotic_error,
+    eigen_delta_solver,
+    gamma1_theoretical,
+    theta_star_theoretical,
+)
 
 from conftest import small_config
 
@@ -41,6 +52,8 @@ def test_delta_hat_input_validation():
         delta_hat(H, 1, 1.0)
     with pytest.raises(InvalidRegularizerError):
         delta_hat(H, 10, 0.0)
+    with pytest.raises(InvalidRegularizerError):
+        delta_hat(H, 10, float("nan"))
 
 
 def test_delta_hat_rejects_inconsistent_traces():
@@ -48,6 +61,8 @@ def test_delta_hat_rejects_inconsistent_traces():
     bogus = 0.01 * np.eye(20)
     with pytest.raises(DegenerateEstimateError):
         delta_hat(bogus, 5, 1.0)
+    with pytest.raises(DegenerateEstimateError):
+        delta_hat(np.full((20, 20), np.nan), 5, 1.0)
 
 
 def test_gamma1_hat_is_bitwise_gamma0_for_balanced_counts():
@@ -64,6 +79,26 @@ def test_gamma1_hat_validation():
         gamma1_hat(0.5, 10, 20, -1.0)
     with pytest.raises(ValueError):
         gamma1_hat(-0.5, 10, 20, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gamma1_hat(float("nan"), 10, 20, 1.0)
+    with pytest.raises(InvalidRegularizerError):
+        gamma1_hat(0.5, 10, 20, float("nan"))
+
+
+@pytest.mark.parametrize("priors", [(0.0, 1.0), (2.0, -1.0), (float("nan"), 0.5), (0.5, 0.6)])
+def test_estimator_entry_points_reject_bad_priors(priors):
+    fitted = _fitted(p=20, n0=20, n1=30)
+    with pytest.raises(ValueError, match="priors must be positive and sum to one"):
+        theta_hat(fitted, priors)
+    with pytest.raises(ValueError, match="priors must be positive and sum to one"):
+        g_estimator_error(fitted, 0.1, priors)
+
+
+def test_error_estimate_rejects_a_nonfinite_bias():
+    fitted = _fitted(p=20, n0=20, n1=30)
+    for theta in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="bias must be finite"):
+            g_estimator_error(fitted, theta, (0.5, 0.5))
 
 
 def test_estimate_is_deterministic_on_the_same_fit():
@@ -277,3 +312,74 @@ def test_error_estimate_tracks_the_limit_on_one_draw():
         canonical_model, canonical.n0, canonical.n1, gamma0, g1, bias.theta_hat
     )
     assert estimate.total_hat == pytest.approx(limit.total, abs=0.05)
+
+
+_PRIORS = (1.0 / 3.0, 2.0 / 3.0)
+
+
+@pytest.mark.parametrize(
+    "module, shared, call",
+    [
+        (gestim, "_designed_bias", lambda fitted, model: theta_hat(fitted, _PRIORS)),
+        (rmt, "_designed_bias", lambda fitted, model: theta_star_theoretical(model, 40, 60, 0.9, 0.8)),
+        (gestim, "_class_errors", lambda fitted, model: g_estimator_error(fitted, 0.1, _PRIORS)),
+        (rmt, "_class_errors", lambda fitted, model: asymptotic_error(model, 40, 60, 0.9, 0.8, 0.1)),
+        (gestim, "_matched_shrinkage", lambda fitted, model: gamma1_hat(0.4, 20, 30, 0.9)),
+        (
+            rmt,
+            "_matched_shrinkage",
+            lambda fitted, model: gamma1_theoretical(model.class0.covariance, 40, 60, 0.9),
+        ),
+    ],
+    ids=["theta_hat", "theta_star", "g_estimator", "asymptotic", "gamma1_hat", "gamma1_theoretical"],
+)
+def test_estimator_and_theory_share_one_formula(monkeypatch, module, shared, call):
+    """Each public entry point reaches the one rmt formula exactly once."""
+    real = getattr(rmt, shared)
+    assert getattr(module, shared) is real
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, shared, spy)
+    call(_fitted(p=20, n0=20, n1=30), build_mixture(small_config(p=20, prior0=0.4, seed=3)))
+    assert len(calls) == 1
+
+
+_FAILURES = {
+    "variance": lambda words: rmt._designed_bias(0.2, 0.5, -1.0, _PRIORS, words),
+    "cancel": lambda words: rmt._designed_bias(-0.3, 0.3, 1.0, _PRIORS, words),
+    "spread": lambda words: rmt._class_errors(
+        0.0, (0.1, 0.1), (0.0, 0.0), (0.5, -1.0), (0.0, 0.0), _PRIORS, words
+    ),
+    "matched": lambda words: rmt._matched_shrinkage(1.0, 2.0, 3.0, words),
+}
+_ESTIMATED, _LIMITING = gestim._ESTIMATED, rmt._LIMITING
+_CANCEL = "class margins cancel; prior correction is undefined"
+
+
+@pytest.mark.parametrize(
+    "words, path, error, message",
+    [
+        (_ESTIMATED, "variance", DegenerateEstimateError, "estimated score variance is -1.0"),
+        (_ESTIMATED, "cancel", DegenerateEstimateError, "estimated " + _CANCEL),
+        (_ESTIMATED, "spread", DegenerateEstimateError, "estimated score spread is -2.0"),
+        (_ESTIMATED, "matched", DegenerateEstimateError, "matched shrinkage denominator is -3.0"),
+        (_LIMITING, "variance", StabilityError, "limiting score variance is -1.0"),
+        (_LIMITING, "cancel", DegenerateDesignError, "limiting " + _CANCEL),
+        (_LIMITING, "spread", StabilityError, "limiting score spread is -2.0"),
+        (_LIMITING, "matched", DegenerateDesignError, "matched shrinkage denominator is -3.0"),
+    ],
+    ids=[
+        "%s-%s" % (words, path)
+        for words in ("estimated", "limiting")
+        for path in ("variance", "cancel", "spread", "matched")
+    ],
+)
+def test_each_vocabulary_names_its_failures(words, path, error, message):
+    """The estimator's messages reach tuning traces and model files verbatim."""
+    with pytest.raises(error) as raised:
+        _FAILURES[path](words)
+    assert type(raised.value) is error and str(raised.value) == message

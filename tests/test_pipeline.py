@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -199,6 +200,15 @@ def test_model_json_round_trip_preserves_predictions(majority_first_train):
     )
     assert clone.label_map == model.label_map
     assert clone.fit.gamma1 == model.fit.gamma1
+
+
+def test_model_with_a_nonfinite_bias_neither_predicts_nor_saves(majority_first_train):
+    train, data = majority_first_train
+    broken = dataclasses.replace(fit_improved(train, 1.0), theta=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        broken.predict(data.test0)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        broken.to_json()
 
 
 def test_model_json_rejects_other_format_versions(majority_first_train):

@@ -83,6 +83,12 @@ def test_solver_argument_validation():
         solve_delta(sigma, 5, -1.0)
     with pytest.raises(NotSpdError):
         eigen_delta_solver(np.array([1.0, -2.0]), 5, 1.0)
+    with pytest.raises(InvalidRegularizerError):
+        eigen_delta_solver(np.array([1.0, 2.0]), 5, math.nan)
+    model = _commuting_model(p=12, seed=1)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="bias must be finite"):
+            asymptotic_error(model, 20, 30, 0.5, 0.9, theta)
 
 
 def test_nonconverged_root_find_raises(monkeypatch):
@@ -280,6 +286,9 @@ def test_matched_shrinkage_closed_form_and_orientation_guard():
     )
     with pytest.raises(ValueError, match="minority class first"):
         gamma1_theoretical(sigma, 70, 35, gamma0)
+    for delta0 in (-0.01, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gamma1_theoretical(sigma, n0, n1, gamma0, delta0=delta0)
 
 
 def test_design_centers_margins_at_equal_priors():
