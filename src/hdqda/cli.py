@@ -27,6 +27,10 @@ import click
 import numpy as np
 
 from .discriminant import (
+    RULE_IMPROVED_RQDA,
+    RULE_RLDA,
+    RULE_STANDARD_RQDA,
+    RULE_TRUE_QDA,
     ErrorReport,
     empirical_error,
     qda_scores_true,
@@ -286,8 +290,20 @@ class _ExitCodeGroup(click.Group):
 
     Click reserves 2 for usage errors, but this tool's contract gives 2 to
     numerical failures inside an otherwise valid run, so usage errors fold
-    into the configuration code instead.
+    into the configuration code instead. A subcommand raises package errors
+    as they come; :meth:`invoke` maps them for every subcommand alike.
     """
+
+    def invoke(self, ctx):
+        """A data-format or sample-count error exits 1; any other package
+        error is a numerical failure, reported on stderr, and exits 2."""
+        try:
+            return super().invoke(ctx)
+        except (CsvFormatError, InsufficientSamplesError) as exc:
+            raise click.ClickException(str(exc)) from exc
+        except HdqdaError as exc:
+            click.echo("numerical failure: %s: %s" % (type(exc).__name__, exc), err=True)
+            raise click.exceptions.Exit(2) from exc
 
     def main(self, *args, standalone_mode=True, **extra):
         if not standalone_mode:
@@ -338,11 +354,6 @@ def _with(options):
     return decorate
 
 
-def _numerical_failure(exc: HdqdaError) -> "click.exceptions.Exit":
-    click.echo("numerical failure: %s: %s" % (type(exc).__name__, exc), err=True)
-    return click.exceptions.Exit(2)
-
-
 @main.command()
 @_with(_common)
 @click.option("--gamma0", type=float, default=None, help="Shared shrinkage for the fitted rules (default 1.0).")
@@ -352,38 +363,33 @@ def histogram(**flags) -> None:
     scenario = _scenario_from(settings)
     gamma0 = settings["gamma0"]
 
-    try:
-        model = build_mixture(scenario)
-        data = sample_scenario(scenario, model=model)
-        train = TrainingSet(X0=data.train0, X1=data.train1)
-        priors = (model.prior0, model.prior1)
-        shared = fit(train, gamma0, gamma0)
-        improved = fit_improved(train, gamma0, priors=priors)
-        pooled = fit_pooled(train, gamma0)
+    model = build_mixture(scenario)
+    data = sample_scenario(scenario, model=model)
+    train = TrainingSet(X0=data.train0, X1=data.train1)
+    priors = (model.prior0, model.prior1)
+    shared = fit(train, gamma0, gamma0)
+    improved = fit_improved(train, gamma0, priors=priors)
+    pooled = fit_pooled(train, gamma0)
 
-        blocks = {
-            "true-qda": (qda_scores_true(data.test0, model), qda_scores_true(data.test1, model)),
-            "standard-rqda": (
-                rqda_scores(data.test0, shared, priors),
-                rqda_scores(data.test1, shared, priors),
-            ),
-            "improved-rqda": (
-                _oriented_scores(improved, data.test0),
-                _oriented_scores(improved, data.test1),
-            ),
-            "rlda": (
-                rlda_scores(data.test0, pooled, priors),
-                rlda_scores(data.test1, pooled, priors),
-            ),
-        }
-    except (CsvFormatError, InsufficientSamplesError) as exc:
-        raise click.ClickException(str(exc))
-    except HdqdaError as exc:
-        raise _numerical_failure(exc)
+    blocks = {
+        RULE_TRUE_QDA: (qda_scores_true(data.test0, model), qda_scores_true(data.test1, model)),
+        RULE_STANDARD_RQDA: (
+            rqda_scores(data.test0, shared, priors),
+            rqda_scores(data.test1, shared, priors),
+        ),
+        RULE_IMPROVED_RQDA: (
+            _oriented_scores(improved, data.test0),
+            _oriented_scores(improved, data.test1),
+        ),
+        RULE_RLDA: (
+            rlda_scores(data.test0, pooled, priors),
+            rlda_scores(data.test1, pooled, priors),
+        ),
+    }
 
     rows = []
-    for rule in ("true-qda", "standard-rqda", "improved-rqda", "rlda"):
-        for true_class, scores in zip((0, 1), blocks[rule]):
+    for rule, pair in blocks.items():
+        for true_class, scores in zip((0, 1), pair):
             rows.extend([rule, true_class, value] for value in scores)
     meta = {
         "command": "histogram",
@@ -410,10 +416,7 @@ def _sweep_rows(points: list, replicates: int, threads: int) -> list[list]:
     replicates fold through :func:`_aggregate`, and a failed limiting-error
     evaluation is appended to the point's failure text.
     """
-    try:
-        models = {s: build_mixture(s) for s in dict.fromkeys(s for _, s, _ in points)}
-    except HdqdaError as exc:
-        raise _numerical_failure(exc)
+    models = {s: build_mixture(s) for s in dict.fromkeys(s for _, s, _ in points)}
     tasks = [
         (lambda s=scenario, g=gamma0, r=r: _sweep_outcome(s, models[s], g, r))
         for _, scenario, gamma0 in points
@@ -572,18 +575,13 @@ def real(**flags) -> None:
                     ds, class_a, class_b, r, n1, grid, s
                 )
             )
-    try:
-        totals = _run_tasks(tasks, settings["threads"])
-    except (CsvFormatError, InsufficientSamplesError) as exc:
-        raise click.ClickException(str(exc))
-    except HdqdaError as exc:
-        raise _numerical_failure(exc)
+    totals = _run_tasks(tasks, settings["threads"])
 
     rows = []
     for ratio_index, ratio in enumerate(ratios):
         chunk = totals[ratio_index * replicates : (ratio_index + 1) * replicates]
         stacked = np.asarray(chunk)
-        for column, method in enumerate(("improved-rqda", "standard-rqda", "rlda")):
+        for column, method in enumerate((RULE_IMPROVED_RQDA, RULE_STANDARD_RQDA, RULE_RLDA)):
             rows.append([ratio, method, float(stacked[:, column].mean())])
     meta = {
         "command": "real",
@@ -612,13 +610,10 @@ def tune(**flags) -> None:
     scenario = _scenario_from(settings)
     grid, bounds = _grid(settings)
 
-    try:
-        model = build_mixture(scenario)
-        data = sample_scenario(scenario, model=model)
-        train = TrainingSet(X0=data.train0, X1=data.train1)
-        tuned = fit_improved(train, None, priors=(model.prior0, model.prior1), grid=grid)
-    except HdqdaError as exc:
-        raise _numerical_failure(exc)
+    model = build_mixture(scenario)
+    data = sample_scenario(scenario, model=model)
+    train = TrainingSet(X0=data.train0, X1=data.train1)
+    tuned = fit_improved(train, None, priors=(model.prior0, model.prior1), grid=grid)
 
     rows = [[entry.gamma0, entry.total_hat, entry.failure] for entry in tuned.trace]
     meta = {

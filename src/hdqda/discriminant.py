@@ -17,7 +17,7 @@ from scipy import linalg as sla
 
 from .errors import InsufficientSamplesError
 from .estimation import FittedStats, PooledStats
-from .model import MixtureModel
+from .model import MixtureModel, _check_priors
 
 __all__ = [
     "RULE_TRUE_QDA",
@@ -97,15 +97,16 @@ def _require_shared_gamma(fit: FittedStats) -> float:
 
 def _logdet_ratio(fit: FittedStats) -> float:
     """log det H0 - log det H1, kept from the factorizations that formed them."""
-    logdet0, logdet1 = fit._shifted_logdets
+    logdet0, logdet1 = fit._logdets
     return logdet1 - logdet0
 
 
 def rqda_scores(X: np.ndarray, fit: FittedStats, priors: tuple[float, float]) -> np.ndarray:
     """Standard plug-in rule: shared shrinkage, log-det and prior offsets."""
     _require_shared_gamma(fit)
+    prior0, prior1 = _check_priors(priors)
     X = _rows(X, fit.p)
-    const = 0.5 * _logdet_ratio(fit) - math.log(priors[1] / priors[0])
+    const = 0.5 * _logdet_ratio(fit) - math.log(prior1 / prior0)
     return const + 0.5 * _quad_gap(X, fit)
 
 
@@ -119,11 +120,11 @@ def improved_scores(X: np.ndarray, fit: FittedStats, theta: float) -> np.ndarray
 
 def rlda_scores(X: np.ndarray, pooled: PooledStats, priors: tuple[float, float]) -> np.ndarray:
     """Linear baseline on the pooled shrunken covariance."""
-    p = pooled.mu_hat0.shape[0]
-    X = _rows(X, p)
+    prior0, prior1 = _check_priors(priors)
+    X = _rows(X, pooled.mu_hat0.shape[0])
     direction = pooled.H @ (pooled.mu_hat0 - pooled.mu_hat1)
     midpoint = 0.5 * (pooled.mu_hat0 + pooled.mu_hat1)
-    return (X - midpoint) @ direction - math.log(priors[1] / priors[0])
+    return (X - midpoint) @ direction - math.log(prior1 / prior0)
 
 
 def classify_values(values: np.ndarray) -> np.ndarray:
@@ -135,6 +136,7 @@ def empirical_error(
     scores0: np.ndarray, scores1: np.ndarray, priors: tuple[float, float]
 ) -> ErrorReport:
     """Misclassification rates from per-true-class score vectors."""
+    prior0, prior1 = _check_priors(priors)
     scores0 = np.asarray(scores0, dtype=float).reshape(-1)
     scores1 = np.asarray(scores1, dtype=float).reshape(-1)
     if scores0.size == 0 or scores1.size == 0:
@@ -144,7 +146,7 @@ def empirical_error(
         )
     eps0 = float(np.mean(classify_values(scores0) != 0))
     eps1 = float(np.mean(classify_values(scores1) != 1))
-    total = priors[0] * eps0 + priors[1] * eps1
+    total = prior0 * eps0 + prior1 * eps1
     return ErrorReport(
         eps0=eps0, eps1=eps1, total=total, n_test0=scores0.size, n_test1=scores1.size
     )

@@ -162,11 +162,11 @@ class SpectralPair:
 
 @dataclass(frozen=True)
 class FittedStats:
-    """Per-class sample moments, shrinkage parameters, and resolvents.
-
-    :attr:`spectra` diagonalizes the sample covariances once, on first use;
-    the log-determinants of both shifted covariances are kept from the
-    factorizations that formed ``H0`` and ``H1``, or taken once on first use.
+    """Per-class sample moments and shrinkage parameters, and what follows from
+    them: the resolvents ``H0`` and ``H1`` and the log-determinants of both
+    shifted covariances, derived at construction from one factorization per
+    class. :attr:`spectra` diagonalizes the sample covariances once, on first
+    use, unless a caller that already holds them passes ``_spectra``.
     """
 
     mu_hat0: np.ndarray
@@ -175,12 +175,19 @@ class FittedStats:
     sigma_hat1: np.ndarray
     gamma0: float
     gamma1: float
-    H0: np.ndarray
-    H1: np.ndarray
     n0: int
     n1: int
     _spectra: tuple | None = field(default=None, repr=False, compare=False)
-    _logdets: tuple | None = field(default=None, repr=False, compare=False)
+    H0: np.ndarray = field(init=False, repr=False, compare=False)
+    H1: np.ndarray = field(init=False, repr=False, compare=False)
+    _logdets: tuple[float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        H0, logdet0 = _shifted_inverse(self.sigma_hat0, self.gamma0)
+        H1, logdet1 = _shifted_inverse(self.sigma_hat1, self.gamma1)
+        object.__setattr__(self, "H0", H0)
+        object.__setattr__(self, "H1", H1)
+        object.__setattr__(self, "_logdets", (logdet0, logdet1))
 
     @property
     def p(self) -> int:
@@ -195,60 +202,26 @@ class FittedStats:
             )
         return self._spectra
 
-    @property
-    def _shifted_logdets(self) -> tuple[float, float]:
-        """log det(I + gamma_i * sigma_hat_i) for classes 0 and 1."""
-        if self._logdets is None:
-            object.__setattr__(
-                self,
-                "_logdets",
-                (
-                    _shifted_inverse(self.sigma_hat0, self.gamma0)[1],
-                    _shifted_inverse(self.sigma_hat1, self.gamma1)[1],
-                ),
-            )
-        return self._logdets
-
 
 def fit(train: TrainingSet, gamma0: float, gamma1: float) -> FittedStats:
     """Sample moments for both classes plus their shrunken resolvents."""
-    moments = (sample_moments(train.X0), sample_moments(train.X1))
-    return _fitted(moments, (train.n0, train.n1), gamma0, gamma1)
-
-
-def _fitted(
-    moments: tuple, counts: tuple[int, int], gamma0: float, gamma1: float, spectra=None
-) -> FittedStats:
-    """:func:`fit` from the ``sample_moments`` of both classes and their row
-    counts, optionally with their eigenpairs already computed."""
-    (mu0, sig0), (mu1, sig1) = moments
-    H0, logdet0 = _shifted_inverse(sig0, gamma0)
-    H1, logdet1 = _shifted_inverse(sig1, gamma1)
-    return FittedStats(
-        mu_hat0=mu0,
-        mu_hat1=mu1,
-        sigma_hat0=sig0,
-        sigma_hat1=sig1,
-        gamma0=float(gamma0),
-        gamma1=float(gamma1),
-        H0=H0,
-        H1=H1,
-        n0=counts[0],
-        n1=counts[1],
-        _spectra=spectra,
-        _logdets=(logdet0, logdet1),
-    )
+    (mu0, sig0), (mu1, sig1) = sample_moments(train.X0), sample_moments(train.X1)
+    return FittedStats(mu0, mu1, sig0, sig1, float(gamma0), float(gamma1), train.n0, train.n1)
 
 
 @dataclass(frozen=True)
 class PooledStats:
-    """Class means plus a pooled covariance resolvent for the linear baseline."""
+    """Class means and a pooled covariance for the linear baseline, with its
+    resolvent ``H`` derived at construction."""
 
     mu_hat0: np.ndarray
     mu_hat1: np.ndarray
     sigma_hat: np.ndarray
     gamma: float
-    H: np.ndarray
+    H: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "H", regularized_resolvent(self.sigma_hat, self.gamma))
 
 
 def fit_pooled(train: TrainingSet, gamma: float) -> PooledStats:
@@ -256,10 +229,4 @@ def fit_pooled(train: TrainingSet, gamma: float) -> PooledStats:
     mu0, sig0 = sample_moments(train.X0)
     mu1, sig1 = sample_moments(train.X1)
     pooled = ((train.n0 - 1) * sig0 + (train.n1 - 1) * sig1) / (train.n - 2)
-    return PooledStats(
-        mu_hat0=mu0,
-        mu_hat1=mu1,
-        sigma_hat=pooled,
-        gamma=float(gamma),
-        H=regularized_resolvent(pooled, gamma),
-    )
+    return PooledStats(mu0, mu1, pooled, float(gamma))

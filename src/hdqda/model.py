@@ -82,6 +82,9 @@ class ClassStatistics:
 
 
 def _check_priors(priors) -> tuple[float, float]:
+    """Exactly two priors in (0, 1) that sum to one, as floats."""
+    if len(priors) != 2:
+        raise ValueError("priors must be a pair, got %r" % (priors,))
     p0, p1 = float(priors[0]), float(priors[1])
     if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0) or abs(p0 + p1 - 1.0) > 1e-12:
         raise ValueError("priors must be positive and sum to one, got %r" % (priors,))

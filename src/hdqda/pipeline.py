@@ -18,7 +18,7 @@ import numpy as np
 
 from .discriminant import classify_values, improved_scores
 from .errors import HdqdaError, TuningError
-from .estimation import FittedStats, SpectralPair, TrainingSet, _fitted, eigenpair, sample_moments
+from .estimation import FittedStats, SpectralPair, TrainingSet, eigenpair, sample_moments
 from .gestim import BiasEstimate, _candidate
 from .model import _check_priors
 
@@ -134,7 +134,9 @@ class _Sample:
         self.pair = SpectralPair(self.spectra, self.moments[0][0] - self.moments[1][0])
 
     def fit(self, gamma0: float, gamma1: float) -> FittedStats:
-        return _fitted(self.moments, self.counts, gamma0, gamma1, self.spectra)
+        (mu0, sig0), (mu1, sig1) = self.moments
+        n0, n1 = self.counts
+        return FittedStats(mu0, mu1, sig0, sig1, gamma0, gamma1, n0, n1, _spectra=self.spectra)
 
 
 @dataclass(frozen=True)
@@ -336,9 +338,8 @@ class ImprovedModel:
         if sorted(label_map) != [0, 1]:
             raise ValueError("model field label_map must be a permutation of (0, 1)")
         priors = _check_priors(_pair(data, "priors", _number))
-        fit = _fitted(((mu0, sigma0), (mu1, sigma1)), (n0, n1), gamma0, gamma1)
         return cls(
-            fit=fit,
+            fit=FittedStats(mu0, mu1, sigma0, sigma1, gamma0, gamma1, n0, n1),
             theta=theta,
             label_map=label_map,  # type: ignore[arg-type]
             priors=priors,

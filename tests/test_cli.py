@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 import hdqda.cli as cli_module
 from hdqda.cli import main
-from hdqda.errors import StabilityError
+from hdqda.errors import InsufficientSamplesError, StabilityError
 
 
 TINY = {"p": 10, "n0": 16, "n1": 8, "test0": 12, "test1": 6}
@@ -157,16 +157,40 @@ def test_usage_and_configuration_problems_exit_one(runner, tmp_path):
     )
 
 
-def test_numerical_failures_exit_two(runner, tmp_path, monkeypatch):
-    def explode(config):
-        raise StabilityError("synthetic numerical failure")
+_SUBCOMMANDS = ["histogram", "sweep-gamma", "sweep-p", "tune", "real"]
 
+
+def _failing_run(tmp_path, monkeypatch, command, error):
+    """Arguments of a small ``command`` run whose mixture (or, for ``real``,
+    whose first fit) raises ``error``."""
+
+    def explode(*args, **kwargs):
+        raise error
+
+    if command == "real":
+        monkeypatch.setattr(cli_module, "fit_improved", explode)
+        return [command, _blobs(tmp_path), "--config", _config(tmp_path, _FLAG_KEYS["real"][1])]
     monkeypatch.setattr(cli_module, "build_mixture", explode)
-    result = runner.invoke(
-        main, ["histogram", "--config", _config(tmp_path, TINY), "--seed", "1"]
-    )
+    return [command, "--config", _config(tmp_path, TINY)]
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS)
+def test_numerical_failures_exit_two(runner, tmp_path, monkeypatch, capsys, command):
+    args = _failing_run(tmp_path, monkeypatch, command, StabilityError("injected"))
+    result = runner.invoke(main, args)
     assert result.exit_code == 2
-    assert "numerical failure" in result.stderr
+    assert result.stderr.startswith("numerical failure: StabilityError: injected")
+    assert result.stdout == ""
+    assert main.main(args=args, standalone_mode=False) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: StabilityError: ")
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS)
+def test_data_errors_exit_one_in_every_subcommand(runner, tmp_path, monkeypatch, command):
+    args = _failing_run(tmp_path, monkeypatch, command, InsufficientSamplesError("injected"))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stderr == "Error: injected\n"
 
 
 def test_help_exits_zero(runner):

@@ -16,7 +16,7 @@ from hdqda.discriminant import (
     rqda_scores,
 )
 from hdqda.errors import InsufficientSamplesError
-from hdqda.estimation import FittedStats, TrainingSet, fit, fit_pooled, regularized_resolvent
+from hdqda.estimation import FittedStats, TrainingSet, fit, fit_pooled
 from hdqda.model import ClassStatistics, MixtureModel, sample_class, stream
 
 
@@ -31,8 +31,6 @@ def _toy_fit(p=5, seed=0, gamma0=0.8, gamma1=2.0, n0=12, n1=9):
         sigma_hat1=sig1,
         gamma0=gamma0,
         gamma1=gamma1,
-        H0=regularized_resolvent(sig0, gamma0),
-        H1=regularized_resolvent(sig1, gamma1),
         n0=n0,
         n1=n1,
     )
@@ -71,8 +69,6 @@ def test_swapping_class_roles_negates_the_improved_score():
         sigma_hat1=fitted.sigma_hat0,
         gamma0=fitted.gamma1,
         gamma1=fitted.gamma0,
-        H0=fitted.H1,
-        H1=fitted.H0,
         n0=fitted.n1,
         n1=fitted.n0,
     )
@@ -235,6 +231,19 @@ def test_empirical_error_weights_priors_and_counts_ties_as_class_one():
     assert (report.n_test0, report.n_test1) == (4, 3)
     with pytest.raises(InsufficientSamplesError):
         empirical_error(np.array([]), scores1, (0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "priors", [(float("nan"), 0.5), (0.5, 0.6), (0.0, 1.0), (0.3, 0.7, 42.0)]
+)
+def test_scorers_and_error_reject_bad_priors(small_train, priors):
+    X = small_train.X0[:3]
+    with pytest.raises(ValueError, match="priors must"):
+        rqda_scores(X, fit(small_train, 1.0, 1.0), priors)
+    with pytest.raises(ValueError, match="priors must"):
+        rlda_scores(X, fit_pooled(small_train, 1.0), priors)
+    with pytest.raises(ValueError, match="priors must"):
+        empirical_error(np.ones(3), -np.ones(3), priors)
 
 
 def test_conditional_moments_match_monte_carlo():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hdqda import estimation
 from hdqda.discriminant import RULE_STANDARD_RQDA, conditional_score_moments, rqda_scores
 from hdqda.errors import InsufficientSamplesError, NotSpdError
 from hdqda.estimation import (
+    FittedStats,
+    PooledStats,
     TrainingSet,
     _shifted_inverse,
     fit,
@@ -137,6 +141,28 @@ def test_fit_wires_moments_and_resolvents(small_train):
     for H, gamma, sigma in ((fitted.H0, 0.7, fitted.sigma_hat0), (fitted.H1, 2.5, fitted.sigma_hat1)):
         residual = H @ (np.eye(p) + gamma * sigma) - np.eye(p)
         assert np.max(np.abs(residual)) < 1e-10
+
+
+def test_a_fit_derives_its_resolvents_from_its_moments(small_train):
+    """H and the log-determinants follow from the moments and the shrinkage at
+    construction, again on ``replace``, and cannot be supplied."""
+    (mu0, sig0), (mu1, sig1) = sample_moments(small_train.X0), sample_moments(small_train.X1)
+    n0, n1, p = small_train.n0, small_train.n1, small_train.p
+    fitted = FittedStats(mu0, mu1, sig0, sig1, 0.7, 2.5, n0, n1)
+    moved = dataclasses.replace(fitted, gamma0=4.0)
+    for stats, gammas in ((fitted, (0.7, 2.5)), (moved, (4.0, 2.5))):
+        for H, logdet, sigma, gamma in zip(
+            (stats.H0, stats.H1), stats._logdets, (sig0, sig1), gammas
+        ):
+            np.testing.assert_array_equal(H, regularized_resolvent(sigma, gamma))
+            sign, reference = np.linalg.slogdet(np.eye(p) + gamma * sigma)
+            assert sign == 1.0 and abs(logdet - reference) <= 1e-12 * abs(reference)
+    pooled = PooledStats(mu0, mu1, sig1, 1.3)
+    np.testing.assert_array_equal(pooled.H, regularized_resolvent(sig1, 1.3))
+    with pytest.raises(TypeError):
+        FittedStats(mu0, mu1, sig0, sig1, 0.7, 2.5, n0, n1, H0=fitted.H0)
+    with pytest.raises(TypeError):
+        PooledStats(mu0, mu1, sig1, 1.3, H=pooled.H)
 
 
 def test_fit_pooled_uses_n_minus_two_normalization(small_train):

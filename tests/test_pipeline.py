@@ -78,6 +78,16 @@ def test_fit_improved_rejects_nonpositive_shrinkage(majority_first_train):
         fit_improved(train, 1.0, priors=(0.0, 1.0))
 
 
+def test_entry_points_reject_priors_that_are_not_a_pair(majority_first_train):
+    train, _ = majority_first_train
+    with pytest.raises(ValueError, match="priors must be a pair"):
+        fit_improved(train, 1.0, priors=(0.3, 0.7, 42.0))
+    with pytest.raises(ValueError, match="priors must be a pair"):
+        tune_gamma0(train.swapped(), priors=(0.3, 0.7, 42.0))
+    with pytest.raises(ValueError, match="priors must be a pair"):
+        theta_hat(fit_improved(train, 1.0).fit, (0.3,))
+
+
 def test_tuning_picks_the_estimated_minimum(majority_first_train):
     train, _ = majority_first_train
     canonical = train.swapped()
