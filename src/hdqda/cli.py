@@ -77,9 +77,12 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _integer(minimum: float = -math.inf):
-    """Converter to an int >= ``minimum`` from an integer, a whole float or its text."""
+    """Converter to an int >= ``minimum`` from an integer, a whole float or its
+    text; a boolean is not a number."""
 
     def convert(value) -> int:
+        if isinstance(value, bool):
+            raise ValueError("expected an integer, got %r" % (value,))
         if not isinstance(value, int):
             value = float(value)
             if not value.is_integer():
@@ -92,7 +95,7 @@ def _integer(minimum: float = -math.inf):
 
 
 def _positive(value) -> float:
-    number = float(value)
+    number = math.nan if isinstance(value, bool) else float(value)
     if not (math.isfinite(number) and number > 0.0):
         raise ValueError("expected a finite number > 0, got %r" % (value,))
     return number
@@ -125,7 +128,7 @@ def _list_of(item):
 
 _GRID_BOUNDS = {"grid_min": (_positive, 1e-2), "grid_max": (_positive, 1e2)}
 _SWEEP_REPLICATES, _REAL_REPLICATES = 20, 5
-_REPLICATE_KEYS = {"replicates": (_integer(1), _SWEEP_REPLICATES), "threads": (_integer(), 1)}
+_REPLICATE_KEYS = {"replicates": (_integer(1), _SWEEP_REPLICATES), "threads": (_integer(1), 1)}
 
 
 def _settings(flags: dict, spec: dict) -> dict:

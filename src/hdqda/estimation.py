@@ -149,15 +149,20 @@ class SpectralPair:
     def across(self, a0: np.ndarray, a1: np.ndarray) -> float:
         return float(a0 @ self.weights @ a1)
 
-    @cached_property
     def quartic_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """(M0 o M0, M1 o M1) for M0 = R^T diag(l0) R and M1 = R diag(l1) R^T, each
         covariance in the other's basis: Tr[sigma_0 H sigma_0 H] for
-        H = U_1 diag(w) U_1^T is w^T (M0 o M0) w, and symmetrically."""
+        H = U_1 diag(w) U_1^T is w^T (M0 o M0) w, and symmetrically; not kept."""
         R = self.rotation
         m0 = R.T @ (self.values0[:, None] * R)
         m1 = (R * self.values1) @ R.T
         return np.square(m0, out=m0), np.square(m1, out=m1)
+
+
+def _sample_pair(mu_hat0, mu_hat1, sigma_hat0, sigma_hat1) -> SpectralPair:
+    """The spectral kernel of two classes' sample moments; the one place a
+    sample covariance is diagonalized."""
+    return SpectralPair((eigenpair(sigma_hat0), eigenpair(sigma_hat1)), mu_hat0 - mu_hat1)
 
 
 @dataclass(frozen=True)
@@ -165,8 +170,7 @@ class FittedStats:
     """Per-class sample moments and shrinkage parameters, and what follows from
     them: the resolvents ``H0`` and ``H1`` and the log-determinants of both
     shifted covariances, derived at construction from one factorization per
-    class. :attr:`spectra` diagonalizes the sample covariances once, on first
-    use, unless a caller that already holds them passes ``_spectra``.
+    class, and on first use the spectral kernel :attr:`pair`.
     """
 
     mu_hat0: np.ndarray
@@ -177,7 +181,6 @@ class FittedStats:
     gamma1: float
     n0: int
     n1: int
-    _spectra: tuple | None = field(default=None, repr=False, compare=False)
     H0: np.ndarray = field(init=False, repr=False, compare=False)
     H1: np.ndarray = field(init=False, repr=False, compare=False)
     _logdets: tuple[float, float] = field(init=False, repr=False, compare=False)
@@ -193,14 +196,11 @@ class FittedStats:
     def p(self) -> int:
         return self.mu_hat0.shape[0]
 
-    @property
-    def spectra(self) -> tuple:
-        """:func:`eigenpair` of ``sigma_hat0`` and of ``sigma_hat1``."""
-        if self._spectra is None:
-            object.__setattr__(
-                self, "_spectra", (eigenpair(self.sigma_hat0), eigenpair(self.sigma_hat1))
-            )
-        return self._spectra
+    @cached_property
+    def pair(self) -> SpectralPair:
+        """The spectral kernel of the moments, built once and kept; never passed
+        in, so ``dataclasses.replace`` starts without one."""
+        return _sample_pair(self.mu_hat0, self.mu_hat1, self.sigma_hat0, self.sigma_hat1)
 
 
 def fit(train: TrainingSet, gamma0: float, gamma1: float) -> FittedStats:

@@ -9,8 +9,8 @@ byte-identical results.
 
 Every ingredient is a trace or quadratic form of a sample covariance against
 one or two shrunk resolvents, taken on the spectral kernel of
-:mod:`hdqda.estimation` from the eigenpairs a fit keeps
-(:attr:`FittedStats.spectra`). A shrinkage candidate thus costs O(p^2) and
+:mod:`hdqda.estimation` that a fit derives and keeps
+(:attr:`FittedStats.pair`). A shrinkage candidate thus costs O(p^2) and
 forms no resolvent, which is what makes grid tuning cheap.
 
 Counts enter through the effective sample size n - 1: the de-meaned covariance
@@ -139,14 +139,15 @@ class _Pieces:
 
 
 def _pieces(
-    pair: SpectralPair, gammas: tuple[float, float], counts: tuple[int, int]
+    pair: SpectralPair, quartic: tuple, gammas: tuple[float, float], counts: tuple[int, int]
 ) -> _Pieces:
     """Every trace and quadratic form of the estimates, on the spectral kernel.
 
     ``pair`` holds the two sample covariances S_i and the mean gap
-    mu_hat0 - mu_hat1; the resolvents H_i = (I + gamma_i S_i)^{-1} enter only
-    as their eigenvalue weights w_i = 1 / (1 + gamma_i l_i), so no p x p
-    product or factorization is formed here.
+    mu_hat0 - mu_hat1, and ``quartic`` its :meth:`~SpectralPair.quartic_weights`;
+    the resolvents H_i = (I + gamma_i S_i)^{-1} enter only as their eigenvalue
+    weights w_i = 1 / (1 + gamma_i l_i), so no p x p product or factorization
+    is formed here.
     """
     l = (pair.values0, pair.values1)
     p = l[0].shape[0]
@@ -184,7 +185,7 @@ def _pieces(
         # sample covariance adds to the plain trace products.
         B.append(
             curvature
-            + float(w[j] @ pair.quartic_weights[i] @ w[j]) / p
+            + float(w[j] @ quartic[i] @ w[j]) / p
             - cross_trace[i] ** 2 / (m * p)
             - 2.0 * shrink**2 / p * mixed_quartic[i]
             + d * shrink * 2.0 / p * cross_trace[i]
@@ -197,24 +198,25 @@ def _pieces(
 
 
 def _fit_pieces(fit: FittedStats) -> _Pieces:
-    pair = SpectralPair(fit.spectra, fit.mu_hat0 - fit.mu_hat1)
-    return _pieces(pair, (fit.gamma0, fit.gamma1), (fit.n0, fit.n1))
+    pair = fit.pair
+    return _pieces(pair, pair.quartic_weights(), (fit.gamma0, fit.gamma1), (fit.n0, fit.n1))
 
 
 def _candidate(
     pair: SpectralPair,
+    quartic: tuple,
     gamma0: float,
     counts: tuple[int, int],
     priors: tuple[float, float],
 ) -> tuple[float, BiasEstimate, GEstimate]:
     """One tuning candidate: the matched shrinkage :func:`gamma1_hat` at
     ``gamma0``, then :func:`theta_hat` and the error estimate at that bias, all
-    from one set of pieces on ``pair``."""
+    from one set of pieces on ``pair`` (with its ``quartic`` weights)."""
     p = pair.values0.shape[0]
     trace0 = float(np.sum(1.0 / (1.0 + gamma0 * pair.values0)))
     d0 = _delta_from_trace(trace0, p, counts[0], gamma0)
     gamma1 = gamma1_hat(d0, counts[0], counts[1], gamma0)
-    pieces = _pieces(pair, (gamma0, gamma1), counts)
+    pieces = _pieces(pair, quartic, (gamma0, gamma1), counts)
     bias = _bias_from(pieces, priors)
     return gamma1, bias, _error_from(pieces, bias, bias.theta_hat, priors)
 

@@ -156,6 +156,8 @@ class ScenarioConfig:
     def __post_init__(self):
         for name in _CONFIG_FIELDS:
             value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError("%s must be a number, not a boolean, got %r" % (name, value))
             if name in ("base_scale", "spike_strength", "mean_offset", "prior0"):
                 if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                     raise ValueError("%s must be a finite number, got %r" % (name, value))

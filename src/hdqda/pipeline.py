@@ -18,7 +18,7 @@ import numpy as np
 
 from .discriminant import classify_values, improved_scores
 from .errors import HdqdaError, TuningError
-from .estimation import FittedStats, SpectralPair, TrainingSet, eigenpair, sample_moments
+from .estimation import FittedStats, SpectralPair, TrainingSet, _sample_pair, sample_moments
 from .gestim import BiasEstimate, _candidate
 from .model import _check_priors
 
@@ -123,22 +123,6 @@ def _decode_array(data: dict, key: str, version: int, shape: tuple[int, ...] | N
     return array
 
 
-class _Sample:
-    """Moments and eigenpairs of both classes, computed once per fit; every
-    candidate is evaluated on ``pair``, and only the returned fit forms resolvents."""
-
-    def __init__(self, train: TrainingSet):
-        self.counts = (train.n0, train.n1)
-        self.moments = (sample_moments(train.X0), sample_moments(train.X1))
-        self.spectra = tuple(eigenpair(sigma) for _, sigma in self.moments)
-        self.pair = SpectralPair(self.spectra, self.moments[0][0] - self.moments[1][0])
-
-    def fit(self, gamma0: float, gamma1: float) -> FittedStats:
-        (mu0, sig0), (mu1, sig1) = self.moments
-        n0, n1 = self.counts
-        return FittedStats(mu0, mu1, sig0, sig1, gamma0, gamma1, n0, n1, _spectra=self.spectra)
-
-
 @dataclass(frozen=True)
 class TuningEntry:
     """One evaluated shrinkage candidate; exactly one of the two outcomes."""
@@ -172,16 +156,6 @@ def tune_gamma0(
     TuningError
         If every candidate fails; per-candidate reasons ride along.
     """
-    return _tune(train, grid, priors)[0]
-
-
-def _tune(
-    train: TrainingSet,
-    grid: np.ndarray | None,
-    priors: tuple[float, float] | None,
-) -> tuple[TuningResult, _Sample, float, BiasEstimate]:
-    """:func:`tune_gamma0` plus the sample it tuned on and the winning
-    candidate's matched gamma1 and bias."""
     if train.n1 < train.n0:
         raise ValueError(
             "expected the minority class first: n0=%d exceeds n1=%d"
@@ -190,41 +164,46 @@ def _tune(
     if priors is None:
         priors = (train.n0 / train.n, train.n1 / train.n)
     priors = _check_priors(priors)
+    (mu0, sig0), (mu1, sig1) = sample_moments(train.X0), sample_moments(train.X1)
+    return _tune(_sample_pair(mu0, mu1, sig0, sig1), (train.n0, train.n1), grid, priors)[0]
+
+
+def _tune(
+    pair: SpectralPair,
+    counts: tuple[int, int],
+    grid: np.ndarray | None,
+    priors: tuple[float, float],
+) -> tuple[TuningResult, float, BiasEstimate]:
+    """:func:`tune_gamma0` on the kernel of a canonical sample, plus the
+    winning candidate's matched gamma1 and bias."""
     candidates = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if candidates.ndim != 1 or candidates.size == 0:
         raise ValueError("candidate grid must be a nonempty 1-D array")
-    if np.any(candidates <= 0.0):
-        raise ValueError("candidate shrinkage values must be strictly positive")
+    if not np.all(np.isfinite(candidates) & (candidates > 0.0)):
+        raise ValueError("candidate shrinkage values must be finite and strictly positive")
     candidates = np.sort(candidates)
 
-    sample = _Sample(train)
+    quartic = pair.quartic_weights()
     entries: list[TuningEntry] = []
-    best: tuple[float, float, BiasEstimate] | None = None
-    best_total: float | None = None
-    failures: dict[float, str] = {}
+    best: tuple[float, float, float, BiasEstimate] | None = None
     for gamma0 in candidates:
         gamma0 = float(gamma0)
         try:
-            gamma1, bias, estimate = _candidate(sample.pair, gamma0, sample.counts, priors)
+            gamma1, bias, estimate = _candidate(pair, quartic, gamma0, counts, priors)
         except HdqdaError as exc:
             reason = "%s: %s" % (type(exc).__name__, exc)
             entries.append(TuningEntry(gamma0=gamma0, total_hat=None, failure=reason))
-            failures[gamma0] = reason
             continue
-        entries.append(
-            TuningEntry(gamma0=gamma0, total_hat=estimate.total_hat, failure=None)
-        )
-        if best_total is None or estimate.total_hat < best_total:
-            best_total = estimate.total_hat
-            best = (gamma0, gamma1, bias)
+        entries.append(TuningEntry(gamma0=gamma0, total_hat=estimate.total_hat, failure=None))
+        if best is None or estimate.total_hat < best[0]:
+            best = (estimate.total_hat, gamma0, gamma1, bias)
     if best is None:
         raise TuningError(
             "all %d shrinkage candidates failed" % (candidates.size,),
-            failures=failures,
+            failures={entry.gamma0: entry.failure for entry in entries},
         )
-    best_gamma0, best_gamma1, best_bias = best
-    result = TuningResult(gamma0=best_gamma0, entries=tuple(entries))
-    return result, sample, best_gamma1, best_bias
+    _, best_gamma0, best_gamma1, best_bias = best
+    return TuningResult(gamma0=best_gamma0, entries=tuple(entries)), best_gamma1, best_bias
 
 
 @dataclass(frozen=True)
@@ -369,18 +348,23 @@ def fit_improved(
     else:
         priors = (canonical.n0 / canonical.n, canonical.n1 / canonical.n)
 
+    if gamma0 is not None and not 0.0 < gamma0 < math.inf:
+        raise ValueError("shrinkage must be finite and strictly positive, got %r" % (gamma0,))
+    (mu0, sig0), (mu1, sig1) = sample_moments(canonical.X0), sample_moments(canonical.X1)
+    pair, counts = _sample_pair(mu0, mu1, sig0, sig1), (canonical.n0, canonical.n1)
     if gamma0 is None:
-        tuning, sample, gamma1, bias = _tune(canonical, grid, priors)
+        tuning, gamma1, bias = _tune(pair, counts, grid, priors)
         gamma0, trace = tuning.gamma0, tuning.entries
     else:
-        if gamma0 <= 0.0:
-            raise ValueError("shrinkage must be strictly positive, got %r" % (gamma0,))
         gamma0, trace = float(gamma0), ()
-        sample = _Sample(canonical)
-        gamma1, bias, _ = _candidate(sample.pair, gamma0, sample.counts, priors)
-
+        gamma1, bias, _ = _candidate(pair, pair.quartic_weights(), gamma0, counts, priors)
+    fit = FittedStats(mu0, mu1, sig0, sig1, gamma0, gamma1, *counts)
+    # The one place a fit is seeded with its kernel: ``pair`` is what
+    # ``fit.pair`` would build from these very moments, so the estimators read
+    # it without a second eigh and rotation.
+    fit.__dict__["pair"] = pair
     return ImprovedModel(
-        fit=sample.fit(gamma0, gamma1),
+        fit=fit,
         theta=bias.theta_hat,
         label_map=(1, 0) if swapped else (0, 1),
         priors=priors,

@@ -311,6 +311,18 @@ def test_config_key_matches_its_flag(runner, tmp_path, command, key):
             ({"p": 20, "spike_rank": 50}, "spike_rank"),
             ({"base_scale": -1}, "base_scale"),
         )
+    ]
+    + [  # booleans are not numbers, and a worker count is at least 1
+        ("sweep-gamma", dict(TINY, replicates=True), "replicates"),
+        ("sweep-gamma", dict(TINY, grid_points=True), "grid_points"),
+        ("sweep-gamma", dict(TINY, grid_max=True), "grid_max"),
+        ("sweep-gamma", dict(TINY, base_scale=True), "base_scale"),
+        ("sweep-gamma", dict(TINY, seed=False), "seed"),
+        ("histogram", dict(TINY, gamma0=True), "gamma0"),
+        ("sweep-p", dict(TINY, gamma0=True), "gamma0"),
+        ("real", {"seed": True}, "seed"),
+        ("sweep-gamma", dict(TINY, threads=0), "threads"),
+        ("sweep-p", dict(TINY, threads=-2), "threads"),
     ],
 )
 def test_malformed_config_values_exit_one_naming_the_key(runner, tmp_path, command, payload, key):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,7 +12,14 @@ from hdqda.errors import (
     InvalidRegularizerError,
     StabilityError,
 )
-from hdqda.estimation import TrainingSet, fit, regularized_resolvent, sample_moments
+from hdqda.estimation import (
+    FittedStats,
+    SpectralPair,
+    TrainingSet,
+    fit,
+    regularized_resolvent,
+    sample_moments,
+)
 from hdqda.gestim import _fit_pieces, delta_hat, g_estimator_error, gamma1_hat, theta_hat
 from hdqda.model import build_mixture, sample_scenario
 from hdqda.pipeline import fit_improved
@@ -280,17 +289,47 @@ def test_each_covariance_is_diagonalized_once(monkeypatch):
         return real(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    pairs = {"count": 0}
+    build = SpectralPair.__init__
+
+    def counting_pair(self, *args):
+        pairs["count"] += 1
+        build(self, *args)
+
+    monkeypatch.setattr(SpectralPair, "__init__", counting_pair)
     config = small_config(p=30, n0=60, n1=30, seed=9)
     model = build_mixture(config)
     data = sample_scenario(config, model=model)
     tuned = fit_improved(TrainingSet(X0=data.train0, X1=data.train1), None)
     g_estimator_error(tuned.fit, tuned.theta, tuned.priors)
+    theta_hat(tuned.fit, tuned.priors)
     assert calls["count"] == 2
+    assert pairs["count"] == 1  # the tuned fit keeps the kernel it was tuned on
 
     calls["count"] = 0
     design = theta_star_theoretical(model, 60, 30, 0.9, 0.8)
     asymptotic_error(model, 60, 30, 0.9, 0.8, design.theta_star)
     assert calls["count"] == 2
+
+
+def test_a_replaced_covariance_gets_its_own_kernel():
+    """``dataclasses.replace`` starts without the kernel of the fit it copies,
+    so its estimates are those of a fit built fresh from the same fields."""
+    config = small_config(p=10, n0=24, n1=12, seed=4)
+    data = sample_scenario(config, model=build_mixture(config))
+    tuned = fit_improved(TrainingSet(X0=data.train0, X1=data.train1), 0.8)
+    g_estimator_error(tuned.fit, tuned.theta, tuned.priors)  # the kernel is in use
+    replaced = dataclasses.replace(tuned.fit, sigma_hat0=3.0 * tuned.fit.sigma_hat0)
+    fields = {f.name: getattr(replaced, f.name) for f in dataclasses.fields(replaced) if f.init}
+    fresh = FittedStats(**fields)
+    assert (
+        g_estimator_error(replaced, tuned.theta, tuned.priors).to_json()
+        == g_estimator_error(fresh, tuned.theta, tuned.priors).to_json()
+    )
+    assert (
+        theta_hat(replaced, tuned.priors) == theta_hat(fresh, tuned.priors)
+        != theta_hat(tuned.fit, tuned.priors)
+    )
 
 
 def test_error_estimate_tracks_the_limit_on_one_draw():

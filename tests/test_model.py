@@ -40,6 +40,11 @@ def test_scenario_config_rejects_bad_sizes():
         ("p", 10.0, "p must be an integer"),
         ("seed", "3", "seed must be an integer"),
         ("mean_offset", float("nan"), "mean_offset"),
+        ("p", True, "p must be a number, not a boolean"),
+        ("seed", False, "seed must be a number, not a boolean"),
+        ("spike_rank", True, "spike_rank"),
+        ("base_scale", True, "base_scale"),
+        ("prior0", True, "prior0"),
     ],
 )
 def test_scenario_config_rejects_what_build_mixture_rejects(field, value, message):

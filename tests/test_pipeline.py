@@ -76,6 +76,11 @@ def test_fit_improved_rejects_nonpositive_shrinkage(majority_first_train):
         fit_improved(train, 0.0)
     with pytest.raises(ValueError):
         fit_improved(train, 1.0, priors=(0.0, 1.0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            fit_improved(train, bad)
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            fit_improved(train, None, grid=[0.1, 1.0, bad])
 
 
 def test_entry_points_reject_priors_that_are_not_a_pair(majority_first_train):
@@ -115,6 +120,9 @@ def test_tuning_grid_validation(majority_first_train):
         tune_gamma0(canonical, grid=np.array([]))
     with pytest.raises(ValueError):
         tune_gamma0(canonical, grid=np.array([0.5, -1.0]))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            tune_gamma0(canonical, grid=np.array([bad, 0.5]))
 
 
 def test_tuning_failure_entries_record_the_reason(majority_first_train, monkeypatch):
