@@ -536,7 +536,7 @@ def real(**flags) -> None:
     settings = _settings(
         flags,
         {
-            "seed": (_integer(), 0),
+            "seed": (_integer(0), 0),
             **_REPLICATE_KEYS,
             "replicates": (_integer(1), _REAL_REPLICATES),
             "label_column": (_label, "0"),

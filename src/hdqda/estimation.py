@@ -104,8 +104,9 @@ def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, f
     p = sigma_hat.shape[0]
     if gamma == 0.0:
         return np.eye(p), 0.0
-    shifted = np.eye(p) + gamma * sigma_hat
-    factor, info = lapack.dpotrf(shifted, lower=1, clean=0)
+    shifted = gamma * sigma_hat
+    shifted.flat[:: p + 1] += 1.0
+    factor, info = lapack.dpotrf(shifted, lower=1, clean=1)
     if info != 0:
         cond = float(np.linalg.cond(shifted))
         raise NotSpdError(
@@ -113,9 +114,10 @@ def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, f
             "leading minor %d is not positive definite" % (cond, info)
         )
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
-    inverse, _ = lapack.dpotri(factor, lower=1, overwrite_c=1)  # cannot fail on a factor
-    upper = np.triu_indices(p, 1)
-    inverse[upper] = inverse.T[upper]
+    # dpotri cannot fail on a factor, and it leaves the zeroed upper triangle
+    # as it is, so adding the transposed strict lower triangle mirrors it.
+    inverse, _ = lapack.dpotri(factor, lower=1, overwrite_c=1)
+    inverse += np.tril(inverse, -1).T
     return inverse, logdet
 
 
@@ -170,7 +172,8 @@ class FittedStats:
     """Per-class sample moments and shrinkage parameters, and what follows from
     them: the resolvents ``H0`` and ``H1`` and the log-determinants of both
     shifted covariances, derived at construction from one factorization per
-    class, and on first use the spectral kernel :attr:`pair`.
+    class, and on first use the spectral kernel :attr:`pair` and, kept with it
+    by :mod:`hdqda.gestim`, the error estimator's pieces.
     """
 
     mu_hat0: np.ndarray

@@ -198,8 +198,16 @@ def _pieces(
 
 
 def _fit_pieces(fit: FittedStats) -> _Pieces:
-    pair = fit.pair
-    return _pieces(pair, pair.quartic_weights(), (fit.gamma0, fit.gamma1), (fit.n0, fit.n1))
+    """The pieces of ``fit``, computed on first use and kept on the fit like its
+    :attr:`~FittedStats.pair`. They depend on the kernel, the shrinkage pair and
+    the counts alone, never on the priors, so every estimator call shares them;
+    ``dataclasses.replace`` and a reload start without them."""
+    pieces = fit.__dict__.get("_pieces")
+    if pieces is None:
+        pair = fit.pair
+        gammas, counts = (fit.gamma0, fit.gamma1), (fit.n0, fit.n1)
+        pieces = fit.__dict__["_pieces"] = _pieces(pair, pair.quartic_weights(), gammas, counts)
+    return pieces
 
 
 def _candidate(
@@ -208,17 +216,18 @@ def _candidate(
     gamma0: float,
     counts: tuple[int, int],
     priors: tuple[float, float],
-) -> tuple[float, BiasEstimate, GEstimate]:
+) -> tuple[_Pieces, BiasEstimate, GEstimate]:
     """One tuning candidate: the matched shrinkage :func:`gamma1_hat` at
     ``gamma0``, then :func:`theta_hat` and the error estimate at that bias, all
-    from one set of pieces on ``pair`` (with its ``quartic`` weights)."""
+    from one set of pieces on ``pair`` (with its ``quartic`` weights), which are
+    returned too; their ``gammas`` are (``gamma0``, the matched shrinkage)."""
     p = pair.values0.shape[0]
     trace0 = float(np.sum(1.0 / (1.0 + gamma0 * pair.values0)))
     d0 = _delta_from_trace(trace0, p, counts[0], gamma0)
     gamma1 = gamma1_hat(d0, counts[0], counts[1], gamma0)
     pieces = _pieces(pair, quartic, (gamma0, gamma1), counts)
     bias = _bias_from(pieces, priors)
-    return gamma1, bias, _error_from(pieces, bias, bias.theta_hat, priors)
+    return pieces, bias, _error_from(pieces, bias, bias.theta_hat, priors)
 
 
 def _bias_from(pieces: _Pieces, priors: tuple[float, float]) -> BiasEstimate:

@@ -46,11 +46,17 @@ def _as_matrix(a) -> np.ndarray:
 @dataclass(frozen=True)
 class ClassStatistics:
     """Mean and SPD covariance of one Gaussian class, with the lower Cholesky
-    factor its validation computes and, kept from first use, its spectrum."""
+    factor its validation computes and, kept from first use, its spectrum.
+
+    When that factor is diagonal (a diagonal covariance, such as the isotropic
+    class 0 of every synthetic scenario) its diagonal is kept as the scale
+    :func:`sample_class` draws with; otherwise the scale is None.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
     cholesky: np.ndarray = field(init=False, repr=False, compare=False)
+    _scale: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -70,6 +76,8 @@ class ClassStatistics:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "cholesky", chol)
+        diagonal = None if np.any(np.tril(chol, -1)) else np.diagonal(chol).copy()
+        object.__setattr__(self, "_scale", diagonal)
 
     @property
     def dim(self) -> int:
@@ -173,6 +181,8 @@ class ScenarioConfig:
             object.__setattr__(self, "spike_rank", math.isqrt(self.p - 1) + 1 if self.p > 1 else 1)
         if not 0 <= self.spike_rank <= self.p:
             raise ValueError("spike_rank must lie in [0, p=%d], got %d" % (self.p, self.spike_rank))
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % (self.seed,))
         if not 0.0 < self.prior0 < 1.0:
             raise ValueError("prior0 must lie in (0, 1), got %r" % (self.prior0,))
         if self.base_scale <= 0.0:
@@ -284,15 +294,22 @@ def validate_assumptions(
 
 
 def sample_class(stats: ClassStatistics, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n rows from the class distribution via its Cholesky factor.
+    """Draw n rows from the class distribution via its Cholesky factor L.
 
     Any L with L L^T equal to the covariance yields the same law; the Cholesky
-    factor is the cheapest such choice.
+    factor is the cheapest such choice. A diagonal L scales the standard
+    normal draws column by column instead of multiplying by L^T: each entry of
+    that product is one rounded product plus exact zeros, so the rows are
+    bitwise those of the product, drawn without it.
     """
     if n < 1:
         raise ValueError("need at least one sample, got n=%d" % n)
     z = rng.standard_normal((n, stats.dim))
-    return stats.mean + z @ stats.cholesky.T
+    if stats._scale is None:
+        return stats.mean + z @ stats.cholesky.T
+    z *= stats._scale
+    z += stats.mean
+    return z
 
 
 def build_mixture(config: ScenarioConfig) -> MixtureModel:

@@ -19,7 +19,7 @@ import numpy as np
 from .discriminant import classify_values, improved_scores
 from .errors import HdqdaError, TuningError
 from .estimation import FittedStats, SpectralPair, TrainingSet, _sample_pair, sample_moments
-from .gestim import BiasEstimate, _candidate
+from .gestim import BiasEstimate, _candidate, _Pieces
 from .model import _check_priors
 
 __all__ = [
@@ -173,9 +173,9 @@ def _tune(
     counts: tuple[int, int],
     grid: np.ndarray | None,
     priors: tuple[float, float],
-) -> tuple[TuningResult, float, BiasEstimate]:
+) -> tuple[TuningResult, _Pieces, BiasEstimate]:
     """:func:`tune_gamma0` on the kernel of a canonical sample, plus the
-    winning candidate's matched gamma1 and bias."""
+    winning candidate's pieces (with its matched gamma1) and bias."""
     candidates = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if candidates.ndim != 1 or candidates.size == 0:
         raise ValueError("candidate grid must be a nonempty 1-D array")
@@ -185,25 +185,26 @@ def _tune(
 
     quartic = pair.quartic_weights()
     entries: list[TuningEntry] = []
-    best: tuple[float, float, float, BiasEstimate] | None = None
+    best: tuple[float, _Pieces, BiasEstimate] | None = None
     for gamma0 in candidates:
         gamma0 = float(gamma0)
         try:
-            gamma1, bias, estimate = _candidate(pair, quartic, gamma0, counts, priors)
+            pieces, bias, estimate = _candidate(pair, quartic, gamma0, counts, priors)
         except HdqdaError as exc:
             reason = "%s: %s" % (type(exc).__name__, exc)
             entries.append(TuningEntry(gamma0=gamma0, total_hat=None, failure=reason))
             continue
         entries.append(TuningEntry(gamma0=gamma0, total_hat=estimate.total_hat, failure=None))
         if best is None or estimate.total_hat < best[0]:
-            best = (estimate.total_hat, gamma0, gamma1, bias)
+            best = (estimate.total_hat, pieces, bias)
     if best is None:
         raise TuningError(
             "all %d shrinkage candidates failed" % (candidates.size,),
             failures={entry.gamma0: entry.failure for entry in entries},
         )
-    _, best_gamma0, best_gamma1, best_bias = best
-    return TuningResult(gamma0=best_gamma0, entries=tuple(entries)), best_gamma1, best_bias
+    _, best_pieces, best_bias = best
+    tuning = TuningResult(gamma0=best_pieces.gammas[0], entries=tuple(entries))
+    return tuning, best_pieces, best_bias
 
 
 @dataclass(frozen=True)
@@ -232,30 +233,32 @@ class ImprovedModel:
         return np.asarray(self.label_map, dtype=int)[canonical]
 
     def to_json(self) -> str:
+        """The model file: ``json.dumps`` of every field with sorted keys and
+        no NaN, byte for byte. Base64 text needs no escaping, so each moment is
+        quoted as it is, only the small fields pass through the encoder, and
+        the file is joined once from its parts."""
         fit = self.fit
-        return json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "theta": self.theta,
-                "label_map": list(self.label_map),
-                "priors": list(self.priors),
-                "gamma0": fit.gamma0,
-                "gamma1": fit.gamma1,
-                "n0": fit.n0,
-                "n1": fit.n1,
-                **{key: _encode_array(getattr(fit, key)) for key in _ARRAY_FIELDS},
-                "trace": [
-                    {
-                        "gamma0": entry.gamma0,
-                        "total_hat": entry.total_hat,
-                        "failure": entry.failure,
-                    }
-                    for entry in self.trace
-                ],
-            },
-            sort_keys=True,
-            allow_nan=False,
-        )
+        small = {
+            "format_version": FORMAT_VERSION,
+            "theta": self.theta,
+            "label_map": list(self.label_map),
+            "priors": list(self.priors),
+            "gamma0": fit.gamma0,
+            "gamma1": fit.gamma1,
+            "n0": fit.n0,
+            "n1": fit.n1,
+            "trace": [
+                {"gamma0": entry.gamma0, "total_hat": entry.total_hat, "failure": entry.failure}
+                for entry in self.trace
+            ],
+        }
+        fields = {key: json.dumps(value, sort_keys=True, allow_nan=False) for key, value in small.items()}
+        fields.update((key, '"%s"' % _encode_array(getattr(fit, key))) for key in _ARRAY_FIELDS)
+        parts = []
+        for key in sorted(fields):
+            parts += [", " if parts else "{", '"%s": ' % key, fields[key]]
+        parts.append("}")
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, payload: str) -> "ImprovedModel":
@@ -353,16 +356,19 @@ def fit_improved(
     (mu0, sig0), (mu1, sig1) = sample_moments(canonical.X0), sample_moments(canonical.X1)
     pair, counts = _sample_pair(mu0, mu1, sig0, sig1), (canonical.n0, canonical.n1)
     if gamma0 is None:
-        tuning, gamma1, bias = _tune(pair, counts, grid, priors)
-        gamma0, trace = tuning.gamma0, tuning.entries
+        tuning, pieces, bias = _tune(pair, counts, grid, priors)
+        trace = tuning.entries
     else:
-        gamma0, trace = float(gamma0), ()
-        gamma1, bias, _ = _candidate(pair, pair.quartic_weights(), gamma0, counts, priors)
-    fit = FittedStats(mu0, mu1, sig0, sig1, gamma0, gamma1, *counts)
-    # The one place a fit is seeded with its kernel: ``pair`` is what
-    # ``fit.pair`` would build from these very moments, so the estimators read
-    # it without a second eigh and rotation.
+        pieces, bias, _ = _candidate(pair, pair.quartic_weights(), float(gamma0), counts, priors)
+        trace = ()
+    fit = FittedStats(mu0, mu1, sig0, sig1, *pieces.gammas, *counts)
+    # The one place a fit is seeded with what it derives on first use: ``pair``
+    # and ``pieces`` are what ``fit.pair`` and the estimators would build from
+    # these very moments, shrinkage pair and counts, so ``g_estimator_error``
+    # and ``theta_hat`` read them without a second eigh, rotation or
+    # ``quartic_weights``.
     fit.__dict__["pair"] = pair
+    fit.__dict__["_pieces"] = pieces
     return ImprovedModel(
         fit=fit,
         theta=bias.theta_hat,

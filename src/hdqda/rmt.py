@@ -423,9 +423,15 @@ def asymptotic_error(
 ) -> AsymptoticPrediction:
     """Limiting per-class error of the two-shrinkage rule with bias ``theta``.
 
-    Uses the non-simplified variance, keeping the estimated-mean fluctuation
-    term; the simplified large-p forms are noticeably less accurate at
-    moderate dimension.
+    The score spread of test class i is 2B + 4r. ``quad_variance`` B is the
+    non-simplified quadratic-form variance, Wishart noise of both resolvents
+    included; the simplified large-p forms are noticeably less accurate at
+    moderate dimension. ``offset_variance`` r uses only the true mean gap g:
+    r_i = g^T T_j Sigma_i T_j g / (p * margin_j) for j = 1 - i. It leaves out
+    the noise of the estimated means, 4/p * sum_j Tr[Sigma_i T_j Sigma_j T_j] / n_j,
+    which vanishes like 1/p but at desk dimension and small shrinkage is most
+    of the gap to the exact conditional spread of
+    :func:`~hdqda.discriminant.conditional_score_moments`.
     """
     _check_solver_args(n0, gamma0)
     _check_solver_args(n1, gamma1)

@@ -323,6 +323,11 @@ def test_config_key_matches_its_flag(runner, tmp_path, command, key):
         ("real", {"seed": True}, "seed"),
         ("sweep-gamma", dict(TINY, threads=0), "threads"),
         ("sweep-p", dict(TINY, threads=-2), "threads"),
+    ]
+    + [  # a seed is a nonnegative integer
+        ("histogram", dict(TINY, seed=-1), "seed"),
+        ("sweep-gamma", dict(TINY, seed=-3), "seed"),
+        ("real", {"seed": -1}, "seed"),
     ],
 )
 def test_malformed_config_values_exit_one_naming_the_key(runner, tmp_path, command, payload, key):

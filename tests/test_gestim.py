@@ -20,7 +20,14 @@ from hdqda.estimation import (
     regularized_resolvent,
     sample_moments,
 )
-from hdqda.gestim import _fit_pieces, delta_hat, g_estimator_error, gamma1_hat, theta_hat
+from hdqda.gestim import (
+    _fit_pieces,
+    _pieces,
+    delta_hat,
+    g_estimator_error,
+    gamma1_hat,
+    theta_hat,
+)
 from hdqda.model import build_mixture, sample_scenario
 from hdqda.pipeline import fit_improved
 from hdqda.rmt import (
@@ -320,8 +327,10 @@ def test_a_replaced_covariance_gets_its_own_kernel():
     tuned = fit_improved(TrainingSet(X0=data.train0, X1=data.train1), 0.8)
     g_estimator_error(tuned.fit, tuned.theta, tuned.priors)  # the kernel is in use
     replaced = dataclasses.replace(tuned.fit, sigma_hat0=3.0 * tuned.fit.sigma_hat0)
+    assert "pair" not in replaced.__dict__ and "_pieces" not in replaced.__dict__
     fields = {f.name: getattr(replaced, f.name) for f in dataclasses.fields(replaced) if f.init}
     fresh = FittedStats(**fields)
+    assert _fit_pieces(replaced) == _fit_pieces(fresh) != _fit_pieces(tuned.fit)
     assert (
         g_estimator_error(replaced, tuned.theta, tuned.priors).to_json()
         == g_estimator_error(fresh, tuned.theta, tuned.priors).to_json()
@@ -330,6 +339,67 @@ def test_a_replaced_covariance_gets_its_own_kernel():
         theta_hat(replaced, tuned.priors) == theta_hat(fresh, tuned.priors)
         != theta_hat(tuned.fit, tuned.priors)
     )
+
+
+def _counting(monkeypatch):
+    """Count ``quartic_weights`` calls and ``SpectralPair`` builds."""
+    calls = {"quartic": 0, "pair": 0}
+    quartic, build = SpectralPair.quartic_weights, SpectralPair.__init__
+
+    def counting_quartic(self):
+        calls["quartic"] += 1
+        return quartic(self)
+
+    def counting_pair(self, *args):
+        calls["pair"] += 1
+        build(self, *args)
+
+    monkeypatch.setattr(SpectralPair, "quartic_weights", counting_quartic)
+    monkeypatch.setattr(SpectralPair, "__init__", counting_pair)
+    return calls
+
+
+@pytest.mark.parametrize("gamma0", [None, 0.8])
+def test_a_fit_and_both_estimators_take_the_pieces_once(monkeypatch, gamma0):
+    config = small_config(p=30, n0=60, n1=30, seed=9)
+    data = sample_scenario(config, model=build_mixture(config))
+    calls = _counting(monkeypatch)
+    model = fit_improved(TrainingSet(X0=data.train0, X1=data.train1), gamma0)
+    g_estimator_error(model.fit, model.theta, model.priors)
+    theta_hat(model.fit, model.priors)
+    theta_hat(model.fit, (0.5, 0.5))  # the pieces never depend on the priors
+    assert calls == {"quartic": 1, "pair": 1}
+
+
+# Three kinds of draw, (p, n0, n1, seed): p > n and p < n, both majority
+# first, and minority first.
+_THREE_DRAWS = [(60, 40, 20, 11), (12, 80, 40, 12), (30, 24, 48, 13)]
+
+
+@pytest.mark.parametrize("draw", _THREE_DRAWS)
+@pytest.mark.parametrize("gamma0", [None, 0.7])
+def test_kept_pieces_equal_fresh_ones_field_by_field(draw, gamma0):
+    p, n0, n1, seed = draw
+    data = sample_scenario(small_config(p=p, n0=n0, n1=n1, seed=seed), replicate=1)
+    model = fit_improved(TrainingSet(X0=data.train0, X1=data.train1), gamma0)
+    fitted = model.fit
+    kept = fitted.__dict__["_pieces"]
+    pair = fitted.pair
+    fresh = _pieces(
+        pair, pair.quartic_weights(), (fitted.gamma0, fitted.gamma1), (fitted.n0, fitted.n1)
+    )
+    for field in dataclasses.fields(kept):
+        assert getattr(kept, field.name) == getattr(fresh, field.name), field.name
+    reloaded = FittedStats(
+        fitted.mu_hat0, fitted.mu_hat1, fitted.sigma_hat0, fitted.sigma_hat1,
+        fitted.gamma0, fitted.gamma1, fitted.n0, fitted.n1,
+    )
+    assert (
+        g_estimator_error(fitted, model.theta, model.priors).to_json()
+        == g_estimator_error(reloaded, model.theta, model.priors).to_json()
+    )
+    assert theta_hat(fitted, model.priors) == theta_hat(reloaded, model.priors)
+    assert theta_hat(fitted, model.priors).theta_hat == model.theta
 
 
 def test_error_estimate_tracks_the_limit_on_one_draw():

@@ -45,6 +45,7 @@ def test_scenario_config_rejects_bad_sizes():
         ("spike_rank", True, "spike_rank"),
         ("base_scale", True, "base_scale"),
         ("prior0", True, "prior0"),
+        ("seed", -1, "seed must be >= 0"),
     ],
 )
 def test_scenario_config_rejects_what_build_mixture_rejects(field, value, message):
@@ -153,6 +154,55 @@ def test_sample_class_shape_and_law():
     assert X.shape == (200_000, 2)
     np.testing.assert_allclose(X.mean(axis=0), stats.mean, atol=0.02)
     np.testing.assert_allclose(np.cov(X, rowvar=False), stats.covariance, atol=0.03)
+
+
+# (p, n0, n1, test0, test1, base_scale, spike_strength): every scenario shape
+# the acceptance tests sample, isotropic class 1 included.
+_ACCEPTANCE_SHAPES = [
+    (40, 60, 60, 4, 4, 3.0, 5.0),
+    (400, 200, 400, 1000, 2000, 10.0, 0.0),
+    (50, 60, 80, 4, 4, 4.0, 3.0),
+    (50, 65, 100, 4, 4, 3.0, 0.0),
+    (200, 200, 100, 2000, 1000, 4.0, 3.0),
+    (200, 200, 100, 2000, 1000, 2.0, 8.0),
+    (100, 100, 50, 10, 10, 2.0, 8.0),
+    (400, 400, 200, 10, 10, 2.0, 8.0),
+    (1600, 1600, 800, 10, 10, 2.0, 8.0),
+]
+
+
+def _product_route(stats, n, rng):
+    """The dense reference: standard normals times the transposed factor."""
+    return stats.mean + rng.standard_normal((n, stats.dim)) @ stats.cholesky.T
+
+
+@pytest.mark.parametrize("shape", _ACCEPTANCE_SHAPES)
+def test_sample_scenario_equals_the_product_route_bitwise(shape):
+    p, n0, n1, test0, test1, base, spike = shape
+    config = small_config(
+        p=p, n0=n0, n1=n1, test0=test0, test1=test1, base_scale=base, spike_strength=spike, seed=5
+    )
+    model = build_mixture(config)
+    data = sample_scenario(config, model=model, replicate=2)
+    assert model.class0._scale is not None
+    assert (model.class1._scale is None) == (spike != 0.0)  # a spiked class keeps the product
+    blocks = (
+        (data.train0, model.class0, n0, 1),
+        (data.train1, model.class1, n1, 2),
+        (data.test0, model.class0, test0, 3),
+        (data.test1, model.class1, test1, 4),
+    )
+    for block, stats, n, key in blocks:
+        reference = _product_route(stats, n, stream(config.seed, key, 2))
+        assert block.tobytes() == reference.tobytes()
+
+
+def test_a_diagonal_covariance_samples_by_its_scale_bitwise():
+    rng = np.random.default_rng(4)
+    stats = ClassStatistics(rng.standard_normal(30), np.diag(rng.uniform(0.1, 9.0, 30)))
+    assert stats._scale is not None
+    X = sample_class(stats, 500, stream(8, 1))
+    assert X.tobytes() == _product_route(stats, 500, stream(8, 1)).tobytes()
 
 
 def test_sample_scenario_replicates_are_reproducible_and_distinct():

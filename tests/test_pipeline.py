@@ -10,7 +10,9 @@ from hdqda.estimation import TrainingSet
 from hdqda.gestim import theta_hat
 from hdqda.model import build_mixture, sample_scenario
 from hdqda.pipeline import (
+    FORMAT_VERSION,
     ImprovedModel,
+    TuningEntry,
     default_grid,
     fit_improved,
     tune_gamma0,
@@ -227,6 +229,37 @@ def test_model_with_a_nonfinite_bias_neither_predicts_nor_saves(majority_first_t
         broken.predict(data.test0)
     with pytest.raises(ValueError, match="JSON compliant"):
         broken.to_json()
+
+
+def _dumped(model):
+    """The model file as one ``json.dumps`` of the whole record."""
+    fit = model.fit
+    record = {
+        "format_version": FORMAT_VERSION,
+        "theta": model.theta,
+        "label_map": list(model.label_map),
+        "priors": list(model.priors),
+        "gamma0": fit.gamma0,
+        "gamma1": fit.gamma1,
+        "n0": fit.n0,
+        "n1": fit.n1,
+        "trace": [dataclasses.asdict(entry) for entry in model.trace],
+    }
+    for key in ("mu_hat0", "mu_hat1", "sigma_hat0", "sigma_hat1"):
+        record[key] = base64.b64encode(getattr(fit, key).astype("<f8").tobytes()).decode("ascii")
+    return json.dumps(record, sort_keys=True, allow_nan=False)
+
+
+def test_model_json_is_one_dump_of_the_whole_record(majority_first_train):
+    train, _ = majority_first_train
+    tuned = fit_improved(train, None, grid=np.logspace(-1, 1, 5))
+    odd = (
+        TuningEntry(gamma0=0.5, total_hat=None, failure='say "no" \\ to \u00e9t\u00e9 \u2014 "mu_hat0": ""'),
+        TuningEntry(gamma0=1.0, total_hat=0.25, failure=None),
+    )
+    for model in (tuned, fit_improved(train, 1.3), dataclasses.replace(tuned, trace=odd)):
+        assert model.to_json() == _dumped(model)
+        assert ImprovedModel.from_json(model.to_json()).trace == model.trace
 
 
 def test_model_json_rejects_other_format_versions(majority_first_train):
