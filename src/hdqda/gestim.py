@@ -22,8 +22,8 @@ own-class resolvent trace carries a second-order correction for the curvature
 of the trace inversion. Both adjustments vanish as the dimension grows, so the
 large-p behavior is unchanged.
 
-This module computes the sample-spectrum margins; the bias, error and matched
-shrinkage formulas they feed live once in :mod:`hdqda.rmt`.
+This module builds the sample-spectrum margin record; the bias, error and
+matched shrinkage formulas it feeds live once in :mod:`hdqda.rmt`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DegenerateEstimateError, InvalidRegularizerError
 from .estimation import FittedStats, SpectralPair
 from .model import _check_priors
-from .rmt import _class_errors, _designed_bias, _matched_shrinkage, _Vocabulary
+from .rmt import _class_errors, _designed_bias, _Margins, _matched_shrinkage, _Vocabulary
 
 _ESTIMATED = _Vocabulary("estimated", DegenerateEstimateError, DegenerateEstimateError)
 
@@ -117,31 +117,11 @@ class BiasEstimate:
     B_hat0: float
 
 
-@dataclass(frozen=True)
-class _Pieces:
-    """Shared ingredients of the bias and error estimates, with the shrinkage
-    pair, counts and dimension they were taken at.
-
-    ``quad[j]`` contracts the mean gap against the class-j resolvent; every
-    other pair is indexed by the class whose sample covariance it carries.
-    """
-
-    gammas: tuple[float, float]
-    counts: tuple[int, int]
-    p: int
-    delta: tuple[float, float]
-    own_trace: tuple[float, float]
-    quad: tuple[float, float]
-    cross_trace: tuple[float, float]
-    beta: tuple[float, float]
-    B: tuple[float, float]
-    r: tuple[float, float]
-
-
 def _pieces(
     pair: SpectralPair, quartic: tuple, gammas: tuple[float, float], counts: tuple[int, int]
-) -> _Pieces:
-    """Every trace and quadratic form of the estimates, on the spectral kernel.
+) -> _Margins:
+    """The sample-spectrum margins at ``gammas`` and ``counts``, every trace and
+    quadratic form taken on the spectral kernel.
 
     ``pair`` holds the two sample covariances S_i and the mean gap
     mu_hat0 - mu_hat1, and ``quartic`` its :meth:`~SpectralPair.quartic_weights`;
@@ -159,8 +139,8 @@ def _pieces(
     mixed_quartic = (pair.across(l[0] ** 2 * w[0], w[1]), pair.across(w[0], l[1] ** 2 * w[1]))
     # gap^T H_j S_i H_j gap: carry the resolvent-weighted gap into the other basis.
     carried = (pair.rotation @ (w[1] * pair.gap[1]), pair.rotation.T @ (w[0] * pair.gap[0]))
-    delta, own, beta, B, r = [], [], [], [], []
-    for i in (0, 1):
+    delta, beta, shift, trace_gap, B, r = [], [], [], [], [], []
+    for i, sign in ((0, -1.0), (1, 1.0)):
         j, n, gamma = 1 - i, counts[i], gammas[i]
         m = n - 1
         d = _delta_from_trace(float(np.sum(w[i])), p, n, gamma)
@@ -171,7 +151,7 @@ def _pieces(
         # The trace inversion behind delta_hat is exact only on average; the
         # curvature of the inversion map leaves a downward bias of order 1/n in
         # the own trace, clipped so a noisy quartic can only shrink it.
-        own.append(m * (d + gamma * p * max(curvature, 0.0) / (m * m * shrink)))
+        own = m * (d + gamma * p * max(curvature, 0.0) / (m * m * shrink))
         # The gap quadratic feels the noise of its own estimated mean (upward,
         # by the cross trace over the count) and the own-mean quadratic that
         # the rule subtracts (upward, by the own trace over the count); both
@@ -179,8 +159,12 @@ def _pieces(
         beta.append(
             -quad[j] / sqrt_p
             - (1.0 - 1.0 / n) * cross_trace[i] / sqrt_p
-            + (1.0 + 1.0 / n) * own[i] / sqrt_p
+            + (1.0 + 1.0 / n) * own / sqrt_p
         )
+        # The same margin split into the score's centering and trace parts:
+        # -shift -/+ trace_gap is beta to rounding.
+        shift.append((quad[j] - cross_trace[i] / n - own / n) / sqrt_p)
+        trace_gap.append(-sign * (cross_trace[i] - own) / sqrt_p)
         # Quadratic-form variance; the subtracted squares remove the noise the
         # sample covariance adds to the plain trace products.
         B.append(
@@ -192,22 +176,22 @@ def _pieces(
         )
         delta.append(d)
         r.append(float(np.sum(l[i] * carried[i] ** 2)) / p)
-    return _Pieces(
-        gammas, counts, p, tuple(delta), tuple(own), quad, cross_trace, tuple(beta), tuple(B), tuple(r)
+    return _Margins(
+        gammas, tuple(delta), tuple(beta), tuple(shift), tuple(trace_gap), tuple(B), tuple(r)
     )
 
 
-def _fit_pieces(fit: FittedStats) -> _Pieces:
-    """The pieces of ``fit``, computed on first use and kept on the fit like its
+def _fit_pieces(fit: FittedStats) -> _Margins:
+    """The margins of ``fit``, computed on first use and kept on the fit like its
     :attr:`~FittedStats.pair`. They depend on the kernel, the shrinkage pair and
     the counts alone, never on the priors, so every estimator call shares them;
     ``dataclasses.replace`` and a reload start without them."""
-    pieces = fit.__dict__.get("_pieces")
-    if pieces is None:
+    margins = fit.__dict__.get("_pieces")
+    if margins is None:
         pair = fit.pair
         gammas, counts = (fit.gamma0, fit.gamma1), (fit.n0, fit.n1)
-        pieces = fit.__dict__["_pieces"] = _pieces(pair, pair.quartic_weights(), gammas, counts)
-    return pieces
+        margins = fit.__dict__["_pieces"] = _pieces(pair, pair.quartic_weights(), gammas, counts)
+    return margins
 
 
 def _candidate(
@@ -216,23 +200,23 @@ def _candidate(
     gamma0: float,
     counts: tuple[int, int],
     priors: tuple[float, float],
-) -> tuple[_Pieces, BiasEstimate, GEstimate]:
+) -> tuple[_Margins, BiasEstimate, GEstimate]:
     """One tuning candidate: the matched shrinkage :func:`gamma1_hat` at
     ``gamma0``, then :func:`theta_hat` and the error estimate at that bias, all
-    from one set of pieces on ``pair`` (with its ``quartic`` weights), which are
+    from one set of margins on ``pair`` (with its ``quartic`` weights), which are
     returned too; their ``gammas`` are (``gamma0``, the matched shrinkage)."""
     p = pair.values0.shape[0]
     trace0 = float(np.sum(1.0 / (1.0 + gamma0 * pair.values0)))
     d0 = _delta_from_trace(trace0, p, counts[0], gamma0)
     gamma1 = gamma1_hat(d0, counts[0], counts[1], gamma0)
-    pieces = _pieces(pair, quartic, (gamma0, gamma1), counts)
-    bias = _bias_from(pieces, priors)
-    return pieces, bias, _error_from(pieces, bias, bias.theta_hat, priors)
+    margins = _pieces(pair, quartic, (gamma0, gamma1), counts)
+    bias = _bias_from(margins, priors)
+    return margins, bias, _error_from(margins, bias, bias.theta_hat, priors)
 
 
-def _bias_from(pieces: _Pieces, priors: tuple[float, float]) -> BiasEstimate:
-    (beta0, beta1), B0 = pieces.beta, pieces.B[0]
-    theta, alpha = _designed_bias(beta0, beta1, B0, priors, _ESTIMATED)
+def _bias_from(margins: _Margins, priors: tuple[float, float]) -> BiasEstimate:
+    (beta0, beta1), B0 = margins.beta, margins.variance[0]
+    theta, alpha = _designed_bias(margins, priors, _ESTIMATED)
     return BiasEstimate(
         theta_hat=theta, beta_hat0=beta0, beta_hat1=beta1, alpha_hat=alpha, B_hat0=B0
     )
@@ -287,39 +271,33 @@ def g_estimator_error(
     Every ingredient comes from the fitted statistics; the result is what the
     tuner minimizes in place of cross-validation. The centering and trace
     parts split so that their differences reproduce the margins of
-    :func:`theta_hat` exactly.
+    :func:`theta_hat` to rounding.
     """
     priors = _check_priors(priors)
-    pieces = _fit_pieces(fit)
-    return _error_from(pieces, _bias_from(pieces, priors), theta, priors)
+    margins = _fit_pieces(fit)
+    return _error_from(margins, _bias_from(margins, priors), theta, priors)
 
 
 def _error_from(
-    pieces: _Pieces, bias: BiasEstimate, theta: float, priors: tuple[float, float]
+    margins: _Margins, bias: BiasEstimate, theta: float, priors: tuple[float, float]
 ) -> GEstimate:
-    sqrt_p = math.sqrt(pieces.p)
-    shift, b = [], []
-    for i, sign in ((0, -1.0), (1, 1.0)):
-        n, cross, own = pieces.counts[i], pieces.cross_trace[i], pieces.own_trace[i]
-        shift.append((pieces.quad[1 - i] - cross / n - own / n) / sqrt_p)
-        b.append(-sign * (cross - own) / sqrt_p)
-    xi, eps, total = _class_errors(theta, shift, b, pieces.B, pieces.r, priors, _ESTIMATED)
+    xi, eps, total = _class_errors(theta, margins, priors, _ESTIMATED)
     return GEstimate(
-        delta_hat0=pieces.delta[0],
-        delta_hat1=pieces.delta[1],
-        gamma1_hat=pieces.gammas[1],
-        beta_hat0=pieces.beta[0],
-        beta_hat1=pieces.beta[1],
+        delta_hat0=margins.delta[0],
+        delta_hat1=margins.delta[1],
+        gamma1_hat=margins.gammas[1],
+        beta_hat0=margins.beta[0],
+        beta_hat1=margins.beta[1],
         alpha_hat=bias.alpha_hat,
-        B_hat0=pieces.B[0],
-        B_hat1=pieces.B[1],
+        B_hat0=margins.variance[0],
+        B_hat1=margins.variance[1],
         theta_hat=theta,
         xi_hat0=xi[0],
         xi_hat1=xi[1],
-        b_hat0=b[0],
-        b_hat1=b[1],
-        r_hat0=pieces.r[0],
-        r_hat1=pieces.r[1],
+        b_hat0=margins.trace_gap[0],
+        b_hat1=margins.trace_gap[1],
+        r_hat0=margins.offset[0],
+        r_hat1=margins.offset[1],
         eps_hat0=eps[0],
         eps_hat1=eps[1],
         total_hat=total,

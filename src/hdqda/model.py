@@ -17,16 +17,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotSpdError
-from .estimation import eigenpair
+from .estimation import SpectralPair, eigenpair
 
 __all__ = [
     "ClassStatistics",
     "MixtureModel",
     "ScenarioConfig",
     "ScenarioData",
-    "AssumptionReport",
     "make_spiked_covariance",
-    "validate_assumptions",
     "sample_class",
     "build_mixture",
     "sample_scenario",
@@ -66,6 +64,9 @@ class ClassStatistics:
                 "mean length %d does not match covariance dimension %d"
                 % (mean.shape[0], cov.shape[0])
             )
+        for name, value in (("mean", mean), ("covariance", cov)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError("%s must be finite; found NaN or inf" % (name,))
         scale = float(np.max(np.abs(cov))) if cov.size else 0.0
         if float(np.max(np.abs(cov - cov.T), initial=0.0)) > _SYM_RTOL * max(scale, 1.0):
             raise NotSpdError("covariance is not symmetric within tolerance")
@@ -101,7 +102,8 @@ def _check_priors(priors) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MixtureModel:
-    """Two Gaussian classes with prior probabilities summing to one."""
+    """Two Gaussian classes with prior probabilities summing to one and, kept
+    from first use, their spectral kernel :attr:`pair`."""
 
     class0: ClassStatistics
     class1: ClassStatistics
@@ -123,6 +125,15 @@ class MixtureModel:
     def swapped(self) -> "MixtureModel":
         """The same mixture with the class roles exchanged."""
         return MixtureModel(self.class1, self.class0, self.prior1, self.prior0)
+
+    @cached_property
+    def pair(self) -> SpectralPair:
+        """The spectral kernel of the two class covariances and the mean gap
+        mu1 - mu0, built once from the classes' kept spectra; never passed in,
+        so :meth:`swapped` and ``dataclasses.replace`` start without one."""
+        return SpectralPair(
+            (self.class0.spectrum, self.class1.spectrum), self.class1.mean - self.class0.mean
+        )
 
 
 _CONFIG_FIELDS = (
@@ -252,45 +263,6 @@ def make_spiked_covariance(
     bump = spike_strength * (q @ q.T)
     sigma += 0.5 * (bump + bump.T)
     return sigma
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Scalar diagnostics for the asymptotic working regime. Advisory only."""
-
-    dim_to_samples: float
-    class_ratio: float
-    mean_gap_sq: float
-    mean_gap_sq_scaled: float
-    spectral_norm0: float
-    spectral_norm1: float
-    covariance_gap_eigencount: int
-    eigenvalue_threshold: float
-
-
-def validate_assumptions(
-    model: MixtureModel, n0: int, n1: int, *, eigenvalue_threshold: float = 0.5
-) -> AssumptionReport:
-    """Report how a mixture and its training counts sit in the working regime.
-
-    Never rejects; the caller decides what to do with the numbers. The
-    eigencount counts eigenvalues of ``cov0 - cov1`` with magnitude above the
-    threshold, which for the synthetic scenarios equals the spike rank.
-    """
-    p = model.dim
-    mu_gap = model.class1.mean - model.class0.mean
-    gap = model.class0.covariance - model.class1.covariance
-    gap_eigs = np.linalg.eigvalsh(gap)
-    return AssumptionReport(
-        dim_to_samples=p / float(n0 + n1),
-        class_ratio=n0 / float(n1),
-        mean_gap_sq=float(mu_gap @ mu_gap),
-        mean_gap_sq_scaled=float(mu_gap @ mu_gap) / math.sqrt(p),
-        spectral_norm0=float(np.linalg.norm(model.class0.covariance, 2)),
-        spectral_norm1=float(np.linalg.norm(model.class1.covariance, 2)),
-        covariance_gap_eigencount=int(np.sum(np.abs(gap_eigs) > eigenvalue_threshold)),
-        eigenvalue_threshold=eigenvalue_threshold,
-    )
 
 
 def sample_class(stats: ClassStatistics, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,8 +19,9 @@ import numpy as np
 from .discriminant import classify_values, improved_scores
 from .errors import HdqdaError, TuningError
 from .estimation import FittedStats, SpectralPair, TrainingSet, _sample_pair, sample_moments
-from .gestim import BiasEstimate, _candidate, _Pieces
+from .gestim import BiasEstimate, _candidate
 from .model import _check_priors
+from .rmt import _Margins
 
 __all__ = [
     "FORMAT_VERSION",
@@ -173,7 +174,7 @@ def _tune(
     counts: tuple[int, int],
     grid: np.ndarray | None,
     priors: tuple[float, float],
-) -> tuple[TuningResult, _Pieces, BiasEstimate]:
+) -> tuple[TuningResult, _Margins, BiasEstimate]:
     """:func:`tune_gamma0` on the kernel of a canonical sample, plus the
     winning candidate's pieces (with its matched gamma1) and bias."""
     candidates = default_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -185,7 +186,7 @@ def _tune(
 
     quartic = pair.quartic_weights()
     entries: list[TuningEntry] = []
-    best: tuple[float, _Pieces, BiasEstimate] | None = None
+    best: tuple[float, _Margins, BiasEstimate] | None = None
     for gamma0 in candidates:
         gamma0 = float(gamma0)
         try:

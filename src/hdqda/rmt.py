@@ -8,7 +8,7 @@ forms of those limits, and one spectral route computes them all: each class
 covariance is diagonalized once, the fixed point is found on its spectrum
 (:func:`eigen_delta_solver`), and every cross-class trace is a weighted sum
 over the two eigenbases, on the kernel the training-only estimator shares
-(:class:`~hdqda.estimation.SpectralPair`).
+(:class:`~hdqda.estimation.SpectralPair`), which a mixture builds once and keeps.
 
 The fixed point has one bracketed root-find and two independent trace maps:
 :func:`eigen_delta_solver` sums over the spectrum, and :func:`solve_delta`
@@ -16,8 +16,9 @@ factorizes the dense covariance and never touches the spectrum, so the two
 agreeing cross-checks the trace.
 
 The designed bias, the class-error assembly and the matched shrinkage live here
-once; this module feeds them true-spectrum margins and :mod:`hdqda.gestim`
-feeds them sample-spectrum margins, each naming its own failures.
+once. The bias and error formulas read one :class:`_Margins` record: this
+module builds it from the true spectra and :mod:`hdqda.gestim` from the sample
+ones, each naming its own failures.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .errors import (
     NotSpdError,
     StabilityError,
 )
-from .estimation import SpectralPair
 from .model import MixtureModel
 
 __all__ = [
@@ -138,11 +138,33 @@ class _Vocabulary(NamedTuple):
 _LIMITING = _Vocabulary("limiting", StabilityError, DegenerateDesignError)
 
 
+@dataclass(frozen=True)
+class _Margins:
+    """Everything the design and error formulas read, each pair indexed by the
+    class of the test observation, with the shrinkage pair it was taken at.
+
+    For test class i the score centers at xi_i = theta -/+ ``shift[i]`` and
+    sits ``trace_gap[i]`` off it, ``beta[i]`` = -shift_i -/+ trace_gap_i is the
+    margin the designed bias balances, and the score spread is
+    2 ``variance[i]`` + 4 ``offset[i]``. The limit builds it from the true
+    spectra (:func:`_limit_margins`), :mod:`hdqda.gestim` from the sample ones.
+    """
+
+    gammas: tuple[float, float]
+    delta: tuple[float, float]
+    beta: tuple[float, float]
+    shift: tuple[float, float]
+    trace_gap: tuple[float, float]
+    variance: tuple[float, float]
+    offset: tuple[float, float]
+
+
 def _designed_bias(
-    beta0: float, beta1: float, B0: float, priors: tuple[float, float], words: _Vocabulary
+    margins: _Margins, priors: tuple[float, float], words: _Vocabulary
 ) -> tuple[float, float]:
     """Bias minimizing the total error at margins beta0, beta1 and variance 2 B0, and
     alpha = sqrt(2 B0); unequal priors add a log-odds term that needs uncancelled margins."""
+    (beta0, beta1), B0 = margins.beta, margins.variance[0]
     if not B0 > 0.0:
         raise words.unstable("%s score variance is %r" % (words.adjective, B0))
     alpha = math.sqrt(2.0 * B0)
@@ -159,20 +181,20 @@ def _designed_bias(
 
 
 def _class_errors(
-    theta: float, shift, trace_gap, variance, offset_variance, priors, words: _Vocabulary
+    theta: float, margins: _Margins, priors, words: _Vocabulary
 ) -> tuple[list[float], list[float], float]:
-    """Per class i (pairs indexed by class): the center xi_i = theta -/+ shift_i,
-    the error Phi(+/-(xi_i - trace_gap_i) / sqrt(2 variance_i + 4 offset_variance_i))
-    with upper signs for class 0, and the prior-weighted total."""
+    """Per test class i: the center xi_i = theta -/+ shift_i, the error
+    Phi(+/-(xi_i - trace_gap_i) / sqrt(2 variance_i + 4 offset_i)) with upper
+    signs for class 0, and the prior-weighted total."""
     if not math.isfinite(theta):
         raise ValueError("bias must be finite, got %r" % (theta,))
     xi, eps = [], []
     for i, sign in ((0, -1.0), (1, 1.0)):
-        xi.append(theta + sign * shift[i])
-        spread = 2.0 * variance[i] + 4.0 * offset_variance[i]
+        xi.append(theta + sign * margins.shift[i])
+        spread = 2.0 * margins.variance[i] + 4.0 * margins.offset[i]
         if not spread > 0.0:
             raise words.unstable("%s score spread is %r" % (words.adjective, spread))
-        eps.append(float(ndtr(-sign * (xi[i] - trace_gap[i]) / math.sqrt(spread))))
+        eps.append(float(ndtr(-sign * (xi[i] - margins.trace_gap[i]) / math.sqrt(spread))))
     return xi, eps, priors[0] * eps[0] + priors[1] * eps[1]
 
 
@@ -356,18 +378,15 @@ def _stability(value: float) -> float:
 def _spectral_functionals(
     model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float
 ) -> _Functionals:
-    """Every functional on the spectral kernel of the two class covariances,
-    each diagonalized once and kept on its ClassStatistics.
+    """Every functional on the spectral kernel the mixture keeps
+    (:attr:`~hdqda.model.MixtureModel.pair`).
 
     The resolvent limit is T_i = U_i diag(t_i) U_i^T with t_i = 1 / (1 + s_i l_i)
     and s_i = gamma_i / (1 + gamma_i delta_i).
     """
     counts = (n0, n1)
     gammas = (gamma0, gamma1)
-    pair = SpectralPair(
-        (model.class0.spectrum, model.class1.spectrum),
-        model.class1.mean - model.class0.mean,
-    )
+    pair = model.pair
     l0, l1 = pair.values0, pair.values1
     gap_sq = (pair.gap[0] ** 2, pair.gap[1] ** 2)
     delta, (t0, t1), phi, phi_tilde = zip(
@@ -397,24 +416,33 @@ def _spectral_functionals(
     )
 
 
-def _quad_variance(
-    f: _Functionals,
-    i: int,
-    counts: tuple[int, int],
-    gammas: tuple[float, float],
-    p: int,
-) -> float:
-    """Limiting variance of the quadratic-form part of the class-i score."""
-    j = 1 - i
-    # The sandwich-squared fluctuation is sourced by the resolvent's own
-    # Wishart noise, so it scales with the opposite class's sample count.
-    return (
-        counts[i] / p * f.phi[i] / f.margin[i]
-        + f.cross_sq[i] / p
-        - 2.0 * f.mixed_sq[i] / p
-        + (gammas[j] ** 2 * f.phi_tilde[j] / f.margin[j])
-        * f.sandwich[i] ** 2
-        / (counts[j] * p)
+def _limit_margins(
+    model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float
+) -> tuple[_Functionals, _Margins]:
+    """The limit's margins, assembled from the spectral functionals, which are
+    returned too for the fixed-point fields of :class:`AsymptoticPrediction`."""
+    f = _spectral_functionals(model, n0, n1, gamma0, gamma1)
+    counts, gammas, p = (n0, n1), (gamma0, gamma1), model.dim
+    sqrt_p = math.sqrt(p)
+    shift, trace_gap, beta, variance, offset = [], [], [], [], []
+    for i, sign in ((0, -1.0), (1, 1.0)):
+        j = 1 - i
+        shift.append(f.mean_quad[j] / sqrt_p)
+        trace_gap.append(f.trace_gap[i] / sqrt_p)
+        beta.append(-shift[i] + sign * trace_gap[i])
+        # The sandwich-squared fluctuation is sourced by the resolvent's own
+        # Wishart noise, so it scales with the opposite class's sample count.
+        variance.append(
+            counts[i] / p * f.phi[i] / f.margin[i]
+            + f.cross_sq[i] / p
+            - 2.0 * f.mixed_sq[i] / p
+            + (gammas[j] ** 2 * f.phi_tilde[j] / f.margin[j])
+            * f.sandwich[i] ** 2
+            / (counts[j] * p)
+        )
+        offset.append(f.offset_quad[i] / p / f.margin[j])
+    return f, _Margins(
+        gammas, f.delta, tuple(beta), tuple(shift), tuple(trace_gap), tuple(variance), tuple(offset)
     )
 
 
@@ -433,24 +461,14 @@ def asymptotic_error(
     of the gap to the exact conditional spread of
     :func:`~hdqda.discriminant.conditional_score_moments`.
     """
-    _check_solver_args(n0, gamma0)
-    _check_solver_args(n1, gamma1)
-    f = _spectral_functionals(model, n0, n1, gamma0, gamma1)
-    p = model.dim
-    sqrt_p = math.sqrt(p)
-    trace_gap = np.array(f.trace_gap) / sqrt_p
-    quad_variance = np.array([_quad_variance(f, i, (n0, n1), (gamma0, gamma1), p) for i in (0, 1)])
-    offset_variance = np.array([f.offset_quad[i] / p / f.margin[1 - i] for i in (0, 1)])
-    shift = (f.mean_quad[1] / sqrt_p, f.mean_quad[0] / sqrt_p)
-    mean_shift, eps, total = _class_errors(
-        theta, shift, trace_gap, quad_variance, offset_variance, (model.prior0, model.prior1), _LIMITING
-    )
+    f, margins = _limit_margins(model, n0, n1, gamma0, gamma1)
+    mean_shift, eps, total = _class_errors(theta, margins, (model.prior0, model.prior1), _LIMITING)
     return AsymptoticPrediction(
         eps0=eps[0], eps1=eps[1], total=total,
         mean_shift=np.array(mean_shift),
-        trace_gap=trace_gap,
-        quad_variance=quad_variance,
-        offset_variance=offset_variance,
+        trace_gap=np.array(margins.trace_gap),
+        quad_variance=np.array(margins.variance),
+        offset_variance=np.array(margins.offset),
         delta=np.asarray(f.delta),
         phi=np.asarray(f.phi),
         phi_tilde=np.asarray(f.phi_tilde),
@@ -487,10 +505,7 @@ def theta_star_theoretical(
     unequal priors a log-odds correction scaled by the common variance is
     subtracted, which requires the margins not to cancel.
     """
-    f = _spectral_functionals(model, n0, n1, gamma0, gamma1)
-    sqrt_p = math.sqrt(model.dim)
-    beta0 = -f.mean_quad[1] / sqrt_p - f.trace_gap[0] / sqrt_p
-    beta1 = -f.mean_quad[0] / sqrt_p + f.trace_gap[1] / sqrt_p
-    B0 = _quad_variance(f, 0, (n0, n1), (gamma0, gamma1), model.dim)
-    theta, alpha = _designed_bias(beta0, beta1, B0, (model.prior0, model.prior1), _LIMITING)
+    _, margins = _limit_margins(model, n0, n1, gamma0, gamma1)
+    beta0, beta1 = margins.beta
+    theta, alpha = _designed_bias(margins, (model.prior0, model.prior1), _LIMITING)
     return ThetaDesign(theta_star=theta, beta0=beta0, beta1=beta1, alpha=alpha)

@@ -194,55 +194,37 @@ def _trace_quartic(sigma, left, right):
 
 
 def _dense_pieces(fitted):
-    """Every ingredient of the spectral pieces from dense p x p products, and
-    the leading term shrink**4 Tr[S H S H] / p of each variance estimate."""
-    S0, S1, H0, H1 = fitted.sigma_hat0, fitted.sigma_hat1, fitted.H0, fitted.H1
-    n0, n1, p = fitted.n0, fitted.n1, fitted.p
+    """Every field of the spectral margins from dense p x p products, and the
+    leading term shrink**4 Tr[S H S H] / p of each variance estimate."""
+    S, H = (fitted.sigma_hat0, fitted.sigma_hat1), (fitted.H0, fitted.H1)
+    counts, gammas, p = (fitted.n0, fitted.n1), (fitted.gamma0, fitted.gamma1), fitted.p
     gap = fitted.mu_hat0 - fitted.mu_hat1
-    d0 = delta_hat(H0, n0, fitted.gamma0)
-    d1 = delta_hat(H1, n1, fitted.gamma1)
-
-    def own(sigma, H, delta, gamma, n):
-        shrink = 1.0 + gamma * delta
-        curvature = shrink**4 * _trace_quartic(sigma, H, H) / p - (n - 1) / p * delta**2 * shrink**2
-        return (n - 1) * (delta + gamma * p * max(curvature, 0.0) / ((n - 1) ** 2 * shrink))
-
-    def variance(sigma, H, G, delta, gamma, n):
-        m, shrink = n - 1, 1.0 + gamma * delta
-        cross = float(np.sum(sigma * G))
-        return (
-            shrink**4 / p * _trace_quartic(sigma, H, H)
-            - m / p * delta**2 * shrink**2
-            + _trace_quartic(sigma, G, G) / p
-            - cross**2 / (m * p)
-            - 2.0 * shrink**2 / p * _trace_quartic(sigma, H, G)
-            + delta * shrink * 2.0 / p * cross
-        )
-
-    own0 = own(S0, H0, d0, fitted.gamma0, n0)
-    own1 = own(S1, H1, d1, fitted.gamma1, n1)
-    quad0, quad1 = float(gap @ H0 @ gap), float(gap @ H1 @ gap)
-    cross0, cross1 = float(np.sum(S0 * H1)), float(np.sum(S1 * H0))
     sqrt_p = np.sqrt(p)
-    leading = [
-        (1.0 + gamma * delta) ** 4 * _trace_quartic(sigma, H, H) / p
-        for sigma, H, delta, gamma in ((S0, H0, d0, fitted.gamma0), (S1, H1, d1, fitted.gamma1))
-    ]
-    return leading, dict(
-        delta=(d0, d1),
-        own_trace=(own0, own1),
-        quad=(quad0, quad1),
-        cross_trace=(cross0, cross1),
-        beta=(
-            (-quad1 - (1 - 1 / n0) * cross0 + (1 + 1 / n0) * own0) / sqrt_p,
-            (-quad0 - (1 - 1 / n1) * cross1 + (1 + 1 / n1) * own1) / sqrt_p,
-        ),
-        B=(
-            variance(S0, H0, H1, d0, fitted.gamma0, n0),
-            variance(S1, H1, H0, d1, fitted.gamma1, n1),
-        ),
-        r=(float(gap @ H1 @ S0 @ H1 @ gap) / p, float(gap @ H0 @ S1 @ H0 @ gap) / p),
-    )
+    fields = {name: [] for name in ("delta", "beta", "shift", "trace_gap", "variance", "offset")}
+    leading = []
+    for i, sign in ((0, -1.0), (1, 1.0)):
+        j, n, gamma = 1 - i, counts[i], gammas[i]
+        m = n - 1
+        d = delta_hat(H[i], n, gamma)
+        shrink = 1.0 + gamma * d
+        leading.append(shrink**4 * _trace_quartic(S[i], H[i], H[i]) / p)
+        curvature = leading[i] - m / p * d**2 * shrink**2
+        own = m * (d + gamma * p * max(curvature, 0.0) / (m**2 * shrink))
+        quad = float(gap @ H[j] @ gap)
+        cross = float(np.sum(S[i] * H[j]))
+        fields["delta"].append(d)
+        fields["beta"].append((-quad - (1 - 1 / n) * cross + (1 + 1 / n) * own) / sqrt_p)
+        fields["shift"].append((quad - cross / n - own / n) / sqrt_p)
+        fields["trace_gap"].append(-sign * (cross - own) / sqrt_p)
+        fields["variance"].append(
+            curvature
+            + _trace_quartic(S[i], H[j], H[j]) / p
+            - cross**2 / (m * p)
+            - 2.0 * shrink**2 / p * _trace_quartic(S[i], H[i], H[j])
+            + d * shrink * 2.0 / p * cross
+        )
+        fields["offset"].append(float(gap @ H[j] @ S[i] @ H[j] @ gap) / p)
+    return leading, dict(gammas=gammas, **fields)
 
 
 @settings(max_examples=20, deadline=None)
@@ -279,11 +261,12 @@ def test_spectral_pieces_match_the_dense_reference(seed, p, n0, extra, gamma0, g
         with pytest.raises(DegenerateEstimateError):
             _fit_pieces(fitted)
         return
-    assume(all(term <= 30.0 * max(1.0, abs(B)) for term, B in zip(leading, reference["B"])))
-    pieces = _fit_pieces(fitted)
+    assume(all(term <= 30.0 * max(1.0, abs(B)) for term, B in zip(leading, reference["variance"])))
+    margins = _fit_pieces(fitted)
+    assert sorted(reference) == sorted(f.name for f in dataclasses.fields(margins))
     for name, expected in reference.items():
         for i in (0, 1):
-            got = getattr(pieces, name)[i]
+            got = getattr(margins, name)[i]
             assert abs(got - expected[i]) <= 1e-12 * max(1.0, abs(expected[i])), (name, i, got, expected[i])
 
 
@@ -423,6 +406,57 @@ def test_error_estimate_tracks_the_limit_on_one_draw():
     assert estimate.total_hat == pytest.approx(limit.total, abs=0.05)
 
 
+def test_each_margin_is_its_shift_and_trace_gap():
+    """beta_i = -shift_i -/+ trace_gap_i, upper sign for class 0. The limit
+    forms beta from that split, so there it holds bitwise; the estimate forms
+    beta and the split from the same traces in different orders, so there it
+    holds to rounding (worst seen 1.0e-14 relative)."""
+    for p in (30, 60, 200):
+        config = small_config(p=p, n0=p, n1=p // 2, seed=3)
+        model = build_mixture(config)
+        data = sample_scenario(config, model=model)
+        for gamma0 in (0.01, 1.0, 100.0):
+            fitted = fit_improved(TrainingSet(X0=data.train0, X1=data.train1), gamma0).fit
+            estimate = _fit_pieces(fitted)
+            _, limit = rmt._limit_margins(
+                model.swapped(), fitted.n0, fitted.n1, fitted.gamma0, fitted.gamma1
+            )
+            for i, sign in ((0, -1.0), (1, 1.0)):
+                assert limit.beta[i] == -limit.shift[i] + sign * limit.trace_gap[i]
+                split = -estimate.shift[i] + sign * estimate.trace_gap[i]
+                assert abs(split - estimate.beta[i]) <= 1e-13 * max(1.0, abs(estimate.beta[i]))
+
+
+@pytest.mark.parametrize("gamma0", [0.1, 1.0])
+def test_estimated_margins_track_the_limit_term_by_term(gamma0):
+    """Estimated against limiting margins, field by field, at the fit's own
+    shrinkage pair: the spiked 2:1 scenario of the limiting-error acceptance
+    check at p=400, three replicates, class 0 the minority.
+
+    The fixed point and the quadratic-form variance agree within a few
+    percent on single draws (worst seen: delta 1.05%, variance 4.4%).
+    ``trace_gap`` and ``beta`` are differences of traces of order sqrt(p) and
+    scatter by up to 0.4 and 0.7 from draw to draw, so they are not asserted;
+    nor is ``offset``, which the estimate puts 2-3 times above the limit: the
+    limit leaves out the noise of the estimated means (see
+    :func:`~hdqda.rmt.asymptotic_error`).
+    """
+    config = small_config(p=400, n0=400, n1=200, prior0=2.0 / 3.0, seed=11)
+    model = build_mixture(config)
+    for replicate in range(3):
+        data = sample_scenario(config, model=model, replicate=replicate)
+        fitted = fit_improved(TrainingSet(X0=data.train0, X1=data.train1), gamma0).fit
+        estimate = _fit_pieces(fitted)
+        _, limit = rmt._limit_margins(
+            model.swapped(), fitted.n0, fitted.n1, fitted.gamma0, fitted.gamma1
+        )
+        assert estimate.gammas == limit.gammas
+        for name, tolerance in (("delta", 0.02), ("variance", 0.09)):
+            for i in (0, 1):
+                got, want = getattr(estimate, name)[i], getattr(limit, name)[i]
+                assert abs(got - want) <= tolerance * abs(want), (name, i, replicate, got, want)
+
+
 _PRIORS = (1.0 / 3.0, 2.0 / 3.0)
 
 
@@ -457,12 +491,17 @@ def test_estimator_and_theory_share_one_formula(monkeypatch, module, shared, cal
     assert len(calls) == 1
 
 
+def _margins(beta=(0.2, 0.5), variance=(1.0, 1.0)):
+    return rmt._Margins(
+        gammas=(1.0, 1.0), delta=(0.5, 0.5), beta=beta, shift=(0.1, 0.1),
+        trace_gap=(0.0, 0.0), variance=variance, offset=(0.0, 0.0),
+    )
+
+
 _FAILURES = {
-    "variance": lambda words: rmt._designed_bias(0.2, 0.5, -1.0, _PRIORS, words),
-    "cancel": lambda words: rmt._designed_bias(-0.3, 0.3, 1.0, _PRIORS, words),
-    "spread": lambda words: rmt._class_errors(
-        0.0, (0.1, 0.1), (0.0, 0.0), (0.5, -1.0), (0.0, 0.0), _PRIORS, words
-    ),
+    "variance": lambda words: rmt._designed_bias(_margins(variance=(-1.0, 1.0)), _PRIORS, words),
+    "cancel": lambda words: rmt._designed_bias(_margins(beta=(-0.3, 0.3)), _PRIORS, words),
+    "spread": lambda words: rmt._class_errors(0.0, _margins(variance=(0.5, -1.0)), _PRIORS, words),
     "matched": lambda words: rmt._matched_shrinkage(1.0, 2.0, 3.0, words),
 }
 _ESTIMATED, _LIMITING = gestim._ESTIMATED, rmt._LIMITING

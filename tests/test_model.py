@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from hdqda.model import (
     sample_class,
     sample_scenario,
     stream,
-    validate_assumptions,
 )
 
 from conftest import small_config
@@ -115,6 +116,21 @@ def test_class_statistics_validation():
         ClassStatistics(np.zeros(2), -np.eye(2))
     with pytest.raises(ValueError):
         ClassStatistics(np.zeros(3), np.eye(2))
+    bad = np.eye(2)
+    for field, mean, cov in (
+        ("mean", [np.nan, 0.0], bad),
+        ("mean", [0.0, -np.inf], bad),
+        ("covariance", np.zeros(2), [[np.nan, 0.0], [0.0, 1.0]]),
+        ("covariance", np.zeros(2), [[np.inf, 0.0], [0.0, 1.0]]),
+        ("covariance", np.zeros(2), [[1.0, np.nan], [np.nan, 1.0]]),
+    ):
+        # Rejected by name before the symmetry test can warn on inf - inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                ClassStatistics(mean, cov)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "%s must be finite; found NaN or inf" % field
 
 
 def test_mixture_model_validation_and_swap():
@@ -216,12 +232,3 @@ def test_sample_scenario_replicates_are_reproducible_and_distinct():
     assert not np.array_equal(a.train0, c.train0)
     assert a.train0.shape == (config.n0, config.p)
     assert a.test1.shape == (config.test1, config.p)
-
-
-def test_validate_assumptions_counts_spike_rank():
-    config = small_config(p=64, spike_rank=6, spike_strength=5.0)
-    model = build_mixture(config)
-    report = validate_assumptions(model, config.n0, config.n1)
-    assert report.covariance_gap_eigencount == 6
-    assert report.dim_to_samples == pytest.approx(64 / 60)
-    assert report.class_ratio == pytest.approx(2.0)

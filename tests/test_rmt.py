@@ -14,6 +14,7 @@ from hdqda.errors import (
     StabilityError,
 )
 from hdqda import rmt
+from hdqda.estimation import SpectralPair
 from hdqda.model import ClassStatistics, MixtureModel, build_mixture
 from hdqda.rmt import (
     _Functionals,
@@ -89,6 +90,19 @@ def test_solver_argument_validation():
     for theta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="bias must be finite"):
             asymptotic_error(model, 20, 30, 0.5, 0.9, theta)
+    # Both theory entry points rely on the fixed-point solver's own checks.
+    for args, error, message in (
+        ((0, 30, 0.5, 0.9), ValueError, "sample count must be positive, got 0"),
+        ((20, 30, -1.0, 0.9), InvalidRegularizerError, "shrinkage must be nonnegative, got -1.0"),
+        ((20, 30, 0.5, math.nan), InvalidRegularizerError, "shrinkage must be nonnegative, got nan"),
+    ):
+        for call in (
+            lambda: theta_star_theoretical(model, *args),
+            lambda: asymptotic_error(model, *args, 0.0),
+        ):
+            with pytest.raises(error) as raised:
+                call()
+            assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_nonconverged_root_find_raises(monkeypatch):
@@ -250,6 +264,36 @@ def test_spectral_route_matches_the_dense_reference(
             getattr(dense_prediction, field.name),
             field.name,
         )
+
+
+def test_a_mixture_keeps_one_spectral_kernel(monkeypatch):
+    """The design and the limiting error at it share the kernel the mixture
+    builds on first use; ``swapped`` and ``dataclasses.replace`` start without
+    one, and a kept kernel gives a fresh mixture's outputs bitwise."""
+    model, fresh = _commuting_model(p=30, seed=2), _commuting_model(p=30, seed=2)
+    builds, build = [], SpectralPair.__init__
+
+    def counting(self, *args):
+        builds.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(SpectralPair, "__init__", counting)
+    args = (40, 60, 0.9, 0.8)
+    design = theta_star_theoretical(model, *args)
+    prediction = asymptotic_error(model, *args, design.theta_star)
+    assert len(builds) == 1 and model.__dict__["pair"] is model.pair
+    assert "pair" not in model.swapped().__dict__
+    assert "pair" not in dataclasses.replace(model, prior0=0.5, prior1=0.5).__dict__
+
+    again = theta_star_theoretical(model, *args)
+    assert len(builds) == 1
+    fresh_design = theta_star_theoretical(fresh, *args)
+    fresh_prediction = asymptotic_error(fresh, *args, fresh_design.theta_star)
+    assert len(builds) == 2
+    assert design == again == fresh_design
+    for field in dataclasses.fields(prediction):
+        kept, built = getattr(prediction, field.name), getattr(fresh_prediction, field.name)
+        assert np.asarray(kept).tobytes() == np.asarray(built).tobytes(), field.name
 
 
 def test_prediction_is_a_proper_error_pair():
