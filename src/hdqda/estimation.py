@@ -12,6 +12,7 @@ eigenvalues, and :class:`SpectralPair` takes every such trace at O(p^2) cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -99,8 +100,8 @@ def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, f
     inverse from ``dpotri`` with its lower triangle mirrored, so it is exactly
     symmetric. The only place a shifted sample covariance is factored."""
     sigma_hat = np.asarray(sigma_hat, dtype=float)
-    if gamma < 0.0:
-        raise ValueError("shrinkage parameter must be >= 0, got %r" % gamma)
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("shrinkage parameter must be finite and >= 0, got %r" % (gamma,))
     p = sigma_hat.shape[0]
     if gamma == 0.0:
         return np.eye(p), 0.0

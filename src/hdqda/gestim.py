@@ -71,9 +71,9 @@ def delta_hat(H: np.ndarray, n: int, gamma: float) -> float:
 
 def _delta_from_trace(trace: float, p: int, n: int, gamma: float) -> float:
     """:func:`delta_hat` given Tr[H] = ``trace`` of a p x p resolvent."""
-    if not gamma > 0.0:
+    if not 0.0 < gamma < math.inf:
         raise InvalidRegularizerError(
-            "fixed-point inversion needs strictly positive shrinkage, got %r" % (gamma,)
+            "fixed-point inversion needs finite, strictly positive shrinkage, got %r" % (gamma,)
         )
     m = n - 1
     ratio = trace / m
@@ -99,9 +99,9 @@ def gamma1_hat(delta0: float, n0: int, n1: int, gamma0: float) -> float:
         )
     if n0 < 2:
         raise ValueError("need at least two observations, got n0=%d" % (n0,))
-    if not gamma0 > 0.0:
+    if not 0.0 < gamma0 < math.inf:
         raise InvalidRegularizerError(
-            "matched shrinkage needs strictly positive gamma0, got %r" % (gamma0,)
+            "matched shrinkage needs finite, strictly positive gamma0, got %r" % (gamma0,)
         )
     return _matched_shrinkage(gamma0, delta0, (n0 - 1.0) / (n1 - 1.0), _ESTIMATED)
 

@@ -269,8 +269,8 @@ def make_imbalanced_split(
         raise ValueError("the two classes must differ, got %r twice" % (class_a,))
     if n1 < 2:
         raise InsufficientSamplesError("need n1 >= 2, got %d" % (n1,))
-    if ratio <= 0.0:
-        raise ValueError("ratio must be strictly positive, got %r" % (ratio,))
+    if not 0.0 < ratio < math.inf:
+        raise ValueError("ratio must be finite and strictly positive, got %r" % (ratio,))
     n0 = int(math.floor(ratio * n1))
     if n0 < 2:
         raise InsufficientSamplesError(

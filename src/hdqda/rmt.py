@@ -16,9 +16,9 @@ factorizes the dense covariance and never touches the spectrum, so the two
 agreeing cross-checks the trace.
 
 The designed bias, the class-error assembly and the matched shrinkage live here
-once. The bias and error formulas read one :class:`_Margins` record: this
-module builds it from the true spectra and :mod:`hdqda.gestim` from the sample
-ones, each naming its own failures.
+once. They read one :class:`_Margins` record, built in one pass of one shape
+from the true spectra here (:func:`_limit_margins`) and from the sample ones in
+:mod:`hdqda.gestim`, each side naming its own failures.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ class _Margins:
     For test class i the score centers at xi_i = theta -/+ ``shift[i]`` and
     sits ``trace_gap[i]`` off it, ``beta[i]`` = -shift_i -/+ trace_gap_i is the
     margin the designed bias balances, and the score spread is
-    2 ``variance[i]`` + 4 ``offset[i]``. The limit builds it from the true
-    spectra (:func:`_limit_margins`), :mod:`hdqda.gestim` from the sample ones.
+    2 ``variance[i]`` + 4 ``offset[i]``. :func:`_limit_margins` builds it from
+    the true spectra, ``gestim._pieces`` from the sample ones, in one shape.
     """
 
     gammas: tuple[float, float]
@@ -210,10 +210,14 @@ def _matched_shrinkage(gamma0: float, delta0: float, ratio: float, words: _Vocab
 
 
 def _check_solver_args(n: int, gamma: float) -> None:
-    if n < 1:
-        raise ValueError("sample count must be positive, got %d" % (n,))
+    if not n >= 1:
+        raise ValueError("sample count must be positive, got %r" % (n,))
     if not gamma >= 0.0:
         raise InvalidRegularizerError("shrinkage must be nonnegative, got %r" % (gamma,))
+    if math.isinf(n):
+        raise ValueError("sample count must be finite, got %r" % (n,))
+    if math.isinf(gamma):
+        raise InvalidRegularizerError("shrinkage must be finite, got %r" % (gamma,))
 
 
 def _shifted_cholesky(sigma: np.ndarray, scale: float) -> np.ndarray:
@@ -283,6 +287,8 @@ def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquival
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("covariance must be square, got shape %r" % (sigma.shape,))
+    if not np.isfinite(sigma).all():
+        raise ValueError("covariance has non-finite entries")
     _check_solver_args(n, gamma)
     p = sigma.shape[0]
 
@@ -322,6 +328,8 @@ def eigen_delta_solver(eigenvalues: np.ndarray, n: int, gamma: float) -> float:
     eig = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if eig.size == 0:
         raise ValueError("need at least one eigenvalue")
+    if not np.isfinite(eig).all():
+        raise ValueError("covariance spectrum has non-finite entries")
     floor = -1e-12 * max(1.0, float(np.max(np.abs(eig), initial=0.0)))
     if np.any(eig < floor):
         raise NotSpdError("covariance spectrum has negative entries")
@@ -335,115 +343,56 @@ def eigen_delta_solver(eigenvalues: np.ndarray, n: int, gamma: float) -> float:
     )[0]
 
 
-def _scalar_resolvent(
-    eig: np.ndarray, n: int, gamma: float
-) -> tuple[float, np.ndarray, float, float]:
-    """Fixed point, per-eigenvalue resolvent weights, phi, phi_tilde."""
-    delta = eigen_delta_solver(eig, n, gamma)
-    scale = gamma / (1.0 + gamma * delta) if gamma > 0.0 else 0.0
-    weights = 1.0 / (1.0 + scale * eig)
-    phi = float(np.sum(eig**2 * weights**2)) / n
-    phi_tilde = 1.0 / (1.0 + gamma * delta) ** 2
-    return delta, weights, phi, phi_tilde
-
-
-@dataclass(frozen=True)
-class _Functionals:
-    """Scalar spectral functionals of the two resolvent limits.
-
-    Indexing convention: ``mean_quad[j]`` contracts the mean gap against the
-    class-j resolvent limit; every other tuple is indexed by the class of the
-    test observation. ``margin`` holds each class's stability margin
-    1 - gamma^2 phi phi_tilde, already checked to be positive.
-    """
-
-    delta: tuple[float, float]
-    phi: tuple[float, float]
-    phi_tilde: tuple[float, float]
-    margin: tuple[float, float]
-    mean_quad: tuple[float, float]
-    trace_gap: tuple[float, float]
-    cross_sq: tuple[float, float]
-    mixed_sq: tuple[float, float]
-    sandwich: tuple[float, float]
-    offset_quad: tuple[float, float]
-
-
-def _stability(value: float) -> float:
-    if value <= 0.0:
-        raise StabilityError("spectral stability margin is %r" % (value,))
-    return value
-
-
-def _spectral_functionals(
+def _limit_margins(
     model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float
-) -> _Functionals:
-    """Every functional on the spectral kernel the mixture keeps
-    (:attr:`~hdqda.model.MixtureModel.pair`).
+) -> tuple[tuple[tuple[float, float], tuple[float, float]], _Margins]:
+    """The true-spectrum margins, every trace and quadratic form taken on the
+    spectral kernel the mixture keeps (:attr:`~hdqda.model.MixtureModel.pair`),
+    with (phi, phi_tilde) for :class:`AsymptoticPrediction`.
 
     The resolvent limit is T_i = U_i diag(t_i) U_i^T with t_i = 1 / (1 + s_i l_i)
     and s_i = gamma_i / (1 + gamma_i delta_i).
     """
-    counts = (n0, n1)
-    gammas = (gamma0, gamma1)
-    pair = model.pair
-    l0, l1 = pair.values0, pair.values1
-    gap_sq = (pair.gap[0] ** 2, pair.gap[1] ** 2)
-    delta, (t0, t1), phi, phi_tilde = zip(
-        *(_scalar_resolvent(l, counts[j], gammas[j]) for j, l in enumerate((l0, l1)))
-    )
-    across = pair.across
-
-    return _Functionals(
-        delta=delta,
-        phi=phi,
-        phi_tilde=phi_tilde,
-        margin=tuple(
-            _stability(1.0 - gammas[k] ** 2 * phi[k] * phi_tilde[k]) for k in (0, 1)
-        ),
-        mean_quad=(float(np.sum(gap_sq[0] * t0)), float(np.sum(gap_sq[1] * t1))),
-        trace_gap=(
-            across(l0, t1) - float(np.sum(l0 * t0)),
-            float(np.sum(l1 * t1)) - across(t0, l1),
-        ),
-        cross_sq=(across(l0**2, t1**2), across(t0**2, l1**2)),
-        mixed_sq=(across(l0**2 * t0, t1), across(t0, l1**2 * t1)),
-        sandwich=(across(l0, l1 * t1**2), across(l0 * t0**2, l1)),
-        offset_quad=(
-            float(np.sum(gap_sq[1] * l1 * t1**2)),
-            float(np.sum(gap_sq[0] * l0 * t0**2)),
-        ),
-    )
-
-
-def _limit_margins(
-    model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float
-) -> tuple[_Functionals, _Margins]:
-    """The limit's margins, assembled from the spectral functionals, which are
-    returned too for the fixed-point fields of :class:`AsymptoticPrediction`."""
-    f = _spectral_functionals(model, n0, n1, gamma0, gamma1)
-    counts, gammas, p = (n0, n1), (gamma0, gamma1), model.dim
+    pair, p = model.pair, model.dim
     sqrt_p = math.sqrt(p)
+    counts, gammas = (n0, n1), (gamma0, gamma1)
+    l = (pair.values0, pair.values1)
+    delta, t, phi, phi_tilde, margin = [], [], [], [], []
+    for k in (0, 1):
+        n, gamma = counts[k], gammas[k]
+        d = eigen_delta_solver(l[k], n, gamma)
+        scale = gamma / (1.0 + gamma * d) if gamma > 0.0 else 0.0
+        t.append(1.0 / (1.0 + scale * l[k]))
+        phi.append(float(np.sum(l[k] ** 2 * t[k] ** 2)) / n)
+        phi_tilde.append(1.0 / (1.0 + gamma * d) ** 2)
+        margin.append(1.0 - gamma**2 * phi[k] * phi_tilde[k])
+        if margin[k] <= 0.0:
+            raise StabilityError("spectral stability margin is %r" % (margin[k],))
+        delta.append(d)
+    across = pair.across
+    # Tr[sigma_i T_j], Tr[(sigma_i T_j)^2], Tr[sigma_i^2 T_i T_j] and
+    # Tr[sigma_i T_j sigma_j T_j] for j = 1 - i, over both bases.
+    cross = (across(l[0], t[1]), across(t[0], l[1]))
+    cross_sq = (across(l[0] ** 2, t[1] ** 2), across(t[0] ** 2, l[1] ** 2))
+    mixed_sq = (across(l[0] ** 2 * t[0], t[1]), across(t[0], l[1] ** 2 * t[1]))
+    sandwich = (across(l[0], l[1] * t[1] ** 2), across(l[0] * t[0] ** 2, l[1]))
     shift, trace_gap, beta, variance, offset = [], [], [], [], []
     for i, sign in ((0, -1.0), (1, 1.0)):
         j = 1 - i
-        shift.append(f.mean_quad[j] / sqrt_p)
-        trace_gap.append(f.trace_gap[i] / sqrt_p)
+        shift.append(float(np.sum(pair.gap[j] ** 2 * t[j])) / sqrt_p)
+        trace_gap.append(sign * (float(np.sum(l[i] * t[i])) - cross[i]) / sqrt_p)
         beta.append(-shift[i] + sign * trace_gap[i])
         # The sandwich-squared fluctuation is sourced by the resolvent's own
         # Wishart noise, so it scales with the opposite class's sample count.
         variance.append(
-            counts[i] / p * f.phi[i] / f.margin[i]
-            + f.cross_sq[i] / p
-            - 2.0 * f.mixed_sq[i] / p
-            + (gammas[j] ** 2 * f.phi_tilde[j] / f.margin[j])
-            * f.sandwich[i] ** 2
-            / (counts[j] * p)
+            counts[i] / p * phi[i] / margin[i]
+            + cross_sq[i] / p
+            - 2.0 * mixed_sq[i] / p
+            + (gammas[j] ** 2 * phi_tilde[j] / margin[j]) * sandwich[i] ** 2 / (counts[j] * p)
         )
-        offset.append(f.offset_quad[i] / p / f.margin[j])
-    return f, _Margins(
-        gammas, f.delta, tuple(beta), tuple(shift), tuple(trace_gap), tuple(variance), tuple(offset)
-    )
+        offset.append(float(np.sum(pair.gap[j] ** 2 * l[j] * t[j] ** 2)) / p / margin[j])
+    margins = _Margins(gammas, *map(tuple, (delta, beta, shift, trace_gap, variance, offset)))
+    return (tuple(phi), tuple(phi_tilde)), margins
 
 
 def asymptotic_error(
@@ -461,7 +410,7 @@ def asymptotic_error(
     of the gap to the exact conditional spread of
     :func:`~hdqda.discriminant.conditional_score_moments`.
     """
-    f, margins = _limit_margins(model, n0, n1, gamma0, gamma1)
+    (phi, phi_tilde), margins = _limit_margins(model, n0, n1, gamma0, gamma1)
     mean_shift, eps, total = _class_errors(theta, margins, (model.prior0, model.prior1), _LIMITING)
     return AsymptoticPrediction(
         eps0=eps[0], eps1=eps[1], total=total,
@@ -469,9 +418,9 @@ def asymptotic_error(
         trace_gap=np.array(margins.trace_gap),
         quad_variance=np.array(margins.variance),
         offset_variance=np.array(margins.offset),
-        delta=np.asarray(f.delta),
-        phi=np.asarray(f.phi),
-        phi_tilde=np.asarray(f.phi_tilde),
+        delta=np.asarray(margins.delta),
+        phi=np.asarray(phi),
+        phi_tilde=np.asarray(phi_tilde),
     )
 
 

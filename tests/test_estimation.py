@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ def test_resolvent_gamma_zero_is_identity_and_negative_rejected():
     np.testing.assert_array_equal(regularized_resolvent(sigma, 0.0), np.eye(4))
     with pytest.raises(ValueError):
         regularized_resolvent(sigma, -0.5)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            regularized_resolvent(sigma, gamma)
+    train = TrainingSet(X0=np.eye(4), X1=np.ones((5, 4)) + np.eye(5, 4))
+    with pytest.raises(ValueError, match="finite and >= 0, got inf"):
+        fit(train, math.inf, math.inf)
+    with pytest.raises(ValueError, match="finite and >= 0, got nan"):
+        fit_pooled(train, math.nan)
 
 
 def test_resolvent_fails_loudly_off_the_spd_cone():

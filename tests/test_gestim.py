@@ -70,6 +70,8 @@ def test_delta_hat_input_validation():
         delta_hat(H, 10, 0.0)
     with pytest.raises(InvalidRegularizerError):
         delta_hat(H, 10, float("nan"))
+    with pytest.raises(InvalidRegularizerError, match="finite"):
+        delta_hat(H, 10, float("inf"))
 
 
 def test_delta_hat_rejects_inconsistent_traces():
@@ -99,6 +101,8 @@ def test_gamma1_hat_validation():
         gamma1_hat(float("nan"), 10, 20, 1.0)
     with pytest.raises(InvalidRegularizerError):
         gamma1_hat(0.5, 10, 20, float("nan"))
+    with pytest.raises(InvalidRegularizerError, match="finite"):
+        gamma1_hat(0.5, 10, 20, float("inf"))
 
 
 @pytest.mark.parametrize("priors", [(0.0, 1.0), (2.0, -1.0), (float("nan"), 0.5), (0.5, 0.6)])

@@ -137,6 +137,9 @@ def test_split_validation_errors():
         make_imbalanced_split(ds, 3, 7, ratio=1.0, n1=45)
     with pytest.raises(ValueError, match="not present"):
         make_imbalanced_split(ds, 2, 7, ratio=1.0, n1=10)
+    for ratio in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="ratio must be finite and strictly positive"):
+            make_imbalanced_split(ds, 3, 7, ratio=ratio, n1=10)
 
 
 def test_labeled_dataset_validation():

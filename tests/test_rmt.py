@@ -17,7 +17,7 @@ from hdqda import rmt
 from hdqda.estimation import SpectralPair
 from hdqda.model import ClassStatistics, MixtureModel, build_mixture
 from hdqda.rmt import (
-    _Functionals,
+    _Margins,
     asymptotic_error,
     eigen_delta_solver,
     gamma1_theoretical,
@@ -86,6 +86,15 @@ def test_solver_argument_validation():
         eigen_delta_solver(np.array([1.0, -2.0]), 5, 1.0)
     with pytest.raises(InvalidRegularizerError):
         eigen_delta_solver(np.array([1.0, 2.0]), 5, math.nan)
+    with pytest.raises(ValueError, match="covariance spectrum has non-finite entries"):
+        eigen_delta_solver(np.array([math.nan, 1.0]), 10, 1.0)
+    with pytest.raises(ValueError, match="sample count must be positive, got nan"):
+        eigen_delta_solver(np.ones(3), math.nan, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="covariance has non-finite entries"):
+            solve_delta(np.diag([1.0, bad, 2.0]), 10, 1.0)
+    with pytest.raises(InvalidRegularizerError, match="shrinkage must be finite, got inf"):
+        gamma1_theoretical(np.eye(3), 10, 20, math.inf, delta0=0.5)
     model = _commuting_model(p=12, seed=1)
     for theta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="bias must be finite"):
@@ -95,6 +104,8 @@ def test_solver_argument_validation():
         ((0, 30, 0.5, 0.9), ValueError, "sample count must be positive, got 0"),
         ((20, 30, -1.0, 0.9), InvalidRegularizerError, "shrinkage must be nonnegative, got -1.0"),
         ((20, 30, 0.5, math.nan), InvalidRegularizerError, "shrinkage must be nonnegative, got nan"),
+        ((20, 30, 0.5, math.inf), InvalidRegularizerError, "shrinkage must be finite, got inf"),
+        ((20, math.inf, 0.5, 0.9), ValueError, "sample count must be finite, got inf"),
     ):
         for call in (
             lambda: theta_star_theoretical(model, *args),
@@ -157,31 +168,33 @@ def _commuting_model(p=48, seed=0):
     return build_mixture(config)
 
 
-def _dense_functionals(
-    model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float
-) -> _Functionals:
-    """Reference functionals from the dense resolvent limits; no eigendecomposition."""
+def _dense_margins(model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float):
+    """Reference (phi, phi_tilde) and margins from the dense resolvent limits of
+    :func:`solve_delta`; no eigendecomposition."""
     sigmas = (model.class0.covariance, model.class1.covariance)
-    counts = (n0, n1)
-    gammas = (gamma0, gamma1)
+    counts, gammas, p = (n0, n1), (gamma0, gamma1), model.dim
     eqs = [solve_delta(sigmas[i], counts[i], gammas[i]) for i in (0, 1)]
+    margin = tuple(eq.stability_margin() for eq in eqs)
     mu = model.class1.mean - model.class0.mean
     T = (eqs[0].T, eqs[1].T)
-    sandwiched = tuple(T[j] @ sigmas[j] @ T[j] for j in (0, 1))
-    return _Functionals(
-        delta=tuple(eq.delta for eq in eqs),
-        phi=tuple(eq.phi for eq in eqs),
-        phi_tilde=tuple(eq.phi_tilde for eq in eqs),
-        margin=tuple(eq.stability_margin() for eq in eqs),
-        mean_quad=tuple(float(mu @ T[j] @ mu) for j in (0, 1)),
-        trace_gap=tuple(float(np.sum(sigmas[i] * (T[1] - T[0]))) for i in (0, 1)),
-        cross_sq=tuple(float(np.sum((sigmas[i] @ T[1 - i]) ** 2)) for i in (0, 1)),
-        mixed_sq=tuple(
-            float(np.sum((sigmas[i] @ T[1]) * (sigmas[i] @ T[0]).T)) for i in (0, 1)
-        ),
-        sandwich=tuple(float(np.sum(sigmas[i] * sandwiched[1 - i])) for i in (0, 1)),
-        offset_quad=tuple(float(mu @ sandwiched[1 - i] @ mu) for i in (0, 1)),
-    )
+    shift, trace_gap, beta, variance, offset = [], [], [], [], []
+    for i, sign in ((0, -1.0), (1, 1.0)):
+        j = 1 - i
+        sandwiched = T[j] @ sigmas[j] @ T[j]
+        shift.append(float(mu @ T[j] @ mu) / math.sqrt(p))
+        trace_gap.append(float(np.sum(sigmas[i] * (T[i] - T[j]))) * sign / math.sqrt(p))
+        beta.append(-shift[i] + sign * trace_gap[i])
+        variance.append(
+            counts[i] / p * eqs[i].phi / margin[i]
+            + float(np.sum((sigmas[i] @ T[j]) ** 2)) / p
+            - 2.0 * float(np.sum((sigmas[i] @ T[1]) * (sigmas[i] @ T[0]).T)) / p
+            + gammas[j] ** 2 * eqs[j].phi_tilde / margin[j]
+            * float(np.sum(sigmas[i] * sandwiched)) ** 2 / (counts[j] * p)
+        )
+        offset.append(float(mu @ sandwiched @ mu) / p / margin[j])
+    fixed = tuple(eq.delta for eq in eqs)
+    margins = _Margins(gammas, fixed, *map(tuple, (beta, shift, trace_gap, variance, offset)))
+    return (tuple(eq.phi for eq in eqs), tuple(eq.phi_tilde for eq in eqs)), margins
 
 
 def _covariance_pair(kind: str, p: int, rng: np.random.Generator):
@@ -223,7 +236,7 @@ def _assert_close(got, want, what: str) -> None:
 def test_spectral_route_matches_the_dense_reference(
     kind, seed, p, n_scale, imbalance, gamma0, gamma1, prior0
 ):
-    """Spectral functionals and the error and bias built on them equal the
+    """Spectral margins and the error and bias built on them equal the
     dense-resolvent reference for non-commuting, commuting and isotropic pairs."""
     rng = np.random.default_rng(seed)
     sigma0, sigma1 = _covariance_pair(kind, p, rng)
@@ -238,16 +251,18 @@ def test_spectral_route_matches_the_dense_reference(
     n1 = max(n0, int(imbalance * n0))
     args = (model, n0, n1, gamma0, gamma1)
 
-    spectral = rmt._spectral_functionals(*args)
-    dense = _dense_functionals(*args)
-    for field in dataclasses.fields(_Functionals):
+    (phi, phi_tilde), spectral = rmt._limit_margins(*args)
+    (dense_phi, dense_phi_tilde), dense = _dense_margins(*args)
+    _assert_close(phi, dense_phi, "phi")
+    _assert_close(phi_tilde, dense_phi_tilde, "phi_tilde")
+    for field in dataclasses.fields(_Margins):
         _assert_close(
             getattr(spectral, field.name), getattr(dense, field.name), field.name
         )
 
     design = theta_star_theoretical(*args)
     prediction = asymptotic_error(*args, design.theta_star)
-    with mock.patch.object(rmt, "_spectral_functionals", _dense_functionals):
+    with mock.patch.object(rmt, "_limit_margins", _dense_margins):
         dense_design = theta_star_theoretical(*args)
         dense_prediction = asymptotic_error(*args, design.theta_star)
     # With unequal priors the bias divides by beta0 + beta1; near cancellation
