@@ -9,6 +9,11 @@ library's own thread count (for OpenBLAS, OPENBLAS_NUM_THREADS) is another
 matter: it changes the summation order inside matrix products, so estimates
 such as g_estimate can differ in their last digits between BLAS settings.
 
+A sweep task is one (scenario, replicate) draw: it forms the draw's moments
+and spectral kernel once and runs the whole shrinkage grid on them, so threads
+beyond scenarios x replicates sit idle. A ``real`` task is one (ratio, split)
+tuned fit.
+
 Exit codes: 0 success, 1 configuration or data-format problem, 2 numerical
 failure inside an otherwise valid run.
 """
@@ -38,11 +43,11 @@ from .discriminant import (
     rqda_scores,
 )
 from .errors import CsvFormatError, HdqdaError, InsufficientSamplesError
-from .estimation import TrainingSet, fit, fit_pooled
+from .estimation import FittedStats, TrainingSet, fit, fit_pooled
 from .gestim import g_estimator_error
 from .ingestion import load_csv, make_imbalanced_split
 from .model import _CONFIG_FIELDS, MixtureModel, ScenarioConfig, build_mixture, sample_scenario
-from .pipeline import ImprovedModel, fit_improved
+from .pipeline import ImprovedModel, _canonical, _fit_canonical, fit_improved
 from .rmt import asymptotic_error, eigen_delta_solver, gamma1_theoretical, theta_star_theoretical
 
 # Scenario fields pass through unconverted: ScenarioConfig checks them. A
@@ -247,20 +252,19 @@ def _theory_total(model: MixtureModel, n0: int, n1: int, gamma0: float) -> float
     return asymptotic_error(canonical, c0, c1, gamma0, gamma1, design.theta_star).total
 
 
-def _replicate_totals(
-    config: ScenarioConfig, model: MixtureModel, gamma0: float, replicate: int
-) -> tuple[float, float, float]:
-    """(improved, standard, training-only estimate) totals for one replicate."""
-    data = sample_scenario(config, model=model, replicate=replicate)
-    train = TrainingSet(X0=data.train0, X1=data.train1)
-    priors = (model.prior0, model.prior1)
-
-    improved = fit_improved(train, gamma0, priors=priors)
+def _gamma_totals(data, canonical, quartic, priors, gamma0: float) -> tuple[float, float, float]:
+    """(improved, standard, training-only estimate) totals at ``gamma0`` on one
+    draw's shared moments and kernel; no fit built here outlives the call."""
+    improved = _fit_canonical(canonical, gamma0, None, quartic)
     report = _error_from_labels(
         improved.predict(data.test0), improved.predict(data.test1), priors
     )
 
-    shared = fit(train, gamma0, gamma0)
+    # label_map is its own inverse, so it also lists each scenario class's
+    # canonical index: the standard rule's fit takes the same moment arrays.
+    (mu0, sig0), (mu1, sig1) = (canonical.moments[k] for k in canonical.label_map)
+    n0, n1 = (canonical.counts[k] for k in canonical.label_map)
+    shared = FittedStats(mu0, mu1, sig0, sig1, gamma0, gamma0, n0, n1)
     standard = empirical_error(
         rqda_scores(data.test0, shared, priors),
         rqda_scores(data.test1, shared, priors),
@@ -344,7 +348,7 @@ def _replicated(replicates: int) -> list:
     """``--replicates``, documented with the subcommand's default, and ``--threads``."""
     return [
         click.option("--replicates", type=int, default=None, help="Training replicates to average (default %d)." % replicates),
-        click.option("--threads", type=int, default=None, help="Worker threads (default 1). Output bytes do not depend on this; they can differ in the last digits between BLAS thread settings."),
+        click.option("--threads", type=int, default=None, help="Worker threads (default 1). A task is one training draw that runs its whole shrinkage grid: a (scenario, replicate) pair in a sweep, a (ratio, split) pair in real; threads beyond their count sit idle. Output bytes do not depend on this; they can differ in the last digits between BLAS thread settings."),
     ]
 
 
@@ -402,11 +406,28 @@ def histogram(**flags) -> None:
     _write_csv(flags["out"], meta, ["rule", "true_class", "score"], rows)
 
 
-def _sweep_outcome(config, model, gamma0, replicate):
+def _failure(exc: HdqdaError) -> tuple[str, str]:
+    return "fail", "%s: %s" % (type(exc).__name__, exc)
+
+
+def _replicate_outcomes(config, model, gammas: list, replicate: int) -> list:
+    """One sweep task: draw ``replicate`` and form its moments, kernel and
+    quartic weights once, then an ``("ok", totals)`` or ``("fail", reason)``
+    outcome per value in ``gammas``; a failure before them is each one's."""
+    priors = (model.prior0, model.prior1)
     try:
-        return "ok", _replicate_totals(config, model, gamma0, replicate)
+        data = sample_scenario(config, model=model, replicate=replicate)
+        canonical = _canonical(TrainingSet(X0=data.train0, X1=data.train1), priors)
+        quartic = canonical.pair.quartic_weights()
     except HdqdaError as exc:
-        return "fail", "%s: %s" % (type(exc).__name__, exc)
+        return [_failure(exc)] * len(gammas)
+    outcomes = []
+    for gamma0 in gammas:
+        try:
+            outcomes.append(("ok", _gamma_totals(data, canonical, quartic, priors, float(gamma0))))
+        except HdqdaError as exc:
+            outcomes.append(_failure(exc))
+    return outcomes
 
 
 _SWEEP_HEADER = ["empirical_std_rqda", "empirical_improved", "theorem1", "g_estimate", "failure"]
@@ -415,21 +436,29 @@ _SWEEP_HEADER = ["empirical_std_rqda", "empirical_improved", "theorem1", "g_esti
 def _sweep_rows(points: list, replicates: int, threads: int) -> list[list]:
     """The shared core of the sweeps: one row per ``(label, scenario, gamma0)`` point.
 
-    Every point x replicate task runs through :func:`_run_tasks`; each point's
-    replicates fold through :func:`_aggregate`, and a failed limiting-error
-    evaluation is appended to the point's failure text.
+    One task per (scenario, replicate) runs through :func:`_run_tasks`: it draws
+    the replicate once and evaluates every gamma0 of that scenario on the draw
+    (:func:`_replicate_outcomes`). Each point's replicates fold through
+    :func:`_aggregate`, and a failed limiting-error evaluation is appended to
+    the point's failure text.
     """
-    models = {s: build_mixture(s) for s in dict.fromkeys(s for _, s, _ in points)}
+    grids: dict[ScenarioConfig, list] = {}
+    slots = []  # each point's position in its scenario's grid
+    for _, scenario, gamma0 in points:
+        grid = grids.setdefault(scenario, [])
+        slots.append(len(grid))
+        grid.append(gamma0)
+    models = {s: build_mixture(s) for s in grids}
     tasks = [
-        (lambda s=scenario, g=gamma0, r=r: _sweep_outcome(s, models[s], g, r))
-        for _, scenario, gamma0 in points
+        (lambda s=scenario, r=r: _replicate_outcomes(s, models[s], grids[s], r))
+        for scenario in grids
         for r in range(replicates)
     ]
-    outcomes = _run_tasks(tasks, threads)
+    outcomes = iter(_run_tasks(tasks, threads))
+    draws = {s: [next(outcomes) for _ in range(replicates)] for s in grids}
     rows = []
-    for index, (label, scenario, gamma0) in enumerate(points):
-        chunk = outcomes[index * replicates : (index + 1) * replicates]
-        improved, standard, estimate, failure = _aggregate(chunk)
+    for (label, scenario, gamma0), slot in zip(points, slots):
+        improved, standard, estimate, failure = _aggregate([draw[slot] for draw in draws[scenario]])
         theory = None
         if improved is not None:
             try:

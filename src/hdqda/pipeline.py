@@ -162,21 +162,51 @@ def tune_gamma0(
             "expected the minority class first: n0=%d exceeds n1=%d"
             % (train.n0, train.n1)
         )
-    if priors is None:
-        priors = (train.n0 / train.n, train.n1 / train.n)
-    priors = _check_priors(priors)
-    (mu0, sig0), (mu1, sig1) = sample_moments(train.X0), sample_moments(train.X1)
-    return _tune(_sample_pair(mu0, mu1, sig0, sig1), (train.n0, train.n1), grid, priors)[0]
+    canonical = _canonical(train, priors)
+    return _tune(canonical, canonical.pair.quartic_weights(), grid)[0]
+
+
+@dataclass(frozen=True)
+class _Canonical:
+    """A training sample, minority class first, as every shrinkage value shares
+    it: per-class ``(mean, covariance)`` moments, counts and priors, the
+    ``label_map`` back to the caller's labels, and the moments' kernel."""
+
+    moments: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    counts: tuple[int, int]
+    priors: tuple[float, float]
+    label_map: tuple[int, int]
+    pair: SpectralPair
+
+
+def _canonical(train: TrainingSet, priors: tuple[float, float] | None) -> _Canonical:
+    """Step one of :func:`fit_improved`: orient ``train`` and ``priors`` (the
+    caller's labeling; the training proportions when None) so the smaller class
+    comes first, then form its moments and their kernel, the one eigh per class."""
+    swapped = train.n1 < train.n0
+    canonical = train.swapped() if swapped else train
+    if priors is not None:
+        priors = _check_priors(priors)
+        if swapped:
+            priors = (priors[1], priors[0])
+    else:
+        priors = (canonical.n0 / canonical.n, canonical.n1 / canonical.n)
+    moments = (sample_moments(canonical.X0), sample_moments(canonical.X1))
+    (mu0, sig0), (mu1, sig1) = moments
+    return _Canonical(
+        moments=moments,
+        counts=(canonical.n0, canonical.n1),
+        priors=priors,
+        label_map=(1, 0) if swapped else (0, 1),
+        pair=_sample_pair(mu0, mu1, sig0, sig1),
+    )
 
 
 def _tune(
-    pair: SpectralPair,
-    counts: tuple[int, int],
-    grid: np.ndarray | None,
-    priors: tuple[float, float],
+    canonical: _Canonical, quartic: tuple, grid: np.ndarray | None
 ) -> tuple[TuningResult, _Margins, BiasEstimate]:
-    """:func:`tune_gamma0` on the kernel of a canonical sample, plus the
-    winning candidate's pieces (with its matched gamma1) and bias."""
+    """:func:`tune_gamma0` on a canonical sample whose kernel has the ``quartic``
+    weights, plus the winning candidate's pieces (with its matched gamma1) and bias."""
     candidates = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if candidates.ndim != 1 or candidates.size == 0:
         raise ValueError("candidate grid must be a nonempty 1-D array")
@@ -184,7 +214,7 @@ def _tune(
         raise ValueError("candidate shrinkage values must be finite and strictly positive")
     candidates = np.sort(candidates)
 
-    quartic = pair.quartic_weights()
+    pair, counts, priors = canonical.pair, canonical.counts, canonical.priors
     entries: list[TuningEntry] = []
     best: tuple[float, _Margins, BiasEstimate] | None = None
     for gamma0 in candidates:
@@ -343,25 +373,27 @@ def fit_improved(
     priors follow the caller's labeling and are swapped along with the data.
     Default priors are the training proportions.
     """
-    swapped = train.n1 < train.n0
-    canonical = train.swapped() if swapped else train
-    if priors is not None:
-        priors = _check_priors(priors)
-        if swapped:
-            priors = (priors[1], priors[0])
-    else:
-        priors = (canonical.n0 / canonical.n, canonical.n1 / canonical.n)
+    return _fit_canonical(_canonical(train, priors), gamma0, grid)
 
+
+def _fit_canonical(
+    canonical: _Canonical, gamma0: float | None, grid: np.ndarray | None, quartic: tuple | None = None
+) -> ImprovedModel:
+    """Step two of :func:`fit_improved`: the model at ``gamma0``, or tuned over
+    ``grid`` when it is None, on the moments and kernel of ``canonical``, whose
+    ``quartic`` weights a caller may keep across shrinkage values."""
     if gamma0 is not None and not 0.0 < gamma0 < math.inf:
         raise ValueError("shrinkage must be finite and strictly positive, got %r" % (gamma0,))
-    (mu0, sig0), (mu1, sig1) = sample_moments(canonical.X0), sample_moments(canonical.X1)
-    pair, counts = _sample_pair(mu0, mu1, sig0, sig1), (canonical.n0, canonical.n1)
+    pair, counts, priors = canonical.pair, canonical.counts, canonical.priors
+    quartic = pair.quartic_weights() if quartic is None else quartic
     if gamma0 is None:
-        tuning, pieces, bias = _tune(pair, counts, grid, priors)
+        tuning, pieces, bias = _tune(canonical, quartic, grid)
         trace = tuning.entries
     else:
-        pieces, bias, _ = _candidate(pair, pair.quartic_weights(), float(gamma0), counts, priors)
+        pieces, bias, _ = _candidate(pair, quartic, float(gamma0), counts, priors)
         trace = ()
+    del quartic  # weights formed here are not kept while the resolvents are
+    (mu0, sig0), (mu1, sig1) = canonical.moments
     fit = FittedStats(mu0, mu1, sig0, sig1, *pieces.gammas, *counts)
     # The one place a fit is seeded with what it derives on first use: ``pair``
     # and ``pieces`` are what ``fit.pair`` and the estimators would build from
@@ -373,7 +405,7 @@ def fit_improved(
     return ImprovedModel(
         fit=fit,
         theta=bias.theta_hat,
-        label_map=(1, 0) if swapped else (0, 1),
+        label_map=canonical.label_map,
         priors=priors,
         trace=trace,
     )

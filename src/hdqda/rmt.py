@@ -201,8 +201,8 @@ def _class_errors(
 def _matched_shrinkage(gamma0: float, delta0: float, ratio: float, words: _Vocabulary) -> float:
     """Majority shrinkage gamma0 / (1 - gamma0 (ratio - 1) delta0) balancing the
     two resolvent traces at count ratio n0/n1; a ratio of 1 returns gamma0 exactly."""
-    if not delta0 >= 0.0:
-        raise ValueError("fixed-point estimate must be nonnegative, got %r" % (delta0,))
+    if not 0.0 <= delta0 < math.inf:
+        raise ValueError("delta0 must be finite and nonnegative, got %r" % (delta0,))
     denominator = 1.0 - gamma0 * (ratio * delta0 - delta0)
     if not denominator > 0.0:
         raise words.degenerate("matched shrinkage denominator is %r" % (denominator,))
@@ -216,6 +216,8 @@ def _check_solver_args(n: int, gamma: float) -> None:
         raise InvalidRegularizerError("shrinkage must be nonnegative, got %r" % (gamma,))
     if math.isinf(n):
         raise ValueError("sample count must be finite, got %r" % (n,))
+    if isinstance(n, bool) or not float(n).is_integer():
+        raise ValueError("sample count must be a whole number, got %r" % (n,))
     if math.isinf(gamma):
         raise InvalidRegularizerError("shrinkage must be finite, got %r" % (gamma,))
 

@@ -7,8 +7,17 @@ import pytest
 from click.testing import CliRunner
 
 import hdqda.cli as cli_module
+import hdqda.estimation as estimation_module
+import hdqda.pipeline as pipeline_module
 from hdqda.cli import main
-from hdqda.errors import InsufficientSamplesError, StabilityError
+from hdqda.discriminant import empirical_error, rqda_scores
+from hdqda.errors import DegenerateEstimateError, HdqdaError, InsufficientSamplesError, StabilityError
+from hdqda.estimation import TrainingSet, fit
+from hdqda.gestim import g_estimator_error
+from hdqda.model import build_mixture, sample_scenario
+from hdqda.pipeline import fit_improved
+
+from conftest import small_config
 
 
 TINY = {"p": 10, "n0": 16, "n1": 8, "test0": 12, "test1": 6}
@@ -357,3 +366,77 @@ def test_sweep_p_output_is_thread_invariant(runner, tmp_path):
     pooled = runner.invoke(main, args + ["--threads", "2"])
     assert single.exit_code == 0, single.output
     assert single.stdout == pooled.stdout
+
+
+def _reference_sweep_rows(scenario, gammas, replicates):
+    """Sweep rows assembled point by point, one fresh draw and fit per
+    (gamma0, replicate), from the public API alone."""
+    model = build_mixture(scenario)
+    priors = (model.prior0, model.prior1)
+    rows = []
+    for gamma0 in gammas:
+        good, bad = [], []
+        for replicate in range(replicates):
+            try:
+                data = sample_scenario(scenario, model=model, replicate=replicate)
+                train = TrainingSet(X0=data.train0, X1=data.train1)
+                improved = fit_improved(train, gamma0, priors=priors)
+                eps0 = float(np.mean(improved.predict(data.test0) != 0))
+                eps1 = float(np.mean(improved.predict(data.test1) != 1))
+                shared = fit(train, gamma0, gamma0)
+                standard = empirical_error(
+                    rqda_scores(data.test0, shared, priors),
+                    rqda_scores(data.test1, shared, priors),
+                    priors,
+                )
+                estimate = g_estimator_error(improved.fit, improved.theta, improved.priors)
+                good.append((priors[0] * eps0 + priors[1] * eps1, standard.total, estimate.total_hat))
+            except HdqdaError as exc:
+                bad.append("%s: %s" % (type(exc).__name__, exc))
+        failure = "%d/%d replicates failed; first: %s" % (len(bad), replicates, bad[0]) if bad else None
+        improved_total, standard_total, estimate_total = (float(m) for m in np.asarray(good).mean(axis=0))
+        theory = cli_module._theory_total(model, scenario.n0, scenario.n1, float(gamma0))
+        rows.append([float(gamma0), standard_total, improved_total, theory, estimate_total, failure])
+    return rows
+
+
+@pytest.mark.parametrize("counts", [(40, 20), (20, 40)])
+def test_sweep_tasks_draw_once_and_match_the_per_point_reference(monkeypatch, counts):
+    scenario = small_config(n0=counts[0], n1=counts[1], seed=4)
+    gammas = np.logspace(-1.0, 1.0, 3)
+    replicates = 3
+    # The middle shrinkage value fails on replicate 1 in either route: each
+    # route reaches it once per replicate, in replicate order.
+    real_candidate, reached = pipeline_module._candidate, []
+
+    def flaky(pair, quartic, gamma0, *rest):
+        if gamma0 == gammas[1]:
+            reached.append(gamma0)
+            if len(reached) % replicates == 2:
+                raise DegenerateEstimateError("injected on replicate 1")
+        return real_candidate(pair, quartic, gamma0, *rest)
+
+    monkeypatch.setattr(pipeline_module, "_candidate", flaky)
+    expected = _reference_sweep_rows(scenario, gammas, replicates)
+
+    calls = {"sample": 0, "eigenpair": 0}
+    real_sample, real_eigenpair = cli_module.sample_scenario, estimation_module.eigenpair
+
+    def counting_sample(*args, **kwargs):
+        calls["sample"] += 1
+        return real_sample(*args, **kwargs)
+
+    def counting_eigenpair(matrix):
+        calls["eigenpair"] += 1
+        return real_eigenpair(matrix)
+
+    monkeypatch.setattr(cli_module, "sample_scenario", counting_sample)
+    monkeypatch.setattr(estimation_module, "eigenpair", counting_eigenpair)
+    rows = cli_module._sweep_rows([(float(g), scenario, g) for g in gammas], replicates, 1)
+
+    assert rows == expected  # every total bitwise, every failure text verbatim
+    assert rows[1][5] == (
+        "1/3 replicates failed; first: DegenerateEstimateError: injected on replicate 1"
+    )
+    assert [row[5] for row in rows[::2]] == [None, None]
+    assert calls == {"sample": replicates, "eigenpair": 2 * replicates}

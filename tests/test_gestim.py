@@ -103,6 +103,8 @@ def test_gamma1_hat_validation():
         gamma1_hat(0.5, 10, 20, float("nan"))
     with pytest.raises(InvalidRegularizerError, match="finite"):
         gamma1_hat(0.5, 10, 20, float("inf"))
+    with pytest.raises(ValueError, match="delta0 must be finite and nonnegative, got inf"):
+        gamma1_hat(float("inf"), 10, 20, 0.5)
 
 
 @pytest.mark.parametrize("priors", [(0.0, 1.0), (2.0, -1.0), (float("nan"), 0.5), (0.5, 0.6)])

@@ -95,6 +95,18 @@ def test_solver_argument_validation():
             solve_delta(np.diag([1.0, bad, 2.0]), 10, 1.0)
     with pytest.raises(InvalidRegularizerError, match="shrinkage must be finite, got inf"):
         gamma1_theoretical(np.eye(3), 10, 20, math.inf, delta0=0.5)
+    with pytest.raises(ValueError, match="delta0 must be finite and nonnegative, got inf"):
+        gamma1_theoretical(np.eye(3), 10, 20, 0.5, delta0=math.inf)
+    # A count is a whole number: not a fraction and not a boolean, though a
+    # whole float passes as its integer.
+    for bad in (2.5, True):
+        message = "sample count must be a whole number, got %r" % (bad,)
+        with pytest.raises(ValueError, match=message):
+            solve_delta(sigma, bad, 1.0)
+        with pytest.raises(ValueError, match=message):
+            eigen_delta_solver(np.ones(3), bad, 1.0)
+    assert solve_delta(sigma, 100.0, 1.0).delta == solve_delta(sigma, 100, 1.0).delta
+    assert eigen_delta_solver(np.ones(3), 100.0, 1.0) == eigen_delta_solver(np.ones(3), 100, 1.0)
     model = _commuting_model(p=12, seed=1)
     for theta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="bias must be finite"):
@@ -106,6 +118,8 @@ def test_solver_argument_validation():
         ((20, 30, 0.5, math.nan), InvalidRegularizerError, "shrinkage must be nonnegative, got nan"),
         ((20, 30, 0.5, math.inf), InvalidRegularizerError, "shrinkage must be finite, got inf"),
         ((20, math.inf, 0.5, 0.9), ValueError, "sample count must be finite, got inf"),
+        ((20.5, 30, 0.5, 0.9), ValueError, "sample count must be a whole number, got 20.5"),
+        ((20, True, 0.5, 0.9), ValueError, "sample count must be a whole number, got True"),
     ):
         for call in (
             lambda: theta_star_theoretical(model, *args),
