@@ -8,6 +8,12 @@ log-determinant comes from the same factor. A trace or quadratic form of
 covariances against resolvents needs no resolvent: with each covariance
 diagonalized once (:func:`eigenpair`), a resolvent is a weight vector on its
 eigenvalues, and :class:`SpectralPair` takes every such trace at O(p^2) cost.
+
+The paper's minority class has fewer rows than features, so its sample
+covariance has rank r = n0 - 1 < p. Its kernel is then thin: only the range is
+diagonalized, from a pivoted Cholesky factor, R is r x p, and a trace costs
+O(rp); the null space, where the covariance vanishes and every resolvent is
+the identity, enters in closed form.
 """
 
 from __future__ import annotations
@@ -79,6 +85,13 @@ class TrainingSet:
         return TrainingSet(self.X1, self.X0)
 
 
+def _check_whole(n, name: str) -> None:
+    """Reject a count that is not a whole number: a fraction, NaN, an infinity
+    or a boolean; a whole float passes as its integer."""
+    if isinstance(n, (bool, np.bool_)) or not float(n).is_integer():
+        raise ValueError("%s must be a whole number, got %r" % (name, n))
+
+
 def sample_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column mean and unbiased (n-1 normalized) sample covariance."""
     X = np.asarray(X, dtype=float)
@@ -141,13 +154,21 @@ class SpectralPair:
     A trace of a class-0 spectral function against a class-1 one is a0^T W a1
     (:meth:`across`); a trace within one class is a plain sum. A shared basis
     is the case W = I, up to rotations inside repeated eigenvalues.
+
+    U_1 is always p x p. U_0 may be thin: p x r, the range of a rank-r
+    sigma_0, so ``values0``, ``gap[0]`` and the rows of R and W cover the
+    range only. Class 0's p - r null directions then enter in closed form:
+    there l_0 = 0, and each column of R has unit norm over all p rows, so the
+    null rows of a column of W sum to 1 minus its kept rows.
     """
 
     def __init__(self, spectra, gap: np.ndarray):
         (self.values0, basis0), (self.values1, basis1) = spectra
+        self.dim = basis1.shape[0]
         self.rotation = basis0.T @ basis1
         self.weights = self.rotation * self.rotation
         self.gap = (basis0.T @ gap, basis1.T @ gap)
+        self.gap_square = float(gap @ gap)
 
     def across(self, a0: np.ndarray, a1: np.ndarray) -> float:
         return float(a0 @ self.weights @ a1)
@@ -155,17 +176,41 @@ class SpectralPair:
     def quartic_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """(M0 o M0, M1 o M1) for M0 = R^T diag(l0) R and M1 = R diag(l1) R^T, each
         covariance in the other's basis: Tr[sigma_0 H sigma_0 H] for
-        H = U_1 diag(w) U_1^T is w^T (M0 o M0) w, and symmetrically; not kept."""
+        H = U_1 diag(w) U_1^T is w^T (M0 o M0) w, and symmetrically; not kept.
+        On a thin kernel M1 is its r x r range block."""
         R = self.rotation
         m0 = R.T @ (self.values0[:, None] * R)
         m1 = (R * self.values1) @ R.T
         return np.square(m0, out=m0), np.square(m1, out=m1)
 
 
-def _sample_pair(mu_hat0, mu_hat1, sigma_hat0, sigma_hat1) -> SpectralPair:
+def _range_eigenpair(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and p x r orthonormal basis of the range of a
+    rank-deficient symmetric positive semidefinite matrix, r its numerical rank.
+
+    A pivoted Cholesky factorization (``dpstrf``) finds r and writes the matrix
+    as F F^T with F = P L of size p x r. F^T F = L^T L shares its nonzero
+    spectrum, so an r x r eigh gives the eigenvalues l and F V / sqrt(l) the
+    basis; no p x p eigenproblem is solved.
+    """
+    factor, pivots, rank, _ = lapack.dpstrf(matrix, lower=1)
+    # The factor's first r columns, rows put back in the matrix's order. LAPACK
+    # leaves the upper triangle as it found it and the trailing block unfactored.
+    thin = np.tril(factor[:, :rank])[np.argsort(pivots)]
+    values, vectors = np.linalg.eigh(thin.T @ thin)
+    basis = thin @ vectors
+    basis /= np.sqrt(values)
+    return values, basis
+
+
+def _sample_pair(mu_hat0, mu_hat1, sigma_hat0, sigma_hat1, n0: int) -> SpectralPair:
     """The spectral kernel of two classes' sample moments; the one place a
-    sample covariance is diagonalized."""
-    return SpectralPair((eigenpair(sigma_hat0), eigenpair(sigma_hat1)), mu_hat0 - mu_hat1)
+    sample covariance is diagonalized. When class 0's ``n0`` rows leave its
+    covariance rank-deficient (n0 - 1 < p) only its range is diagonalized
+    (:func:`_range_eigenpair`), and the kernel is thin."""
+    p = sigma_hat0.shape[0]
+    spectrum0 = _range_eigenpair(sigma_hat0) if n0 - 1 < p else eigenpair(sigma_hat0)
+    return SpectralPair((spectrum0, eigenpair(sigma_hat1)), mu_hat0 - mu_hat1)
 
 
 @dataclass(frozen=True)
@@ -190,6 +235,14 @@ class FittedStats:
     _logdets: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("mu_hat0", "mu_hat1", "sigma_hat0", "sigma_hat1"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError("%s must be finite; found NaN or inf" % name)
+        for name in ("n0", "n1"):
+            count = getattr(self, name)
+            _check_whole(count, name)
+            if count < 2:
+                raise ValueError("%s must be at least 2, got %r" % (name, count))
         H0, logdet0 = _shifted_inverse(self.sigma_hat0, self.gamma0)
         H1, logdet1 = _shifted_inverse(self.sigma_hat1, self.gamma1)
         object.__setattr__(self, "H0", H0)
@@ -204,7 +257,9 @@ class FittedStats:
     def pair(self) -> SpectralPair:
         """The spectral kernel of the moments, built once and kept; never passed
         in, so ``dataclasses.replace`` starts without one."""
-        return _sample_pair(self.mu_hat0, self.mu_hat1, self.sigma_hat0, self.sigma_hat1)
+        return _sample_pair(
+            self.mu_hat0, self.mu_hat1, self.sigma_hat0, self.sigma_hat1, self.n0
+        )
 
 
 def fit(train: TrainingSet, gamma0: float, gamma1: float) -> FittedStats:

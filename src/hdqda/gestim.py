@@ -10,8 +10,9 @@ byte-identical results.
 Every ingredient is a trace or quadratic form of a sample covariance against
 one or two shrunk resolvents, taken on the spectral kernel of
 :mod:`hdqda.estimation` that a fit derives and keeps
-(:attr:`FittedStats.pair`). A shrinkage candidate thus costs O(p^2) and
-forms no resolvent, which is what makes grid tuning cheap.
+(:attr:`FittedStats.pair`). A shrinkage candidate thus costs O(rp), with r
+the rank of the minority covariance (n0 - 1 in the paper's regime, p when it
+is full rank), and forms no resolvent, which is what makes grid tuning cheap.
 
 Counts enter through the effective sample size n - 1: the de-meaned covariance
 spends one degree of freedom on the mean, and at moderate dimension the
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DegenerateEstimateError, InvalidRegularizerError
-from .estimation import FittedStats, SpectralPair
+from .estimation import FittedStats, SpectralPair, _check_whole
 from .model import _check_priors
 from .rmt import _class_errors, _designed_bias, _Margins, _matched_shrinkage, _Vocabulary
 
@@ -64,6 +65,7 @@ def delta_hat(H: np.ndarray, n: int, gamma: float) -> float:
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("resolvent must be square, got shape %r" % (H.shape,))
+    _check_whole(n, "n")
     if n < 2:
         raise ValueError("need at least two observations, got n=%d" % (n,))
     return _delta_from_trace(float(np.trace(H)), H.shape[0], n, gamma)
@@ -93,6 +95,8 @@ def gamma1_hat(delta0: float, n0: int, n1: int, gamma0: float) -> float:
     factor vanishes identically; the factor is formed from the effective
     counts to stay aligned with :func:`delta_hat`.
     """
+    _check_whole(n0, "n0")
+    _check_whole(n1, "n1")
     if n1 < n0:
         raise ValueError(
             "expected the minority class first: n0=%d exceeds n1=%d" % (n0, n1)
@@ -129,21 +133,47 @@ def _pieces(
     weights w_i = 1 / (1 + gamma_i l_i), so no p x p product or factorization
     is formed here.
     """
-    l = (pair.values0, pair.values1)
-    p = l[0].shape[0]
+    l, p = (pair.values0, pair.values1), pair.dim
+    null = p - l[0].shape[0]
     sqrt_p = math.sqrt(p)
     w = (1.0 / (1.0 + gammas[0] * l[0]), 1.0 / (1.0 + gammas[1] * l[1]))
-    quad = (float(np.sum(pair.gap[0] ** 2 * w[0])), float(np.sum(pair.gap[1] ** 2 * w[1])))
+    if null:
+        # A thin kernel: on class 0's null space l_0 = 0 and w_0 = 1, so every
+        # form in w_0 is its value at w_0 = 1 less a range term in v = 1 - w_0,
+        # formed without cancellation; each costs O(rp).
+        v = gammas[0] * l[0] * w[0]
+
+        def across0(a1):  # w_0^T W a1
+            return float(np.sum(a1)) - pair.across(v, a1)
+
+        quad0 = pair.gap_square - float(np.sum(pair.gap[0] ** 2 * v))
+        carried1 = pair.gap[1] - pair.rotation.T @ (v * pair.gap[0])
+        # w_0^T (M1 o M1) w_0, the rows of M1 o M1 summing to W l_1^2.
+        quartic1 = (
+            float(np.sum(l[1] ** 2)) - 2.0 * pair.across(v, l[1] ** 2) + float(v @ quartic[1] @ v)
+        )
+    else:
+
+        def across0(a1):
+            return pair.across(w[0], a1)
+
+        quad0 = float(np.sum(pair.gap[0] ** 2 * w[0]))
+        carried1 = pair.rotation.T @ (w[0] * pair.gap[0])
+        quartic1 = float(w[0] @ quartic[1] @ w[0])
+    quad = (quad0, float(np.sum(pair.gap[1] ** 2 * w[1])))
     # Tr[S_i H_j] and Tr[S_i H_i S_i H_j] for j = 1 - i, over both bases.
-    cross_trace = (pair.across(l[0], w[1]), pair.across(w[0], l[1]))
-    mixed_quartic = (pair.across(l[0] ** 2 * w[0], w[1]), pair.across(w[0], l[1] ** 2 * w[1]))
+    cross_trace = (pair.across(l[0], w[1]), across0(l[1]))
+    mixed_quartic = (pair.across(l[0] ** 2 * w[0], w[1]), across0(l[1] ** 2 * w[1]))
     # gap^T H_j S_i H_j gap: carry the resolvent-weighted gap into the other basis.
-    carried = (pair.rotation @ (w[1] * pair.gap[1]), pair.rotation.T @ (w[0] * pair.gap[0]))
+    carried = (pair.rotation @ (w[1] * pair.gap[1]), carried1)
+    # Tr[S_i H_j S_i H_j] for j = 1 - i.
+    resolvent_quartic = (float(w[1] @ quartic[0] @ w[1]), quartic1)
+    traces = (float(np.sum(w[0])) + null, float(np.sum(w[1])))
     delta, beta, shift, trace_gap, B, r = [], [], [], [], [], []
     for i, sign in ((0, -1.0), (1, 1.0)):
         j, n, gamma = 1 - i, counts[i], gammas[i]
         m = n - 1
-        d = _delta_from_trace(float(np.sum(w[i])), p, n, gamma)
+        d = _delta_from_trace(traces[i], p, n, gamma)
         shrink = 1.0 + gamma * d
         # Debiased own quartic Tr[S_i H_i S_i H_i]: the powers of shrink undo
         # the self-averaging of the sample covariance inside its own resolvent.
@@ -169,7 +199,7 @@ def _pieces(
         # sample covariance adds to the plain trace products.
         B.append(
             curvature
-            + float(w[j] @ quartic[i] @ w[j]) / p
+            + resolvent_quartic[i] / p
             - cross_trace[i] ** 2 / (m * p)
             - 2.0 * shrink**2 / p * mixed_quartic[i]
             + d * shrink * 2.0 / p * cross_trace[i]
@@ -205,8 +235,8 @@ def _candidate(
     ``gamma0``, then :func:`theta_hat` and the error estimate at that bias, all
     from one set of margins on ``pair`` (with its ``quartic`` weights), which are
     returned too; their ``gammas`` are (``gamma0``, the matched shrinkage)."""
-    p = pair.values0.shape[0]
-    trace0 = float(np.sum(1.0 / (1.0 + gamma0 * pair.values0)))
+    p = pair.dim
+    trace0 = float(np.sum(1.0 / (1.0 + gamma0 * pair.values0))) + (p - pair.values0.shape[0])
     d0 = _delta_from_trace(trace0, p, counts[0], gamma0)
     gamma1 = gamma1_hat(d0, counts[0], counts[1], gamma0)
     margins = _pieces(pair, quartic, (gamma0, gamma1), counts)

@@ -182,7 +182,7 @@ class _Canonical:
 def _canonical(train: TrainingSet, priors: tuple[float, float] | None) -> _Canonical:
     """Step one of :func:`fit_improved`: orient ``train`` and ``priors`` (the
     caller's labeling; the training proportions when None) so the smaller class
-    comes first, then form its moments and their kernel, the one eigh per class."""
+    comes first, then form its moments and their kernel, one spectrum per class."""
     swapped = train.n1 < train.n0
     canonical = train.swapped() if swapped else train
     if priors is not None:
@@ -198,7 +198,7 @@ def _canonical(train: TrainingSet, priors: tuple[float, float] | None) -> _Canon
         counts=(canonical.n0, canonical.n1),
         priors=priors,
         label_map=(1, 0) if swapped else (0, 1),
-        pair=_sample_pair(mu0, mu1, sig0, sig1),
+        pair=_sample_pair(mu0, mu1, sig0, sig1, canonical.n0),
     )
 
 
@@ -342,11 +342,8 @@ class ImprovedModel:
         for key, sigma in (("sigma_hat0", sigma0), ("sigma_hat1", sigma1)):
             if np.max(np.abs(sigma - sigma.T)) > 1e-12 * max(1.0, np.max(np.abs(sigma))):
                 raise ValueError("model field %s is not symmetric" % key)
-        if min(gamma0, gamma1) <= 0.0 or min(n0, n1) < 2:
-            raise ValueError(
-                "model needs positive shrinkage and at least 2 training rows per class, "
-                "got gamma %r, %r and counts %r, %r" % (gamma0, gamma1, n0, n1)
-            )
+        if min(gamma0, gamma1) <= 0.0:
+            raise ValueError("model needs positive shrinkage, got gamma %r, %r" % (gamma0, gamma1))
         label_map = _pair(data, "label_map", _whole)
         if sorted(label_map) != [0, 1]:
             raise ValueError("model field label_map must be a permutation of (0, 1)")
@@ -398,7 +395,7 @@ def _fit_canonical(
     # The one place a fit is seeded with what it derives on first use: ``pair``
     # and ``pieces`` are what ``fit.pair`` and the estimators would build from
     # these very moments, shrinkage pair and counts, so ``g_estimator_error``
-    # and ``theta_hat`` read them without a second eigh, rotation or
+    # and ``theta_hat`` read them without a second spectrum, rotation or
     # ``quartic_weights``.
     fit.__dict__["pair"] = pair
     fit.__dict__["_pieces"] = pieces

@@ -40,6 +40,7 @@ from .errors import (
     NotSpdError,
     StabilityError,
 )
+from .estimation import _check_whole
 from .model import MixtureModel
 
 __all__ = [
@@ -216,8 +217,7 @@ def _check_solver_args(n: int, gamma: float) -> None:
         raise InvalidRegularizerError("shrinkage must be nonnegative, got %r" % (gamma,))
     if math.isinf(n):
         raise ValueError("sample count must be finite, got %r" % (n,))
-    if isinstance(n, bool) or not float(n).is_integer():
-        raise ValueError("sample count must be a whole number, got %r" % (n,))
+    _check_whole(n, "sample count")
     if math.isinf(gamma):
         raise InvalidRegularizerError("shrinkage must be finite, got %r" % (gamma,))
 
@@ -442,6 +442,7 @@ def gamma1_theoretical(
             "expected the minority class first: n0=%d exceeds n1=%d" % (n0, n1)
         )
     _check_solver_args(n0, gamma0)
+    _check_whole(n1, "n1")
     if delta0 is None:
         delta0 = eigen_delta_solver(np.linalg.eigvalsh(sigma0), n0, gamma0)
     return _matched_shrinkage(gamma0, delta0, n0 / n1, _LIMITING)

@@ -419,19 +419,20 @@ def test_sweep_tasks_draw_once_and_match_the_per_point_reference(monkeypatch, co
     monkeypatch.setattr(pipeline_module, "_candidate", flaky)
     expected = _reference_sweep_rows(scenario, gammas, replicates)
 
-    calls = {"sample": 0, "eigenpair": 0}
-    real_sample, real_eigenpair = cli_module.sample_scenario, estimation_module.eigenpair
+    calls = {"sample": 0, "full": 0, "range": 0}
 
-    def counting_sample(*args, **kwargs):
-        calls["sample"] += 1
-        return real_sample(*args, **kwargs)
+    def counting(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    def counting_eigenpair(matrix):
-        calls["eigenpair"] += 1
-        return real_eigenpair(matrix)
+        return spy
 
-    monkeypatch.setattr(cli_module, "sample_scenario", counting_sample)
-    monkeypatch.setattr(estimation_module, "eigenpair", counting_eigenpair)
+    monkeypatch.setattr(cli_module, "sample_scenario", counting("sample", cli_module.sample_scenario))
+    monkeypatch.setattr(estimation_module, "eigenpair", counting("full", estimation_module.eigenpair))
+    monkeypatch.setattr(
+        estimation_module, "_range_eigenpair", counting("range", estimation_module._range_eigenpair)
+    )
     rows = cli_module._sweep_rows([(float(g), scenario, g) for g in gammas], replicates, 1)
 
     assert rows == expected  # every total bitwise, every failure text verbatim
@@ -439,4 +440,7 @@ def test_sweep_tasks_draw_once_and_match_the_per_point_reference(monkeypatch, co
         "1/3 replicates failed; first: DegenerateEstimateError: injected on replicate 1"
     )
     assert [row[5] for row in rows[::2]] == [None, None]
-    assert calls == {"sample": replicates, "eigenpair": 2 * replicates}
+    # One spectrum per class and replicate: the minority's 20 rows leave its
+    # covariance rank-deficient at p = 24, so it takes the range route and the
+    # majority the full one.
+    assert calls == {"sample": replicates, "full": replicates, "range": replicates}

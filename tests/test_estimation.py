@@ -174,6 +174,34 @@ def test_a_fit_derives_its_resolvents_from_its_moments(small_train):
         PooledStats(mu0, mu1, sig1, 1.3, H=pooled.H)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("mu_hat0", np.array([0.0, math.nan, 0.0]), "mu_hat0 must be finite"),
+        ("mu_hat1", np.array([0.0, 0.0, math.inf]), "mu_hat1 must be finite"),
+        ("sigma_hat0", np.diag([1.0, math.nan, 1.0]), "sigma_hat0 must be finite"),
+        ("sigma_hat1", np.diag([1.0, 1.0, -math.inf]), "sigma_hat1 must be finite"),
+        ("n0", 10.5, "n0 must be a whole number, got 10.5"),
+        ("n0", True, "n0 must be a whole number, got True"),
+        ("n0", 1, "n0 must be at least 2, got 1"),
+        ("n1", math.nan, "n1 must be a whole number, got nan"),
+        ("n1", False, "n1 must be a whole number, got False"),
+        ("n1", 0, "n1 must be at least 2, got 0"),
+    ],
+)
+def test_a_fit_rejects_nonfinite_moments_and_bad_counts(field, value, message):
+    """A NaN moment would build NaN resolvents whose scores label as class 1,
+    and the kernel's route is chosen from n0, so both are refused by name."""
+    fields = dict(
+        mu_hat0=np.zeros(3), mu_hat1=np.ones(3), sigma_hat0=np.eye(3), sigma_hat1=np.eye(3),
+        gamma0=1.0, gamma1=1.0, n0=10, n1=10,
+    )
+    FittedStats(**fields)
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        FittedStats(**fields)
+
+
 def test_fit_pooled_uses_n_minus_two_normalization(small_train):
     pooled = fit_pooled(small_train, 1.3)
     _, sig0 = sample_moments(small_train.X0)

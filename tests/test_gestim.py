@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hdqda import gestim, rmt
@@ -16,6 +16,7 @@ from hdqda.estimation import (
     FittedStats,
     SpectralPair,
     TrainingSet,
+    eigenpair,
     fit,
     regularized_resolvent,
     sample_moments,
@@ -72,6 +73,10 @@ def test_delta_hat_input_validation():
         delta_hat(H, 10, float("nan"))
     with pytest.raises(InvalidRegularizerError, match="finite"):
         delta_hat(H, 10, float("inf"))
+    for bad in (10.5, True, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="n must be a whole number, got %r" % (bad,)):
+            delta_hat(H, bad, 1.0)
+    assert delta_hat(H, 10.0, 1.0) == delta_hat(H, 10, 1.0)
 
 
 def test_delta_hat_rejects_inconsistent_traces():
@@ -105,6 +110,13 @@ def test_gamma1_hat_validation():
         gamma1_hat(0.5, 10, 20, float("inf"))
     with pytest.raises(ValueError, match="delta0 must be finite and nonnegative, got inf"):
         gamma1_hat(float("inf"), 10, 20, 0.5)
+    with pytest.raises(ValueError, match="n0 must be a whole number, got 10.5"):
+        gamma1_hat(0.5, 10.5, 20, 1.0)
+    with pytest.raises(ValueError, match="n1 must be a whole number, got 20.5"):
+        gamma1_hat(0.5, 10, 20.5, 1.0)
+    with pytest.raises(ValueError, match="n1 must be a whole number, got True"):
+        gamma1_hat(0.5, 1, True, 1.0)
+    assert gamma1_hat(0.5, 10.0, 20.0, 1.0) == gamma1_hat(0.5, 10, 20, 1.0)
 
 
 @pytest.mark.parametrize("priors", [(0.0, 1.0), (2.0, -1.0), (float("nan"), 0.5), (0.5, 0.6)])
@@ -274,6 +286,116 @@ def test_spectral_pieces_match_the_dense_reference(seed, p, n0, extra, gamma0, g
         for i in (0, 1):
             got = getattr(margins, name)[i]
             assert abs(got - expected[i]) <= 1e-12 * max(1.0, abs(expected[i])), (name, i, got, expected[i])
+
+
+def _assert_margins_match(margins, reference):
+    """Every margin field within 1e-12 of ``reference`` (a dict or a record),
+    relative to the larger of 1 and the reference value."""
+    for f in dataclasses.fields(margins):
+        expected = reference[f.name] if isinstance(reference, dict) else getattr(reference, f.name)
+        for i in (0, 1):
+            got = getattr(margins, f.name)[i]
+            assert abs(got - expected[i]) <= 1e-12 * max(1.0, abs(expected[i])), (f.name, i, got, expected[i])
+
+
+def _edge_minority(case, rng, p=40):
+    """Minority rows at each edge of the kernel's route switch, with the rank
+    the range route should find: rank below n0 - 1, a constant column, a
+    near-collinear column pair, one null direction, and full rank."""
+    n0 = {"one null direction": p, "full rank": p + 1}.get(case, 36)
+    X0 = rng.standard_normal((n0, p)) * rng.uniform(0.3, 3.0, p)
+    if case == "duplicated rows":
+        X0[30:] = X0[:6]
+    elif case == "constant column":
+        X0[:, 3] = 2.5
+    elif case == "near-collinear":
+        X0[:, 5] = X0[:, 4] + 1e-6 * rng.standard_normal(n0)
+    rank = {"duplicated rows": 29, "one null direction": p - 1, "full rank": p}.get(case, n0 - 1)
+    return X0, rank
+
+
+@pytest.mark.parametrize("gamma0", [0.05, 2.0, 40.0])
+@pytest.mark.parametrize(
+    "case", ["duplicated rows", "constant column", "near-collinear", "one null direction", "full rank"]
+)
+def test_the_route_switch_matches_the_dense_reference(case, gamma0):
+    rng = np.random.default_rng(0)
+    X0, rank = _edge_minority(case, rng)
+    p = X0.shape[1]
+    rotation = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    X1 = rng.standard_normal((60, p)) @ rotation + 0.4
+    fitted = fit(TrainingSet(X0=X0, X1=X1), gamma0, 0.7)
+    assert fitted.pair.values0.shape == (rank,) and fitted.pair.rotation.shape == (rank, p)
+    leading, reference = _dense_pieces(fitted)
+    # Inside the regime where the dense reference itself holds 1e-12.
+    assert all(term <= 30.0 * max(1.0, abs(B)) for term, B in zip(leading, reference["variance"]))
+    _assert_margins_match(_fit_pieces(fitted), reference)
+
+
+def test_a_rank_deficient_minority_runs_no_full_eigh(monkeypatch):
+    """With n0 - 1 < p only the r x r Gram of the minority's range and the
+    majority's p x p covariance are diagonalized; with n0 - 1 >= p both are p x p."""
+    shapes = []
+    real = np.linalg.eigh
+
+    def recording(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    rng = np.random.default_rng(3)
+    p = 30
+    for n0, expected in ((20, [(19, 19), (p, p)]), (p + 1, [(p, p), (p, p)])):
+        train = TrainingSet(X0=rng.standard_normal((n0, p)), X1=rng.standard_normal((2 * p, p)))
+        shapes.clear()
+        fit(train, 1.0, 1.0).pair
+        assert shapes == expected
+        shapes.clear()
+        fit_improved(train, 1.0)
+        assert shapes == expected
+
+
+# On rank-deficient draws the skip rule below discards most large-shrinkage
+# draws (about three in four), which the filtering health check would flag.
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    seed=st.integers(0, 10_000),
+    p=st.sampled_from([12, 30, 70]),
+    share=st.floats(0.0, 1.0),
+    extra=st.integers(0, 60),
+    gamma0=st.floats(0.01, 50.0),
+    gamma1=st.floats(0.01, 50.0),
+)
+@example(seed=1, p=30, share=0.67, extra=8, gamma0=0.3, gamma1=1.7)
+@example(seed=1, p=70, share=1.0, extra=10, gamma0=40.0, gamma1=0.9)  # one null direction
+def test_the_thin_kernel_matches_the_full_one(seed, p, share, extra, gamma0, gamma1):
+    """Every margin from the thin kernel of a rank-deficient minority (3 to p
+    rows) against the full p x p kernel of the same moments, under the
+    tolerance and skip rule of :func:`test_spectral_pieces_match_the_dense_reference`."""
+    n0 = 3 + round(share * (p - 3))
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.3, 3.0, p)
+    rotation = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    X0 = rng.standard_normal((n0, p)) * scales
+    X1 = rng.standard_normal((n0 + extra, p)) @ rotation + 0.4
+    fitted = fit(TrainingSet(X0=X0, X1=X1), gamma0, gamma1)
+    assert fitted.pair.values0.shape[0] < p
+    full = SpectralPair(
+        (eigenpair(fitted.sigma_hat0), eigenpair(fitted.sigma_hat1)),
+        fitted.mu_hat0 - fitted.mu_hat1,
+    )
+    gammas, counts = (gamma0, gamma1), (fitted.n0, fitted.n1)
+    try:
+        leading, reference = _dense_pieces(fitted)
+    except DegenerateEstimateError:
+        for pair in (fitted.pair, full):
+            with pytest.raises(DegenerateEstimateError):
+                _pieces(pair, pair.quartic_weights(), gammas, counts)
+        return
+    assume(all(term <= 30.0 * max(1.0, abs(B)) for term, B in zip(leading, reference["variance"])))
+    _assert_margins_match(
+        _fit_pieces(fitted), _pieces(full, full.quartic_weights(), gammas, counts)
+    )
 
 
 def test_each_covariance_is_diagonalized_once(monkeypatch):

@@ -105,6 +105,10 @@ def test_solver_argument_validation():
             solve_delta(sigma, bad, 1.0)
         with pytest.raises(ValueError, match=message):
             eigen_delta_solver(np.ones(3), bad, 1.0)
+    with pytest.raises(ValueError, match="n1 must be a whole number, got 20.5"):
+        gamma1_theoretical(np.eye(3), 10, 20.5, 0.5)
+    with pytest.raises(ValueError, match="n1 must be a whole number, got True"):
+        gamma1_theoretical(np.eye(3), 1, True, 0.5)
     assert solve_delta(sigma, 100.0, 1.0).delta == solve_delta(sigma, 100, 1.0).delta
     assert eigen_delta_solver(np.ones(3), 100.0, 1.0) == eigen_delta_solver(np.ones(3), 100, 1.0)
     model = _commuting_model(p=12, seed=1)
