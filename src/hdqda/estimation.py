@@ -3,11 +3,12 @@ the spectral kernel that the error estimator and the theory share.
 
 The resolvent of a sample covariance at shrinkage gamma is (I + gamma * S)^{-1},
 always SPD for gamma >= 0. Each shifted covariance I + gamma * S is factored
-once, here, by LAPACK's Cholesky; the resolvent is its SPD inverse and its
-log-determinant comes from the same factor. A trace or quadratic form of
-covariances against resolvents needs no resolvent: with each covariance
-diagonalized once (:func:`eigenpair`), a resolvent is a weight vector on its
-eigenvalues, and :class:`SpectralPair` takes every such trace at O(p^2) cost.
+once, here, by LAPACK's Cholesky, and only when a resolvent is first read;
+the resolvent is its SPD inverse and its log-determinant comes from the same
+factor. A trace or quadratic form of covariances against resolvents needs no
+resolvent: with each covariance diagonalized once (:func:`eigenpair`), a
+resolvent is a weight vector on its eigenvalues, and :class:`SpectralPair`
+takes every such trace at O(p^2) cost.
 
 The paper's minority class has fewer rows than features, so its sample
 covariance has rank r = n0 - 1 < p. Its kernel is then thin: only the range is
@@ -107,14 +108,19 @@ def sample_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
+def _check_shrinkage(gamma: float) -> None:
+    """Reject a NaN, infinite or negative shrinkage value."""
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("shrinkage parameter must be finite and >= 0, got %r" % (gamma,))
+
+
 def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
     """(I + gamma * sigma_hat)^{-1} and log det(I + gamma * sigma_hat) from one
     LAPACK Cholesky factorization: the log-det from the factor's diagonal, the
     inverse from ``dpotri`` with its lower triangle mirrored, so it is exactly
     symmetric. The only place a shifted sample covariance is factored."""
     sigma_hat = np.asarray(sigma_hat, dtype=float)
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError("shrinkage parameter must be finite and >= 0, got %r" % (gamma,))
+    _check_shrinkage(gamma)
     p = sigma_hat.shape[0]
     if gamma == 0.0:
         return np.eye(p), 0.0
@@ -215,11 +221,14 @@ def _sample_pair(mu_hat0, mu_hat1, sigma_hat0, sigma_hat1, n0: int) -> SpectralP
 
 @dataclass(frozen=True)
 class FittedStats:
-    """Per-class sample moments and shrinkage parameters, and what follows from
-    them: the resolvents ``H0`` and ``H1`` and the log-determinants of both
-    shifted covariances, derived at construction from one factorization per
-    class, and on first use the spectral kernel :attr:`pair` and, kept with it
-    by :mod:`hdqda.gestim`, the error estimator's pieces.
+    """Per-class sample moments and shrinkage parameters, checked at
+    construction, and what follows from them, each derived on first read and
+    kept: the resolvents ``H0`` and ``H1`` with the log-determinants of both
+    shifted covariances (``_logdets``), formed together from one factorization
+    per class; the spectral kernel :attr:`pair`; and, kept with it by
+    :mod:`hdqda.gestim`, the error estimator's pieces. None is an init field,
+    so ``dataclasses.replace`` starts without them, and the error estimator,
+    which reads only the kernel, never factors a shifted covariance.
     """
 
     mu_hat0: np.ndarray
@@ -230,9 +239,6 @@ class FittedStats:
     gamma1: float
     n0: int
     n1: int
-    H0: np.ndarray = field(init=False, repr=False, compare=False)
-    H1: np.ndarray = field(init=False, repr=False, compare=False)
-    _logdets: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("mu_hat0", "mu_hat1", "sigma_hat0", "sigma_hat1"):
@@ -243,11 +249,20 @@ class FittedStats:
             _check_whole(count, name)
             if count < 2:
                 raise ValueError("%s must be at least 2, got %r" % (name, count))
+        _check_shrinkage(self.gamma0)
+        _check_shrinkage(self.gamma1)
+
+    def __getattr__(self, name: str):
+        # Reached only while ``name`` is missing from the instance dict. The
+        # resolvents are kept there directly: ``cached_property`` would hold one
+        # lock per class while factoring on Python < 3.12, so fits on other
+        # threads would take turns at their p^3 factorizations.
+        if name not in ("H0", "H1", "_logdets"):
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
         H0, logdet0 = _shifted_inverse(self.sigma_hat0, self.gamma0)
         H1, logdet1 = _shifted_inverse(self.sigma_hat1, self.gamma1)
-        object.__setattr__(self, "H0", H0)
-        object.__setattr__(self, "H1", H1)
-        object.__setattr__(self, "_logdets", (logdet0, logdet1))
+        self.__dict__.update(H0=H0, H1=H1, _logdets=(logdet0, logdet1))
+        return self.__dict__[name]
 
     @property
     def p(self) -> int:
@@ -263,7 +278,7 @@ class FittedStats:
 
 
 def fit(train: TrainingSet, gamma0: float, gamma1: float) -> FittedStats:
-    """Sample moments for both classes plus their shrunken resolvents."""
+    """Sample moments for both classes; their shrunken resolvents follow on first read."""
     (mu0, sig0), (mu1, sig1) = sample_moments(train.X0), sample_moments(train.X1)
     return FittedStats(mu0, mu1, sig0, sig1, float(gamma0), float(gamma1), train.n0, train.n1)
 

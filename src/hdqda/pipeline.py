@@ -33,7 +33,7 @@ __all__ = [
     "fit_improved",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _ARRAY_FIELDS = ("mu_hat0", "mu_hat1", "sigma_hat0", "sigma_hat1")
 
 
@@ -45,6 +45,25 @@ def default_grid() -> np.ndarray:
 def _encode_array(array: np.ndarray) -> str:
     """Base64 text of the little-endian float64 bytes of ``array``, row-major."""
     return base64.b64encode(np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _packed(key: str, sigma: np.ndarray) -> np.ndarray:
+    """The lower triangle of an exactly symmetric covariance, row by row: the
+    order in which ``np.tril_indices(p)`` and a boolean ``np.tri`` mask list it."""
+    if not np.array_equal(sigma, sigma.T):
+        raise ValueError(
+            "%s is not exactly symmetric; a model file stores its lower triangle only" % key
+        )
+    return sigma[np.tri(sigma.shape[0], dtype=bool)]
+
+
+def _mirrored(packed: np.ndarray, p: int) -> np.ndarray:
+    """The symmetric p x p matrix whose lower triangle, row by row, is ``packed``."""
+    lower = np.tri(p, dtype=bool)
+    matrix = np.empty((p, p))
+    matrix[lower] = packed
+    matrix.T[lower] = packed
+    return matrix
 
 
 def _field(data: dict, key: str):
@@ -104,7 +123,7 @@ def _trace_entry(entry, index: int) -> TuningEntry:
 def _decode_array(data: dict, key: str, version: int, shape: tuple[int, ...] | None) -> np.ndarray:
     """A stored moment as a writable native float64 array of ``shape`` (a
     nonempty vector when None): nested lists in format 1, :func:`_encode_array`
-    text in format 2. Any decode failure or wrong size raises ValueError."""
+    text from format 2 on. Any decode failure or wrong size raises ValueError."""
     value = _field(data, key)
     try:
         if version == 1:
@@ -267,7 +286,10 @@ class ImprovedModel:
         """The model file: ``json.dumps`` of every field with sorted keys and
         no NaN, byte for byte. Base64 text needs no escaping, so each moment is
         quoted as it is, only the small fields pass through the encoder, and
-        the file is joined once from its parts."""
+        the file is joined once from its parts. Format 3 stores each covariance
+        as its lower triangle, so one that is not exactly symmetric is refused
+        with a ValueError naming it; every covariance a fit forms from data is.
+        """
         fit = self.fit
         small = {
             "format_version": FORMAT_VERSION,
@@ -284,7 +306,9 @@ class ImprovedModel:
             ],
         }
         fields = {key: json.dumps(value, sort_keys=True, allow_nan=False) for key, value in small.items()}
-        fields.update((key, '"%s"' % _encode_array(getattr(fit, key))) for key in _ARRAY_FIELDS)
+        for key in _ARRAY_FIELDS:
+            array = getattr(fit, key)
+            fields[key] = '"%s"' % _encode_array(_packed(key, array) if array.ndim == 2 else array)
         parts = []
         for key in sorted(fields):
             parts += [", " if parts else "{", '"%s": ' % key, fields[key]]
@@ -293,11 +317,15 @@ class ImprovedModel:
 
     @classmethod
     def from_json(cls, payload: str) -> "ImprovedModel":
-        """Rebuild a model; resolvents are recomputed from the stored moments.
+        """Rebuild a model; both resolvents are formed from the stored moments
+        while loading, so a covariance that leaves I + gamma * sigma indefinite
+        raises :class:`~hdqda.errors.NotSpdError` here, not at the first score.
 
-        Reads format 2, where ``mu_hat0``, ``mu_hat1``, ``sigma_hat0`` and
-        ``sigma_hat1`` are strict base64 text of little-endian float64 bytes
-        (covariances row-major), and format 1, where they are nested JSON
+        Reads format 3, where ``mu_hat0``, ``mu_hat1``, ``sigma_hat0`` and
+        ``sigma_hat1`` are strict base64 text of little-endian float64 bytes,
+        each covariance its p(p+1)/2 lower-triangle values row by row (the
+        order of ``np.tril_indices(p)``); format 2, the same text with each
+        covariance whole, row-major; and format 1, where they are nested JSON
         lists. Either way the moments come back as writable native float64
         arrays bitwise equal to the saved ones.
 
@@ -305,7 +333,8 @@ class ImprovedModel:
         trust: a payload that is not a JSON object, another format version, a
         missing field, a moment that does not decode (non-base64 text, a byte
         count that is not a multiple of 8) or has the wrong size (both means of
-        one length p, each covariance p * p values), an asymmetric covariance,
+        one length p, each covariance p * p values, or p(p+1)/2 in format 3),
+        an asymmetric covariance in format 1 or 2,
         a number stored as text, boolean or null, a NaN or infinite number,
         nonpositive shrinkage, a training count or label that is not a whole
         number, a training count below 2, a label map that is not a
@@ -317,17 +346,20 @@ class ImprovedModel:
         if not isinstance(data, dict):
             raise ValueError("model file must hold a JSON object, got %s" % type(data).__name__)
         version = data.get("format_version")
-        if isinstance(version, bool) or version not in (1, FORMAT_VERSION):
+        if isinstance(version, bool) or version not in (1, 2, FORMAT_VERSION):
             raise ValueError(
-                "unsupported model format %r; this build reads 1 and %d"
+                "unsupported model format %r; this build reads 1 to %d"
                 % (version, FORMAT_VERSION)
             )
         mu0 = _decode_array(data, "mu_hat0", version, None)
         p = mu0.size
+        stored = (p * (p + 1) // 2,) if version == 3 else (p, p)
         mu1, sigma0, sigma1 = (
             _decode_array(data, key, version, shape)
-            for key, shape in zip(_ARRAY_FIELDS[1:], ((p,), (p, p), (p, p)))
+            for key, shape in zip(_ARRAY_FIELDS[1:], ((p,), stored, stored))
         )
+        if version == 3:
+            sigma0, sigma1 = _mirrored(sigma0, p), _mirrored(sigma1, p)
         theta, gamma0, gamma1 = (
             _number(_field(data, key), key) for key in ("theta", "gamma0", "gamma1")
         )
@@ -340,7 +372,7 @@ class ImprovedModel:
             if not np.all(np.isfinite(array)):
                 raise ValueError("model field %s holds a NaN or infinite number" % key)
         for key, sigma in (("sigma_hat0", sigma0), ("sigma_hat1", sigma1)):
-            if np.max(np.abs(sigma - sigma.T)) > 1e-12 * max(1.0, np.max(np.abs(sigma))):
+            if version != 3 and np.max(np.abs(sigma - sigma.T)) > 1e-12 * max(1.0, np.max(np.abs(sigma))):
                 raise ValueError("model field %s is not symmetric" % key)
         if min(gamma0, gamma1) <= 0.0:
             raise ValueError("model needs positive shrinkage, got gamma %r, %r" % (gamma0, gamma1))
@@ -348,8 +380,10 @@ class ImprovedModel:
         if sorted(label_map) != [0, 1]:
             raise ValueError("model field label_map must be a permutation of (0, 1)")
         priors = _check_priors(_pair(data, "priors", _number))
+        fit = FittedStats(mu0, mu1, sigma0, sigma1, gamma0, gamma1, n0, n1)
+        fit.H0  # forms both resolvents now, refusing a covariance they cannot invert
         return cls(
-            fit=FittedStats(mu0, mu1, sigma0, sigma1, gamma0, gamma1, n0, n1),
+            fit=fit,
             theta=theta,
             label_map=label_map,  # type: ignore[arg-type]
             priors=priors,
@@ -378,7 +412,9 @@ def _fit_canonical(
 ) -> ImprovedModel:
     """Step two of :func:`fit_improved`: the model at ``gamma0``, or tuned over
     ``grid`` when it is None, on the moments and kernel of ``canonical``, whose
-    ``quartic`` weights a caller may keep across shrinkage values."""
+    ``quartic`` weights a caller may keep across shrinkage values. Nothing here
+    factors a shifted covariance: the fit forms its resolvents when first read,
+    by ``predict`` or scoring, never by the estimators."""
     if gamma0 is not None and not 0.0 < gamma0 < math.inf:
         raise ValueError("shrinkage must be finite and strictly positive, got %r" % (gamma0,))
     pair, counts, priors = canonical.pair, canonical.counts, canonical.priors
@@ -389,7 +425,6 @@ def _fit_canonical(
     else:
         pieces, bias, _ = _candidate(pair, quartic, float(gamma0), counts, priors)
         trace = ()
-    del quartic  # weights formed here are not kept while the resolvents are
     (mu0, sig0), (mu1, sig1) = canonical.moments
     fit = FittedStats(mu0, mu1, sig0, sig1, *pieces.gammas, *counts)
     # The one place a fit is seeded with what it derives on first use: ``pair``

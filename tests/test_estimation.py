@@ -19,6 +19,7 @@ from hdqda.estimation import (
     regularized_resolvent,
     sample_moments,
 )
+from hdqda.gestim import g_estimator_error, theta_hat
 from hdqda.pipeline import ImprovedModel, fit_improved
 
 from conftest import random_spd
@@ -114,8 +115,10 @@ def test_shifted_inverse_matches_the_dense_reference(p, rank_share, gamma, seed)
 
 
 def test_each_shifted_covariance_is_factored_once(small_scenario, small_train, monkeypatch):
-    """A fit, a reload and a tuned fit factor each class once; scoring with the
-    standard rule and its exact moments reuse the fit's log-determinants."""
+    """Resolvents are formed on first read, each class factored once: never by
+    a fit or the estimators, once when a model first scores, once on reload
+    and never again when the reloaded model scores. Scoring with the standard
+    rule and its exact moments reuse the fit's log-determinants."""
     _, model, data = small_scenario
     calls = []
     factor = estimation._shifted_inverse
@@ -126,13 +129,19 @@ def test_each_shifted_covariance_is_factored_once(small_scenario, small_train, m
 
     monkeypatch.setattr(estimation, "_shifted_inverse", spy)
     fitted = fit(small_train, 0.7, 0.7)
-    assert len(calls) == 2
+    assert len(calls) == 0
     rqda_scores(data.test0, fitted, (0.4, 0.6))
     conditional_score_moments(fitted, model, rule_kind=RULE_STANDARD_RQDA)
     assert len(calls) == 2
     tuned = fit_improved(small_train, None, grid=np.logspace(-1, 1, 5))
+    bias = theta_hat(tuned.fit, tuned.priors)
+    g_estimator_error(tuned.fit, bias.theta_hat, tuned.priors)
+    assert len(calls) == 2
+    tuned.predict(data.test0)
     assert len(calls) == 4
-    ImprovedModel.from_json(tuned.to_json())
+    reloaded = ImprovedModel.from_json(tuned.to_json())
+    assert len(calls) == 6
+    reloaded.predict(data.test0)
     assert len(calls) == 6
 
 

@@ -1,12 +1,13 @@
 import base64
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hdqda.errors import DegenerateEstimateError, TuningError
-from hdqda.estimation import TrainingSet
+from hdqda.errors import DegenerateEstimateError, NotSpdError, TuningError
+from hdqda.estimation import FittedStats, TrainingSet
 from hdqda.gestim import theta_hat
 from hdqda.model import build_mixture, sample_scenario
 from hdqda.pipeline import (
@@ -191,6 +192,11 @@ def _encoded(values):
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
+def _lower(sigma):
+    """A covariance's lower triangle, row by row, as format 3 stores it."""
+    return sigma[np.tril_indices(sigma.shape[0])]
+
+
 def _version1(model):
     """The format-1 file of ``model``: the moments as nested JSON lists."""
     payload = json.loads(model.to_json())
@@ -200,15 +206,26 @@ def _version1(model):
     return payload
 
 
+def _version2(model):
+    """The format-2 file of ``model``: every moment whole, as base64 text."""
+    payload = json.loads(model.to_json())
+    payload["format_version"] = 2
+    for name in _ARRAYS:
+        payload[name] = _encoded(getattr(model.fit, name).ravel())
+    return payload
+
+
 def test_model_json_round_trip_preserves_predictions(majority_first_train):
     train, data = majority_first_train
     model = fit_improved(train, 1.0, priors=(2.0 / 3.0, 1.0 / 3.0))
     payload = model.to_json()
     clone = ImprovedModel.from_json(payload)
     stored = json.loads(payload)
-    assert stored["format_version"] == 2
+    assert stored["format_version"] == 3
     for name in _ARRAYS:
-        assert np.array_equal(_decoded(stored[name]), getattr(model.fit, name).ravel()), name
+        array = getattr(model.fit, name)
+        written = _lower(array) if array.ndim == 2 else array
+        assert np.array_equal(_decoded(stored[name]), written), name
         reloaded = getattr(clone.fit, name)
         assert np.array_equal(reloaded, getattr(model.fit, name)), name
         assert reloaded.dtype == np.float64 and reloaded.flags.writeable, name
@@ -245,8 +262,10 @@ def _dumped(model):
         "n1": fit.n1,
         "trace": [dataclasses.asdict(entry) for entry in model.trace],
     }
-    for key in ("mu_hat0", "mu_hat1", "sigma_hat0", "sigma_hat1"):
-        record[key] = base64.b64encode(getattr(fit, key).astype("<f8").tobytes()).decode("ascii")
+    for key in ("mu_hat0", "mu_hat1"):
+        record[key] = _encoded(getattr(fit, key))
+    for key in ("sigma_hat0", "sigma_hat1"):
+        record[key] = _encoded(_lower(getattr(fit, key)))
     return json.dumps(record, sort_keys=True, allow_nan=False)
 
 
@@ -284,14 +303,72 @@ def test_model_json_reads_format_one_lists_exactly(majority_first_train):
     assert (clone.theta, clone.label_map, clone.priors) == (model.theta, model.label_map, model.priors)
 
 
+def test_model_json_reads_format_two_exactly(majority_first_train):
+    train, data = majority_first_train
+    model = fit_improved(train, None, grid=np.logspace(-1, 1, 5))
+    clone = ImprovedModel.from_json(json.dumps(_version2(model)))
+    for name in _ARRAYS:
+        assert np.array_equal(getattr(clone.fit, name), getattr(model.fit, name)), name
+    for X in (data.test0, data.test1):
+        assert np.array_equal(clone.decision_values(X), model.decision_values(X))
+    assert clone.trace == model.trace
+
+
+_DATA = Path(__file__).parent / "data"
+
+
+def test_a_format_two_file_reloads_bitwise_and_predicts_its_labels():
+    """``model_format2_p6.json`` was written by the format-2 writer, with the
+    labels it predicted on the stored rows; a reload reads back the very bytes
+    it stored and predicts exactly those labels."""
+    payload = (_DATA / "model_format2_p6.json").read_text()
+    expected = json.loads((_DATA / "model_format2_p6_labels.json").read_text())
+    stored = json.loads(payload)
+    assert stored["format_version"] == 2
+    model = ImprovedModel.from_json(payload)
+    for name in _ARRAYS:
+        assert _encoded(getattr(model.fit, name).ravel()) == stored[name], name
+    assert model.fit.p == 6 and model.label_map == tuple(stored["label_map"])
+    assert [model.theta, model.fit.gamma0, model.fit.gamma1] == [
+        stored[key] for key in ("theta", "gamma0", "gamma1")
+    ]
+    rows = np.array(expected["rows"])
+    assert np.array_equal(model.predict(rows), expected["labels"])
+    assert 0 < sum(expected["labels"]) < len(expected["labels"])
+
+
+def test_a_format_three_covariance_that_cannot_be_inverted_fails_at_load(majority_first_train):
+    train, _ = majority_first_train
+    good = json.loads(fit_improved(train, 1.0).to_json())
+    p = len(_decoded(good["mu_hat0"]))
+    indefinite = dict(good, sigma_hat1=_encoded(_lower(-10.0 * np.eye(p))))
+    with pytest.raises(NotSpdError):
+        ImprovedModel.from_json(json.dumps(indefinite))
+
+
+def test_model_json_refuses_a_covariance_that_is_not_exactly_symmetric(majority_first_train):
+    train, _ = majority_first_train
+    model = fit_improved(train, 1.0)
+    fit = model.fit
+    tilted = fit.sigma_hat1.copy()
+    tilted[0, 1] += 1e-15 * abs(tilted[0, 1])
+    assert not np.array_equal(tilted, tilted.T)
+    hand_built = FittedStats(
+        fit.mu_hat0, fit.mu_hat1, fit.sigma_hat0, tilted, fit.gamma0, fit.gamma1, fit.n0, fit.n1
+    )
+    with pytest.raises(ValueError, match="sigma_hat1 is not exactly symmetric"):
+        dataclasses.replace(model, fit=hand_built).to_json()
+
+
 # Each case breaks one field in its list form: a mean is a list of numbers, a
 # covariance a list of rows.
+_ASYMMETRIC = ("sigma_hat0", lambda v: [[x + 0.5 * (i < j) for j, x in enumerate(row)] for i, row in enumerate(v)])
 _BROKEN = [
     ("mu_hat0", lambda v: v[:-1]),
     ("mu_hat1", lambda v: [v, v]),
     ("sigma_hat0", lambda v: [row[:-1] for row in v]),
     ("sigma_hat1", lambda v: v[:-1]),
-    ("sigma_hat0", lambda v: [[x + 0.5 * (i < j) for j, x in enumerate(row)] for i, row in enumerate(v)]),
+    _ASYMMETRIC,
     ("theta", lambda v: float("nan")),
     ("gamma1", lambda v: float("inf")),
     ("mu_hat1", lambda v: [float("nan")] + v[1:]),
@@ -304,44 +381,63 @@ _BROKEN = [
 ]
 
 
+def _stored(version, field, listed):
+    """A moment in its list form as format ``version`` stores it: the lists in
+    format 1, else base64 text, in format 3 of only the lower triangle of a
+    square covariance."""
+    if version == 1:
+        return listed
+    array = np.array(listed)
+    if version == 3 and field.startswith("sigma") and array.shape == array.shape[::-1]:
+        array = _lower(array)
+    return _encoded(np.ravel(array))
+
+
 def test_model_json_rejects_broken_fields(majority_first_train):
     train, _ = majority_first_train
     model = fit_improved(train, 1.0)
-    p = model.fit.p
-    for good in (json.loads(model.to_json()), _version1(model)):
-        for field, breaks in _BROKEN:
-            value = good[field]
-            if good["format_version"] == 2 and field in _ARRAYS:
-                listed = _decoded(value).reshape((p, p) if field.startswith("sigma") else (p,)).tolist()
-                broken = _encoded(np.ravel(breaks(listed)))
+    for good in (json.loads(model.to_json()), _version2(model), _version1(model)):
+        version = good["format_version"]
+        for case in _BROKEN:
+            if version == 3 and case is _ASYMMETRIC:
+                continue  # one stored triangle is symmetric by construction
+            field, breaks = case
+            if field in _ARRAYS:
+                broken = _stored(version, field, breaks(getattr(model.fit, field).tolist()))
             else:
-                broken = breaks(value)
+                broken = breaks(good[field])
             with pytest.raises(ValueError):
                 ImprovedModel.from_json(json.dumps(dict(good, **{field: broken})))
-                pytest.fail("accepted a broken %s in format %d" % (field, good["format_version"]))
+                pytest.fail("accepted a broken %s in format %d" % (field, version))
     # Format 1 stores each covariance as a list of rows, never flat.
     flat = dict(_version1(model), sigma_hat0=model.fit.sigma_hat0.ravel().tolist())
     with pytest.raises(ValueError, match="sigma_hat0"):
         ImprovedModel.from_json(json.dumps(flat))
-    # Format-2 text that is not strict base64 of p or p * p float64 values.
-    good = json.loads(model.to_json())
-    mean = _decoded(good["mu_hat0"])
-    undecodable = [
-        ("mu_hat0", "!" + good["mu_hat0"][1:]),
-        ("mu_hat1", good["mu_hat1"][:8] + "\n" + good["mu_hat1"][8:]),
-        ("sigma_hat0", "\u00e9" + good["sigma_hat0"][1:]),
-        ("mu_hat0", good["mu_hat0"][:-1]),
-        ("mu_hat1", base64.b64encode(mean.tobytes() + b"\0").decode("ascii")),
-        ("sigma_hat1", _encoded(np.append(_decoded(good["sigma_hat1"]), 0.0))),
-        ("sigma_hat0", _encoded(_decoded(good["sigma_hat0"])[:-1])),
-        ("mu_hat0", ""),
-        ("sigma_hat1", _decoded(good["sigma_hat1"]).tolist()),
-        ("mu_hat1", None),
-    ]
-    for field, broken in undecodable:
-        with pytest.raises(ValueError, match=field):
-            ImprovedModel.from_json(json.dumps(dict(good, **{field: broken})))
-            pytest.fail("accepted a broken %s" % field)
+    # Text that is not strict base64 of the p float64 values of a mean, or of a
+    # covariance's p * p values in format 2 and p(p+1)/2 in format 3; each
+    # format's covariance length is wrong for the other.
+    current, version2 = json.loads(model.to_json()), _version2(model)
+    for good, other in ((current, version2), (version2, current)):
+        mean = _decoded(good["mu_hat0"])
+        undecodable = [
+            ("mu_hat0", "!" + good["mu_hat0"][1:]),
+            ("mu_hat1", good["mu_hat1"][:8] + "\n" + good["mu_hat1"][8:]),
+            ("sigma_hat0", "\u00e9" + good["sigma_hat0"][1:]),
+            ("mu_hat0", good["mu_hat0"][:-1]),
+            ("mu_hat1", base64.b64encode(mean.tobytes() + b"\0").decode("ascii")),
+            ("sigma_hat1", _encoded(np.append(_decoded(good["sigma_hat1"]), 0.0))),
+            ("sigma_hat0", _encoded(_decoded(good["sigma_hat0"])[:-1])),
+            ("sigma_hat0", base64.b64encode(_decoded(good["sigma_hat0"]).tobytes() + b"\0").decode("ascii")),
+            ("sigma_hat1", other["sigma_hat1"]),
+            ("mu_hat0", ""),
+            ("sigma_hat1", _decoded(good["sigma_hat1"]).tolist()),
+            ("mu_hat1", None),
+        ]
+        for field, broken in undecodable:
+            with pytest.raises(ValueError, match=field):
+                ImprovedModel.from_json(json.dumps(dict(good, **{field: broken})))
+                pytest.fail("accepted a broken %s in format %d" % (field, good["format_version"]))
+    good = current
     # A payload that is no JSON object, a missing field, a number that is text,
     # null, boolean, fractional where a whole number belongs, or a malformed
     # trace entry: each is refused with the field named.
