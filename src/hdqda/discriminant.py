@@ -62,14 +62,35 @@ def _rows(X: np.ndarray, p: int) -> np.ndarray:
     return X
 
 
+# Bytes of one rows x p float64 temporary in a _quad_gap block.
+_BLOCK_BYTES = 1 << 19
+
+
 def _quad_gap(X: np.ndarray, fit: FittedStats) -> np.ndarray:
-    """Row-wise q1 - q0 for q_i = (x - mu_i)^T H_i (x - mu_i), with one
-    rows x p x p product: centred at mu_0 with d = x - mu_0, e = mu_1 - mu_0 and
-    h = H_1 e, it is d^T (H_1 - H_0) d - 2 d^T h + e^T h."""
-    d = X - fit.mu_hat0
+    """Row-wise q1 - q0 for q_i = (x - mu_i)^T H_i (x - mu_i), as one quadratic
+    form in H_1 - H_0: centred at mu_0 with d = x - mu_0, e = mu_1 - mu_0 and
+    h = H_1 e, it is d^T (H_1 - H_0) d - 2 d^T h + e^T h.
+
+    The rows are scored in blocks, so that d and d (H_1 - H_0) stay small
+    instead of being two whole rows x p arrays. A block holds a multiple of 64
+    rows, as many as keep one rows x p float64 array within 512 KiB, and never
+    fewer than 64 (so past p = 1024 it exceeds that bound). The last block also
+    takes the short tail, so it holds up to twice as many; a call with fewer
+    than two blocks' worth of rows is one block and gives exactly the
+    one-product result.
+    """
+    gap = fit.H1 - fit.H0
     e = fit.mu_hat1 - fit.mu_hat0
     h = fit.H1 @ e
-    return np.einsum("ij,ij->i", d @ (fit.H1 - fit.H0), d) - 2.0 * (d @ h) + float(e @ h)
+    offset = float(e @ h)
+    rows = 64 * max(1, _BLOCK_BYTES // (8 * fit.p) // 64)
+    blocks = max(1, len(X) // rows)
+    out = np.empty(len(X))
+    for k in range(blocks):
+        block = slice(k * rows, len(X) if k == blocks - 1 else (k + 1) * rows)
+        d = X[block] - fit.mu_hat0
+        out[block] = np.einsum("ij,ij->i", d @ gap, d) - 2.0 * (d @ h) + offset
+    return out
 
 
 def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:

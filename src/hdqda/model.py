@@ -278,7 +278,9 @@ def sample_class(stats: ClassStatistics, n: int, rng: np.random.Generator) -> np
         raise ValueError("need at least one sample, got n=%d" % n)
     z = rng.standard_normal((n, stats.dim))
     if stats._scale is None:
-        return stats.mean + z @ stats.cholesky.T
+        out = z @ stats.cholesky.T
+        out += stats.mean
+        return out
     z *= stats._scale
     z += stats.mean
     return z

@@ -381,6 +381,7 @@ class ImprovedModel:
             raise ValueError("model field label_map must be a permutation of (0, 1)")
         priors = _check_priors(_pair(data, "priors", _number))
         fit = FittedStats(mu0, mu1, sigma0, sigma1, gamma0, gamma1, n0, n1)
+        del data, entries  # the parsed file, base64 text and all, goes before the resolvents
         fit.H0  # forms both resolvents now, refusing a covariance they cannot invert
         return cls(
             fit=fit,

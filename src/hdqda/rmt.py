@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 from scipy.linalg import lapack
 from scipy.special import ndtr
 
@@ -254,6 +253,10 @@ def _fixed_point(
     top = gap(upper)
     if top <= 0.0:
         return upper, 1
+    # Loaded here, not at import: fitting, tuning and scoring never root-find,
+    # and scipy.optimize is a large share of the package's import time.
+    from scipy import optimize
+
     # brentq evaluates both ends itself: answering the upper one from ``top``
     # makes its call count the number of trace-map evaluations made.
     root, info = optimize.brentq(

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,3 +448,15 @@ def test_sweep_tasks_draw_once_and_match_the_per_point_reference(monkeypatch, co
     # covariance rank-deficient at p = 24, so it takes the range route and the
     # majority the full one.
     assert calls == {"sample": replicates, "full": replicates, "range": replicates}
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    """Only the theory's root-find needs scipy.optimize, so importing the
+    package and its CLI does not pay for loading it."""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, hdqda.cli; print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hdqda.discriminant import (
+    _BLOCK_BYTES,
     _logdet_ratio,
     classify_values,
     conditional_score_moments,
@@ -91,15 +93,15 @@ def _two_forms(X, fitted, dtype=float):
     return forms
 
 
-def _gap_case(p, n0, n1, offset, separation, seed):
-    """Training set and test rows of two Gaussian classes with unequal random
-    covariances, centred ``offset`` away from the origin."""
+def _gap_case(p, n0, n1, offset, separation, seed, n_test=30):
+    """Training set and ``n_test`` test rows per class of two Gaussian classes
+    with unequal random covariances, centred ``offset`` away from the origin."""
     rng = np.random.default_rng(seed)
     scales = [rng.uniform(0.3, 3.0, p) for _ in range(2)]
     means = [np.full(p, offset), np.full(p, offset) + separation * rng.standard_normal(p)]
     blocks = [
         mean + (rng.standard_normal((n, p)) @ rng.standard_normal((p, p)) / np.sqrt(p)) * scale
-        for mean, scale, n in zip(means, scales, (n0 + 30, n1 + 30))
+        for mean, scale, n in zip(means, scales, (n0 + n_test, n1 + n_test))
     ]
     train = TrainingSet(X0=blocks[0][:n0], X1=blocks[1][:n1])
     return train, np.vstack([blocks[0][n0:], blocks[1][n1:]])
@@ -130,6 +132,60 @@ def test_scores_match_the_dense_two_form_reference(p, n0, n1, gamma0, gamma1, of
             const = 0.5 * _logdet_ratio(fitted) - math.log(priors[1] / priors[0])
             standard = const - 0.5 * q0 + 0.5 * q1
             assert np.all(np.abs(rqda_scores(X, fitted, priors) - standard) <= tolerance)
+
+
+def _block_rows(p):
+    """Rows in one block of the scoring kernel at dimension p."""
+    return 64 * max(1, _BLOCK_BYTES // (8 * p) // 64)
+
+
+@pytest.mark.parametrize("p", [1, 37, 200, 1100])
+def test_blocked_scores_match_the_dense_two_form_reference(p):
+    rows = _block_rows(p)
+    # Three whole blocks and a ragged tail, split between the two classes.
+    n_test = (3 * rows + rows // 3 + 8) // 2
+    train, X = _gap_case(p, 40, 30, 5.0, 2.0, p, n_test=n_test)
+    assert len(X) >= 3 * rows + rows // 3 + 7
+    priors = (0.3, 0.7)
+    for gamma0, gamma1 in ((0.5, 2.0), (2.0, 2.0)):
+        fitted = fit(train, gamma0, gamma1)
+        q0, q1 = _two_forms(X, fitted)
+        tolerance = 1e-12 * np.maximum(1.0, q0 + q1)
+        improved = -0.5 * 0.7 * math.sqrt(p) - 0.5 * q0 + 0.5 * q1
+        assert np.all(np.abs(improved_scores(X, fitted, 0.7) - improved) <= tolerance)
+        if gamma0 == gamma1:
+            const = 0.5 * _logdet_ratio(fitted) - math.log(priors[1] / priors[0])
+            standard = const - 0.5 * q0 + 0.5 * q1
+            assert np.all(np.abs(rqda_scores(X, fitted, priors) - standard) <= tolerance)
+
+
+@pytest.mark.parametrize("p", [1, 200])
+def test_scoring_a_block_equals_scoring_its_halves(p):
+    rows = _block_rows(p)
+    train, X = _gap_case(p, 40, 30, -3.0, 1.0, 11, n_test=2 * rows + rows // 2 + 5)
+    fitted = fit(train, 1.5, 1.5)
+    q0, q1 = _two_forms(X, fitted)
+    half = len(X) // 2 + 3
+    for score in (
+        lambda Y: improved_scores(Y, fitted, -0.4),
+        lambda Y: rqda_scores(Y, fitted, (0.4, 0.6)),
+    ):
+        halves = np.concatenate([score(X[:half]), score(X[half:])])
+        assert np.all(np.abs(score(X) - halves) <= 1e-12 * np.maximum(1.0, q0 + q1))
+
+
+def test_scoring_memory_stays_below_one_rows_by_p_array():
+    train, _ = _gap_case(100, 60, 80, 0.0, 1.0, 3)
+    fitted = fit(train, 0.8, 1.6)
+    fitted.H0  # form the resolvents before measuring
+    X = np.random.default_rng(4).standard_normal((20000, 100))
+    tracemalloc.start()
+    try:
+        improved_scores(X, fitted, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 4, peak
 
 
 @pytest.mark.skipif(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from hdqda.errors import (
     ConvergenceError,
@@ -135,9 +136,9 @@ def test_solver_argument_validation():
 
 
 def test_nonconverged_root_find_raises(monkeypatch):
-    brentq = rmt.optimize.brentq
+    brentq = optimize.brentq
     monkeypatch.setattr(
-        rmt.optimize, "brentq", lambda *args, **kwargs: brentq(*args, maxiter=1, **kwargs)
+        optimize, "brentq", lambda *args, **kwargs: brentq(*args, maxiter=1, **kwargs)
     )
     sigma = random_spd(30, np.random.default_rng(0))
     with pytest.raises(ConvergenceError, match="after 1 iterations"):
