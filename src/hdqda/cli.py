@@ -252,10 +252,10 @@ def _theory_total(model: MixtureModel, n0: int, n1: int, gamma0: float) -> float
     return asymptotic_error(canonical, c0, c1, gamma0, gamma1, design.theta_star).total
 
 
-def _gamma_totals(data, canonical, quartic, priors, gamma0: float) -> tuple[float, float, float]:
+def _gamma_totals(data, canonical, priors, gamma0: float) -> tuple[float, float, float]:
     """(improved, standard, training-only estimate) totals at ``gamma0`` on one
     draw's shared moments and kernel; no fit built here outlives the call."""
-    improved = _fit_canonical(canonical, gamma0, None, quartic)
+    improved = _fit_canonical(canonical, gamma0, None)
     report = _error_from_labels(
         improved.predict(data.test0), improved.predict(data.test1), priors
     )
@@ -411,20 +411,19 @@ def _failure(exc: HdqdaError) -> tuple[str, str]:
 
 
 def _replicate_outcomes(config, model, gammas: list, replicate: int) -> list:
-    """One sweep task: draw ``replicate`` and form its moments, kernel and
-    quartic weights once, then an ``("ok", totals)`` or ``("fail", reason)``
-    outcome per value in ``gammas``; a failure before them is each one's."""
+    """One sweep task: draw ``replicate`` and form its moments and kernel once,
+    then an ``("ok", totals)`` or ``("fail", reason)`` outcome per value in
+    ``gammas``; a failure before them is each one's."""
     priors = (model.prior0, model.prior1)
     try:
         data = sample_scenario(config, model=model, replicate=replicate)
         canonical = _canonical(TrainingSet(X0=data.train0, X1=data.train1), priors)
-        quartic = canonical.pair.quartic_weights()
     except HdqdaError as exc:
         return [_failure(exc)] * len(gammas)
     outcomes = []
     for gamma0 in gammas:
         try:
-            outcomes.append(("ok", _gamma_totals(data, canonical, quartic, priors, float(gamma0))))
+            outcomes.append(("ok", _gamma_totals(data, canonical, priors, float(gamma0))))
         except HdqdaError as exc:
             outcomes.append(_failure(exc))
     return outcomes

@@ -57,7 +57,11 @@ def _rows(X: np.ndarray, p: int) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != p:
         raise ValueError("observations have %d columns, expected %d" % (X.shape[1], p))
-    if not np.all(np.isfinite(X)):
+    # A finite sum means every entry is finite, so only a non-finite sum (which
+    # finite entries give too when it overflows) needs the entrywise check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(X))
+    if not math.isfinite(total) and not np.isfinite(X).all():
         raise ValueError("observations must be finite; found NaN or inf")
     return X
 
@@ -101,9 +105,10 @@ def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:
     halves = []
     for stats in (model.class0, model.class1):
         d = X - stats.mean
-        solved = sla.cho_solve((stats.cholesky, True), d.T, check_finite=False)
+        # d^T Sigma^{-1} d = |z|^2 for L z = d, one column of z per row of d.
+        z = sla.solve_triangular(stats.cholesky, d.T, lower=True, check_finite=False)
         half_logdet = float(np.sum(np.log(np.diag(stats.cholesky))))
-        halves.append(0.5 * np.einsum("ij,ji->i", d, solved) + half_logdet)
+        halves.append(0.5 * np.einsum("ij,ij->j", z, z) + half_logdet)
     return halves[1] - halves[0] - math.log(model.prior1 / model.prior0)
 
 

@@ -11,8 +11,9 @@ Every ingredient is a trace or quadratic form of a sample covariance against
 one or two shrunk resolvents, taken on the spectral kernel of
 :mod:`hdqda.estimation` that a fit derives and keeps
 (:attr:`FittedStats.pair`). A shrinkage candidate thus costs O(rp), with r
-the rank of the minority covariance (n0 - 1 in the paper's regime, p when it
-is full rank), and forms no resolvent, which is what makes grid tuning cheap.
+the rank of the minority covariance (n0 - 1 in the paper's regime, p at full
+rank; one route serves every rank, with the p - r null directions in closed
+form), and forms no resolvent, which is what makes grid tuning cheap.
 
 Counts enter through the effective sample size n - 1: the de-meaned covariance
 spends one degree of freedom on the mean, and at moderate dimension the
@@ -125,7 +126,7 @@ def _pieces(
     pair: SpectralPair, quartic: tuple, gammas: tuple[float, float], counts: tuple[int, int]
 ) -> _Margins:
     """The sample-spectrum margins at ``gammas`` and ``counts``, every trace and
-    quadratic form taken on the spectral kernel.
+    quadratic form taken on the spectral kernel, by one route for any rank.
 
     ``pair`` holds the two sample covariances S_i and the mean gap
     mu_hat0 - mu_hat1, and ``quartic`` its :meth:`~SpectralPair.quartic_weights`;
@@ -137,37 +138,28 @@ def _pieces(
     null = p - l[0].shape[0]
     sqrt_p = math.sqrt(p)
     w = (1.0 / (1.0 + gammas[0] * l[0]), 1.0 / (1.0 + gammas[1] * l[1]))
-    if null:
-        # A thin kernel: on class 0's null space l_0 = 0 and w_0 = 1, so every
-        # form in w_0 is its value at w_0 = 1 less a range term in v = 1 - w_0,
-        # formed without cancellation; each costs O(rp).
-        v = gammas[0] * l[0] * w[0]
+    # On class 0's p - r null directions (none at full rank) l_0 = 0 and w_0 = 1,
+    # so each form in w_0 is its value at w_0 = 1 less an O(rp) range term in
+    # v = 1 - w_0, free of cancellation and exact as the columns of W sum to 1.
+    v = gammas[0] * l[0] * w[0]
 
-        def across0(a1):  # w_0^T W a1
-            return float(np.sum(a1)) - pair.across(v, a1)
+    def across0(a1):  # w_0^T W a1
+        return float(np.sum(a1)) - pair.across(v, a1)
 
-        quad0 = pair.gap_square - float(np.sum(pair.gap[0] ** 2 * v))
-        carried1 = pair.gap[1] - pair.rotation.T @ (v * pair.gap[0])
-        # w_0^T (M1 o M1) w_0, the rows of M1 o M1 summing to W l_1^2.
-        quartic1 = (
-            float(np.sum(l[1] ** 2)) - 2.0 * pair.across(v, l[1] ** 2) + float(v @ quartic[1] @ v)
-        )
-    else:
-
-        def across0(a1):
-            return pair.across(w[0], a1)
-
-        quad0 = float(np.sum(pair.gap[0] ** 2 * w[0]))
-        carried1 = pair.rotation.T @ (w[0] * pair.gap[0])
-        quartic1 = float(w[0] @ quartic[1] @ w[0])
+    quad0 = pair.gap_square - float(np.sum(pair.gap[0] ** 2 * v))
     quad = (quad0, float(np.sum(pair.gap[1] ** 2 * w[1])))
     # Tr[S_i H_j] and Tr[S_i H_i S_i H_j] for j = 1 - i, over both bases.
     cross_trace = (pair.across(l[0], w[1]), across0(l[1]))
     mixed_quartic = (pair.across(l[0] ** 2 * w[0], w[1]), across0(l[1] ** 2 * w[1]))
     # gap^T H_j S_i H_j gap: carry the resolvent-weighted gap into the other basis.
-    carried = (pair.rotation @ (w[1] * pair.gap[1]), carried1)
-    # Tr[S_i H_j S_i H_j] for j = 1 - i.
-    resolvent_quartic = (float(w[1] @ quartic[0] @ w[1]), quartic1)
+    R = pair.rotation
+    carried = (R @ (w[1] * pair.gap[1]), pair.gap[1] - R.T @ (v * pair.gap[0]))
+    # Tr[S_i H_j S_i H_j] for j = 1 - i; w_0^T (M1 o M1) w_0 with the rows of
+    # M1 o M1 summing to W l_1^2.
+    resolvent_quartic = (
+        float(w[1] @ quartic[0] @ w[1]),
+        float(np.sum(l[1] ** 2)) - 2.0 * pair.across(v, l[1] ** 2) + float(v @ quartic[1] @ v),
+    )
     traces = (float(np.sum(w[0])) + null, float(np.sum(w[1])))
     delta, beta, shift, trace_gap, B, r = [], [], [], [], [], []
     for i, sign in ((0, -1.0), (1, 1.0)):
@@ -185,16 +177,11 @@ def _pieces(
         # The gap quadratic feels the noise of its own estimated mean (upward,
         # by the cross trace over the count) and the own-mean quadratic that
         # the rule subtracts (upward, by the own trace over the count); both
-        # are removed so the margins center where the realized rule sits.
-        beta.append(
-            -quad[j] / sqrt_p
-            - (1.0 - 1.0 / n) * cross_trace[i] / sqrt_p
-            + (1.0 + 1.0 / n) * own / sqrt_p
-        )
-        # The same margin split into the score's centering and trace parts:
-        # -shift -/+ trace_gap is beta to rounding.
+        # are removed so the margins center where the realized rule sits. The
+        # margin is -shift -/+ trace_gap, split as in ``rmt._limit_margins``.
         shift.append((quad[j] - cross_trace[i] / n - own / n) / sqrt_p)
         trace_gap.append(-sign * (cross_trace[i] - own) / sqrt_p)
+        beta.append(-shift[i] + sign * trace_gap[i])
         # Quadratic-form variance; the subtracted squares remove the noise the
         # sample covariance adds to the plain trace products.
         B.append(
@@ -300,8 +287,7 @@ def g_estimator_error(
 
     Every ingredient comes from the fitted statistics; the result is what the
     tuner minimizes in place of cross-validation. The centering and trace
-    parts split so that their differences reproduce the margins of
-    :func:`theta_hat` to rounding.
+    parts are the very ones the margins of :func:`theta_hat` are formed from.
     """
     priors = _check_priors(priors)
     margins = _fit_pieces(fit)

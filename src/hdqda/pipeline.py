@@ -182,26 +182,27 @@ def tune_gamma0(
             % (train.n0, train.n1)
         )
     canonical = _canonical(train, priors)
-    return _tune(canonical, canonical.pair.quartic_weights(), grid)[0]
+    return _tune(canonical, grid)[0]
 
 
 @dataclass(frozen=True)
 class _Canonical:
     """A training sample, minority class first, as every shrinkage value shares
     it: per-class ``(mean, covariance)`` moments, counts and priors, the
-    ``label_map`` back to the caller's labels, and the moments' kernel."""
+    ``label_map`` back to the caller's labels, the moments' kernel, its quartic weights."""
 
     moments: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     counts: tuple[int, int]
     priors: tuple[float, float]
     label_map: tuple[int, int]
     pair: SpectralPair
+    quartic: tuple
 
 
 def _canonical(train: TrainingSet, priors: tuple[float, float] | None) -> _Canonical:
     """Step one of :func:`fit_improved`: orient ``train`` and ``priors`` (the
     caller's labeling; the training proportions when None) so the smaller class
-    comes first, then form its moments and their kernel, one spectrum per class."""
+    comes first, then form its moments, their kernel and its quartic weights."""
     swapped = train.n1 < train.n0
     canonical = train.swapped() if swapped else train
     if priors is not None:
@@ -212,20 +213,22 @@ def _canonical(train: TrainingSet, priors: tuple[float, float] | None) -> _Canon
         priors = (canonical.n0 / canonical.n, canonical.n1 / canonical.n)
     moments = (sample_moments(canonical.X0), sample_moments(canonical.X1))
     (mu0, sig0), (mu1, sig1) = moments
+    pair = _sample_pair(mu0, mu1, sig0, sig1, canonical.n0)
     return _Canonical(
         moments=moments,
         counts=(canonical.n0, canonical.n1),
         priors=priors,
         label_map=(1, 0) if swapped else (0, 1),
-        pair=_sample_pair(mu0, mu1, sig0, sig1, canonical.n0),
+        pair=pair,
+        quartic=pair.quartic_weights(),
     )
 
 
 def _tune(
-    canonical: _Canonical, quartic: tuple, grid: np.ndarray | None
+    canonical: _Canonical, grid: np.ndarray | None
 ) -> tuple[TuningResult, _Margins, BiasEstimate]:
-    """:func:`tune_gamma0` on a canonical sample whose kernel has the ``quartic``
-    weights, plus the winning candidate's pieces (with its matched gamma1) and bias."""
+    """:func:`tune_gamma0` on a canonical sample, plus the winning candidate's
+    pieces (with its matched gamma1) and bias."""
     candidates = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if candidates.ndim != 1 or candidates.size == 0:
         raise ValueError("candidate grid must be a nonempty 1-D array")
@@ -239,7 +242,7 @@ def _tune(
     for gamma0 in candidates:
         gamma0 = float(gamma0)
         try:
-            pieces, bias, estimate = _candidate(pair, quartic, gamma0, counts, priors)
+            pieces, bias, estimate = _candidate(pair, canonical.quartic, gamma0, counts, priors)
         except HdqdaError as exc:
             reason = "%s: %s" % (type(exc).__name__, exc)
             entries.append(TuningEntry(gamma0=gamma0, total_hat=None, failure=reason))
@@ -409,22 +412,21 @@ def fit_improved(
 
 
 def _fit_canonical(
-    canonical: _Canonical, gamma0: float | None, grid: np.ndarray | None, quartic: tuple | None = None
+    canonical: _Canonical, gamma0: float | None, grid: np.ndarray | None
 ) -> ImprovedModel:
     """Step two of :func:`fit_improved`: the model at ``gamma0``, or tuned over
-    ``grid`` when it is None, on the moments and kernel of ``canonical``, whose
-    ``quartic`` weights a caller may keep across shrinkage values. Nothing here
-    factors a shifted covariance: the fit forms its resolvents when first read,
-    by ``predict`` or scoring, never by the estimators."""
+    ``grid`` when it is None, on the moments and kernel of ``canonical``, which
+    a caller may keep across shrinkage values. Nothing here factors a shifted
+    covariance: the fit forms its resolvents when first read, by ``predict`` or
+    scoring, never by the estimators."""
     if gamma0 is not None and not 0.0 < gamma0 < math.inf:
         raise ValueError("shrinkage must be finite and strictly positive, got %r" % (gamma0,))
     pair, counts, priors = canonical.pair, canonical.counts, canonical.priors
-    quartic = pair.quartic_weights() if quartic is None else quartic
     if gamma0 is None:
-        tuning, pieces, bias = _tune(canonical, quartic, grid)
+        tuning, pieces, bias = _tune(canonical, grid)
         trace = tuning.entries
     else:
-        pieces, bias, _ = _candidate(pair, quartic, float(gamma0), counts, priors)
+        pieces, bias, _ = _candidate(pair, canonical.quartic, float(gamma0), counts, priors)
         trace = ()
     (mu0, sig0), (mu1, sig1) = canonical.moments
     fit = FittedStats(mu0, mu1, sig0, sig1, *pieces.gammas, *counts)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hdqda.discriminant import (
     _BLOCK_BYTES,
     _logdet_ratio,
+    _rows,
     classify_values,
     conditional_score_moments,
     empirical_error,
@@ -175,6 +176,8 @@ def test_scoring_a_block_equals_scoring_its_halves(p):
 
 
 def test_scoring_memory_stays_below_one_rows_by_p_array():
+    """Scoring holds a few block temporaries and the scores, and no rows x p
+    array, not even the byte-per-entry mask of a finiteness check."""
     train, _ = _gap_case(100, 60, 80, 0.0, 1.0, 3)
     fitted = fit(train, 0.8, 1.6)
     fitted.H0  # form the resolvents before measuring
@@ -185,7 +188,7 @@ def test_scoring_memory_stays_below_one_rows_by_p_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < X.nbytes / 4, peak
+    assert peak < 3 * _BLOCK_BYTES + 8 * len(X) < X.size, peak
 
 
 @pytest.mark.skipif(
@@ -216,6 +219,24 @@ def test_scores_reject_nonfinite_observations():
             improved_scores(X, fitted, 0.0)
         with pytest.raises(ValueError, match="finite"):
             improved_scores(np.zeros((3, 5)), fitted, bad)
+
+
+def test_the_finiteness_check_sees_every_entry_and_survives_overflow():
+    """A block is refused for any NaN or infinite entry, also beside finite
+    entries whose sum overflows, and accepted when only the sum overflows."""
+    huge = np.zeros((4, 3))
+    huge[0, 0] = huge[2, 1] = 1e308
+    np.testing.assert_array_equal(_rows(huge, 3), huge)
+    for bad in (np.nan, np.inf, -np.inf):
+        for base in (np.zeros((4, 3)), huge):
+            X = base.copy()
+            X[3, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                _rows(X, 3)
+    X = np.zeros((4, 3))
+    X[1, 0], X[2, 2] = np.inf, -np.inf  # their sum is NaN
+    with pytest.raises(ValueError, match="finite"):
+        _rows(X, 3)
 
 
 def test_standard_rule_includes_logdet_and_prior_offsets(small_train):
@@ -275,6 +296,27 @@ def test_true_qda_recovers_the_bayes_rule_on_known_gaussians():
         q1 = (x - mean1) @ (x - mean1) / 4.0
         expected = 0.5 * math.log(16.0) - 0.5 * q0 + 0.5 * q1
         assert got[row] == pytest.approx(expected, abs=1e-12)
+
+
+def test_true_qda_matches_a_dense_inverse_and_slogdet_reference():
+    rng = np.random.default_rng(21)
+    p = 30
+    classes = []
+    for scale in (1.0, 2.5):
+        A = rng.standard_normal((p, p))
+        classes.append(ClassStatistics(rng.standard_normal(p), scale * (A @ A.T / p + np.eye(p))))
+    model = MixtureModel(class0=classes[0], class1=classes[1], prior0=0.3, prior1=0.7)
+    X = rng.standard_normal((500, p)) * 2.0
+    forms = []
+    for stats in classes:
+        d = X - stats.mean
+        sign, logdet = np.linalg.slogdet(stats.covariance)
+        assert sign == 1.0
+        forms.append(np.einsum("ij,jk,ik->i", d, np.linalg.inv(stats.covariance), d) + logdet)
+    expected = 0.5 * (forms[1] - forms[0]) - math.log(0.7 / 0.3)
+    got = qda_scores_true(X, model)
+    scale = np.maximum(1.0, np.abs(forms[0]) + np.abs(forms[1]))
+    assert np.all(np.abs(got - expected) <= 1e-12 * scale)
 
 
 def test_empirical_error_weights_priors_and_counts_ties_as_class_one():

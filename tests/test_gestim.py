@@ -535,10 +535,8 @@ def test_error_estimate_tracks_the_limit_on_one_draw():
 
 
 def test_each_margin_is_its_shift_and_trace_gap():
-    """beta_i = -shift_i -/+ trace_gap_i, upper sign for class 0. The limit
-    forms beta from that split, so there it holds bitwise; the estimate forms
-    beta and the split from the same traces in different orders, so there it
-    holds to rounding (worst seen 1.0e-14 relative)."""
+    """beta_i = -shift_i -/+ trace_gap_i, upper sign for class 0, bitwise: the
+    estimate and the limit both form beta from that split."""
     for p in (30, 60, 200):
         config = small_config(p=p, n0=p, n1=p // 2, seed=3)
         model = build_mixture(config)
@@ -551,8 +549,7 @@ def test_each_margin_is_its_shift_and_trace_gap():
             )
             for i, sign in ((0, -1.0), (1, 1.0)):
                 assert limit.beta[i] == -limit.shift[i] + sign * limit.trace_gap[i]
-                split = -estimate.shift[i] + sign * estimate.trace_gap[i]
-                assert abs(split - estimate.beta[i]) <= 1e-13 * max(1.0, abs(estimate.beta[i]))
+                assert estimate.beta[i] == -estimate.shift[i] + sign * estimate.trace_gap[i]
 
 
 @pytest.mark.parametrize("gamma0", [0.1, 1.0])
