@@ -2,19 +2,19 @@
 the spectral kernel that the error estimator and the theory share.
 
 The resolvent of a sample covariance at shrinkage gamma is (I + gamma * S)^{-1},
-always SPD for gamma >= 0. Each shifted covariance I + gamma * S is factored
-once, here, by LAPACK's Cholesky, and only when a resolvent is first read;
-the resolvent is its SPD inverse and its log-determinant comes from the same
+always SPD for gamma >= 0. Every shifted covariance, sample or true, is
+factored here by LAPACK's Cholesky; a sample one once, when a resolvent is
+first read, the resolvent its SPD inverse and its log-determinant from the same
 factor. A trace or quadratic form of covariances against resolvents needs no
 resolvent: with each covariance diagonalized once (:func:`eigenpair`), a
 resolvent is a weight vector on its eigenvalues, and :class:`SpectralPair`
 takes every such trace at O(p^2) cost.
 
 The paper's minority class has fewer rows than features, so its sample
-covariance has rank r = n0 - 1 < p. Its kernel is then thin: only the range is
-diagonalized, from a pivoted Cholesky factor, R is r x p, and a trace costs
-O(rp); the null space, where the covariance vanishes and every resolvent is
-the identity, enters in closed form.
+covariance has rank r = n0 - 1 < p, and only its range is diagonalized, from a
+pivoted Cholesky factor. Either basis may be thin, its null space, where every
+resolvent is the identity, entering in closed form; only the minority's is, as
+near full rank the range route is slower than a p x p ``eigh``.
 """
 
 from __future__ import annotations
@@ -114,25 +114,31 @@ def _check_shrinkage(gamma: float) -> None:
         raise ValueError("shrinkage parameter must be finite and >= 0, got %r" % (gamma,))
 
 
+def _shifted_cholesky(sigma: np.ndarray, scale: float) -> np.ndarray:
+    """Lower Cholesky factor of I + scale * sigma, upper triangle zero, by LAPACK's
+    ``dpotrf``: the one place a shifted covariance, sample or true, is factored."""
+    shifted = scale * sigma
+    shifted.flat[:: sigma.shape[0] + 1] += 1.0
+    factor, info = lapack.dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        cond = float(np.linalg.cond(scale * sigma + np.eye(sigma.shape[0])))
+        raise NotSpdError(
+            "I + %r * sigma is not positive definite: leading minor %d fails "
+            "(condition estimate %.3e)" % (scale, info, cond)
+        )
+    return factor
+
+
 def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
     """(I + gamma * sigma_hat)^{-1} and log det(I + gamma * sigma_hat) from one
     LAPACK Cholesky factorization: the log-det from the factor's diagonal, the
     inverse from ``dpotri`` with its lower triangle mirrored, so it is exactly
-    symmetric. The only place a shifted sample covariance is factored."""
+    symmetric."""
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     _check_shrinkage(gamma)
-    p = sigma_hat.shape[0]
     if gamma == 0.0:
-        return np.eye(p), 0.0
-    shifted = gamma * sigma_hat
-    shifted.flat[:: p + 1] += 1.0
-    factor, info = lapack.dpotrf(shifted, lower=1, clean=1)
-    if info != 0:
-        cond = float(np.linalg.cond(shifted))
-        raise NotSpdError(
-            "resolvent factorization failed (condition estimate %.3e): "
-            "leading minor %d is not positive definite" % (cond, info)
-        )
+        return np.eye(sigma_hat.shape[0]), 0.0
+    factor = _shifted_cholesky(sigma_hat, gamma)
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
     # dpotri cannot fail on a factor, and it leaves the zeroed upper triangle
     # as it is, so adding the transposed strict lower triangle mirrors it.
@@ -161,11 +167,11 @@ class SpectralPair:
     (:meth:`across`); a trace within one class is a plain sum. A shared basis
     is the case W = I, up to rotations inside repeated eigenvalues.
 
-    U_1 is always p x p. U_0 may be thin: p x r, the range of a rank-r
-    sigma_0, so ``values0``, ``gap[0]`` and the rows of R and W cover the
-    range only. Class 0's p - r null directions then enter in closed form:
-    there l_0 = 0, and each column of R has unit norm over all p rows, so the
-    null rows of a column of W sum to 1 minus its kept rows.
+    Either basis may be thin: p x r_i, the range of a rank-r_i sigma_i, so its
+    values, its ``gap`` and its side of R and W cover the range only. Its
+    p - r_i null directions then enter in closed form: there l_i = 0, and each
+    row and column of R has unit norm over a full basis, so the null part of a
+    row or column of W sums to 1 minus its kept part.
     """
 
     def __init__(self, spectra, gap: np.ndarray):
@@ -183,7 +189,7 @@ class SpectralPair:
         """(M0 o M0, M1 o M1) for M0 = R^T diag(l0) R and M1 = R diag(l1) R^T, each
         covariance in the other's basis: Tr[sigma_0 H sigma_0 H] for
         H = U_1 diag(w) U_1^T is w^T (M0 o M0) w, and symmetrically; not kept.
-        On a thin kernel M1 is its r x r range block."""
+        Each is its r_j x r_j block on the other class's range when that basis is thin."""
         R = self.rotation
         m0 = R.T @ (self.values0[:, None] * R)
         m1 = (R * self.values1) @ R.T
@@ -213,7 +219,7 @@ def _sample_pair(mu_hat0, mu_hat1, sigma_hat0, sigma_hat1, n0: int) -> SpectralP
     """The spectral kernel of two classes' sample moments; the one place a
     sample covariance is diagonalized. When class 0's ``n0`` rows leave its
     covariance rank-deficient (n0 - 1 < p) only its range is diagonalized
-    (:func:`_range_eigenpair`), and the kernel is thin."""
+    (:func:`_range_eigenpair`), and its basis is thin."""
     p = sigma_hat0.shape[0]
     spectrum0 = _range_eigenpair(sigma_hat0) if n0 - 1 < p else eigenpair(sigma_hat0)
     return SpectralPair((spectrum0, eigenpair(sigma_hat1)), mu_hat0 - mu_hat1)

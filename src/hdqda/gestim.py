@@ -10,10 +10,12 @@ byte-identical results.
 Every ingredient is a trace or quadratic form of a sample covariance against
 one or two shrunk resolvents, taken on the spectral kernel of
 :mod:`hdqda.estimation` that a fit derives and keeps
-(:attr:`FittedStats.pair`). A shrinkage candidate thus costs O(rp), with r
-the rank of the minority covariance (n0 - 1 in the paper's regime, p at full
-rank; one route serves every rank, with the p - r null directions in closed
-form), and forms no resolvent, which is what makes grid tuning cheap.
+(:attr:`FittedStats.pair`). Both classes take one route: each form is its
+value at an identity resolvent less a term on the resolvent's range, so either
+basis may be thin (the kernel makes the minority's thin when n0 - 1 < p) and
+its null directions enter in closed form. A shrinkage candidate thus costs a
+few matrix-vector products on the kernel, at most O(p^2), and forms no
+resolvent, which is what makes grid tuning cheap.
 
 Counts enter through the effective sample size n - 1: the de-meaned covariance
 spends one degree of freedom on the mean, and at moderate dimension the
@@ -122,6 +124,14 @@ class BiasEstimate:
     B_hat0: float
 
 
+def _weights(values: np.ndarray, gamma: float, p: int, n: int) -> tuple:
+    """Range weights w = 1 / (1 + gamma l) and v = gamma l w = 1 - w of a resolvent, and
+    :func:`delta_hat` from its trace sum(w) + (p - len(w)); margins and matching share it."""
+    w = 1.0 / (1.0 + gamma * values)
+    v = gamma * values * w
+    return w, v, _delta_from_trace(float(np.sum(w)) + (p - w.shape[0]), p, n, gamma)
+
+
 def _pieces(
     pair: SpectralPair, quartic: tuple, gammas: tuple[float, float], counts: tuple[int, int]
 ) -> _Margins:
@@ -130,42 +140,20 @@ def _pieces(
 
     ``pair`` holds the two sample covariances S_i and the mean gap
     mu_hat0 - mu_hat1, and ``quartic`` its :meth:`~SpectralPair.quartic_weights`;
-    the resolvents H_i = (I + gamma_i S_i)^{-1} enter only as their eigenvalue
-    weights w_i = 1 / (1 + gamma_i l_i), so no p x p product or factorization
-    is formed here.
+    the resolvents H_i = (I + gamma_i S_i)^{-1} enter only as their range weights
+    v_i = gamma_i l_i w_i = 1 - w_i, zero on any null direction of S_i, so each
+    form in H_j is its value at H_j = I less a range term, and no p x p product
+    or factorization is formed here.
     """
     l, p = (pair.values0, pair.values1), pair.dim
-    null = p - l[0].shape[0]
     sqrt_p = math.sqrt(p)
-    w = (1.0 / (1.0 + gammas[0] * l[0]), 1.0 / (1.0 + gammas[1] * l[1]))
-    # On class 0's p - r null directions (none at full rank) l_0 = 0 and w_0 = 1,
-    # so each form in w_0 is its value at w_0 = 1 less an O(rp) range term in
-    # v = 1 - w_0, free of cancellation and exact as the columns of W sum to 1.
-    v = gammas[0] * l[0] * w[0]
-
-    def across0(a1):  # w_0^T W a1
-        return float(np.sum(a1)) - pair.across(v, a1)
-
-    quad0 = pair.gap_square - float(np.sum(pair.gap[0] ** 2 * v))
-    quad = (quad0, float(np.sum(pair.gap[1] ** 2 * w[1])))
-    # Tr[S_i H_j] and Tr[S_i H_i S_i H_j] for j = 1 - i, over both bases.
-    cross_trace = (pair.across(l[0], w[1]), across0(l[1]))
-    mixed_quartic = (pair.across(l[0] ** 2 * w[0], w[1]), across0(l[1] ** 2 * w[1]))
-    # gap^T H_j S_i H_j gap: carry the resolvent-weighted gap into the other basis.
-    R = pair.rotation
-    carried = (R @ (w[1] * pair.gap[1]), pair.gap[1] - R.T @ (v * pair.gap[0]))
-    # Tr[S_i H_j S_i H_j] for j = 1 - i; w_0^T (M1 o M1) w_0 with the rows of
-    # M1 o M1 summing to W l_1^2.
-    resolvent_quartic = (
-        float(w[1] @ quartic[0] @ w[1]),
-        float(np.sum(l[1] ** 2)) - 2.0 * pair.across(v, l[1] ** 2) + float(v @ quartic[1] @ v),
-    )
-    traces = (float(np.sum(w[0])) + null, float(np.sum(w[1])))
-    delta, beta, shift, trace_gap, B, r = [], [], [], [], [], []
+    # W and R oriented with the test class's coordinates first.
+    W, R = (pair.weights, pair.weights.T), (pair.rotation, pair.rotation.T)
+    w, v, delta = zip(*(_weights(l[k], gammas[k], p, counts[k]) for k in (0, 1)))
+    beta, shift, trace_gap, B, r = [], [], [], [], []
     for i, sign in ((0, -1.0), (1, 1.0)):
-        j, n, gamma = 1 - i, counts[i], gammas[i]
+        j, n, gamma, d = 1 - i, counts[i], gammas[i], delta[i]
         m = n - 1
-        d = _delta_from_trace(traces[i], p, n, gamma)
         shrink = 1.0 + gamma * d
         # Debiased own quartic Tr[S_i H_i S_i H_i]: the powers of shrink undo
         # the self-averaging of the sample covariance inside its own resolvent.
@@ -174,28 +162,36 @@ def _pieces(
         # curvature of the inversion map leaves a downward bias of order 1/n in
         # the own trace, clipped so a noisy quartic can only shrink it.
         own = m * (d + gamma * p * max(curvature, 0.0) / (m * m * shrink))
+        # Class j's resolvent in class i's basis: diag(U_i^T H_j U_i) = 1 - reach,
+        # the rows of W summing to 1 over class j's full basis.
+        reach = W[i] @ v[j]
+        cross = float(np.sum(l[i]) - l[i] @ reach)  # Tr[S_i H_j]
+        quad = pair.gap_square - float(np.sum(pair.gap[j] ** 2 * v[j]))  # gap^T H_j gap
         # The gap quadratic feels the noise of its own estimated mean (upward,
         # by the cross trace over the count) and the own-mean quadratic that
         # the rule subtracts (upward, by the own trace over the count); both
         # are removed so the margins center where the realized rule sits. The
         # margin is -shift -/+ trace_gap, split as in ``rmt._limit_margins``.
-        shift.append((quad[j] - cross_trace[i] / n - own / n) / sqrt_p)
-        trace_gap.append(-sign * (cross_trace[i] - own) / sqrt_p)
+        shift.append((quad - cross / n - own / n) / sqrt_p)
+        trace_gap.append(-sign * (cross - own) / sqrt_p)
         beta.append(-shift[i] + sign * trace_gap[i])
+        # Tr[S_i H_j S_i H_j], the rows of quartic[i] summing to W[i]^T l_i^2, and
+        # Tr[S_i H_i S_i H_j].
+        cross_quartic = float(np.sum(l[i] ** 2 * (1.0 - 2.0 * reach)) + v[j] @ quartic[i] @ v[j])
+        mixed_quartic = float(np.sum(l[i] ** 2 * w[i] * (1.0 - reach)))
         # Quadratic-form variance; the subtracted squares remove the noise the
         # sample covariance adds to the plain trace products.
         B.append(
             curvature
-            + resolvent_quartic[i] / p
-            - cross_trace[i] ** 2 / (m * p)
-            - 2.0 * shrink**2 / p * mixed_quartic[i]
-            + d * shrink * 2.0 / p * cross_trace[i]
+            + cross_quartic / p
+            - cross**2 / (m * p)
+            - 2.0 * shrink**2 / p * mixed_quartic
+            + d * shrink * 2.0 / p * cross
         )
-        delta.append(d)
-        r.append(float(np.sum(l[i] * carried[i] ** 2)) / p)
-    return _Margins(
-        gammas, tuple(delta), tuple(beta), tuple(shift), tuple(trace_gap), tuple(B), tuple(r)
-    )
+        # gap^T H_j S_i H_j gap from U_i^T H_j gap.
+        carried = pair.gap[i] - R[i] @ (v[j] * pair.gap[j])
+        r.append(float(np.sum(l[i] * carried**2)) / p)
+    return _Margins(gammas, delta, tuple(beta), tuple(shift), tuple(trace_gap), tuple(B), tuple(r))
 
 
 def _fit_pieces(fit: FittedStats) -> _Margins:
@@ -222,9 +218,7 @@ def _candidate(
     ``gamma0``, then :func:`theta_hat` and the error estimate at that bias, all
     from one set of margins on ``pair`` (with its ``quartic`` weights), which are
     returned too; their ``gammas`` are (``gamma0``, the matched shrinkage)."""
-    p = pair.dim
-    trace0 = float(np.sum(1.0 / (1.0 + gamma0 * pair.values0))) + (p - pair.values0.shape[0])
-    d0 = _delta_from_trace(trace0, p, counts[0], gamma0)
+    d0 = _weights(pair.values0, gamma0, pair.dim, counts[0])[2]
     gamma1 = gamma1_hat(d0, counts[0], counts[1], gamma0)
     margins = _pieces(pair, quartic, (gamma0, gamma1), counts)
     bias = _bias_from(margins, priors)

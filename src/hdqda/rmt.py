@@ -39,7 +39,7 @@ from .errors import (
     NotSpdError,
     StabilityError,
 )
-from .estimation import _check_whole
+from .estimation import _check_whole, _shifted_cholesky
 from .model import MixtureModel
 
 __all__ = [
@@ -221,18 +221,6 @@ def _check_solver_args(n: int, gamma: float) -> None:
         raise InvalidRegularizerError("shrinkage must be finite, got %r" % (gamma,))
 
 
-def _shifted_cholesky(sigma: np.ndarray, scale: float) -> np.ndarray:
-    """Lower Cholesky factor of I + scale * sigma, upper triangle zero."""
-    shifted = scale * sigma
-    shifted.flat[:: sigma.shape[0] + 1] += 1.0
-    chol, info = lapack.dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
-    if info != 0:
-        raise NotSpdError(
-            "shifted covariance is not positive definite at scale %r" % (scale,)
-        )
-    return chol
-
-
 def _fixed_point(
     trace_map: Callable[[float], float], upper: float, n: int, gamma: float
 ) -> tuple[float, int]:
@@ -375,8 +363,8 @@ def _limit_margins(
             raise StabilityError("spectral stability margin is %r" % (margin[k],))
         delta.append(d)
     across = pair.across
-    # Tr[sigma_i T_j], Tr[(sigma_i T_j)^2], Tr[sigma_i^2 T_i T_j] and
-    # Tr[sigma_i T_j sigma_j T_j] for j = 1 - i, over both bases.
+    # Tr[sigma_i T_j], ||sigma_i T_j||_F^2 = Tr[sigma_i^2 T_j^2], Tr[sigma_i^2 T_i T_j]
+    # and Tr[sigma_i T_j sigma_j T_j] for j = 1 - i, over both bases.
     cross = (across(l[0], t[1]), across(t[0], l[1]))
     cross_sq = (across(l[0] ** 2, t[1] ** 2), across(t[0] ** 2, l[1] ** 2))
     mixed_sq = (across(l[0] ** 2 * t[0], t[1]), across(t[0], l[1] ** 2 * t[1]))

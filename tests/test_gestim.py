@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import hdqda.pipeline as pipeline_module
 from hdqda import gestim, rmt
 from hdqda.errors import (
     DegenerateDesignError,
@@ -16,6 +17,7 @@ from hdqda.estimation import (
     FittedStats,
     SpectralPair,
     TrainingSet,
+    _range_eigenpair,
     eigenpair,
     fit,
     regularized_resolvent,
@@ -206,6 +208,21 @@ def test_matched_estimate_never_leaves_its_domain(seed, gamma0):
     assert g1 <= gamma0
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", [12, 60])  # full rank, then a thin minority kernel
+def test_each_candidate_matches_gamma1_to_its_own_delta_hat0(p, seed):
+    """Over the default grid, a candidate's matched shrinkage is, bit for bit,
+    gamma1_hat of the delta_hat0 its margins report."""
+    data = sample_scenario(small_config(p=p, n0=80, n1=40, seed=seed), replicate=seed)
+    canonical = pipeline_module._canonical(TrainingSet(X0=data.train0, X1=data.train1), None)
+    n0, n1 = canonical.counts
+    for gamma0 in map(float, pipeline_module.default_grid()):
+        margins = gestim._candidate(
+            canonical.pair, canonical.quartic, gamma0, canonical.counts, canonical.priors
+        )[0]
+        assert gamma1_hat(margins.delta[0], n0, n1, gamma0) == margins.gammas[1], gamma0
+
+
 def _trace_quartic(sigma, left, right):
     """Tr[sigma left sigma right], the dense reference."""
     return float(np.sum((sigma @ left) * (sigma @ right).T))
@@ -366,12 +383,15 @@ def test_a_rank_deficient_minority_runs_no_full_eigh(monkeypatch):
     gamma0=st.floats(0.01, 50.0),
     gamma1=st.floats(0.01, 50.0),
 )
-@example(seed=1, p=30, share=0.67, extra=8, gamma0=0.3, gamma1=1.7)
+@example(seed=1, p=30, share=0.67, extra=8, gamma0=0.3, gamma1=1.7)  # both classes thin
 @example(seed=1, p=70, share=1.0, extra=10, gamma0=40.0, gamma1=0.9)  # one null direction
+@example(seed=2, p=70, share=0.3, extra=20, gamma0=5.0, gamma1=0.05)  # both classes thin
 def test_the_thin_kernel_matches_the_full_one(seed, p, share, extra, gamma0, gamma1):
     """Every margin from the thin kernel of a rank-deficient minority (3 to p
     rows) against the full p x p kernel of the same moments, under the
-    tolerance and skip rule of :func:`test_spectral_pieces_match_the_dense_reference`."""
+    tolerance and skip rule of :func:`test_spectral_pieces_match_the_dense_reference`.
+    When the majority is rank-deficient too (n1 - 1 < p), a kernel with both
+    bases thin is checked the same way."""
     n0 = 3 + round(share * (p - 3))
     rng = np.random.default_rng(seed)
     scales = rng.uniform(0.3, 3.0, p)
@@ -380,22 +400,25 @@ def test_the_thin_kernel_matches_the_full_one(seed, p, share, extra, gamma0, gam
     X1 = rng.standard_normal((n0 + extra, p)) @ rotation + 0.4
     fitted = fit(TrainingSet(X0=X0, X1=X1), gamma0, gamma1)
     assert fitted.pair.values0.shape[0] < p
-    full = SpectralPair(
-        (eigenpair(fitted.sigma_hat0), eigenpair(fitted.sigma_hat1)),
-        fitted.mu_hat0 - fitted.mu_hat1,
-    )
+    gap = fitted.mu_hat0 - fitted.mu_hat1
+    full = SpectralPair((eigenpair(fitted.sigma_hat0), eigenpair(fitted.sigma_hat1)), gap)
+    thin = [fitted.pair]
+    if fitted.n1 - 1 < p:
+        spectra = (_range_eigenpair(fitted.sigma_hat0), _range_eigenpair(fitted.sigma_hat1))
+        thin.append(SpectralPair(spectra, gap))
+        assert thin[1].rotation.shape == (fitted.n0 - 1, fitted.n1 - 1)
     gammas, counts = (gamma0, gamma1), (fitted.n0, fitted.n1)
     try:
         leading, reference = _dense_pieces(fitted)
     except DegenerateEstimateError:
-        for pair in (fitted.pair, full):
+        for pair in (*thin, full):
             with pytest.raises(DegenerateEstimateError):
                 _pieces(pair, pair.quartic_weights(), gammas, counts)
         return
     assume(all(term <= 30.0 * max(1.0, abs(B)) for term, B in zip(leading, reference["variance"])))
-    _assert_margins_match(
-        _fit_pieces(fitted), _pieces(full, full.quartic_weights(), gammas, counts)
-    )
+    expected = _pieces(full, full.quartic_weights(), gammas, counts)
+    for pair in thin:
+        _assert_margins_match(_pieces(pair, pair.quartic_weights(), gammas, counts), expected)
 
 
 def test_each_covariance_is_diagonalized_once(monkeypatch):
