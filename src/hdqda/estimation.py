@@ -114,31 +114,24 @@ def _check_shrinkage(gamma: float) -> None:
         raise ValueError("shrinkage parameter must be finite and >= 0, got %r" % (gamma,))
 
 
-def _shifted_cholesky(sigma: np.ndarray, scale: float) -> np.ndarray:
-    """Lower Cholesky factor of I + scale * sigma, upper triangle zero, by LAPACK's
-    ``dpotrf``: the one place a shifted covariance, sample or true, is factored."""
-    shifted = scale * sigma
-    shifted.flat[:: sigma.shape[0] + 1] += 1.0
-    factor, info = lapack.dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
-    if info != 0:
-        cond = float(np.linalg.cond(scale * sigma + np.eye(sigma.shape[0])))
-        raise NotSpdError(
-            "I + %r * sigma is not positive definite: leading minor %d fails "
-            "(condition estimate %.3e)" % (scale, info, cond)
-        )
-    return factor
-
-
 def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
-    """(I + gamma * sigma_hat)^{-1} and log det(I + gamma * sigma_hat) from one
-    LAPACK Cholesky factorization: the log-det from the factor's diagonal, the
-    inverse from ``dpotri`` with its lower triangle mirrored, so it is exactly
-    symmetric."""
+    """(I + gamma * sigma_hat)^{-1} and log det(I + gamma * sigma_hat) from one LAPACK
+    Cholesky factorization (``dpotrf``), the one place a shifted covariance, sample or
+    true, is factored: the log-det from the factor's diagonal, the inverse from
+    ``dpotri`` with its lower triangle mirrored, so it is exactly symmetric."""
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     _check_shrinkage(gamma)
     if gamma == 0.0:
         return np.eye(sigma_hat.shape[0]), 0.0
-    factor = _shifted_cholesky(sigma_hat, gamma)
+    factor = gamma * sigma_hat  # I + gamma * sigma_hat, then its lower Cholesky factor
+    factor.flat[:: sigma_hat.shape[0] + 1] += 1.0
+    factor, info = lapack.dpotrf(factor, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        cond = float(np.linalg.cond(gamma * sigma_hat + np.eye(sigma_hat.shape[0])))
+        raise NotSpdError(
+            "I + %r * sigma is not positive definite: leading minor %d fails "
+            "(condition estimate %.3e)" % (gamma, info, cond)
+        )
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
     # dpotri cannot fail on a factor, and it leaves the zeroed upper triangle
     # as it is, so adding the transposed strict lower triangle mirrors it.

@@ -34,6 +34,12 @@ __all__ = [
 _SYM_RTOL = 1e-12
 
 
+def _is_symmetric(m: np.ndarray) -> bool:
+    """Whether a square matrix is symmetric within _SYM_RTOL of its largest entry (or of 1)."""
+    scale = float(np.max(np.abs(m), initial=0.0))
+    return float(np.max(np.abs(m - m.T), initial=0.0)) <= _SYM_RTOL * max(scale, 1.0)
+
+
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -67,8 +73,7 @@ class ClassStatistics:
         for name, value in (("mean", mean), ("covariance", cov)):
             if not np.all(np.isfinite(value)):
                 raise ValueError("%s must be finite; found NaN or inf" % (name,))
-        scale = float(np.max(np.abs(cov))) if cov.size else 0.0
-        if float(np.max(np.abs(cov - cov.T), initial=0.0)) > _SYM_RTOL * max(scale, 1.0):
+        if not _is_symmetric(cov):
             raise NotSpdError("covariance is not symmetric within tolerance")
         try:
             chol = np.linalg.cholesky(cov)

@@ -20,7 +20,7 @@ from .discriminant import classify_values, improved_scores
 from .errors import HdqdaError, TuningError
 from .estimation import FittedStats, SpectralPair, TrainingSet, _sample_pair, sample_moments
 from .gestim import BiasEstimate, _candidate
-from .model import _check_priors
+from .model import _check_priors, _is_symmetric
 from .rmt import _Margins
 
 __all__ = [
@@ -375,7 +375,7 @@ class ImprovedModel:
             if not np.all(np.isfinite(array)):
                 raise ValueError("model field %s holds a NaN or infinite number" % key)
         for key, sigma in (("sigma_hat0", sigma0), ("sigma_hat1", sigma1)):
-            if version != 3 and np.max(np.abs(sigma - sigma.T)) > 1e-12 * max(1.0, np.max(np.abs(sigma))):
+            if version != 3 and not _is_symmetric(sigma):
                 raise ValueError("model field %s is not symmetric" % key)
         if min(gamma0, gamma1) <= 0.0:
             raise ValueError("model needs positive shrinkage, got gamma %r, %r" % (gamma0, gamma1))

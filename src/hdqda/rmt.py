@@ -12,8 +12,8 @@ over the two eigenbases, on the kernel the training-only estimator shares
 
 The fixed point has one bracketed root-find and two independent trace maps:
 :func:`eigen_delta_solver` sums over the spectrum, and :func:`solve_delta`
-factorizes the dense covariance and never touches the spectrum, so the two
-agreeing cross-checks the trace.
+reads a Householder tridiagonal form of the dense covariance and never forms
+an eigenvalue, so the two agreeing cross-checks the trace.
 
 The designed bias, the class-error assembly and the matched shrinkage live here
 once. They read one :class:`_Margins` record, built in one pass of one shape
@@ -39,8 +39,8 @@ from .errors import (
     NotSpdError,
     StabilityError,
 )
-from .estimation import _check_whole, _shifted_cholesky
-from .model import MixtureModel
+from .estimation import _check_whole, _shifted_inverse
+from .model import MixtureModel, _is_symmetric
 
 __all__ = [
     "DeterministicEquivalents",
@@ -259,54 +259,56 @@ def _fixed_point(
     return float(root), info.function_calls
 
 
+def _shifted_trace(diagonal: np.ndarray, off: np.ndarray, scale: float) -> float:
+    """Tr[(I + scale * tri)^-1] in O(p), tri the symmetric tridiagonal with ``diagonal``
+    and ``off``: with f and g the pivots of A = I + scale * tri factored from the top
+    and from the bottom (``dpttrf``), 1 / (A^-1)_ii = f_i + g_i - a_i."""
+    a = 1.0 + scale * diagonal
+    # At p = 1 the pivot is a itself; scipy's dpttrf rejects the empty off-diagonal.
+    forward, backward, info = a, a, int(not a[0] > 0.0)
+    if a.size > 1:
+        forward, _, info = lapack.dpttrf(a, scale * off)
+        backward, _, _ = lapack.dpttrf(a[::-1], scale * off[::-1])
+    if info != 0:
+        raise NotSpdError("I + %r * sigma is not positive definite: leading minor %d "
+                          "fails on its tridiagonal form" % (scale, info))
+    return float(np.sum(1.0 / (forward + backward[::-1] - a)))
+
+
 def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquivalents:
-    """Fixed point and resolvent limit on the dense covariance.
+    """Fixed point and resolvent limit on the dense covariance ``sigma`` (p x p,
+    symmetric positive semidefinite) of a class with ``n`` training rows, at
+    shrinkage ``gamma`` >= 0.
 
-    One bracketed root-find, two independent trace maps: this one factorizes
-    the shifted covariance and takes the trace through the identity
+    One bracketed root-find, two independent trace maps: this one reduces sigma
+    once to tridiagonal form (``dsytrd``), takes each step's Tr[(I + a sigma)^-1]
+    from it in O(p) (:func:`_shifted_trace`) and the map through
     Tr[sigma (I + a sigma)^-1] = (p - Tr[(I + a sigma)^-1]) / a, so it never
-    touches the spectrum and serves as the dense cross-check of
-    :func:`eigen_delta_solver`.
-
-    Parameters
-    ----------
-    sigma : ndarray of shape (p, p)
-        Class covariance, symmetric positive semidefinite.
-    n : int
-        Training sample count for the class.
-    gamma : float
-        Shrinkage parameter, nonnegative.
+    forms an eigenvalue and serves as the dense cross-check of
+    :func:`eigen_delta_solver`. One Cholesky factorization at the root forms
+    ``T``, and ``residual`` checks the tridiagonal trace against the dense sigma T.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError("covariance must be square, got shape %r" % (sigma.shape,))
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.size == 0:
+        raise ValueError("covariance must be square and nonempty, got shape %r" % (sigma.shape,))
     if not np.isfinite(sigma).all():
         raise ValueError("covariance has non-finite entries")
+    if not _is_symmetric(sigma):
+        raise ValueError("covariance is not symmetric within tolerance")
     _check_solver_args(n, gamma)
     p = sigma.shape[0]
-
-    def inverse_factor(scale: float) -> np.ndarray:
-        inv_chol, _ = lapack.dtrtri(_shifted_cholesky(sigma, scale), lower=1, overwrite_c=1)
-        return inv_chol
-
-    def trace_map(scale: float) -> float:
-        entries = inverse_factor(scale).ravel(order="K")  # a view of the factor
-        return (p - float(entries @ entries)) / scale
-
-    delta, evaluations = _fixed_point(trace_map, float(np.trace(sigma)) / n, n, gamma)
-    inv_chol = inverse_factor(gamma / (1.0 + gamma * delta))
-    T = inv_chol.T @ inv_chol
-    T = 0.5 * (T + T.T)
+    work, _ = lapack.dsytrd_lwork(p, lower=1)
+    _, diagonal, off, _, _ = lapack.dsytrd(sigma, lower=1, lwork=int(work))
+    delta, evaluations = _fixed_point(
+        lambda scale: (p - _shifted_trace(diagonal, off, scale)) / scale,
+        float(np.trace(sigma)) / n, n, gamma,
+    )
+    T, _ = _shifted_inverse(sigma, gamma / (1.0 + gamma * delta))
     product = sigma @ T
     return DeterministicEquivalents(
-        delta=delta,
-        T=T,
-        phi=float(np.sum(product * product)) / n,
-        phi_tilde=1.0 / (1.0 + gamma * delta) ** 2,
-        gamma=gamma,
-        n=n,
-        residual=abs(delta - float(np.trace(product)) / n),
-        iterations=evaluations,
+        delta=delta, T=T, phi=float(np.vdot(product, product)) / n,
+        phi_tilde=1.0 / (1.0 + gamma * delta) ** 2, gamma=gamma, n=n,
+        residual=abs(delta - float(np.trace(product)) / n), iterations=evaluations,
     )
 
 
@@ -314,9 +316,9 @@ def eigen_delta_solver(eigenvalues: np.ndarray, n: int, gamma: float) -> float:
     """Fixed point on a known spectrum.
 
     One bracketed root-find, two independent trace maps: this one sums
-    l / (1 + s l) over the eigenvalues, while :func:`solve_delta` factorizes
-    the dense covariance, so the two agreeing is a meaningful cross-check of
-    the trace, not a redundancy.
+    l / (1 + s l) over the eigenvalues, while :func:`solve_delta` reads a
+    tridiagonal form of the dense covariance, so the two agreeing is a
+    meaningful cross-check of the trace, not a redundancy.
     """
     eig = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if eig.size == 0:
