@@ -297,39 +297,31 @@ class _ExitCodeGroup(click.Group):
 
     Click reserves 2 for usage errors, but this tool's contract gives 2 to
     numerical failures inside an otherwise valid run, so usage errors fold
-    into the configuration code instead. A subcommand raises package errors
-    as they come; :meth:`invoke` maps them for every subcommand alike.
+    into the configuration code instead, set on the error before click's
+    ``main`` reports it. A subcommand raises package errors as they come;
+    :meth:`invoke` maps them for every subcommand alike.
     """
 
+    def make_context(self, *args, **extra):
+        try:
+            return super().make_context(*args, **extra)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
     def invoke(self, ctx):
-        """A data-format or sample-count error exits 1; any other package
-        error is a numerical failure, reported on stderr, and exits 2."""
+        """A usage, data-format or sample-count error exits 1; any other
+        package error is a numerical failure, reported on stderr, and exits 2."""
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
         except (CsvFormatError, InsufficientSamplesError) as exc:
             raise click.ClickException(str(exc)) from exc
         except HdqdaError as exc:
             click.echo("numerical failure: %s: %s" % (type(exc).__name__, exc), err=True)
             raise click.exceptions.Exit(2) from exc
-
-    def main(self, *args, standalone_mode=True, **extra):
-        if not standalone_mode:
-            return super().main(*args, standalone_mode=False, **extra)
-        try:
-            # Non-standalone click returns ctx.exit codes instead of raising.
-            result = super().main(*args, standalone_mode=False, **extra)
-        except click.exceptions.Abort:
-            click.echo("Aborted!", err=True)
-            sys.exit(1)
-        except click.UsageError as exc:
-            exc.show()
-            sys.exit(1)
-        except click.ClickException as exc:
-            exc.show()
-            sys.exit(exc.exit_code)
-        if isinstance(result, int) and result != 0:
-            sys.exit(result)
-        return result
 
 
 @click.group(cls=_ExitCodeGroup)

@@ -55,8 +55,8 @@ class ErrorReport:
 
 def _rows(X: np.ndarray, p: int) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != p:
-        raise ValueError("observations have %d columns, expected %d" % (X.shape[1], p))
+    if X.ndim > 2 or X.shape[1] != p:
+        raise ValueError("observations have shape %s, expected (rows, %d)" % (X.shape, p))
     # A finite sum means every entry is finite, so only a non-finite sum (which
     # finite entries give too when it overflows) needs the entrywise check.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -154,8 +154,13 @@ def rlda_scores(X: np.ndarray, pooled: PooledStats, priors: tuple[float, float])
 
 
 def classify_values(values: np.ndarray) -> np.ndarray:
-    """Label 0 where the score is strictly positive, label 1 otherwise."""
-    return np.where(np.asarray(values) > 0.0, 0, 1)
+    """Label 0 where the score is strictly positive, label 1 otherwise. A NaN or
+    infinite score carries no label, so any such score raises ValueError with their count."""
+    values = np.asarray(values)
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise ValueError("%d of %d scores are NaN or infinite" % (bad, values.size))
+    return np.where(values > 0.0, 0, 1)
 
 
 def empirical_error(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -57,6 +56,8 @@ class TrainingSet:
             raise ValueError(
                 "class blocks disagree on dimension: %d vs %d" % (x0.shape[1], x1.shape[1])
             )
+        if x0.shape[1] == 0:
+            raise ValueError("class blocks need at least one feature column")
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(x1))):
             raise ValueError("training data must be finite; found NaN or inf")
         if x0.shape[0] < 2 or x1.shape[0] < 2:
@@ -252,28 +253,25 @@ class FittedStats:
         _check_shrinkage(self.gamma1)
 
     def __getattr__(self, name: str):
-        # Reached only while ``name`` is missing from the instance dict. The
-        # resolvents are kept there directly: ``cached_property`` would hold one
-        # lock per class while factoring on Python < 3.12, so fits on other
-        # threads would take turns at their p^3 factorizations.
-        if name not in ("H0", "H1", "_logdets"):
+        # Reached only while ``name`` is missing from the instance dict. What a
+        # fit derives is kept there directly: ``cached_property`` would hold one
+        # lock per class while building it on Python < 3.12, so fits on other
+        # threads would take turns at their p^3 factorizations and eigenproblems.
+        if name == "pair":
+            self.__dict__["pair"] = _sample_pair(
+                self.mu_hat0, self.mu_hat1, self.sigma_hat0, self.sigma_hat1, self.n0
+            )
+        elif name in ("H0", "H1", "_logdets"):
+            H0, logdet0 = _shifted_inverse(self.sigma_hat0, self.gamma0)
+            H1, logdet1 = _shifted_inverse(self.sigma_hat1, self.gamma1)
+            self.__dict__.update(H0=H0, H1=H1, _logdets=(logdet0, logdet1))
+        else:
             raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-        H0, logdet0 = _shifted_inverse(self.sigma_hat0, self.gamma0)
-        H1, logdet1 = _shifted_inverse(self.sigma_hat1, self.gamma1)
-        self.__dict__.update(H0=H0, H1=H1, _logdets=(logdet0, logdet1))
         return self.__dict__[name]
 
     @property
     def p(self) -> int:
         return self.mu_hat0.shape[0]
-
-    @cached_property
-    def pair(self) -> SpectralPair:
-        """The spectral kernel of the moments, built once and kept; never passed
-        in, so ``dataclasses.replace`` starts without one."""
-        return _sample_pair(
-            self.mu_hat0, self.mu_hat1, self.sigma_hat0, self.sigma_hat1, self.n0
-        )
 
 
 def fit(train: TrainingSet, gamma0: float, gamma1: float) -> FittedStats:

@@ -26,10 +26,8 @@ from .rmt import _Margins
 __all__ = [
     "FORMAT_VERSION",
     "TuningEntry",
-    "TuningResult",
     "ImprovedModel",
     "default_grid",
-    "tune_gamma0",
     "fit_improved",
 ]
 
@@ -153,39 +151,6 @@ class TuningEntry:
 
 
 @dataclass(frozen=True)
-class TuningResult:
-    gamma0: float
-    entries: tuple[TuningEntry, ...]
-
-
-def tune_gamma0(
-    train: TrainingSet,
-    *,
-    grid: np.ndarray | None = None,
-    priors: tuple[float, float] | None = None,
-) -> TuningResult:
-    """Pick the minority shrinkage minimizing the estimated total error.
-
-    Candidates are evaluated in ascending order on the training data only;
-    a candidate whose estimate leaves its valid regime is skipped and the
-    reason recorded. Ties go to the smallest candidate. ``train`` must already
-    have the minority class first.
-
-    Raises
-    ------
-    TuningError
-        If every candidate fails; per-candidate reasons ride along.
-    """
-    if train.n1 < train.n0:
-        raise ValueError(
-            "expected the minority class first: n0=%d exceeds n1=%d"
-            % (train.n0, train.n1)
-        )
-    canonical = _canonical(train, priors)
-    return _tune(canonical, grid)[0]
-
-
-@dataclass(frozen=True)
 class _Canonical:
     """A training sample, minority class first, as every shrinkage value shares
     it: per-class ``(mean, covariance)`` moments, counts and priors, the
@@ -226,9 +191,20 @@ def _canonical(train: TrainingSet, priors: tuple[float, float] | None) -> _Canon
 
 def _tune(
     canonical: _Canonical, grid: np.ndarray | None
-) -> tuple[TuningResult, _Margins, BiasEstimate]:
-    """:func:`tune_gamma0` on a canonical sample, plus the winning candidate's
-    pieces (with its matched gamma1) and bias."""
+) -> tuple[tuple[TuningEntry, ...], _Margins, BiasEstimate]:
+    """Pick the minority shrinkage minimizing the estimated total error of a
+    canonical sample: the trace of every candidate, and the winner's pieces
+    (with its matched gamma1) and bias.
+
+    Candidates are evaluated in ascending order on the training data only;
+    a candidate whose estimate leaves its valid regime is skipped and the
+    reason recorded. Ties go to the smallest candidate.
+
+    Raises
+    ------
+    TuningError
+        If every candidate fails; per-candidate reasons ride along.
+    """
     candidates = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if candidates.ndim != 1 or candidates.size == 0:
         raise ValueError("candidate grid must be a nonempty 1-D array")
@@ -255,9 +231,7 @@ def _tune(
             "all %d shrinkage candidates failed" % (candidates.size,),
             failures={entry.gamma0: entry.failure for entry in entries},
         )
-    _, best_pieces, best_bias = best
-    tuning = TuningResult(gamma0=best_pieces.gammas[0], entries=tuple(entries))
-    return tuning, best_pieces, best_bias
+    return tuple(entries), best[1], best[2]
 
 
 @dataclass(frozen=True)
@@ -423,8 +397,7 @@ def _fit_canonical(
         raise ValueError("shrinkage must be finite and strictly positive, got %r" % (gamma0,))
     pair, counts, priors = canonical.pair, canonical.counts, canonical.priors
     if gamma0 is None:
-        tuning, pieces, bias = _tune(canonical, grid)
-        trace = tuning.entries
+        trace, pieces, bias = _tune(canonical, grid)
     else:
         pieces, bias, _ = _candidate(pair, canonical.quartic, float(gamma0), counts, priors)
         trace = ()

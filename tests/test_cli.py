@@ -150,6 +150,8 @@ def test_output_file_matches_stdout_bytes(runner, tmp_path):
 
 def test_usage_and_configuration_problems_exit_one(runner, tmp_path):
     assert runner.invoke(main, ["not-a-command"]).exit_code == 1
+    assert runner.invoke(main, ["--bogus"]).exit_code == 1
+    assert runner.invoke(main, ["sweep-gamma", "--grid-points", "x"]).exit_code == 1
     assert (
         runner.invoke(main, ["sweep-gamma", "--grid-min", "5", "--grid-max", "1"]).exit_code
         == 1
@@ -204,6 +206,13 @@ def test_data_errors_exit_one_in_every_subcommand(runner, tmp_path, monkeypatch,
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert result.stderr == "Error: injected\n"
+
+
+def test_an_interrupt_inside_a_subcommand_aborts_with_exit_one(runner, tmp_path, monkeypatch):
+    args = _failing_run(tmp_path, monkeypatch, "histogram", KeyboardInterrupt())
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "Aborted!" in result.stderr
 
 
 def test_help_exits_zero(runner):

@@ -210,6 +210,27 @@ def test_classify_positive_is_class_zero_ties_go_to_class_one():
     )
 
 
+def test_nan_or_infinite_scores_never_become_labels():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="1 of 3 scores are NaN or infinite"):
+            classify_values(np.array([1.0, bad, -1.0]))
+    with pytest.raises(ValueError, match="2 of 2 scores are NaN or infinite"):
+        classify_values(np.array([np.nan, np.inf]))
+
+
+def test_empirical_error_refuses_nan_or_infinite_scores():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="1 of 2 scores are NaN or infinite"):
+            empirical_error(np.array([0.5, bad]), np.array([-1.0]), (0.5, 0.5))
+        with pytest.raises(ValueError, match="1 of 1 scores are NaN or infinite"):
+            empirical_error(np.array([0.5]), np.array([bad]), (0.5, 0.5))
+
+
+def test_scores_reject_observations_of_more_than_two_axes():
+    with pytest.raises(ValueError, match=r"observations have shape \(2, 5, 1\), expected \(rows, 5\)"):
+        improved_scores(np.zeros((2, 5, 1)), _toy_fit(), 0.0)
+
+
 def test_scores_reject_nonfinite_observations():
     fitted = _toy_fit(seed=2)
     for bad in (np.nan, np.inf, -np.inf):

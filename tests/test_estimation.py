@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -46,6 +47,8 @@ def test_training_set_validation():
         TrainingSet(X0=np.zeros((1, 3)), X1=np.zeros((5, 3)))
     with pytest.raises(ValueError):
         TrainingSet(X0=np.zeros((4, 3)), X1=np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="at least one feature column"):
+        TrainingSet(X0=np.zeros((5, 0)), X1=np.zeros((6, 0)))
     train = TrainingSet(X0=np.zeros((4, 3)), X1=np.ones((6, 3)))
     assert (train.n0, train.n1, train.n, train.p) == (4, 6, 10, 3)
     for bad in (np.nan, np.inf):
@@ -181,6 +184,37 @@ def test_a_fit_derives_its_resolvents_from_its_moments(small_train):
         FittedStats(mu0, mu1, sig0, sig1, 0.7, 2.5, n0, n1, H0=fitted.H0)
     with pytest.raises(TypeError):
         PooledStats(mu0, mu1, sig1, 1.3, H=pooled.H)
+
+
+def test_fits_derive_their_kernels_without_a_shared_lock(small_train, monkeypatch):
+    """While one fit builds its spectral kernel, another fit's kernel is built
+    on another thread without waiting for it."""
+    first, second = fit(small_train, 1.0, 1.0), fit(small_train, 2.0, 2.0)
+    entered, release = threading.Event(), threading.Event()
+    real = estimation._sample_pair
+    calls = []
+
+    def blocking(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            entered.set()
+            release.wait(30.0)
+        return real(*args)
+
+    monkeypatch.setattr(estimation, "_sample_pair", blocking)
+    reader = threading.Thread(target=lambda: first.pair)
+    reader.start()
+    try:
+        assert entered.wait(30.0)
+        built = []
+        other = threading.Thread(target=lambda: built.append(second.pair))
+        other.start()
+        other.join(1.0)
+        assert built, "the second fit's kernel waited for the first fit's"
+    finally:
+        release.set()
+        reader.join()
+    assert isinstance(first.pair, estimation.SpectralPair) and len(calls) == 2
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from hdqda.pipeline import (
     TuningEntry,
     default_grid,
     fit_improved,
-    tune_gamma0,
 )
 
 from conftest import small_config
@@ -91,8 +90,6 @@ def test_entry_points_reject_priors_that_are_not_a_pair(majority_first_train):
     with pytest.raises(ValueError, match="priors must be a pair"):
         fit_improved(train, 1.0, priors=(0.3, 0.7, 42.0))
     with pytest.raises(ValueError, match="priors must be a pair"):
-        tune_gamma0(train.swapped(), priors=(0.3, 0.7, 42.0))
-    with pytest.raises(ValueError, match="priors must be a pair"):
         theta_hat(fit_improved(train, 1.0).fit, (0.3,))
 
 
@@ -100,32 +97,26 @@ def test_tuning_picks_the_estimated_minimum(majority_first_train):
     train, _ = majority_first_train
     canonical = train.swapped()
     grid = np.logspace(-1, 1, 7)
-    result = tune_gamma0(canonical, grid=grid)
-    assert len(result.entries) == 7
-    successes = [e for e in result.entries if e.failure is None]
+    result = fit_improved(canonical, None, grid=grid)
+    assert len(result.trace) == 7
+    successes = [e for e in result.trace if e.failure is None]
     assert successes
     best = min(successes, key=lambda e: e.total_hat)
-    assert result.gamma0 == best.gamma0
-    chosen = [e for e in result.entries if e.gamma0 == result.gamma0][0]
+    assert result.fit.gamma0 == best.gamma0
+    chosen = [e for e in result.trace if e.gamma0 == result.fit.gamma0][0]
     assert chosen.total_hat == best.total_hat
-
-
-def test_tuning_requires_canonical_orientation(majority_first_train):
-    train, _ = majority_first_train
-    with pytest.raises(ValueError, match="minority class first"):
-        tune_gamma0(train)
 
 
 def test_tuning_grid_validation(majority_first_train):
     train, _ = majority_first_train
     canonical = train.swapped()
     with pytest.raises(ValueError):
-        tune_gamma0(canonical, grid=np.array([]))
+        fit_improved(canonical, None, grid=np.array([]))
     with pytest.raises(ValueError):
-        tune_gamma0(canonical, grid=np.array([0.5, -1.0]))
+        fit_improved(canonical, None, grid=np.array([0.5, -1.0]))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and strictly positive"):
-            tune_gamma0(canonical, grid=np.array([bad, 0.5]))
+            fit_improved(canonical, None, grid=np.array([bad, 0.5]))
 
 
 def test_tuning_failure_entries_record_the_reason(majority_first_train, monkeypatch):
@@ -143,11 +134,11 @@ def test_tuning_failure_entries_record_the_reason(majority_first_train, monkeypa
         return real(*args)
 
     monkeypatch.setattr(pipeline_module, "_candidate", flaky)
-    result = tune_gamma0(canonical, grid=np.array([0.5, 1.0, 2.0]))
-    assert result.entries[0].failure is not None
-    assert "synthetic failure" in result.entries[0].failure
-    assert result.entries[0].total_hat is None
-    assert all(e.failure is None for e in result.entries[1:])
+    result = fit_improved(canonical, None, grid=np.array([0.5, 1.0, 2.0]))
+    assert result.trace[0].failure is not None
+    assert "synthetic failure" in result.trace[0].failure
+    assert result.trace[0].total_hat is None
+    assert all(e.failure is None for e in result.trace[1:])
 
 
 def test_tuning_raises_when_every_candidate_fails(majority_first_train, monkeypatch):
@@ -160,7 +151,7 @@ def test_tuning_raises_when_every_candidate_fails(majority_first_train, monkeypa
 
     monkeypatch.setattr(pipeline_module, "_candidate", broken)
     with pytest.raises(TuningError):
-        tune_gamma0(canonical, grid=np.array([0.5, 1.0]))
+        fit_improved(canonical, None, grid=np.array([0.5, 1.0]))
 
 
 def test_fit_improved_tunes_when_no_shrinkage_given(majority_first_train):
@@ -237,6 +228,18 @@ def test_model_json_round_trip_preserves_predictions(majority_first_train):
     )
     assert clone.label_map == model.label_map
     assert clone.fit.gamma1 == model.fit.gamma1
+
+
+def test_predict_refuses_scores_that_overflow(majority_first_train):
+    """Rows so far out that their quadratic forms overflow score NaN, and a
+    NaN score is refused rather than read as class 1."""
+    train, _ = majority_first_train
+    model = fit_improved(train, 1.0)
+    X = np.full((2, train.p), 1e200)
+    X[1] *= -1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="2 of 2 scores are NaN or infinite"):
+            model.predict(X)
 
 
 def test_model_with_a_nonfinite_bias_neither_predicts_nor_saves(majority_first_train):
