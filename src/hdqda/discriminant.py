@@ -66,6 +66,15 @@ def _rows(X: np.ndarray, p: int) -> np.ndarray:
     return X
 
 
+def _finite_scores(values: np.ndarray) -> np.ndarray:
+    """``values`` when every score is finite. A NaN or infinite score carries no
+    label, so any such score raises ValueError with their count."""
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise ValueError("%d of %d scores are NaN or infinite" % (bad, values.size))
+    return values
+
+
 # Bytes of one rows x p float64 temporary in a _quad_gap block.
 _BLOCK_BYTES = 1 << 19
 
@@ -81,7 +90,8 @@ def _quad_gap(X: np.ndarray, fit: FittedStats) -> np.ndarray:
     fewer than 64 (so past p = 1024 it exceeds that bound). The last block also
     takes the short tail, so it holds up to twice as many; a call with fewer
     than two blocks' worth of rows is one block and gives exactly the
-    one-product result.
+    one-product result. Rows so far out that their forms overflow are refused
+    by :func:`_finite_scores`.
     """
     gap = fit.H1 - fit.H0
     e = fit.mu_hat1 - fit.mu_hat0
@@ -94,7 +104,7 @@ def _quad_gap(X: np.ndarray, fit: FittedStats) -> np.ndarray:
         block = slice(k * rows, len(X) if k == blocks - 1 else (k + 1) * rows)
         d = X[block] - fit.mu_hat0
         out[block] = np.einsum("ij,ij->i", d @ gap, d) - 2.0 * (d @ h) + offset
-    return out
+    return _finite_scores(out)
 
 
 def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:
@@ -154,13 +164,9 @@ def rlda_scores(X: np.ndarray, pooled: PooledStats, priors: tuple[float, float])
 
 
 def classify_values(values: np.ndarray) -> np.ndarray:
-    """Label 0 where the score is strictly positive, label 1 otherwise. A NaN or
-    infinite score carries no label, so any such score raises ValueError with their count."""
-    values = np.asarray(values)
-    bad = values.size - np.count_nonzero(np.isfinite(values))
-    if bad:
-        raise ValueError("%d of %d scores are NaN or infinite" % (bad, values.size))
-    return np.where(values > 0.0, 0, 1)
+    """Label 0 where the score is strictly positive, label 1 otherwise; a NaN or
+    infinite score is refused by :func:`_finite_scores`."""
+    return np.where(_finite_scores(np.asarray(values)) > 0.0, 0, 1)
 
 
 def empirical_error(

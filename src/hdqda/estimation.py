@@ -166,6 +166,12 @@ class SpectralPair:
     p - r_i null directions then enter in closed form: there l_i = 0, and each
     row and column of R has unit norm over a full basis, so the null part of a
     row or column of W sums to 1 minus its kept part.
+
+    The quartic weights ``quartic`` = (M0 o M0, M1 o M1), for M0 = R^T diag(l0) R
+    and M1 = R diag(l1) R^T, each covariance in the other's basis, are derived on
+    first read and kept: Tr[sigma_0 H sigma_0 H] for H = U_1 diag(w) U_1^T is
+    w^T (M0 o M0) w, and symmetrically. Each is its r_j x r_j block on the other
+    class's range when that basis is thin.
     """
 
     def __init__(self, spectra, gap: np.ndarray):
@@ -179,15 +185,17 @@ class SpectralPair:
     def across(self, a0: np.ndarray, a1: np.ndarray) -> float:
         return float(a0 @ self.weights @ a1)
 
-    def quartic_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """(M0 o M0, M1 o M1) for M0 = R^T diag(l0) R and M1 = R diag(l1) R^T, each
-        covariance in the other's basis: Tr[sigma_0 H sigma_0 H] for
-        H = U_1 diag(w) U_1^T is w^T (M0 o M0) w, and symmetrically; not kept.
-        Each is its r_j x r_j block on the other class's range when that basis is thin."""
+    def __getattr__(self, name: str):
+        # Reached only while ``quartic`` is missing from the instance dict; kept
+        # there directly, not by a ``cached_property``, for the reason
+        # :meth:`FittedStats.__getattr__` gives.
+        if name != "quartic":
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
         R = self.rotation
         m0 = R.T @ (self.values0[:, None] * R)
         m1 = (R * self.values1) @ R.T
-        return np.square(m0, out=m0), np.square(m1, out=m1)
+        self.quartic = (np.square(m0, out=m0), np.square(m1, out=m1))
+        return self.quartic
 
 
 def _range_eigenpair(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,10 +233,10 @@ class FittedStats:
     construction, and what follows from them, each derived on first read and
     kept: the resolvents ``H0`` and ``H1`` with the log-determinants of both
     shifted covariances (``_logdets``), formed together from one factorization
-    per class; the spectral kernel :attr:`pair`; and, kept with it by
-    :mod:`hdqda.gestim`, the error estimator's pieces. None is an init field,
-    so ``dataclasses.replace`` starts without them, and the error estimator,
-    which reads only the kernel, never factors a shifted covariance.
+    per class; and the spectral kernel :attr:`pair`, which keeps its own
+    quartic weights. None is an init field, so ``dataclasses.replace`` starts
+    without them, and the error estimator, which reads only the kernel, never
+    factors a shifted covariance.
     """
 
     mu_hat0: np.ndarray
@@ -251,6 +259,9 @@ class FittedStats:
                 raise ValueError("%s must be at least 2, got %r" % (name, count))
         _check_shrinkage(self.gamma0)
         _check_shrinkage(self.gamma1)
+
+    def across(self, a0: np.ndarray, a1: np.ndarray) -> float:
+        return float(a0 @ self.weights @ a1)
 
     def __getattr__(self, name: str):
         # Reached only while ``name`` is missing from the instance dict. What a

@@ -132,15 +132,13 @@ def _weights(values: np.ndarray, gamma: float, p: int, n: int) -> tuple:
     return w, v, _delta_from_trace(float(np.sum(w)) + (p - w.shape[0]), p, n, gamma)
 
 
-def _pieces(
-    pair: SpectralPair, quartic: tuple, gammas: tuple[float, float], counts: tuple[int, int]
-) -> _Margins:
+def _pieces(pair: SpectralPair, gammas: tuple[float, float], counts: tuple[int, int]) -> _Margins:
     """The sample-spectrum margins at ``gammas`` and ``counts``, every trace and
     quadratic form taken on the spectral kernel, by one route for any rank.
 
-    ``pair`` holds the two sample covariances S_i and the mean gap
-    mu_hat0 - mu_hat1, and ``quartic`` its :meth:`~SpectralPair.quartic_weights`;
-    the resolvents H_i = (I + gamma_i S_i)^{-1} enter only as their range weights
+    ``pair`` holds the two sample covariances S_i, the mean gap mu_hat0 - mu_hat1
+    and their quartic weights :attr:`~SpectralPair.quartic`; the resolvents
+    H_i = (I + gamma_i S_i)^{-1} enter only as their range weights
     v_i = gamma_i l_i w_i = 1 - w_i, zero on any null direction of S_i, so each
     form in H_j is its value at H_j = I less a range term, and no p x p product
     or factorization is formed here.
@@ -149,6 +147,7 @@ def _pieces(
     sqrt_p = math.sqrt(p)
     # W and R oriented with the test class's coordinates first.
     W, R = (pair.weights, pair.weights.T), (pair.rotation, pair.rotation.T)
+    quartic = pair.quartic
     w, v, delta = zip(*(_weights(l[k], gammas[k], p, counts[k]) for k in (0, 1)))
     beta, shift, trace_gap, B, r = [], [], [], [], []
     for i, sign in ((0, -1.0), (1, 1.0)):
@@ -195,32 +194,21 @@ def _pieces(
 
 
 def _fit_pieces(fit: FittedStats) -> _Margins:
-    """The margins of ``fit``, computed on first use and kept on the fit like its
-    :attr:`~FittedStats.pair`. They depend on the kernel, the shrinkage pair and
-    the counts alone, never on the priors, so every estimator call shares them;
-    ``dataclasses.replace`` and a reload start without them."""
-    margins = fit.__dict__.get("_pieces")
-    if margins is None:
-        pair = fit.pair
-        gammas, counts = (fit.gamma0, fit.gamma1), (fit.n0, fit.n1)
-        margins = fit.__dict__["_pieces"] = _pieces(pair, pair.quartic_weights(), gammas, counts)
-    return margins
+    """The margins of ``fit``, on its kernel :attr:`~FittedStats.pair` at its
+    shrinkage pair and counts; they never depend on the priors."""
+    return _pieces(fit.pair, (fit.gamma0, fit.gamma1), (fit.n0, fit.n1))
 
 
 def _candidate(
-    pair: SpectralPair,
-    quartic: tuple,
-    gamma0: float,
-    counts: tuple[int, int],
-    priors: tuple[float, float],
+    pair: SpectralPair, gamma0: float, counts: tuple[int, int], priors: tuple[float, float]
 ) -> tuple[_Margins, BiasEstimate, GEstimate]:
     """One tuning candidate: the matched shrinkage :func:`gamma1_hat` at
     ``gamma0``, then :func:`theta_hat` and the error estimate at that bias, all
-    from one set of margins on ``pair`` (with its ``quartic`` weights), which are
-    returned too; their ``gammas`` are (``gamma0``, the matched shrinkage)."""
+    from one set of margins on ``pair``, which are returned too; their
+    ``gammas`` are (``gamma0``, the matched shrinkage)."""
     d0 = _weights(pair.values0, gamma0, pair.dim, counts[0])[2]
     gamma1 = gamma1_hat(d0, counts[0], counts[1], gamma0)
-    margins = _pieces(pair, quartic, (gamma0, gamma1), counts)
+    margins = _pieces(pair, (gamma0, gamma1), counts)
     bias = _bias_from(margins, priors)
     return margins, bias, _error_from(margins, bias, bias.theta_hat, priors)
 

@@ -227,24 +227,14 @@ class SplitResult:
 
 
 def _split_class(
-    rows: np.ndarray,
-    n_train: int,
-    test_fraction: float,
-    rng: np.random.Generator,
-    label: int,
+    rows: np.ndarray, n_train: int, rng: np.random.Generator, label: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    if not 0.0 <= test_fraction <= 1.0:
-        raise ValueError("test fraction must lie in [0, 1], got %r" % (test_fraction,))
     if rows.size < n_train:
         raise InsufficientSamplesError(
             "label %r has %d rows, need %d for training" % (label, rows.size, n_train)
         )
     order = rng.permutation(rows.size)
-    train = rows[order[:n_train]]
-    remainder = rows[order[n_train:]]
-    n_test = int(math.floor(test_fraction * remainder.size))
-    test = remainder[:n_test]
-    return np.sort(train), np.sort(test)
+    return np.sort(rows[order[:n_train]]), np.sort(rows[order[n_train:]])
 
 
 def make_imbalanced_split(
@@ -254,16 +244,14 @@ def make_imbalanced_split(
     ratio: float,
     n1: int,
     *,
-    test_fraction0: float = 1.0,
-    test_fraction1: float = 1.0,
     seed: int = 0,
 ) -> SplitResult:
     """Construct the two-class imbalance protocol from a labeled dataset.
 
     ``class_a`` becomes class 0 with floor(ratio * n1) training rows and
     ``class_b`` becomes class 1 with ``n1``. Rows not drawn for training form
-    the per-class test pools, thinned by the test fractions; train and test
-    are always disjoint and the selection is reproducible from ``seed``.
+    the per-class test pools; train and test are always disjoint and the
+    selection is reproducible from ``seed``.
     """
     if class_a == class_b:
         raise ValueError("the two classes must differ, got %r twice" % (class_a,))
@@ -278,8 +266,8 @@ def make_imbalanced_split(
         )
     rows_a = ds.class_indices(class_a)
     rows_b = ds.class_indices(class_b)
-    train0, test0 = _split_class(rows_a, n0, test_fraction0, stream(seed, 11), class_a)
-    train1, test1 = _split_class(rows_b, n1, test_fraction1, stream(seed, 12), class_b)
+    train0, test0 = _split_class(rows_a, n0, stream(seed, 11), class_a)
+    train1, test1 = _split_class(rows_b, n1, stream(seed, 12), class_b)
     return SplitResult(
         train=TrainingSet(X0=ds.X[train0], X1=ds.X[train1]),
         test0=ds.X[test0],

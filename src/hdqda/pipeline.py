@@ -154,20 +154,19 @@ class TuningEntry:
 class _Canonical:
     """A training sample, minority class first, as every shrinkage value shares
     it: per-class ``(mean, covariance)`` moments, counts and priors, the
-    ``label_map`` back to the caller's labels, the moments' kernel, its quartic weights."""
+    ``label_map`` back to the caller's labels, and the moments' kernel."""
 
     moments: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     counts: tuple[int, int]
     priors: tuple[float, float]
     label_map: tuple[int, int]
     pair: SpectralPair
-    quartic: tuple
 
 
 def _canonical(train: TrainingSet, priors: tuple[float, float] | None) -> _Canonical:
     """Step one of :func:`fit_improved`: orient ``train`` and ``priors`` (the
     caller's labeling; the training proportions when None) so the smaller class
-    comes first, then form its moments, their kernel and its quartic weights."""
+    comes first, then form its moments and their kernel."""
     swapped = train.n1 < train.n0
     canonical = train.swapped() if swapped else train
     if priors is not None:
@@ -178,14 +177,12 @@ def _canonical(train: TrainingSet, priors: tuple[float, float] | None) -> _Canon
         priors = (canonical.n0 / canonical.n, canonical.n1 / canonical.n)
     moments = (sample_moments(canonical.X0), sample_moments(canonical.X1))
     (mu0, sig0), (mu1, sig1) = moments
-    pair = _sample_pair(mu0, mu1, sig0, sig1, canonical.n0)
     return _Canonical(
         moments=moments,
         counts=(canonical.n0, canonical.n1),
         priors=priors,
         label_map=(1, 0) if swapped else (0, 1),
-        pair=pair,
-        quartic=pair.quartic_weights(),
+        pair=_sample_pair(mu0, mu1, sig0, sig1, canonical.n0),
     )
 
 
@@ -218,7 +215,7 @@ def _tune(
     for gamma0 in candidates:
         gamma0 = float(gamma0)
         try:
-            pieces, bias, estimate = _candidate(pair, canonical.quartic, gamma0, counts, priors)
+            pieces, bias, estimate = _candidate(pair, gamma0, counts, priors)
         except HdqdaError as exc:
             reason = "%s: %s" % (type(exc).__name__, exc)
             entries.append(TuningEntry(gamma0=gamma0, total_hat=None, failure=reason))
@@ -399,17 +396,14 @@ def _fit_canonical(
     if gamma0 is None:
         trace, pieces, bias = _tune(canonical, grid)
     else:
-        pieces, bias, _ = _candidate(pair, canonical.quartic, float(gamma0), counts, priors)
+        pieces, bias, _ = _candidate(pair, float(gamma0), counts, priors)
         trace = ()
     (mu0, sig0), (mu1, sig1) = canonical.moments
     fit = FittedStats(mu0, mu1, sig0, sig1, *pieces.gammas, *counts)
     # The one place a fit is seeded with what it derives on first use: ``pair``
-    # and ``pieces`` are what ``fit.pair`` and the estimators would build from
-    # these very moments, shrinkage pair and counts, so ``g_estimator_error``
-    # and ``theta_hat`` read them without a second spectrum, rotation or
-    # ``quartic_weights``.
+    # is what ``fit.pair`` would build from these very moments, so the
+    # estimators read it, and its quartic weights, without a second spectrum.
     fit.__dict__["pair"] = pair
-    fit.__dict__["_pieces"] = pieces
     return ImprovedModel(
         fit=fit,
         theta=bias.theta_hat,

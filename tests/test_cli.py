@@ -136,6 +136,18 @@ def test_real_protocol_on_a_generated_csv(runner, tmp_path):
         assert 0.0 <= float(row[2]) <= 1.0
 
 
+def test_real_output_is_thread_invariant(runner, tmp_path):
+    """Split tasks run on one thread or two give the same stdout bytes."""
+    args = [
+        "real", _blobs(tmp_path), "--label-column", "label",
+        "--ratios", "0.5,1.0", "--n1", "12", "--replicates", "2",
+    ]
+    one = runner.invoke(main, args + ["--threads", "1"])
+    two = runner.invoke(main, args + ["--threads", "2"])
+    assert one.exit_code == 0 and two.exit_code == 0, one.output + two.output
+    assert one.stdout_bytes == two.stdout_bytes
+
+
 def test_output_file_matches_stdout_bytes(runner, tmp_path):
     config = _config(tmp_path, TINY)
     to_stdout = runner.invoke(main, ["histogram", "--config", config, "--seed", "4"])
@@ -422,12 +434,12 @@ def test_sweep_tasks_draw_once_and_match_the_per_point_reference(monkeypatch, co
     # route reaches it once per replicate, in replicate order.
     real_candidate, reached = pipeline_module._candidate, []
 
-    def flaky(pair, quartic, gamma0, *rest):
+    def flaky(pair, gamma0, *rest):
         if gamma0 == gammas[1]:
             reached.append(gamma0)
             if len(reached) % replicates == 2:
                 raise DegenerateEstimateError("injected on replicate 1")
-        return real_candidate(pair, quartic, gamma0, *rest)
+        return real_candidate(pair, gamma0, *rest)
 
     monkeypatch.setattr(pipeline_module, "_candidate", flaky)
     expected = _reference_sweep_rows(scenario, gammas, replicates)

@@ -216,6 +216,35 @@ def test_fits_derive_their_kernels_without_a_shared_lock(small_train, monkeypatc
         reader.join()
     assert isinstance(first.pair, estimation.SpectralPair) and len(calls) == 2
 
+    # Likewise for two kernels' quartic weights, the first held inside its
+    # derivation, where it reads its class-0 eigenvalues.
+    held, other = first.pair, second.pair
+    entered.clear()
+    release.clear()
+
+    class Held(np.ndarray):
+        def __getitem__(self, key):
+            entered.set()
+            release.wait(30.0)
+            return np.asarray(self)[key]
+
+    values0 = held.values0
+    held.values0 = values0.view(Held)
+    reader = threading.Thread(target=lambda: held.quartic)
+    reader.start()
+    try:
+        assert entered.wait(30.0)
+        derived = []
+        deriver = threading.Thread(target=lambda: derived.append(other.quartic))
+        deriver.start()
+        deriver.join(1.0)
+        assert derived, "the second kernel's quartic weights waited for the first's"
+    finally:
+        release.set()
+        reader.join()
+    held.values0 = values0
+    assert "quartic" in vars(held) and derived[0] is other.quartic
+
 
 @pytest.mark.parametrize(
     "field, value, message",

@@ -218,7 +218,7 @@ def test_each_candidate_matches_gamma1_to_its_own_delta_hat0(p, seed):
     n0, n1 = canonical.counts
     for gamma0 in map(float, pipeline_module.default_grid()):
         margins = gestim._candidate(
-            canonical.pair, canonical.quartic, gamma0, canonical.counts, canonical.priors
+            canonical.pair, gamma0, canonical.counts, canonical.priors
         )[0]
         assert gamma1_hat(margins.delta[0], n0, n1, gamma0) == margins.gammas[1], gamma0
 
@@ -413,12 +413,12 @@ def test_the_thin_kernel_matches_the_full_one(seed, p, share, extra, gamma0, gam
     except DegenerateEstimateError:
         for pair in (*thin, full):
             with pytest.raises(DegenerateEstimateError):
-                _pieces(pair, pair.quartic_weights(), gammas, counts)
+                _pieces(pair, gammas, counts)
         return
     assume(all(term <= 30.0 * max(1.0, abs(B)) for term, B in zip(leading, reference["variance"])))
-    expected = _pieces(full, full.quartic_weights(), gammas, counts)
+    expected = _pieces(full, gammas, counts)
     for pair in thin:
-        _assert_margins_match(_pieces(pair, pair.quartic_weights(), gammas, counts), expected)
+        _assert_margins_match(_pieces(pair, gammas, counts), expected)
 
 
 def test_each_covariance_is_diagonalized_once(monkeypatch):
@@ -451,6 +451,7 @@ def test_each_covariance_is_diagonalized_once(monkeypatch):
     design = theta_star_theoretical(model, 60, 30, 0.9, 0.8)
     asymptotic_error(model, 60, 30, 0.9, 0.8, design.theta_star)
     assert calls["count"] == 2
+    assert "quartic" not in vars(model.pair)  # the limit takes no quartic trace
 
 
 def test_a_replaced_covariance_gets_its_own_kernel():
@@ -461,7 +462,7 @@ def test_a_replaced_covariance_gets_its_own_kernel():
     tuned = fit_improved(TrainingSet(X0=data.train0, X1=data.train1), 0.8)
     g_estimator_error(tuned.fit, tuned.theta, tuned.priors)  # the kernel is in use
     replaced = dataclasses.replace(tuned.fit, sigma_hat0=3.0 * tuned.fit.sigma_hat0)
-    assert "pair" not in replaced.__dict__ and "_pieces" not in replaced.__dict__
+    assert "pair" not in replaced.__dict__
     fields = {f.name: getattr(replaced, f.name) for f in dataclasses.fields(replaced) if f.init}
     fresh = FittedStats(**fields)
     assert _fit_pieces(replaced) == _fit_pieces(fresh) != _fit_pieces(tuned.fit)
@@ -476,19 +477,19 @@ def test_a_replaced_covariance_gets_its_own_kernel():
 
 
 def _counting(monkeypatch):
-    """Count ``quartic_weights`` calls and ``SpectralPair`` builds."""
+    """Count derivations of ``SpectralPair.quartic`` and ``SpectralPair`` builds."""
     calls = {"quartic": 0, "pair": 0}
-    quartic, build = SpectralPair.quartic_weights, SpectralPair.__init__
+    derive, build = SpectralPair.__getattr__, SpectralPair.__init__
 
-    def counting_quartic(self):
-        calls["quartic"] += 1
-        return quartic(self)
+    def counting_quartic(self, name):
+        calls["quartic"] += name == "quartic"
+        return derive(self, name)
 
     def counting_pair(self, *args):
         calls["pair"] += 1
         build(self, *args)
 
-    monkeypatch.setattr(SpectralPair, "quartic_weights", counting_quartic)
+    monkeypatch.setattr(SpectralPair, "__getattr__", counting_quartic)
     monkeypatch.setattr(SpectralPair, "__init__", counting_pair)
     return calls
 
@@ -513,21 +514,19 @@ _THREE_DRAWS = [(60, 40, 20, 11), (12, 80, 40, 12), (30, 24, 48, 13)]
 @pytest.mark.parametrize("draw", _THREE_DRAWS)
 @pytest.mark.parametrize("gamma0", [None, 0.7])
 def test_kept_pieces_equal_fresh_ones_field_by_field(draw, gamma0):
+    """The margins on the kernel a fit keeps from tuning, quartic weights and
+    all, equal those on a kernel a reloaded fit derives afresh."""
     p, n0, n1, seed = draw
     data = sample_scenario(small_config(p=p, n0=n0, n1=n1, seed=seed), replicate=1)
     model = fit_improved(TrainingSet(X0=data.train0, X1=data.train1), gamma0)
     fitted = model.fit
-    kept = fitted.__dict__["_pieces"]
-    pair = fitted.pair
-    fresh = _pieces(
-        pair, pair.quartic_weights(), (fitted.gamma0, fitted.gamma1), (fitted.n0, fitted.n1)
-    )
-    for field in dataclasses.fields(kept):
-        assert getattr(kept, field.name) == getattr(fresh, field.name), field.name
     reloaded = FittedStats(
         fitted.mu_hat0, fitted.mu_hat1, fitted.sigma_hat0, fitted.sigma_hat1,
         fitted.gamma0, fitted.gamma1, fitted.n0, fitted.n1,
     )
+    kept, fresh = _fit_pieces(fitted), _fit_pieces(reloaded)
+    for field in dataclasses.fields(kept):
+        assert getattr(kept, field.name) == getattr(fresh, field.name), field.name
     assert (
         g_estimator_error(fitted, model.theta, model.priors).to_json()
         == g_estimator_error(reloaded, model.theta, model.priors).to_json()

@@ -114,15 +114,6 @@ def test_split_is_reproducible_and_seed_sensitive():
     assert not np.array_equal(a.train_indices0, c.train_indices0)
 
 
-def test_split_test_fractions_thin_the_remainder():
-    ds = _blob_dataset()
-    split = make_imbalanced_split(
-        ds, 3, 7, ratio=1.0, n1=20, test_fraction0=0.5, test_fraction1=0.0, seed=0
-    )
-    assert split.test0.shape[0] == 10  # floor(0.5 * 20) remaining class-a rows
-    assert split.test1.shape[0] == 0
-
-
 def test_split_validation_errors():
     ds = _blob_dataset()
     with pytest.raises(ValueError):

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hdqda.discriminant import rqda_scores
 from hdqda.errors import DegenerateEstimateError, NotSpdError, TuningError
-from hdqda.estimation import FittedStats, TrainingSet
+from hdqda.estimation import FittedStats, TrainingSet, fit
 from hdqda.gestim import theta_hat
 from hdqda.model import build_mixture, sample_scenario
 from hdqda.pipeline import (
@@ -232,14 +233,20 @@ def test_model_json_round_trip_preserves_predictions(majority_first_train):
 
 def test_predict_refuses_scores_that_overflow(majority_first_train):
     """Rows so far out that their quadratic forms overflow score NaN, and a
-    NaN score is refused rather than read as class 1."""
+    NaN score is refused where it is made rather than read as class 1."""
     train, _ = majority_first_train
     model = fit_improved(train, 1.0)
+    shared = fit(train, 1.0, 1.0)
     X = np.full((2, train.p), 1e200)
     X[1] *= -1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="2 of 2 scores are NaN or infinite"):
-            model.predict(X)
+    for score in (
+        model.predict,
+        model.decision_values,
+        lambda rows: rqda_scores(rows, shared, model.priors),
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="2 of 2 scores are NaN or infinite"):
+                score(X)
 
 
 def test_model_with_a_nonfinite_bias_neither_predicts_nor_saves(majority_first_train):
