@@ -22,8 +22,7 @@ class NotSpdError(HdqdaError, ValueError):
 class ConvergenceError(HdqdaError, RuntimeError):
     """A root-find stopped short of convergence.
 
-    The message carries the iteration count and the status flag that scipy's
-    ``brentq`` reported.
+    The message carries the number of iterations spent.
     """
 
 

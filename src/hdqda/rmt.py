@@ -221,6 +221,55 @@ def _check_solver_args(n: int, gamma: float) -> None:
         raise InvalidRegularizerError("shrinkage must be finite, got %r" % (gamma,))
 
 
+_MAX_ROOT_STEPS = 100
+_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _brentq(f: Callable[[float], float], lower: float, upper: float, top: float,
+            xtol: float) -> tuple[float, int]:
+    """Root of ``f`` in [lower, upper] by Brent's method (Brent 1973, ch. 4), step for
+    step as scipy's ``brentq.c`` takes it, so roots and call counts match it bit for bit.
+
+    ``top`` is f(upper), already evaluated; the caller guarantees the bracket, so
+    no sign check is made. Returns the root and the number of evaluations of ``f``,
+    ``top``'s included; raises :class:`ConvergenceError` after ``_MAX_ROOT_STEPS``.
+    """
+    xpre, xcur, fpre, fcur = lower, upper, f(lower), top
+    xblk = fblk = spre = scur = 0.0
+    calls = 2
+    if fpre == 0.0:
+        return xpre, calls
+    for _ in range(_MAX_ROOT_STEPS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return float(xcur), calls
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+            spre, scur = (scur, stry) if short else (sbis, sbis)
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+        calls += 1
+    raise ConvergenceError(
+        "fixed-point root-find did not converge after %d iterations" % (_MAX_ROOT_STEPS,)
+    )
+
+
 def _fixed_point(
     trace_map: Callable[[float], float], upper: float, n: int, gamma: float
 ) -> tuple[float, int]:
@@ -229,34 +278,23 @@ def _fixed_point(
     ``trace_map(s)`` returns Tr[sigma (I + s sigma)^-1] and
     s(delta) = gamma / (1 + gamma delta). The root lies in [0, upper] with
     upper = Tr[sigma] / n, where the gap delta - trace_map(s)/n changes sign,
-    and a derivative-free bracketing method closes in on it. Returns the root
-    and the number of trace-map evaluations spent.
+    and Brent's bracketing method (:func:`_brentq`) closes in on it. Returns the
+    root and the number of trace-map evaluations spent.
     """
     if gamma == 0.0 or upper == 0.0:
         return upper, 0
 
     def gap(delta: float) -> float:
-        return delta - trace_map(gamma / (1.0 + gamma * delta)) / n
+        value = delta - trace_map(gamma / (1.0 + gamma * delta)) / n
+        if math.isnan(value):  # an overflowing trace; every bracket test is false on NaN
+            raise ValueError("fixed-point gap is NaN at delta=%r; the root-find cannot continue"
+                             % (delta,))
+        return value
 
     top = gap(upper)
     if top <= 0.0:
         return upper, 1
-    # Loaded here, not at import: fitting, tuning and scoring never root-find,
-    # and scipy.optimize is a large share of the package's import time.
-    from scipy import optimize
-
-    # brentq evaluates both ends itself: answering the upper one from ``top``
-    # makes its call count the number of trace-map evaluations made.
-    root, info = optimize.brentq(
-        lambda delta: top if delta == upper else gap(delta),
-        0.0, upper, xtol=1e-14, full_output=True, disp=False,
-    )
-    if not info.converged:
-        raise ConvergenceError(
-            "fixed-point root-find did not converge after %d iterations: %s"
-            % (info.iterations, info.flag)
-        )
-    return float(root), info.function_calls
+    return _brentq(gap, 0.0, upper, top, xtol=1e-14)
 
 
 def _shifted_trace(diagonal: np.ndarray, off: np.ndarray, scale: float) -> float:

@@ -471,13 +471,26 @@ def test_sweep_tasks_draw_once_and_match_the_per_point_reference(monkeypatch, co
     assert calls == {"sample": replicates, "full": replicates, "range": replicates}
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    """Only the theory's root-find needs scipy.optimize, so importing the
-    package and its CLI does not pay for loading it."""
+def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
+    """The package root-finds with its own Brent port, so importing it and its
+    CLI, solving the fixed point, taking the limiting error and running a sweep
+    never load scipy.optimize."""
     src = str(Path(cli_module.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = f"""
+import sys
+import numpy as np
+import hdqda.cli
+from hdqda.model import ScenarioConfig, build_mixture
+from hdqda.rmt import asymptotic_error, solve_delta
+assert solve_delta(np.diag([1.0, 2.0, 3.0]), 4, 1.0).iterations > 1
+asymptotic_error(build_mixture(ScenarioConfig(**{TINY!r})), 8, 16, 0.5, 0.9, 0.0)
+hdqda.cli.main(["sweep-gamma", "--config", {_config(tmp_path, TINY)!r}, "--grid-points", "2",
+                "--replicates", "1", "--out", {str(tmp_path / "sweep.csv")!r}], standalone_mode=False)
+print('scipy.optimize' in sys.modules)
+"""
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, hdqda.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.strip() == "False"

@@ -137,15 +137,51 @@ def test_solver_argument_validation():
 
 
 def test_nonconverged_root_find_raises(monkeypatch):
-    brentq = optimize.brentq
-    monkeypatch.setattr(
-        optimize, "brentq", lambda *args, **kwargs: brentq(*args, maxiter=1, **kwargs)
-    )
+    monkeypatch.setattr(rmt, "_MAX_ROOT_STEPS", 1)
     sigma = random_spd(30, np.random.default_rng(0))
     with pytest.raises(ConvergenceError, match="after 1 iterations"):
         solve_delta(sigma, 10, 5.0)
     with pytest.raises(ConvergenceError, match="after 1 iterations"):
         eigen_delta_solver(np.linalg.eigvalsh(sigma), 10, 5.0)
+
+
+def test_brent_port_matches_scipy_bit_for_bit(monkeypatch):
+    """``rmt._brentq`` takes scipy's ``brentq`` steps: on random eigen-route
+    fixed points (p 1-400, up to half the spectrum zero, gamma log-uniform on
+    [1e-3, 1e3]) it returns the same root bits and call count, and where scipy
+    stops unconverged after one step the port raises."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for _ in range(300):
+        p = int(rng.integers(1, 401))
+        eig = 10.0 ** rng.uniform(-2.0, 2.0, p)
+        eig[: int(rng.integers(0, p // 2 + 1))] = 0.0
+        n, gamma = int(rng.integers(1, 2 * p + 1)), float(10.0 ** rng.uniform(-3.0, 3.0))
+
+        def gap(delta, eig=eig, n=n, gamma=gamma):
+            return delta - float(np.sum(eig / (1.0 + gamma / (1.0 + gamma * delta) * eig))) / n
+
+        upper = float(np.sum(eig)) / n
+        top = gap(upper)
+        assert top > 0.0
+        root, info = optimize.brentq(gap, 0.0, upper, xtol=1e-14, full_output=True)
+        assert info.converged
+        found, calls = rmt._brentq(gap, 0.0, upper, top, xtol=1e-14)
+        assert (found.hex(), calls) == (root.hex(), info.function_calls)
+        cases.append((gap, upper, top))
+    monkeypatch.setattr(rmt, "_MAX_ROOT_STEPS", 1)
+    for gap, upper, top in cases:
+        _, info = optimize.brentq(gap, 0.0, upper, xtol=1e-14, maxiter=1, full_output=True, disp=False)
+        assert not info.converged
+        with pytest.raises(ConvergenceError, match="after 1 iterations"):
+            rmt._brentq(gap, 0.0, upper, top, xtol=1e-14)
+
+
+def test_an_overflowing_trace_stops_the_root_find():
+    """A spectrum whose trace overflows leaves the gap NaN at the upper end;
+    the root-find refuses it instead of stepping on to a root."""
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="gap is NaN at delta=inf"):
+        eigen_delta_solver(np.full(2, 1e308), 1, 1e300)
 
 
 def test_root_find_evaluates_each_point_once(monkeypatch):
