@@ -222,23 +222,29 @@ def _check_solver_args(n: int, gamma: float) -> None:
 
 
 _MAX_ROOT_STEPS = 100
+_XTOL = 1e-14
 _RTOL = 4.0 * np.finfo(float).eps
 
 
-def _brentq(f: Callable[[float], float], lower: float, upper: float, top: float,
-            xtol: float) -> tuple[float, int]:
-    """Root of ``f`` in [lower, upper] by Brent's method (Brent 1973, ch. 4), step for
+def _brentq(f: Callable[[float], float], upper: float, top: float) -> tuple[float, int]:
+    """Root of ``f`` in [0, upper] by Brent's method (Brent 1973, ch. 4), step for
     step as scipy's ``brentq.c`` takes it, so roots and call counts match it bit for bit.
 
-    ``top`` is f(upper), already evaluated; the caller guarantees the bracket, so
-    no sign check is made. Returns the root and the number of evaluations of ``f``,
-    ``top``'s included; raises :class:`ConvergenceError` after ``_MAX_ROOT_STEPS``.
+    ``top`` is f(upper), already evaluated and nonzero. As in ``brentq.c``, f(0) = 0
+    returns 0 and a bracket whose ends share a sign raises ``ValueError``. Returns
+    the root and the number of evaluations of ``f``, ``top``'s included; raises
+    :class:`ConvergenceError` after ``_MAX_ROOT_STEPS`` steps.
     """
-    xpre, xcur, fpre, fcur = lower, upper, f(lower), top
+    xpre, xcur, fpre, fcur = 0.0, upper, f(0.0), top
     xblk = fblk = spre = scur = 0.0
     calls = 2
     if fpre == 0.0:
         return xpre, calls
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(
+            "f(a) and f(b) must have different signs: the fixed-point gap is %r at "
+            "delta=0 and %r at delta=%r" % (fpre, fcur, upper)
+        )
     for _ in range(_MAX_ROOT_STEPS):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
@@ -246,7 +252,7 @@ def _brentq(f: Callable[[float], float], lower: float, upper: float, top: float,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2.0
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return float(xcur), calls
@@ -294,7 +300,7 @@ def _fixed_point(
     top = gap(upper)
     if top <= 0.0:
         return upper, 1
-    return _brentq(gap, 0.0, upper, top, xtol=1e-14)
+    return _brentq(gap, upper, top)
 
 
 def _shifted_trace(diagonal: np.ndarray, off: np.ndarray, scale: float) -> float:

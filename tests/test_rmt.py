@@ -149,7 +149,7 @@ def test_brent_port_matches_scipy_bit_for_bit(monkeypatch):
     """``rmt._brentq`` takes scipy's ``brentq`` steps: on random eigen-route
     fixed points (p 1-400, up to half the spectrum zero, gamma log-uniform on
     [1e-3, 1e3]) it returns the same root bits and call count, and where scipy
-    stops unconverged after one step the port raises."""
+    stops unconverged after one step, or refuses the bracket, the port raises."""
     rng = np.random.default_rng(23)
     cases = []
     for _ in range(300):
@@ -166,7 +166,7 @@ def test_brent_port_matches_scipy_bit_for_bit(monkeypatch):
         assert top > 0.0
         root, info = optimize.brentq(gap, 0.0, upper, xtol=1e-14, full_output=True)
         assert info.converged
-        found, calls = rmt._brentq(gap, 0.0, upper, top, xtol=1e-14)
+        found, calls = rmt._brentq(gap, upper, top)
         assert (found.hex(), calls) == (root.hex(), info.function_calls)
         cases.append((gap, upper, top))
     monkeypatch.setattr(rmt, "_MAX_ROOT_STEPS", 1)
@@ -174,7 +174,12 @@ def test_brent_port_matches_scipy_bit_for_bit(monkeypatch):
         _, info = optimize.brentq(gap, 0.0, upper, xtol=1e-14, maxiter=1, full_output=True, disp=False)
         assert not info.converged
         with pytest.raises(ConvergenceError, match="after 1 iterations"):
-            rmt._brentq(gap, 0.0, upper, top, xtol=1e-14)
+            rmt._brentq(gap, upper, top)
+    # A bracket whose ends share a sign is refused, as scipy refuses it.
+    with pytest.raises(ValueError, match="must have different signs"):
+        optimize.brentq(lambda delta: delta + 1.0, 0.0, 1.0, xtol=1e-14)
+    with pytest.raises(ValueError, match="must have different signs"):
+        rmt._brentq(lambda delta: delta + 1.0, 1.0, 2.0)
 
 
 def test_an_overflowing_trace_stops_the_root_find():
@@ -265,6 +270,10 @@ def test_solve_delta_rejects_asymmetric_empty_and_indefinite_covariances():
     indefinite = (rotation * np.array([-3.0, 1.0, 2.0, 4.0, 5.0, 6.0])) @ rotation.T
     with pytest.raises(NotSpdError, match=r"not positive definite: leading minor [1-6] fails"):
         solve_delta(0.5 * (indefinite + indefinite.T), 1, 10.0)
+    # I + s diag(1, -0.5) stays positive definite on the whole bracket, but the
+    # trace map is negative there, so the fixed-point gap never changes sign.
+    with pytest.raises(ValueError, match=r"f\(a\) and f\(b\) must have different signs"):
+        solve_delta(np.diag([1.0, -0.5]), 100, 1.0)
 
 
 @settings(max_examples=40, deadline=None)
