@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -270,6 +271,27 @@ def make_spiked_covariance(
     return sigma
 
 
+def _fill_class(
+    stats: ClassStatistics, rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray | None
+) -> np.ndarray:
+    """Fill ``out`` (rows x dim) with rows of the class law drawn from ``rng``,
+    allocating nothing: the standard normals go straight into ``out`` for a
+    diagonal factor and into the first rows of ``scratch`` for the product."""
+    if stats._scale is None:
+        z = rng.standard_normal(out=scratch[: out.shape[0]])
+        np.matmul(z, stats.cholesky.T, out=out)
+    else:
+        rng.standard_normal(out=out)
+        out *= stats._scale
+    out += stats.mean
+    return out
+
+
+def _scratch(stats: ClassStatistics, n: int) -> np.ndarray | None:
+    """The normals buffer :func:`_fill_class` needs for up to n rows, if any."""
+    return None if stats._scale is not None else np.empty((n, stats.dim))
+
+
 def sample_class(stats: ClassStatistics, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n rows from the class distribution via its Cholesky factor L.
 
@@ -281,14 +303,7 @@ def sample_class(stats: ClassStatistics, n: int, rng: np.random.Generator) -> np
     """
     if n < 1:
         raise ValueError("need at least one sample, got n=%d" % n)
-    z = rng.standard_normal((n, stats.dim))
-    if stats._scale is None:
-        out = z @ stats.cholesky.T
-        out += stats.mean
-        return out
-    z *= stats._scale
-    z += stats.mean
-    return z
+    return _fill_class(stats, rng, np.empty((n, stats.dim)), _scratch(stats, n))
 
 
 def build_mixture(config: ScenarioConfig) -> MixtureModel:
@@ -319,6 +334,30 @@ class ScenarioData:
     test1: np.ndarray
 
 
+def _fill_beside_a_helper(here: list, there: list) -> None:
+    """Run :func:`_fill_class` on each argument tuple of ``here`` on the calling
+    thread and of ``there`` on one helper thread; join the helper before
+    returning, and raise here what it raised."""
+    failures = []
+
+    def fill_there() -> None:
+        try:
+            for args in there:
+                _fill_class(*args)
+        except BaseException as exc:  # re-raised on the calling thread
+            failures.append(exc)
+
+    helper = threading.Thread(target=fill_there, name="hdqda-sample-class1")
+    helper.start()
+    try:
+        for args in here:
+            _fill_class(*args)
+    finally:
+        helper.join()
+    if failures:
+        raise failures[0]
+
+
 def sample_scenario(
     config: ScenarioConfig,
     *,
@@ -330,14 +369,40 @@ def sample_scenario(
     The ground-truth model is fixed by the config (spawn key 0 feeds the spiked
     basis); replicate r draws its four blocks from spawn keys (1..4, r), so
     replicates are independent and reproducible in any execution order.
+
+    Called on the main thread, it draws the two classes at once: one helper
+    thread fills class 1's blocks (train1, then test1: the normals, then the
+    product with the Cholesky factor) while the calling thread fills class
+    0's, and the call joins the helper before it returns, raising any error
+    the helper met. Each block reads only its own stream and writes only its
+    own array, and numpy fills and multiplies with the GIL released, so the
+    bytes are those of :func:`sample_class` run block after block, whatever
+    the scheduling. Every array is allocated on the calling thread; the helper
+    only fills. Called on any other thread, as by the CLI's ``--threads``
+    workers, which already keep the cores busy, it fills the four blocks
+    itself: with glibc, a helper per worker spread the workers' blocks over
+    more malloc arenas, each keeping its freed memory (peak RSS +10-14% on
+    the benchmark's paper-sweep workload, 2-core Linux host).
     """
     if model is None:
         model = build_mixture(config)
-    return ScenarioData(
-        model=model,
-        train0=sample_class(model.class0, config.n0, stream(config.seed, 1, replicate)),
-        train1=sample_class(model.class1, config.n1, stream(config.seed, 2, replicate)),
-        test0=sample_class(model.class0, config.test0, stream(config.seed, 3, replicate)),
-        test1=sample_class(model.class1, config.test1, stream(config.seed, 4, replicate)),
-    )
 
+    def plan(stats: ClassStatistics, rows: tuple[int, int], keys: tuple[int, int]) -> list:
+        """Arguments of :func:`_fill_class` for a class's train and test blocks,
+        which share one normals buffer (they are drawn one after the other)."""
+        scratch = _scratch(stats, max(rows))
+        return [
+            (stats, stream(config.seed, key, replicate), np.empty((n, stats.dim)), scratch)
+            for n, key in zip(rows, keys)
+        ]
+
+    class0 = plan(model.class0, (config.n0, config.test0), (1, 3))
+    class1 = plan(model.class1, (config.n1, config.test1), (2, 4))
+    if threading.current_thread() is threading.main_thread():
+        _fill_beside_a_helper(class0, class1)
+    else:
+        for args in class0 + class1:
+            _fill_class(*args)
+    (_, _, train0, _), (_, _, test0, _) = class0
+    (_, _, train1, _), (_, _, test1, _) = class1
+    return ScenarioData(model=model, train0=train0, train1=train1, test0=test0, test1=test1)

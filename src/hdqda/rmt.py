@@ -343,15 +343,28 @@ def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquival
     p = sigma.shape[0]
     work, _ = lapack.dsytrd_lwork(p, lower=1)
     _, diagonal, off, _, _ = lapack.dsytrd(sigma, lower=1, lwork=int(work))
-    delta, evaluations = _fixed_point(
-        lambda scale: (p - _shifted_trace(diagonal, off, scale)) / scale,
-        float(np.trace(sigma)) / n, n, gamma,
-    )
+
+    def trace_map(scale: float) -> float:
+        if scale == 0.0:  # gamma * delta overflowed; the division below would fail
+            raise StabilityError(
+                "fixed-point scale gamma / (1 + gamma * delta) underflows to 0 at gamma=%r; "
+                "the dense trace map divides by it" % (gamma,)
+            )
+        return (p - _shifted_trace(diagonal, off, scale)) / scale
+
+    delta, evaluations = _fixed_point(trace_map, float(np.trace(sigma)) / n, n, gamma)
     T, _ = _shifted_inverse(sigma, gamma / (1.0 + gamma * delta))
     product = sigma @ T
+    phi = float(np.vdot(product, product)) / n
+    try:
+        phi_tilde = 1.0 / (1.0 + gamma * delta) ** 2
+    except OverflowError as exc:
+        raise StabilityError(
+            "(1 + gamma * delta)^2 overflows at gamma=%r, delta=%r; the shrinkage factor "
+            "phi_tilde is out of range" % (gamma, delta)
+        ) from exc
     return DeterministicEquivalents(
-        delta=delta, T=T, phi=float(np.vdot(product, product)) / n,
-        phi_tilde=1.0 / (1.0 + gamma * delta) ** 2, gamma=gamma, n=n,
+        delta=delta, T=T, phi=phi, phi_tilde=phi_tilde, gamma=gamma, n=n,
         residual=abs(delta - float(np.trace(product)) / n), iterations=evaluations,
     )
 

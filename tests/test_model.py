@@ -1,8 +1,11 @@
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from hdqda import model as model_module
 from hdqda.errors import NotSpdError
 from hdqda.model import (
     ClassStatistics,
@@ -15,7 +18,7 @@ from hdqda.model import (
     stream,
 )
 
-from conftest import small_config
+from conftest import random_spd, small_config
 
 
 def test_scenario_config_rejects_bad_sizes():
@@ -232,3 +235,100 @@ def test_sample_scenario_replicates_are_reproducible_and_distinct():
     assert not np.array_equal(a.train0, c.train0)
     assert a.train0.shape == (config.n0, config.p)
     assert a.test1.shape == (config.test1, config.p)
+
+
+def _serial_draw(config, model, replicate):
+    """train0, train1, test0, test1 by :func:`sample_class`, one block after
+    another on the streams (seed, k, replicate), k = 1..4."""
+    blocks = (
+        (model.class0, config.n0, 1),
+        (model.class1, config.n1, 2),
+        (model.class0, config.test0, 3),
+        (model.class1, config.test1, 4),
+    )
+    return [sample_class(stats, n, stream(config.seed, key, replicate)) for stats, n, key in blocks]
+
+
+def _drawn_bytes(data):
+    return [block.tobytes() for block in (data.train0, data.train1, data.test0, data.test1)]
+
+
+def _concurrent_case(name):
+    """A synthetic mixture (diagonal class 0, spiked class 1), or a hand-built
+    one whose two covariances are both non-diagonal, so both threads multiply."""
+    if name == "synthetic":
+        config = small_config(p=60, n0=80, n1=40, test0=300, test1=150, seed=9)
+        return config, build_mixture(config)
+    rng = np.random.default_rng(12)
+    classes = [ClassStatistics(rng.standard_normal(20), random_spd(20, rng)) for _ in range(2)]
+    config = small_config(p=20, n0=30, n1=50, test0=70, test1=40, seed=4)
+    return config, MixtureModel(classes[0], classes[1], 0.4, 0.6)
+
+
+@pytest.mark.parametrize("name", ["synthetic", "both non-diagonal"])
+def test_sample_scenario_equals_sample_class_drawn_serially(name):
+    config, model = _concurrent_case(name)
+    assert (model.class0._scale is None) == (name != "synthetic")
+    assert model.class1._scale is None
+    data = sample_scenario(config, model=model, replicate=3)
+    assert _drawn_bytes(data) == [block.tobytes() for block in _serial_draw(config, model, 3)]
+
+
+@pytest.mark.parametrize("name", ["synthetic", "both non-diagonal"])
+def test_sample_scenario_is_bitwise_when_four_threads_call_it_at_once(name):
+    # Three pool workers, as CLI --threads workers, draw beside the main thread:
+    # four callers at once, and the main thread's draws add a helper each.
+    config, model = _concurrent_case(name)
+    draw = lambda r: sample_scenario(config, model=model, replicate=r)
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        pending = [pool.submit(draw, r) for r in range(3, 12)]
+        here = [draw(r) for r in range(3)]
+        drawn = here + [future.result(timeout=60) for future in pending]
+    for replicate, data in enumerate(drawn):
+        serial = _serial_draw(config, model, replicate)
+        assert _drawn_bytes(data) == [block.tobytes() for block in serial]
+
+
+def _record_fills(monkeypatch, fail_on=None):
+    """Patch ``_fill_class`` to log (class, filling thread) per block and to
+    raise on the first block of the class ``fail_on``."""
+    fill, filled_on = model_module._fill_class, []
+
+    def recording(stats, *args):
+        filled_on.append((stats, threading.current_thread()))
+        if stats is fail_on:
+            raise FloatingPointError("injected class-1 failure")
+        return fill(stats, *args)
+
+    monkeypatch.setattr(model_module, "_fill_class", recording)
+    return filled_on
+
+
+def test_a_worker_thread_draws_all_four_blocks_itself(monkeypatch):
+    config = small_config(seed=2)
+    model = build_mixture(config)
+    filled_on = _record_fills(monkeypatch)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker, data = pool.submit(
+            lambda: (threading.current_thread(), sample_scenario(config, model=model))
+        ).result(timeout=60)
+    assert [thread for _, thread in filled_on] == [worker] * 4
+    assert _drawn_bytes(data) == [block.tobytes() for block in _serial_draw(config, model, 0)]
+
+
+def test_a_failure_filling_class1_reaches_the_caller_and_no_thread_outlives_the_call(monkeypatch):
+    config = small_config(seed=2)
+    model = build_mixture(config)
+    before = threading.active_count()
+    sample_scenario(config, model=model)
+    assert threading.active_count() == before
+
+    filled_on = _record_fills(monkeypatch, fail_on=model.class1)
+    with pytest.raises(FloatingPointError, match="injected class-1 failure"):
+        sample_scenario(config, model=model)
+    assert threading.active_count() == before
+    caller = threading.current_thread()
+    # Class 0's two blocks are filled here; class 1's first block fails on the helper.
+    assert sorted((stats is model.class1, thread is caller) for stats, thread in filled_on) == [
+        (False, True), (False, True), (True, False)
+    ]

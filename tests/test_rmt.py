@@ -274,6 +274,12 @@ def test_solve_delta_rejects_asymmetric_empty_and_indefinite_covariances():
     # trace map is negative there, so the fixed-point gap never changes sign.
     with pytest.raises(ValueError, match=r"f\(a\) and f\(b\) must have different signs"):
         solve_delta(np.diag([1.0, -0.5]), 100, 1.0)
+    # Past the float range the arithmetic fails: gamma * delta overflows, so the
+    # scale s(delta) is 0, or (1 + gamma * delta)^2 overflows at the root.
+    with pytest.raises(StabilityError, match=r"underflows to 0 at gamma=1e\+300"):
+        solve_delta(1e10 * np.eye(3), 1, 1e300)
+    with pytest.raises(StabilityError, match=r"\(1 \+ gamma \* delta\)\^2 overflows at gamma=1\.0"):
+        solve_delta(1e200 * np.eye(3), 1, 1.0)
 
 
 @settings(max_examples=40, deadline=None)
