@@ -6,142 +6,19 @@ rates without a holdout set, and ships the synthetic scenarios plus CSV
 protocol used to benchmark it.
 """
 
-from .discriminant import (
-    RULE_IMPROVED_RQDA,
-    RULE_RLDA,
-    RULE_STANDARD_RQDA,
-    RULE_TRUE_QDA,
-    ErrorReport,
-    classify_values,
-    conditional_score_moments,
-    empirical_error,
-    improved_scores,
-    qda_scores_true,
-    rlda_scores,
-    rqda_scores,
-)
-from .errors import (
-    ConvergenceError,
-    CsvFormatError,
-    DegenerateDesignError,
-    DegenerateEstimateError,
-    HdqdaError,
-    InsufficientSamplesError,
-    InvalidRegularizerError,
-    NotSpdError,
-    StabilityError,
-    TuningError,
-)
-from .estimation import (
-    FittedStats,
-    PooledStats,
-    TrainingSet,
-    fit,
-    fit_pooled,
-    regularized_resolvent,
-    sample_moments,
-)
-from .gestim import (
-    BiasEstimate,
-    GEstimate,
-    delta_hat,
-    g_estimator_error,
-    gamma1_hat,
-    theta_hat,
-)
-from .ingestion import (
-    LabeledDataset,
-    SplitResult,
-    load_csv,
-    make_imbalanced_split,
-)
-from .model import (
-    ClassStatistics,
-    MixtureModel,
-    ScenarioConfig,
-    ScenarioData,
-    build_mixture,
-    make_spiked_covariance,
-    sample_class,
-    sample_scenario,
-    stream,
-)
-from .pipeline import (
-    ImprovedModel,
-    TuningEntry,
-    default_grid,
-    fit_improved,
-)
-from .rmt import (
-    AsymptoticPrediction,
-    DeterministicEquivalents,
-    ThetaDesign,
-    asymptotic_error,
-    eigen_delta_solver,
-    gamma1_theoretical,
-    solve_delta,
-    theta_star_theoretical,
-)
+from . import discriminant, errors, estimation, gestim, ingestion, model, pipeline, rmt
+from .discriminant import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimation import *  # noqa: F403
+from .gestim import *  # noqa: F403
+from .ingestion import *  # noqa: F403
+from .model import *  # noqa: F403
+from .pipeline import *  # noqa: F403
+from .rmt import *  # noqa: F403
 
+# Each module's __all__ is the one list of what it exports.
 __all__ = [
-    "AsymptoticPrediction",
-    "BiasEstimate",
-    "ClassStatistics",
-    "ConvergenceError",
-    "CsvFormatError",
-    "DegenerateDesignError",
-    "DegenerateEstimateError",
-    "DeterministicEquivalents",
-    "ErrorReport",
-    "FittedStats",
-    "GEstimate",
-    "HdqdaError",
-    "ImprovedModel",
-    "InsufficientSamplesError",
-    "InvalidRegularizerError",
-    "LabeledDataset",
-    "MixtureModel",
-    "NotSpdError",
-    "PooledStats",
-    "RULE_IMPROVED_RQDA",
-    "RULE_RLDA",
-    "RULE_STANDARD_RQDA",
-    "RULE_TRUE_QDA",
-    "ScenarioConfig",
-    "ScenarioData",
-    "SplitResult",
-    "StabilityError",
-    "ThetaDesign",
-    "TrainingSet",
-    "TuningEntry",
-    "TuningError",
-    "asymptotic_error",
-    "classify_values",
-    "conditional_score_moments",
-    "default_grid",
-    "delta_hat",
-    "empirical_error",
-    "eigen_delta_solver",
-    "fit",
-    "fit_improved",
-    "fit_pooled",
-    "g_estimator_error",
-    "gamma1_hat",
-    "gamma1_theoretical",
-    "improved_scores",
-    "load_csv",
-    "make_imbalanced_split",
-    "make_spiked_covariance",
-    "qda_scores_true",
-    "regularized_resolvent",
-    "rlda_scores",
-    "rqda_scores",
-    "sample_class",
-    "sample_moments",
-    "sample_scenario",
-    "solve_delta",
-    "stream",
-    "build_mixture",
-    "theta_hat",
-    "theta_star_theoretical",
+    name
+    for module in (discriminant, errors, estimation, gestim, ingestion, model, pipeline, rmt)
+    for name in module.__all__
 ]

@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -46,24 +46,16 @@ from .errors import CsvFormatError, HdqdaError, InsufficientSamplesError
 from .estimation import FittedStats, TrainingSet, fit, fit_pooled
 from .gestim import g_estimator_error
 from .ingestion import load_csv, make_imbalanced_split
-from .model import _CONFIG_FIELDS, MixtureModel, ScenarioConfig, build_mixture, sample_scenario
+from .model import MixtureModel, ScenarioConfig, build_mixture, sample_scenario
 from .pipeline import ImprovedModel, _canonical, _fit_canonical, fit_improved
 from .rmt import asymptotic_error, eigen_delta_solver, gamma1_theoretical, theta_star_theoretical
 
-# Scenario fields pass through unconverted: ScenarioConfig checks them. A
-# prior0 of None means the training ratio n0 / (n0 + n1).
+# Scenario fields pass through unconverted: ScenarioConfig checks them. The CLI
+# sets its own sizes and leaves the rest at ScenarioConfig's defaults; a prior0
+# of None means the training ratio n0 / (n0 + n1).
+_CLI_SCENARIO = {"p": 200, "n0": 200, "n1": 100, "test0": 2000, "test1": 1000, "prior0": None}
 _SCENARIO_KEYS = {
-    "p": (None, 200),
-    "n0": (None, 200),
-    "n1": (None, 100),
-    "test0": (None, 2000),
-    "test1": (None, 1000),
-    "base_scale": (None, 4.0),
-    "spike_strength": (None, 3.0),
-    "spike_rank": (None, None),
-    "mean_offset": (None, 3.0),
-    "prior0": (None, None),
-    "seed": (None, 0),
+    f.name: (None, _CLI_SCENARIO.get(f.name, f.default)) for f in fields(ScenarioConfig)
 }
 
 
@@ -168,7 +160,7 @@ def _grid(settings: dict) -> tuple[np.ndarray, list]:
 
 
 def _scenario_from(settings: dict, **overrides) -> ScenarioConfig:
-    values = {key: settings[key] for key in _CONFIG_FIELDS}
+    values = {key: settings[key] for key in _SCENARIO_KEYS}
     values.update(overrides)
     prior0 = values.pop("prior0")
     try:

@@ -109,7 +109,8 @@ def _quad_gap(X: np.ndarray, fit: FittedStats) -> np.ndarray:
 
 def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:
     """Oracle quadratic rule evaluated with the true class statistics and the
-    Cholesky factors their validation computed."""
+    Cholesky factors their validation computed. Rows so far out that their
+    forms overflow are refused by :func:`_finite_scores`."""
     p = model.dim
     X = _rows(X, p)
     halves = []
@@ -119,7 +120,7 @@ def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:
         z = sla.solve_triangular(stats.cholesky, d.T, lower=True, check_finite=False)
         half_logdet = float(np.sum(np.log(np.diag(stats.cholesky))))
         halves.append(0.5 * np.einsum("ij,ij->j", z, z) + half_logdet)
-    return halves[1] - halves[0] - math.log(model.prior1 / model.prior0)
+    return _finite_scores(halves[1] - halves[0] - math.log(model.prior1 / model.prior0))
 
 
 def _require_shared_gamma(fit: FittedStats) -> float:
@@ -155,12 +156,13 @@ def improved_scores(X: np.ndarray, fit: FittedStats, theta: float) -> np.ndarray
 
 
 def rlda_scores(X: np.ndarray, pooled: PooledStats, priors: tuple[float, float]) -> np.ndarray:
-    """Linear baseline on the pooled shrunken covariance."""
+    """Linear baseline on the pooled shrunken covariance; a score that overflows
+    is refused by :func:`_finite_scores`."""
     prior0, prior1 = _check_priors(priors)
     X = _rows(X, pooled.mu_hat0.shape[0])
     direction = pooled.H @ (pooled.mu_hat0 - pooled.mu_hat1)
     midpoint = 0.5 * (pooled.mu_hat0 + pooled.mu_hat1)
-    return (X - midpoint) @ direction - math.log(prior1 / prior0)
+    return _finite_scores((X - midpoint) @ direction - math.log(prior1 / prior0))
 
 
 def classify_values(values: np.ndarray) -> np.ndarray:

@@ -6,6 +6,19 @@ can catch numerical and validation failures without fishing for numpy internals.
 
 from __future__ import annotations
 
+__all__ = [
+    "HdqdaError",
+    "InsufficientSamplesError",
+    "NotSpdError",
+    "ConvergenceError",
+    "StabilityError",
+    "InvalidRegularizerError",
+    "DegenerateEstimateError",
+    "DegenerateDesignError",
+    "TuningError",
+    "CsvFormatError",
+]
+
 
 class HdqdaError(Exception):
     """Base class for all errors raised by this package."""

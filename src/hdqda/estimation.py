@@ -33,8 +33,6 @@ __all__ = [
     "PooledStats",
     "sample_moments",
     "regularized_resolvent",
-    "eigenpair",
-    "SpectralPair",
     "fit",
     "fit_pooled",
 ]
@@ -259,9 +257,6 @@ class FittedStats:
                 raise ValueError("%s must be at least 2, got %r" % (name, count))
         _check_shrinkage(self.gamma0)
         _check_shrinkage(self.gamma1)
-
-    def across(self, a0: np.ndarray, a1: np.ndarray) -> float:
-        return float(a0 @ self.weights @ a1)
 
     def __getattr__(self, name: str):
         # Reached only while ``name`` is missing from the instance dict. What a

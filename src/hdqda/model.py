@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -142,21 +142,6 @@ class MixtureModel:
         )
 
 
-_CONFIG_FIELDS = (
-    "p",
-    "n0",
-    "n1",
-    "test0",
-    "test1",
-    "base_scale",
-    "spike_strength",
-    "spike_rank",
-    "mean_offset",
-    "prior0",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of a synthetic benchmark scenario.
@@ -225,6 +210,9 @@ class ScenarioConfig:
         if missing:
             raise ValueError("missing scenario config fields: %s" % ", ".join(missing))
         return cls(**data)
+
+
+_CONFIG_FIELDS = tuple(f.name for f in fields(ScenarioConfig))
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

@@ -24,7 +24,6 @@ from .model import _check_priors, _is_symmetric
 from .rmt import _Margins
 
 __all__ = [
-    "FORMAT_VERSION",
     "TuningEntry",
     "ImprovedModel",
     "default_grid",

@@ -84,15 +84,38 @@ class DeterministicEquivalents:
             raise StabilityError("fixed point must be finite and nonnegative, got %r" % (self.delta,))
         if not 0.0 < self.phi_tilde <= 1.0:
             raise StabilityError("shrinkage factor out of (0, 1]: %r" % (self.phi_tilde,))
-        if self.stability_margin() <= 0.0:
-            raise StabilityError(
-                "spectral stability margin is %r; the fixed point is not admissible"
-                % (self.stability_margin(),)
-            )
+        self.stability_margin()  # raises StabilityError unless > 0
 
     def stability_margin(self) -> float:
         """1 - gamma^2 phi phi_tilde; must stay strictly positive."""
-        return 1.0 - self.gamma**2 * self.phi * self.phi_tilde
+        return _stability_margin(self.gamma, self.phi, self.phi_tilde)
+
+
+def _shrinkage_factor(gamma: float, delta: float) -> float:
+    """phi_tilde = 1 / (1 + gamma delta)^2, or StabilityError where the square overflows."""
+    try:
+        return 1.0 / (1.0 + gamma * delta) ** 2
+    except OverflowError as exc:
+        raise StabilityError(
+            "(1 + gamma * delta)^2 overflows at gamma=%r, delta=%r; the shrinkage factor "
+            "phi_tilde is out of range" % (gamma, delta)
+        ) from exc
+
+
+def _stability_margin(gamma: float, phi: float, phi_tilde: float) -> float:
+    """1 - gamma^2 phi phi_tilde, or StabilityError where gamma^2 overflows or the
+    margin is not > 0, NaN included: the fixed point is then not admissible."""
+    try:
+        margin = 1.0 - gamma**2 * phi * phi_tilde
+    except OverflowError as exc:
+        raise StabilityError(
+            "gamma^2 overflows at gamma=%r; the stability margin is out of range" % (gamma,)
+        ) from exc
+    if not margin > 0.0:
+        raise StabilityError(
+            "spectral stability margin is %r; the fixed point is not admissible" % (margin,)
+        )
+    return margin
 
 
 @dataclass(frozen=True)
@@ -356,15 +379,8 @@ def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquival
     T, _ = _shifted_inverse(sigma, gamma / (1.0 + gamma * delta))
     product = sigma @ T
     phi = float(np.vdot(product, product)) / n
-    try:
-        phi_tilde = 1.0 / (1.0 + gamma * delta) ** 2
-    except OverflowError as exc:
-        raise StabilityError(
-            "(1 + gamma * delta)^2 overflows at gamma=%r, delta=%r; the shrinkage factor "
-            "phi_tilde is out of range" % (gamma, delta)
-        ) from exc
     return DeterministicEquivalents(
-        delta=delta, T=T, phi=phi, phi_tilde=phi_tilde, gamma=gamma, n=n,
+        delta=delta, T=T, phi=phi, phi_tilde=_shrinkage_factor(gamma, delta), gamma=gamma, n=n,
         residual=abs(delta - float(np.trace(product)) / n), iterations=evaluations,
     )
 
@@ -416,10 +432,8 @@ def _limit_margins(
         scale = gamma / (1.0 + gamma * d) if gamma > 0.0 else 0.0
         t.append(1.0 / (1.0 + scale * l[k]))
         phi.append(float(np.sum(l[k] ** 2 * t[k] ** 2)) / n)
-        phi_tilde.append(1.0 / (1.0 + gamma * d) ** 2)
-        margin.append(1.0 - gamma**2 * phi[k] * phi_tilde[k])
-        if margin[k] <= 0.0:
-            raise StabilityError("spectral stability margin is %r" % (margin[k],))
+        phi_tilde.append(_shrinkage_factor(gamma, d))
+        margin.append(_stability_margin(gamma, phi[k], phi_tilde[k]))
         delta.append(d)
     across = pair.across
     # Tr[sigma_i T_j], ||sigma_i T_j||_F^2 = Tr[sigma_i^2 T_j^2], Tr[sigma_i^2 T_i T_j]

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdqda.discriminant import rqda_scores
+from hdqda.discriminant import qda_scores_true, rlda_scores, rqda_scores
 from hdqda.errors import DegenerateEstimateError, NotSpdError, TuningError
-from hdqda.estimation import FittedStats, TrainingSet, fit
+from hdqda.estimation import FittedStats, TrainingSet, fit, fit_pooled
 from hdqda.gestim import theta_hat
 from hdqda.model import build_mixture, sample_scenario
 from hdqda.pipeline import (
@@ -233,20 +233,25 @@ def test_model_json_round_trip_preserves_predictions(majority_first_train):
 
 def test_predict_refuses_scores_that_overflow(majority_first_train):
     """Rows so far out that their quadratic forms overflow score NaN, and a
-    NaN score is refused where it is made rather than read as class 1."""
+    NaN score is refused where it is made rather than read as class 1. The
+    linear rule's score overflows only near the top of the float range."""
     train, _ = majority_first_train
     model = fit_improved(train, 1.0)
     shared = fit(train, 1.0, 1.0)
+    pooled = fit_pooled(train, 1.0)
+    mixture = build_mixture(small_config(p=20, n0=40, n1=20, seed=1))
     X = np.full((2, train.p), 1e200)
     X[1] *= -1.0
-    for score in (
-        model.predict,
-        model.decision_values,
-        lambda rows: rqda_scores(rows, shared, model.priors),
+    for score, rows in (
+        (model.predict, X),
+        (model.decision_values, X),
+        (lambda rows: rqda_scores(rows, shared, model.priors), X),
+        (lambda rows: qda_scores_true(rows, mixture), X),
+        (lambda rows: rlda_scores(rows, pooled, model.priors), 1.7e108 * X),
     ):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="2 of 2 scores are NaN or infinite"):
-                score(X)
+                score(rows)
 
 
 def test_model_with_a_nonfinite_bias_neither_predicts_nor_saves(majority_first_train):

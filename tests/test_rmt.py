@@ -274,12 +274,61 @@ def test_solve_delta_rejects_asymmetric_empty_and_indefinite_covariances():
     # trace map is negative there, so the fixed-point gap never changes sign.
     with pytest.raises(ValueError, match=r"f\(a\) and f\(b\) must have different signs"):
         solve_delta(np.diag([1.0, -0.5]), 100, 1.0)
-    # Past the float range the arithmetic fails: gamma * delta overflows, so the
-    # scale s(delta) is 0, or (1 + gamma * delta)^2 overflows at the root.
-    with pytest.raises(StabilityError, match=r"underflows to 0 at gamma=1e\+300"):
-        solve_delta(1e10 * np.eye(3), 1, 1e300)
-    with pytest.raises(StabilityError, match=r"\(1 \+ gamma \* delta\)\^2 overflows at gamma=1\.0"):
-        solve_delta(1e200 * np.eye(3), 1, 1.0)
+
+
+def _identity_mixture(scale: float) -> MixtureModel:
+    """Two ``scale * I`` classes in p=3, means 0 and 1."""
+    return MixtureModel(
+        ClassStatistics(np.zeros(3), scale * np.eye(3)),
+        ClassStatistics(np.ones(3), scale * np.eye(3)),
+        0.5,
+        0.5,
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # gamma * delta overflows, so the scale s(delta) is 0.
+        pytest.param(
+            lambda: solve_delta(1e10 * np.eye(3), 1, 1e300),
+            r"underflows to 0 at gamma=1e\+300",
+            id="dense-scale",
+        ),
+        # (1 + gamma * delta)^2 overflows at the root, on either route.
+        pytest.param(
+            lambda: solve_delta(1e200 * np.eye(3), 1, 1.0),
+            r"\(1 \+ gamma \* delta\)\^2 overflows at gamma=1\.0",
+            id="dense-phi-tilde",
+        ),
+        pytest.param(
+            lambda: asymptotic_error(_identity_mixture(1.0), 2, 2, 1e200, 1e200, 0.0),
+            r"\(1 \+ gamma \* delta\)\^2 overflows at gamma=1e\+200",
+            id="eigen-phi-tilde",
+        ),
+        # gamma^2 overflows in the stability margin, on either route.
+        pytest.param(
+            lambda: solve_delta(np.eye(3), 5, 1e200),
+            r"gamma\^2 overflows at gamma=1e\+200",
+            id="dense-margin",
+        ),
+        pytest.param(
+            lambda: theta_star_theoretical(_identity_mixture(1.0), 5, 5, 1e200, 1e200),
+            r"gamma\^2 overflows at gamma=1e\+200",
+            id="eigen-margin",
+        ),
+        pytest.param(
+            lambda: theta_star_theoretical(_identity_mixture(1e10), 5, 5, 1e300, 1e300),
+            r"gamma\^2 overflows at gamma=1e\+300",
+            id="eigen-margin-large-classes",
+        ),
+    ],
+)
+def test_past_the_float_range_the_theory_raises_stability_error(call, message):
+    """Arithmetic past the float range fails as a StabilityError, which the CLI
+    maps to exit 2, never as Python's bare OverflowError."""
+    with pytest.raises(StabilityError, match=message):
+        call()
 
 
 @settings(max_examples=40, deadline=None)
@@ -526,4 +575,9 @@ def test_inadmissible_fixed_point_records_are_rejected():
     with pytest.raises(InvalidRegularizerError):
         DeterministicEquivalents(
             delta=0.5, T=np.eye(2), phi=0.1, phi_tilde=1.0, gamma=-1.0, n=4
+        )
+    # A NaN margin is not > 0 either.
+    with pytest.raises(StabilityError, match="margin is nan"):
+        DeterministicEquivalents(
+            delta=0.5, T=np.eye(2), phi=math.nan, phi_tilde=1.0, gamma=1.0, n=4
         )
