@@ -10,9 +10,12 @@ matter: it changes the summation order inside matrix products, so estimates
 such as g_estimate can differ in their last digits between BLAS settings.
 
 A sweep task is one (scenario, replicate) draw: it forms the draw's moments
-and spectral kernel once and runs the whole shrinkage grid on them, so threads
-beyond scenarios x replicates sit idle. A ``real`` task is one (ratio, split)
-tuned fit.
+and spectral kernel once and takes one tuning candidate per shrinkage value on
+them. It then projects each test block once per class onto the kernel's
+eigenbasis of that class and scores the whole grid, for both rules, from that
+projection in bounded row blocks, forming no resolvent. Threads beyond
+scenarios x replicates sit idle. A ``real`` task is one (ratio, split) tuned
+fit.
 
 Exit codes: 0 success, 1 configuration or data-format problem, 2 numerical
 failure inside an otherwise valid run.
@@ -31,23 +34,25 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import pipeline
 from .discriminant import (
     RULE_IMPROVED_RQDA,
     RULE_RLDA,
     RULE_STANDARD_RQDA,
     RULE_TRUE_QDA,
     ErrorReport,
+    _grid_scores,
+    classify_values,
     empirical_error,
     qda_scores_true,
     rlda_scores,
     rqda_scores,
 )
 from .errors import CsvFormatError, HdqdaError, InsufficientSamplesError
-from .estimation import FittedStats, TrainingSet, fit, fit_pooled
-from .gestim import g_estimator_error
+from .estimation import TrainingSet, fit, fit_pooled
 from .ingestion import load_csv, make_imbalanced_split
 from .model import MixtureModel, ScenarioConfig, build_mixture, sample_scenario
-from .pipeline import ImprovedModel, _canonical, _fit_canonical, fit_improved
+from .pipeline import ImprovedModel, _canonical, fit_improved
 from .rmt import asymptotic_error, eigen_delta_solver, gamma1_theoretical, theta_star_theoretical
 
 # Scenario fields pass through unconverted: ScenarioConfig checks them. The CLI
@@ -244,26 +249,25 @@ def _theory_total(model: MixtureModel, n0: int, n1: int, gamma0: float) -> float
     return asymptotic_error(canonical, c0, c1, gamma0, gamma1, design.theta_star).total
 
 
-def _gamma_totals(data, canonical, priors, gamma0: float) -> tuple[float, float, float]:
-    """(improved, standard, training-only estimate) totals at ``gamma0`` on one
-    draw's shared moments and kernel; no fit built here outlives the call."""
-    improved = _fit_canonical(canonical, gamma0, None)
-    report = _error_from_labels(
-        improved.predict(data.test0), improved.predict(data.test1), priors
-    )
-
-    # label_map is its own inverse, so it also lists each scenario class's
-    # canonical index: the standard rule's fit takes the same moment arrays.
-    (mu0, sig0), (mu1, sig1) = (canonical.moments[k] for k in canonical.label_map)
-    n0, n1 = (canonical.counts[k] for k in canonical.label_map)
-    shared = FittedStats(mu0, mu1, sig0, sig1, gamma0, gamma0, n0, n1)
-    standard = empirical_error(
-        rqda_scores(data.test0, shared, priors),
-        rqda_scores(data.test1, shared, priors),
-        priors,
-    )
-    estimate = g_estimator_error(improved.fit, improved.theta, improved.priors)
-    return report.total, standard.total, estimate.total_hat
+def _draw_totals(data, canonical, priors, candidates) -> list[tuple[float, float]]:
+    """(improved, standard) totals on one draw at each of ``candidates``, the
+    vectors (gamma0, gamma1, theta), both test blocks scored for every
+    candidate from one projection per class (:func:`_grid_scores`)."""
+    means = tuple(mu for mu, _ in canonical.moments)
+    blocks = [
+        _grid_scores(X, canonical.spectra, means, candidates, canonical.priors)
+        for X in (data.test0, data.test1)
+    ]
+    label_map = np.asarray(canonical.label_map)
+    # The standard rule's scores with positive favoring the scenario's class 0.
+    sign = 1.0 if canonical.label_map == (0, 1) else -1.0
+    totals = []
+    for j in range(len(candidates[0])):
+        labels = (label_map[classify_values(scores[:, j])] for scores, _ in blocks)
+        improved = _error_from_labels(*labels, priors)
+        standard = empirical_error(*(sign * scores[:, j] for _, scores in blocks), priors)
+        totals.append((improved.total, standard.total))
+    return totals
 
 
 def _aggregate(outcomes: list) -> tuple[float | None, float | None, float | None, str | None]:
@@ -395,21 +399,35 @@ def _failure(exc: HdqdaError) -> tuple[str, str]:
 
 
 def _replicate_outcomes(config, model, gammas: list, replicate: int) -> list:
-    """One sweep task: draw ``replicate`` and form its moments and kernel once,
-    then an ``("ok", totals)`` or ``("fail", reason)`` outcome per value in
-    ``gammas``; a failure before them is each one's."""
+    """One sweep task: draw ``replicate``, form its moments and kernel once and
+    take one tuning candidate per value in ``gammas`` (its matched gamma1, bias
+    and G-estimate), then score every candidate on the draw at once
+    (:func:`_draw_totals`). Returns an ``("ok", totals)`` or ``("fail", reason)``
+    outcome per value; a failure before them is each one's."""
     priors = (model.prior0, model.prior1)
     try:
         data = sample_scenario(config, model=model, replicate=replicate)
-        canonical = _canonical(TrainingSet(X0=data.train0, X1=data.train1), priors)
+        train = TrainingSet(X0=data.train0, X1=data.train1)
+        canonical = _canonical(train, priors, keep_spectra=True)
     except HdqdaError as exc:
         return [_failure(exc)] * len(gammas)
-    outcomes = []
-    for gamma0 in gammas:
+    outcomes, kept = [], []
+    for gamma0 in map(float, gammas):
         try:
-            outcomes.append(("ok", _gamma_totals(data, canonical, priors, float(gamma0))))
+            # Read from the module at each call, as fit_improved reads it.
+            margins, bias, estimate = pipeline._candidate(
+                canonical.pair, gamma0, canonical.counts, canonical.priors
+            )
         except HdqdaError as exc:
             outcomes.append(_failure(exc))
+            continue
+        kept.append((len(outcomes), *margins.gammas, bias.theta_hat, estimate.total_hat))
+        outcomes.append(None)
+    if kept:
+        slots, gamma0s, gamma1s, thetas, estimates = zip(*kept)
+        totals = _draw_totals(data, canonical, priors, (gamma0s, gamma1s, thetas))
+        for slot, (improved, standard), estimate in zip(slots, totals, estimates):
+            outcomes[slot] = ("ok", (improved, standard, estimate))
     return outcomes
 
 

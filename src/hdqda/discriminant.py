@@ -16,7 +16,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from .errors import InsufficientSamplesError
-from .estimation import FittedStats, PooledStats
+from .estimation import FittedStats, PooledStats, _resolvent_weights
 from .model import MixtureModel, _check_priors
 
 __all__ = [
@@ -75,8 +75,20 @@ def _finite_scores(values: np.ndarray) -> np.ndarray:
     return values
 
 
-# Bytes of one rows x p float64 temporary in a _quad_gap block.
+# Bytes of one rows x p float64 temporary in a scoring block.
 _BLOCK_BYTES = 1 << 19
+
+
+def _row_blocks(n: int, p: int) -> list[slice]:
+    """Slices of ``n`` rows for scoring at dimension ``p`` in blocks, so that the
+    rows x p temporaries stay small instead of covering every row. A block holds
+    a multiple of 64 rows, as many as keep one rows x p float64 array within
+    512 KiB, and never fewer than 64 (so past p = 1024 it exceeds that bound).
+    The last block also takes the short tail, so it holds up to twice as many;
+    fewer than two blocks' worth of rows is one block."""
+    rows = 64 * max(1, _BLOCK_BYTES // (8 * p) // 64)
+    blocks = max(1, n // rows)
+    return [slice(k * rows, n if k == blocks - 1 else (k + 1) * rows) for k in range(blocks)]
 
 
 def _quad_gap(X: np.ndarray, fit: FittedStats) -> np.ndarray:
@@ -84,27 +96,68 @@ def _quad_gap(X: np.ndarray, fit: FittedStats) -> np.ndarray:
     form in H_1 - H_0: centred at mu_0 with d = x - mu_0, e = mu_1 - mu_0 and
     h = H_1 e, it is d^T (H_1 - H_0) d - 2 d^T h + e^T h.
 
-    The rows are scored in blocks, so that d and d (H_1 - H_0) stay small
-    instead of being two whole rows x p arrays. A block holds a multiple of 64
-    rows, as many as keep one rows x p float64 array within 512 KiB, and never
-    fewer than 64 (so past p = 1024 it exceeds that bound). The last block also
-    takes the short tail, so it holds up to twice as many; a call with fewer
-    than two blocks' worth of rows is one block and gives exactly the
+    The rows are scored in :func:`_row_blocks`, so d and d (H_1 - H_0) are
+    never whole rows x p arrays; a call with one block gives exactly the
     one-product result. Rows so far out that their forms overflow are refused
-    by :func:`_finite_scores`.
+    by :func:`_finite_scores`. This is the route of a single fit; a grid of
+    shrinkage values on one draw takes :func:`_grid_scores`.
     """
     gap = fit.H1 - fit.H0
     e = fit.mu_hat1 - fit.mu_hat0
     h = fit.H1 @ e
     offset = float(e @ h)
-    rows = 64 * max(1, _BLOCK_BYTES // (8 * fit.p) // 64)
-    blocks = max(1, len(X) // rows)
     out = np.empty(len(X))
-    for k in range(blocks):
-        block = slice(k * rows, len(X) if k == blocks - 1 else (k + 1) * rows)
+    for block in _row_blocks(len(X), fit.p):
         d = X[block] - fit.mu_hat0
         out[block] = np.einsum("ij,ij->i", d @ gap, d) - 2.0 * (d @ h) + offset
     return _finite_scores(out)
+
+
+def _grid_scores(X, spectra, means, candidates, priors) -> tuple[np.ndarray, np.ndarray]:
+    """Improved- and standard-rule scores of ``X`` at every candidate of one
+    draw's shrinkage grid: two rows x candidates arrays, equal to rounding to
+    what :func:`improved_scores` and :func:`rqda_scores` give on fits there.
+
+    ``spectra`` are the classes' ``(values, basis)`` of the draw's sample
+    covariances, ``means`` their sample means, and ``candidates`` the vectors
+    (gamma0, gamma1, theta): the improved rule takes (gamma0, gamma1) and the
+    bias theta, the standard rule gamma0 for both classes and the log-odds of
+    ``priors``. Each row block (:func:`_row_blocks`) is projected once per
+    class, y = U^T (x - mu); every form is then sum(w y^2) on a full basis or
+    |x - mu|^2 - sum(v y^2) on a thin one, with the weights of
+    :func:`~hdqda.estimation._resolvent_weights`, and every log-determinant
+    sum(log1p(gamma l)), so no resolvent is formed. Scores that overflow are
+    refused by :func:`_finite_scores`.
+    """
+    prior0, prior1 = _check_priors(priors)
+    p = means[0].shape[0]
+    X = _rows(X, p)
+    gamma0, gamma1, theta = (np.asarray(c, dtype=float) for c in candidates)
+    # Improved columns first, then standard ones, all shrinkage values at once.
+    gammas = (np.concatenate([gamma0, gamma0]), np.concatenate([gamma1, gamma0]))
+    logdets = [np.sum(np.log1p(np.multiply.outer(l, gamma0)), axis=0) for l, _ in spectra]
+    offsets = np.concatenate([
+        -0.5 * theta * math.sqrt(p),
+        0.5 * (logdets[1] - logdets[0]) - math.log(prior1 / prior0),
+    ])
+    # Per class, the weights each form sums: w on a full basis, v on a thin one.
+    weights = []
+    for (values, basis), shrinkage in zip(spectra, gammas):
+        w, v = _resolvent_weights(values[:, None], shrinkage)
+        weights.append(v if basis.shape[1] < p else w)
+    out = np.empty((len(X), len(offsets)))
+    for block in _row_blocks(len(X), p):
+        forms = []
+        for (_, basis), mu, weight in zip(spectra, means, weights):
+            d = X[block] - mu
+            y = d @ basis
+            form = np.square(y, out=y) @ weight
+            if basis.shape[1] < p:
+                form = np.einsum("ij,ij->i", d, d)[:, None] - form
+            forms.append(form)
+        out[block] = offsets + 0.5 * (forms[1] - forms[0])
+    _finite_scores(out)
+    return out[:, : gamma0.size], out[:, gamma0.size :]
 
 
 def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:

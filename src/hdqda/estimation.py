@@ -215,14 +215,27 @@ def _range_eigenpair(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, basis
 
 
-def _sample_pair(mu_hat0, mu_hat1, sigma_hat0, sigma_hat1, n0: int) -> SpectralPair:
-    """The spectral kernel of two classes' sample moments; the one place a
-    sample covariance is diagonalized. When class 0's ``n0`` rows leave its
-    covariance rank-deficient (n0 - 1 < p) only its range is diagonalized
+def _sample_spectra(sigma_hat0, sigma_hat1, n0: int) -> tuple:
+    """Both classes' ``(values, basis)``; the one place a sample covariance is
+    diagonalized. When class 0's ``n0`` rows leave its covariance
+    rank-deficient (n0 - 1 < p) only its range is diagonalized
     (:func:`_range_eigenpair`), and its basis is thin."""
     p = sigma_hat0.shape[0]
     spectrum0 = _range_eigenpair(sigma_hat0) if n0 - 1 < p else eigenpair(sigma_hat0)
-    return SpectralPair((spectrum0, eigenpair(sigma_hat1)), mu_hat0 - mu_hat1)
+    return spectrum0, eigenpair(sigma_hat1)
+
+
+def _sample_pair(mu_hat0, mu_hat1, sigma_hat0, sigma_hat1, n0: int) -> SpectralPair:
+    """The spectral kernel of two classes' sample moments, on :func:`_sample_spectra`."""
+    return SpectralPair(_sample_spectra(sigma_hat0, sigma_hat1, n0), mu_hat0 - mu_hat1)
+
+
+def _resolvent_weights(values, gamma) -> tuple:
+    """Range weights w = 1 / (1 + gamma l) and v = gamma l w = 1 - w of the resolvent
+    (I + gamma S)^{-1} on eigenvalues l of S: it is U diag(w) U^T on a full basis U,
+    I - U diag(v) U^T on a thin one. Arrays broadcast, one column per shrinkage value."""
+    w = 1.0 / (1.0 + gamma * values)
+    return w, gamma * values * w
 
 
 @dataclass(frozen=True)

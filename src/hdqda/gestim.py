@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DegenerateEstimateError, InvalidRegularizerError
-from .estimation import FittedStats, SpectralPair, _check_whole
+from .estimation import FittedStats, SpectralPair, _check_whole, _resolvent_weights
 from .model import _check_priors
 from .rmt import _class_errors, _designed_bias, _Margins, _matched_shrinkage, _Vocabulary
 
@@ -125,10 +125,9 @@ class BiasEstimate:
 
 
 def _weights(values: np.ndarray, gamma: float, p: int, n: int) -> tuple:
-    """Range weights w = 1 / (1 + gamma l) and v = gamma l w = 1 - w of a resolvent, and
-    :func:`delta_hat` from its trace sum(w) + (p - len(w)); margins and matching share it."""
-    w = 1.0 / (1.0 + gamma * values)
-    v = gamma * values * w
+    """A resolvent's range weights w and v (:func:`~hdqda.estimation._resolvent_weights`)
+    and :func:`delta_hat` from its trace sum(w) + (p - len(w)); margins and matching share it."""
+    w, v = _resolvent_weights(values, gamma)
     return w, v, _delta_from_trace(float(np.sum(w)) + (p - w.shape[0]), p, n, gamma)
 
 

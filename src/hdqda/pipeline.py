@@ -18,7 +18,7 @@ import numpy as np
 
 from .discriminant import classify_values, improved_scores
 from .errors import HdqdaError, TuningError
-from .estimation import FittedStats, SpectralPair, TrainingSet, _sample_pair, sample_moments
+from .estimation import FittedStats, SpectralPair, TrainingSet, _sample_spectra, sample_moments
 from .gestim import BiasEstimate, _candidate
 from .model import _check_priors, _is_symmetric
 from .rmt import _Margins
@@ -153,19 +153,26 @@ class TuningEntry:
 class _Canonical:
     """A training sample, minority class first, as every shrinkage value shares
     it: per-class ``(mean, covariance)`` moments, counts and priors, the
-    ``label_map`` back to the caller's labels, and the moments' kernel."""
+    ``label_map`` back to the caller's labels, the moments' kernel, and, for
+    a caller that asks to score on them, the per-class ``(values, basis)``
+    spectra the kernel was built from (else None); no fit keeps them."""
 
     moments: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     counts: tuple[int, int]
     priors: tuple[float, float]
     label_map: tuple[int, int]
     pair: SpectralPair
+    spectra: tuple | None
 
 
-def _canonical(train: TrainingSet, priors: tuple[float, float] | None) -> _Canonical:
-    """Step one of :func:`fit_improved`: orient ``train`` and ``priors`` (the
-    caller's labeling; the training proportions when None) so the smaller class
-    comes first, then form its moments and their kernel."""
+def _canonical(
+    train: TrainingSet, priors: tuple[float, float] | None, keep_spectra: bool = False
+) -> _Canonical:
+    """Orient ``train`` and ``priors`` (the caller's labeling; the training
+    proportions when None) so the smaller class comes first, then form its
+    moments and their kernel. The spectra are kept only with ``keep_spectra``:
+    a tuned fit never reads them, and holding its p x p basis while it tunes
+    raises the fit's peak memory."""
     swapped = train.n1 < train.n0
     canonical = train.swapped() if swapped else train
     if priors is not None:
@@ -176,12 +183,14 @@ def _canonical(train: TrainingSet, priors: tuple[float, float] | None) -> _Canon
         priors = (canonical.n0 / canonical.n, canonical.n1 / canonical.n)
     moments = (sample_moments(canonical.X0), sample_moments(canonical.X1))
     (mu0, sig0), (mu1, sig1) = moments
+    spectra = _sample_spectra(sig0, sig1, canonical.n0)
     return _Canonical(
         moments=moments,
         counts=(canonical.n0, canonical.n1),
         priors=priors,
         label_map=(1, 0) if swapped else (0, 1),
-        pair=_sample_pair(mu0, mu1, sig0, sig1, canonical.n0),
+        pair=SpectralPair(spectra, mu0 - mu1),
+        spectra=spectra if keep_spectra else None,
     )
 
 
@@ -376,19 +385,11 @@ def fit_improved(
 
     The classes are reoriented so the smaller one becomes class 0; supplied
     priors follow the caller's labeling and are swapped along with the data.
-    Default priors are the training proportions.
+    Default priors are the training proportions. Nothing here factors a
+    shifted covariance: the fit forms its resolvents when first read, by
+    ``predict`` or scoring, never by the estimators.
     """
-    return _fit_canonical(_canonical(train, priors), gamma0, grid)
-
-
-def _fit_canonical(
-    canonical: _Canonical, gamma0: float | None, grid: np.ndarray | None
-) -> ImprovedModel:
-    """Step two of :func:`fit_improved`: the model at ``gamma0``, or tuned over
-    ``grid`` when it is None, on the moments and kernel of ``canonical``, which
-    a caller may keep across shrinkage values. Nothing here factors a shifted
-    covariance: the fit forms its resolvents when first read, by ``predict`` or
-    scoring, never by the estimators."""
+    canonical = _canonical(train, priors)
     if gamma0 is not None and not 0.0 < gamma0 < math.inf:
         raise ValueError("shrinkage must be finite and strictly positive, got %r" % (gamma0,))
     pair, counts, priors = canonical.pair, canonical.counts, canonical.priors

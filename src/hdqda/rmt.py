@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -59,17 +59,19 @@ class DeterministicEquivalents:
     """Scalar fixed point and resolvent limit for one class.
 
     ``delta`` solves delta = (1/n) Tr[sigma (I + gamma/(1+gamma*delta) sigma)^-1]
-    and ``T`` is the matrix inverse evaluated at the solution. ``phi`` is the
-    second spectral moment (1/n) Tr[sigma^2 T^2] and ``phi_tilde`` the squared
-    shrinkage of the fixed-point denominator. ``residual`` is the fixed-point
-    gap |delta - (1/n) Tr[sigma T]| at the returned root and ``iterations``
-    the number of trace-map evaluations the root-find spent.
+    and ``T`` is the matrix inverse evaluated at the solution, a finite square
+    array. ``phi`` is the second spectral moment (1/n) Tr[sigma^2 T^2] and
+    ``phi_tilde`` the squared shrinkage 1 / (1 + gamma delta)^2 of the
+    fixed-point denominator, derived from ``delta`` and ``gamma`` at
+    construction. ``residual`` is the fixed-point gap
+    |delta - (1/n) Tr[sigma T]| at the returned root and ``iterations`` the
+    number of trace-map evaluations the root-find spent.
     """
 
     delta: float
     T: np.ndarray
     phi: float
-    phi_tilde: float
+    phi_tilde: float = field(init=False)
     gamma: float
     n: int
     residual: float = 0.0
@@ -78,10 +80,16 @@ class DeterministicEquivalents:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("sample count must be positive, got %d" % (self.n,))
+        T = self.T
+        if not (isinstance(T, np.ndarray) and T.ndim == 2 and T.shape[0] == T.shape[1] > 0
+                and np.isfinite(T).all()):
+            raise ValueError("T must be a finite, square, nonempty 2-D array, got shape %r"
+                             % (np.shape(T),))
         if self.gamma < 0.0:
             raise InvalidRegularizerError("shrinkage must be nonnegative, got %r" % (self.gamma,))
         if self.delta < 0.0 or not math.isfinite(self.delta):
             raise StabilityError("fixed point must be finite and nonnegative, got %r" % (self.delta,))
+        object.__setattr__(self, "phi_tilde", _shrinkage_factor(self.gamma, self.delta))
         if not 0.0 < self.phi_tilde <= 1.0:
             raise StabilityError("shrinkage factor out of (0, 1]: %r" % (self.phi_tilde,))
         self.stability_margin()  # raises StabilityError unless > 0
@@ -380,7 +388,7 @@ def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquival
     product = sigma @ T
     phi = float(np.vdot(product, product)) / n
     return DeterministicEquivalents(
-        delta=delta, T=T, phi=phi, phi_tilde=_shrinkage_factor(gamma, delta), gamma=gamma, n=n,
+        delta=delta, T=T, phi=phi, gamma=gamma, n=n,
         residual=abs(delta - float(np.trace(product)) / n), iterations=evaluations,
     )
 

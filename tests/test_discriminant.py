@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hdqda.discriminant import (
     _BLOCK_BYTES,
+    _grid_scores,
     _logdet_ratio,
     _rows,
     classify_values,
@@ -19,7 +20,7 @@ from hdqda.discriminant import (
     rqda_scores,
 )
 from hdqda.errors import InsufficientSamplesError
-from hdqda.estimation import FittedStats, TrainingSet, fit, fit_pooled
+from hdqda.estimation import FittedStats, TrainingSet, _sample_spectra, fit, fit_pooled
 from hdqda.model import ClassStatistics, MixtureModel, sample_class, stream
 
 
@@ -135,6 +136,80 @@ def test_scores_match_the_dense_two_form_reference(p, n0, n1, gamma0, gamma1, of
             assert np.all(np.abs(rqda_scores(X, fitted, priors) - standard) <= tolerance)
 
 
+def _grid_case(train, X, grid, theta, priors):
+    """Grid scores of ``X`` on the spectra of ``train``'s moments at the
+    (gamma0, gamma1) pairs of ``grid``, each at bias ``theta`` + its index, and
+    the single-fit route's improved and standard scores with the dense q0 + q1
+    of each fit, one list entry per grid pair."""
+    shared = fit(train, 1.0, 1.0)
+    spectra = _sample_spectra(shared.sigma_hat0, shared.sigma_hat1, train.n0)
+    gamma0, gamma1 = (np.array(values) for values in zip(*grid))
+    thetas = theta + np.arange(len(grid))
+    got = _grid_scores(X, spectra, (shared.mu_hat0, shared.mu_hat1), (gamma0, gamma1, thetas), priors)
+    expected = []
+    for (g0, g1), bias in zip(grid, thetas):
+        fitted, standard = fit(train, g0, g1), fit(train, g0, g0)
+        expected.append((
+            improved_scores(X, fitted, bias), sum(_two_forms(X, fitted)),
+            rqda_scores(X, standard, priors), sum(_two_forms(X, standard)),
+        ))
+    return spectra, got, expected
+
+
+def _assert_grid_matches(got, expected):
+    for j, (improved, improved_forms, standard, standard_forms) in enumerate(expected):
+        assert np.all(np.abs(got[0][:, j] - improved) <= 1e-12 * np.maximum(1.0, improved_forms))
+        assert np.all(np.abs(got[1][:, j] - standard) <= 1e-12 * np.maximum(1.0, standard_forms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(2, 40),
+    n0=st.integers(3, 60),
+    n1=st.integers(3, 60),
+    grid=st.lists(st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)), min_size=2, max_size=5),
+    theta=st.floats(-5.0, 5.0),
+    offset=st.floats(-1e3, 1e3),
+    separation=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=30, n0=10, n1=50, grid=[(0.01, 0.01), (1.0, 0.5), (100.0, 30.0)], theta=0.3,
+         offset=2.0, separation=1.0, seed=1)  # thin class 0, full once swapped
+@example(p=5, n0=40, n1=20, grid=[(0.01, 0.01), (1.0, 0.5), (100.0, 30.0)], theta=-0.3,
+         offset=-2.0, separation=1.0, seed=2)  # two full bases
+def test_grid_scores_match_the_single_fit_route(p, n0, n1, grid, theta, offset, separation, seed):
+    """The grid scorer gives both rules' single-fit scores at every pair of a
+    grid on one draw, within the bound the single-fit route keeps against the
+    dense two-form reference, with either class first, so class 0, whose basis
+    is thin when it has n - 1 < p rows, is the minority or the majority."""
+    train, X = _gap_case(p, n0, n1, offset, separation, seed)
+    priors = (0.3, 0.7)
+    for oriented in (train, train.swapped()):
+        spectra, got, expected = _grid_case(oriented, X, grid, theta, priors)
+        assert (spectra[0][1].shape[1] < p) == (oriented.n0 - 1 < p)  # the thin route
+        _assert_grid_matches(got, expected)
+
+
+def test_grid_scores_refuse_overflow_and_nonfinite_rows():
+    """Rows whose forms overflow are refused as :func:`_finite_scores` refuses
+    them, so no label is made from them; a NaN or infinite entry is refused by
+    the finiteness check of the single-fit route."""
+    train, _ = _gap_case(20, 10, 30, 0.0, 1.0, 5)  # a thin class-0 basis
+    shared = fit(train, 1.0, 1.0)
+    spectra = _sample_spectra(shared.sigma_hat0, shared.sigma_hat1, train.n0)
+    means, candidates = (shared.mu_hat0, shared.mu_hat1), ([1.0, 2.0], [0.5, 1.0], [0.0, 0.0])
+    X = np.full((2, 20), 1e200)
+    X[1] *= -1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="8 of 8 scores are NaN or infinite"):
+            _grid_scores(X, spectra, means, candidates, (0.5, 0.5))
+    for bad in (np.nan, np.inf):
+        X = np.zeros((3, 20))
+        X[1, 4] = bad
+        with pytest.raises(ValueError, match="observations must be finite"):
+            _grid_scores(X, spectra, means, candidates, (0.5, 0.5))
+
+
 def _block_rows(p):
     """Rows in one block of the scoring kernel at dimension p."""
     return 64 * max(1, _BLOCK_BYTES // (8 * p) // 64)
@@ -158,6 +233,8 @@ def test_blocked_scores_match_the_dense_two_form_reference(p):
             const = 0.5 * _logdet_ratio(fitted) - math.log(priors[1] / priors[0])
             standard = const - 0.5 * q0 + 0.5 * q1
             assert np.all(np.abs(rqda_scores(X, fitted, priors) - standard) <= tolerance)
+    # The grid scorer over the same blocks, on a thin class-0 basis past p = 39.
+    _assert_grid_matches(*_grid_case(train, X, [(0.5, 2.0), (2.0, 2.0)], 0.7, priors)[1:])
 
 
 @pytest.mark.parametrize("p", [1, 200])
@@ -189,6 +266,17 @@ def test_scoring_memory_stays_below_one_rows_by_p_array():
     finally:
         tracemalloc.stop()
     assert peak < 3 * _BLOCK_BYTES + 8 * len(X) < X.size, peak
+    # Nor does grid scoring hold a whole projection of the rows: a few block
+    # temporaries and the scores of three candidates under two rules.
+    spectra = _sample_spectra(fitted.sigma_hat0, fitted.sigma_hat1, fitted.n0)
+    candidates = ([0.5, 1.0, 2.0], [0.4, 0.8, 1.6], [0.0, 0.1, 0.2])
+    tracemalloc.start()
+    try:
+        _grid_scores(X, spectra, (fitted.mu_hat0, fitted.mu_hat1), candidates, (0.5, 0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _BLOCK_BYTES + 8 * 6 * len(X) < X.nbytes, peak
 
 
 @pytest.mark.skipif(

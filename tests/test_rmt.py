@@ -566,18 +566,31 @@ def test_inadmissible_fixed_point_records_are_rejected():
 
     with pytest.raises(StabilityError):
         DeterministicEquivalents(
-            delta=1.0, T=np.eye(2), phi=10.0, phi_tilde=1.0, gamma=1.0, n=4
+            delta=1.0, T=np.eye(2), phi=10.0, gamma=1.0, n=4
         )
     with pytest.raises(StabilityError):
         DeterministicEquivalents(
-            delta=-0.5, T=np.eye(2), phi=0.1, phi_tilde=1.0, gamma=1.0, n=4
+            delta=-0.5, T=np.eye(2), phi=0.1, gamma=1.0, n=4
         )
     with pytest.raises(InvalidRegularizerError):
         DeterministicEquivalents(
-            delta=0.5, T=np.eye(2), phi=0.1, phi_tilde=1.0, gamma=-1.0, n=4
+            delta=0.5, T=np.eye(2), phi=0.1, gamma=-1.0, n=4
         )
     # A NaN margin is not > 0 either.
     with pytest.raises(StabilityError, match="margin is nan"):
         DeterministicEquivalents(
-            delta=0.5, T=np.eye(2), phi=math.nan, phi_tilde=1.0, gamma=1.0, n=4
+            delta=0.5, T=np.eye(2), phi=math.nan, gamma=1.0, n=4
         )
+    # phi_tilde is derived from the record's own delta and gamma, never stored
+    # as given, so it cannot disagree with them.
+    record = DeterministicEquivalents(delta=1.0, T=np.eye(2), phi=0.1, gamma=1.0, n=4)
+    assert record.phi_tilde == 0.25 and record.stability_margin() == 0.975
+    with pytest.raises(TypeError, match="phi_tilde"):
+        DeterministicEquivalents(
+            delta=1.0, T=np.eye(2), phi=0.1, phi_tilde=1.0, gamma=1.0, n=4
+        )
+    # T must be a finite, square 2-D array.
+    for T in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2)), np.empty((0, 0)),
+              np.array([[1.0, math.nan], [0.0, 1.0]]), [[1.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="T "):
+            DeterministicEquivalents(delta=0.5, T=T, phi=0.1, gamma=1.0, n=4)
