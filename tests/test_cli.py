@@ -14,10 +14,11 @@ import hdqda.cli as cli_module
 import hdqda.estimation as estimation_module
 import hdqda.pipeline as pipeline_module
 from hdqda.cli import main
-from hdqda.discriminant import empirical_error, rqda_scores
+from hdqda.discriminant import empirical_error, rlda_scores, rqda_scores
 from hdqda.errors import DegenerateEstimateError, HdqdaError, InsufficientSamplesError, StabilityError
-from hdqda.estimation import TrainingSet, fit
+from hdqda.estimation import TrainingSet, fit, fit_pooled
 from hdqda.gestim import g_estimator_error
+from hdqda.ingestion import load_csv, make_imbalanced_split
 from hdqda.model import build_mixture, sample_scenario
 from hdqda.pipeline import fit_improved
 
@@ -469,6 +470,68 @@ def test_sweep_tasks_draw_once_and_match_the_per_point_reference(monkeypatch, co
     # covariance rank-deficient at p = 24, so it takes the range route and the
     # majority the full one.
     assert calls == {"sample": replicates, "full": replicates, "range": replicates}
+
+
+def _reference_real_rows(path, ratios, n1, replicates, grid, seed):
+    """``real`` rows assembled split by split from the public API alone: a
+    tuned fit and its labels, the standard rule fitted at the tuned gamma0 for
+    both classes, and the pooled rule at it too."""
+    ds = load_csv(path, "label")
+    rows = []
+    for ratio_index, ratio in enumerate(ratios):
+        totals = []
+        for split_index in range(replicates):
+            entropy = [seed, ratio_index, split_index]
+            split_seed = int(np.random.SeedSequence(entropy=entropy).generate_state(1, dtype=np.uint64)[0])
+            split = make_imbalanced_split(ds, 0, 1, ratio, n1, seed=split_seed)
+            train = split.train
+            priors = (train.n0 / train.n, train.n1 / train.n)
+            improved = fit_improved(train, None, priors=priors, grid=grid)
+            eps0 = float(np.mean(improved.predict(split.test0) != 0))
+            eps1 = float(np.mean(improved.predict(split.test1) != 1))
+            gamma0 = improved.fit.gamma0
+            shared, pooled = fit(train, gamma0, gamma0), fit_pooled(train, gamma0)
+            standard, linear = (
+                empirical_error(scores(split.test0, fitted, priors), scores(split.test1, fitted, priors), priors)
+                for scores, fitted in ((rqda_scores, shared), (rlda_scores, pooled))
+            )
+            totals.append((priors[0] * eps0 + priors[1] * eps1, standard.total, linear.total))
+        stacked = np.asarray(totals)
+        for column, method in enumerate(("improved-rqda", "standard-rqda", "rlda")):
+            rows.append([ratio, method, float(stacked[:, column].mean())])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "features, n1, ratios",
+    [
+        (20, 24, [0.25, 0.5, 1.5]),  # class 0's covariance is thin below ratio 1
+        (5, 15, [0.5, 2.0]),  # both classes have full rank
+    ],
+)
+def test_real_rows_match_the_per_split_reference(runner, tmp_path, features, n1, ratios):
+    rng = np.random.default_rng(features)
+    path = tmp_path / "real.csv"
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["f%d" % k for k in range(features)] + ["label"])
+        for label, shift in ((0, 0.0), (1, 0.6)):
+            for row in shift + rng.standard_normal((50, features)) * (1.0 + label):
+                writer.writerow([*row, label])
+    grid_points, replicates, seed = 5, 2, 3
+    result = runner.invoke(
+        main,
+        [
+            "real", str(path), "--label-column", "label", "--seed", str(seed),
+            "--ratios", ",".join(map(str, ratios)), "--n1", str(n1), "--replicates", str(replicates),
+            "--config", _config(tmp_path, {"grid_points": grid_points}),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    _, _, rows = _parse_output(result.output)
+    grid = np.logspace(np.log10(1e-2), np.log10(1e2), grid_points)
+    expected = _reference_real_rows(str(path), ratios, n1, replicates, grid, seed)
+    assert [[float(ratio), method, float(error)] for ratio, method, error in rows] == expected
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
