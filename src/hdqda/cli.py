@@ -14,8 +14,10 @@ and spectral kernel once and takes one tuning candidate per shrinkage value on
 them. It then projects each test block once per class onto the kernel's
 eigenbasis of that class and scores the whole grid, for both rules, from that
 projection in bounded row blocks, forming no resolvent. Threads beyond
-scenarios x replicates sit idle. A ``real`` task is one (ratio, split) tuned
-fit.
+scenarios x replicates sit idle. A ``real`` task is one (ratio, split) draw on
+the same route: it takes every candidate of its grid on the draw's kernel,
+keeps the one with the least estimate, and scores it for both quadratic rules
+from one projection per class; only the pooled linear rule is fitted apart.
 
 Exit codes: 0 success, 1 configuration or data-format problem, 2 numerical
 failure inside an otherwise valid run.
@@ -34,13 +36,11 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import pipeline
 from .discriminant import (
     RULE_IMPROVED_RQDA,
     RULE_RLDA,
     RULE_STANDARD_RQDA,
     RULE_TRUE_QDA,
-    ErrorReport,
     _grid_scores,
     classify_values,
     empirical_error,
@@ -52,7 +52,7 @@ from .errors import CsvFormatError, HdqdaError, InsufficientSamplesError
 from .estimation import TrainingSet, fit, fit_pooled
 from .ingestion import load_csv, make_imbalanced_split
 from .model import MixtureModel, ScenarioConfig, build_mixture, sample_scenario
-from .pipeline import ImprovedModel, _canonical, fit_improved
+from .pipeline import ImprovedModel, _canonical, _pick, _reason, _tune, fit_improved
 from .rmt import asymptotic_error, eigen_delta_solver, gamma1_theoretical, theta_star_theoretical
 
 # Scenario fields pass through unconverted: ScenarioConfig checks them. The CLI
@@ -217,18 +217,6 @@ def _run_tasks(tasks, threads: int) -> list:
         return [future.result() for future in futures]
 
 
-def _error_from_labels(pred0, pred1, priors) -> ErrorReport:
-    eps0 = float(np.mean(np.asarray(pred0) != 0))
-    eps1 = float(np.mean(np.asarray(pred1) != 1))
-    return ErrorReport(
-        eps0=eps0,
-        eps1=eps1,
-        total=priors[0] * eps0 + priors[1] * eps1,
-        n_test0=len(pred0),
-        n_test1=len(pred1),
-    )
-
-
 def _oriented_scores(model: ImprovedModel, X) -> np.ndarray:
     """Improved-rule scores with positive always favoring the caller's class 0."""
     values = model.decision_values(X)
@@ -249,24 +237,26 @@ def _theory_total(model: MixtureModel, n0: int, n1: int, gamma0: float) -> float
     return asymptotic_error(canonical, c0, c1, gamma0, gamma1, design.theta_star).total
 
 
-def _draw_totals(data, canonical, priors, candidates) -> list[tuple[float, float]]:
-    """(improved, standard) totals on one draw at each of ``candidates``, the
-    vectors (gamma0, gamma1, theta), both test blocks scored for every
-    candidate from one projection per class (:func:`_grid_scores`)."""
+def _draw_totals(data, canonical, spectra, priors, tuned) -> list[tuple[float, float]]:
+    """(improved, standard) totals on one draw for each tuning candidate's
+    ``(margins, bias)`` in ``tuned``, at its (gamma0, gamma1, theta), both test
+    blocks scored for every candidate from one projection per class onto the
+    draw's ``spectra`` (:func:`_grid_scores`)."""
     means = tuple(mu for mu, _ in canonical.moments)
+    candidates = tuple(zip(*((*margins.gammas, bias.theta_hat) for margins, bias in tuned)))
     blocks = [
-        _grid_scores(X, canonical.spectra, means, candidates, canonical.priors)
+        _grid_scores(X, spectra, means, candidates, canonical.priors)
         for X in (data.test0, data.test1)
     ]
     label_map = np.asarray(canonical.label_map)
     # The standard rule's scores with positive favoring the scenario's class 0.
     sign = 1.0 if canonical.label_map == (0, 1) else -1.0
     totals = []
-    for j in range(len(candidates[0])):
-        labels = (label_map[classify_values(scores[:, j])] for scores, _ in blocks)
-        improved = _error_from_labels(*labels, priors)
+    for j in range(len(tuned)):
+        labels0, labels1 = (label_map[classify_values(scores[:, j])] for scores, _ in blocks)
+        improved = priors[0] * float(np.mean(labels0 != 0)) + priors[1] * float(np.mean(labels1 != 1))
         standard = empirical_error(*(sign * scores[:, j] for _, scores in blocks), priors)
-        totals.append((improved.total, standard.total))
+        totals.append((improved, standard.total))
     return totals
 
 
@@ -316,7 +306,7 @@ class _ExitCodeGroup(click.Group):
         except (CsvFormatError, InsufficientSamplesError) as exc:
             raise click.ClickException(str(exc)) from exc
         except HdqdaError as exc:
-            click.echo("numerical failure: %s: %s" % (type(exc).__name__, exc), err=True)
+            click.echo("numerical failure: %s" % _reason(exc), err=True)
             raise click.exceptions.Exit(2) from exc
 
 
@@ -394,40 +384,24 @@ def histogram(**flags) -> None:
     _write_csv(flags["out"], meta, ["rule", "true_class", "score"], rows)
 
 
-def _failure(exc: HdqdaError) -> tuple[str, str]:
-    return "fail", "%s: %s" % (type(exc).__name__, exc)
-
-
 def _replicate_outcomes(config, model, gammas: list, replicate: int) -> list:
     """One sweep task: draw ``replicate``, form its moments and kernel once and
-    take one tuning candidate per value in ``gammas`` (its matched gamma1, bias
-    and G-estimate), then score every candidate on the draw at once
-    (:func:`_draw_totals`). Returns an ``("ok", totals)`` or ``("fail", reason)``
-    outcome per value; a failure before them is each one's."""
+    take each value in ``gammas`` as a tuning candidate on them
+    (:func:`~hdqda.pipeline._tune`), then score every candidate that succeeds
+    on the draw at once (:func:`_draw_totals`). Returns an ``("ok", totals)``
+    or ``("fail", reason)`` outcome per value; a failure before them is each one's."""
     priors = (model.prior0, model.prior1)
     try:
         data = sample_scenario(config, model=model, replicate=replicate)
-        train = TrainingSet(X0=data.train0, X1=data.train1)
-        canonical = _canonical(train, priors, keep_spectra=True)
+        canonical, spectra = _canonical(TrainingSet(X0=data.train0, X1=data.train1), priors)
     except HdqdaError as exc:
-        return [_failure(exc)] * len(gammas)
-    outcomes, kept = [], []
-    for gamma0 in map(float, gammas):
-        try:
-            # Read from the module at each call, as fit_improved reads it.
-            margins, bias, estimate = pipeline._candidate(
-                canonical.pair, gamma0, canonical.counts, canonical.priors
-            )
-        except HdqdaError as exc:
-            outcomes.append(_failure(exc))
-            continue
-        kept.append((len(outcomes), *margins.gammas, bias.theta_hat, estimate.total_hat))
-        outcomes.append(None)
+        return [("fail", _reason(exc))] * len(gammas)
+    entries, kept = _tune(canonical, gammas)
+    outcomes = [("fail", entry.failure) for entry in entries]
     if kept:
-        slots, gamma0s, gamma1s, thetas, estimates = zip(*kept)
-        totals = _draw_totals(data, canonical, priors, (gamma0s, gamma1s, thetas))
-        for slot, (improved, standard), estimate in zip(slots, totals, estimates):
-            outcomes[slot] = ("ok", (improved, standard, estimate))
+        totals = _draw_totals(data, canonical, spectra, priors, list(kept.values()))
+        for slot, (improved, standard) in zip(kept, totals):
+            outcomes[slot] = ("ok", (improved, standard, entries[slot].total_hat))
     return outcomes
 
 
@@ -532,24 +506,16 @@ def _real_split_totals(ds, class_a, class_b, ratio, n1, grid, split_seed):
         )
     train = split.train
     priors = (train.n0 / train.n, train.n1 / train.n)
-    improved = fit_improved(train, None, priors=priors, grid=grid)
-    report = _error_from_labels(
-        improved.predict(split.test0), improved.predict(split.test1), priors
-    )
-    tuned_gamma = improved.fit.gamma0
-    shared = fit(train, tuned_gamma, tuned_gamma)
-    standard = empirical_error(
-        rqda_scores(split.test0, shared, priors),
-        rqda_scores(split.test1, shared, priors),
-        priors,
-    )
-    pooled = fit_pooled(train, tuned_gamma)
+    canonical, spectra = _canonical(train, priors)
+    margins, bias = _pick(*_tune(canonical, grid))
+    [(improved, standard)] = _draw_totals(split, canonical, spectra, priors, [(margins, bias)])
+    pooled = fit_pooled(train, margins.gammas[0])
     linear = empirical_error(
         rlda_scores(split.test0, pooled, priors),
         rlda_scores(split.test1, pooled, priors),
         priors,
     )
-    return report.total, standard.total, linear.total
+    return improved, standard, linear.total
 
 
 @main.command()

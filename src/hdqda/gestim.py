@@ -32,6 +32,7 @@ matched shrinkage formulas it feeds live once in :mod:`hdqda.rmt`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -131,6 +132,23 @@ def _weights(values: np.ndarray, gamma: float, p: int, n: int) -> tuple:
     return w, v, _delta_from_trace(float(np.sum(w)) + (p - w.shape[0]), p, n, gamma)
 
 
+def _in_float_range(estimate):
+    """``estimate`` with a value that overflows the float range, in numpy or in
+    a float power, refused as DegenerateEstimateError, not left to warn or to
+    raise a bare arithmetic error; tuning records it as a failed candidate.
+    It guards both routes into :func:`_pieces`, the quartic weights included."""
+
+    @functools.wraps(estimate)
+    def guarded(*args):
+        try:
+            with np.errstate(over="raise"):
+                return estimate(*args)
+        except (FloatingPointError, OverflowError) as exc:
+            raise DegenerateEstimateError("estimate leaves the float range: %s" % (exc,)) from None
+
+    return guarded
+
+
 def _pieces(pair: SpectralPair, gammas: tuple[float, float], counts: tuple[int, int]) -> _Margins:
     """The sample-spectrum margins at ``gammas`` and ``counts``, every trace and
     quadratic form taken on the spectral kernel, by one route for any rank.
@@ -192,12 +210,14 @@ def _pieces(pair: SpectralPair, gammas: tuple[float, float], counts: tuple[int, 
     return _Margins(gammas, delta, tuple(beta), tuple(shift), tuple(trace_gap), tuple(B), tuple(r))
 
 
+@_in_float_range
 def _fit_pieces(fit: FittedStats) -> _Margins:
     """The margins of ``fit``, on its kernel :attr:`~FittedStats.pair` at its
     shrinkage pair and counts; they never depend on the priors."""
     return _pieces(fit.pair, (fit.gamma0, fit.gamma1), (fit.n0, fit.n1))
 
 
+@_in_float_range
 def _candidate(
     pair: SpectralPair, gamma0: float, counts: tuple[int, int], priors: tuple[float, float]
 ) -> tuple[_Margins, BiasEstimate, GEstimate]:

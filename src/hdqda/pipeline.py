@@ -149,30 +149,31 @@ class TuningEntry:
     failure: str | None
 
 
+def _reason(exc: HdqdaError) -> str:
+    """The failure text of a package error: its class name, then its message."""
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 @dataclass(frozen=True)
 class _Canonical:
     """A training sample, minority class first, as every shrinkage value shares
     it: per-class ``(mean, covariance)`` moments, counts and priors, the
-    ``label_map`` back to the caller's labels, the moments' kernel, and, for
-    a caller that asks to score on them, the per-class ``(values, basis)``
-    spectra the kernel was built from (else None); no fit keeps them."""
+    ``label_map`` back to the caller's labels, and the moments' kernel."""
 
     moments: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     counts: tuple[int, int]
     priors: tuple[float, float]
     label_map: tuple[int, int]
     pair: SpectralPair
-    spectra: tuple | None
 
 
-def _canonical(
-    train: TrainingSet, priors: tuple[float, float] | None, keep_spectra: bool = False
-) -> _Canonical:
+def _canonical(train: TrainingSet, priors: tuple[float, float] | None) -> tuple[_Canonical, tuple]:
     """Orient ``train`` and ``priors`` (the caller's labeling; the training
     proportions when None) so the smaller class comes first, then form its
-    moments and their kernel. The spectra are kept only with ``keep_spectra``:
-    a tuned fit never reads them, and holding its p x p basis while it tunes
-    raises the fit's peak memory."""
+    moments and their kernel. Returns the record and, beside it, the per-class
+    ``(values, basis)`` spectra the kernel was built from, for a caller that
+    scores on them; no fit keeps them, as holding a p x p basis while tuning
+    raises a fit's peak memory."""
     swapped = train.n1 < train.n0
     canonical = train.swapped() if swapped else train
     if priors is not None:
@@ -184,59 +185,44 @@ def _canonical(
     moments = (sample_moments(canonical.X0), sample_moments(canonical.X1))
     (mu0, sig0), (mu1, sig1) = moments
     spectra = _sample_spectra(sig0, sig1, canonical.n0)
-    return _Canonical(
-        moments=moments,
-        counts=(canonical.n0, canonical.n1),
-        priors=priors,
-        label_map=(1, 0) if swapped else (0, 1),
-        pair=SpectralPair(spectra, mu0 - mu1),
-        spectra=spectra if keep_spectra else None,
-    )
+    label_map = (1, 0) if swapped else (0, 1)
+    pair = SpectralPair(spectra, mu0 - mu1)
+    return _Canonical(moments, (canonical.n0, canonical.n1), priors, label_map, pair), spectra
 
 
 def _tune(
-    canonical: _Canonical, grid: np.ndarray | None
-) -> tuple[tuple[TuningEntry, ...], _Margins, BiasEstimate]:
-    """Pick the minority shrinkage minimizing the estimated total error of a
-    canonical sample: the trace of every candidate, and the winner's pieces
-    (with its matched gamma1) and bias.
-
-    Candidates are evaluated in ascending order on the training data only;
-    a candidate whose estimate leaves its valid regime is skipped and the
-    reason recorded. Ties go to the smallest candidate.
-
-    Raises
-    ------
-    TuningError
-        If every candidate fails; per-candidate reasons ride along.
-    """
-    candidates = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if candidates.ndim != 1 or candidates.size == 0:
-        raise ValueError("candidate grid must be a nonempty 1-D array")
-    if not np.all(np.isfinite(candidates) & (candidates > 0.0)):
-        raise ValueError("candidate shrinkage values must be finite and strictly positive")
-    candidates = np.sort(candidates)
-
+    canonical: _Canonical, candidates
+) -> tuple[tuple[TuningEntry, ...], dict[int, tuple[_Margins, BiasEstimate]]]:
+    """The one loop over minority shrinkage candidates on a canonical sample,
+    training data only, in the order given: every candidate's trace entry, and
+    the margins (with its matched gamma1) and bias of each one that succeeds,
+    keyed by its position. A candidate whose estimate leaves its valid regime
+    is recorded with the reason; nothing here raises for it."""
     pair, counts, priors = canonical.pair, canonical.counts, canonical.priors
     entries: list[TuningEntry] = []
-    best: tuple[float, _Margins, BiasEstimate] | None = None
-    for gamma0 in candidates:
-        gamma0 = float(gamma0)
+    kept: dict[int, tuple[_Margins, BiasEstimate]] = {}
+    for gamma0 in map(float, candidates):
         try:
-            pieces, bias, estimate = _candidate(pair, gamma0, counts, priors)
+            margins, bias, estimate = _candidate(pair, gamma0, counts, priors)
         except HdqdaError as exc:
-            reason = "%s: %s" % (type(exc).__name__, exc)
-            entries.append(TuningEntry(gamma0=gamma0, total_hat=None, failure=reason))
+            entries.append(TuningEntry(gamma0=gamma0, total_hat=None, failure=_reason(exc)))
             continue
+        kept[len(entries)] = (margins, bias)
         entries.append(TuningEntry(gamma0=gamma0, total_hat=estimate.total_hat, failure=None))
-        if best is None or estimate.total_hat < best[0]:
-            best = (estimate.total_hat, pieces, bias)
-    if best is None:
+    return tuple(entries), kept
+
+
+def _pick(entries: tuple[TuningEntry, ...], kept: dict) -> tuple[_Margins, BiasEstimate]:
+    """The margins and bias of the :func:`_tune` candidate with the least
+    estimated total error, ties going to the smallest candidate; a
+    :class:`~hdqda.errors.TuningError` with each candidate's reason if none
+    succeeded."""
+    if not kept:
         raise TuningError(
-            "all %d shrinkage candidates failed" % (candidates.size,),
+            "all %d shrinkage candidates failed" % (len(entries),),
             failures={entry.gamma0: entry.failure for entry in entries},
         )
-    return tuple(entries), best[1], best[2]
+    return kept[min(kept, key=lambda k: (entries[k].total_hat, entries[k].gamma0))]
 
 
 @dataclass(frozen=True)
@@ -389,12 +375,18 @@ def fit_improved(
     shifted covariance: the fit forms its resolvents when first read, by
     ``predict`` or scoring, never by the estimators.
     """
-    canonical = _canonical(train, priors)
+    canonical = _canonical(train, priors)[0]  # the spectra go now, before tuning
     if gamma0 is not None and not 0.0 < gamma0 < math.inf:
         raise ValueError("shrinkage must be finite and strictly positive, got %r" % (gamma0,))
     pair, counts, priors = canonical.pair, canonical.counts, canonical.priors
     if gamma0 is None:
-        trace, pieces, bias = _tune(canonical, grid)
+        candidates = default_grid() if grid is None else np.asarray(grid, dtype=float)
+        if candidates.ndim != 1 or candidates.size == 0:
+            raise ValueError("candidate grid must be a nonempty 1-D array")
+        if not np.all(np.isfinite(candidates) & (candidates > 0.0)):
+            raise ValueError("candidate shrinkage values must be finite and strictly positive")
+        trace, kept = _tune(canonical, np.sort(candidates))
+        pieces, bias = _pick(trace, kept)
     else:
         pieces, bias, _ = _candidate(pair, float(gamma0), counts, priors)
         trace = ()

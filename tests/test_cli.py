@@ -149,6 +149,21 @@ def test_real_output_is_thread_invariant(runner, tmp_path):
     assert one.stdout_bytes == two.stdout_bytes
 
 
+def test_a_sweep_whose_estimates_overflow_records_failure_rows(runner, tmp_path):
+    """A mean offset so large that every estimate overflows gives failure rows
+    and exit 0, not a RuntimeWarning (an error under this suite's filter)."""
+    config = _config(tmp_path, dict(TINY, n0=20, n1=10, test0=20, test1=10, mean_offset=1e140))
+    result = runner.invoke(
+        main, ["sweep-gamma", "--config", config, "--grid-points", "2", "--replicates", "1"]
+    )
+    assert result.exit_code == 0, result.output
+    _, _, rows = _parse_output(result.output)
+    assert len(rows) == 2
+    for row in rows:
+        assert row[1:5] == ["", "", "", ""]
+        assert row[5].startswith("1/1 replicates failed; first: DegenerateEstimateError: ")
+
+
 def test_output_file_matches_stdout_bytes(runner, tmp_path):
     config = _config(tmp_path, TINY)
     to_stdout = runner.invoke(main, ["histogram", "--config", config, "--seed", "4"])
@@ -190,13 +205,13 @@ _SUBCOMMANDS = ["histogram", "sweep-gamma", "sweep-p", "tune", "real"]
 
 def _failing_run(tmp_path, monkeypatch, command, error):
     """Arguments of a small ``command`` run whose mixture (or, for ``real``,
-    whose first fit) raises ``error``."""
+    whose first split's moments) raises ``error``."""
 
     def explode(*args, **kwargs):
         raise error
 
     if command == "real":
-        monkeypatch.setattr(cli_module, "fit_improved", explode)
+        monkeypatch.setattr(cli_module, "_canonical", explode)
         return [command, _blobs(tmp_path), "--config", _config(tmp_path, _FLAG_KEYS["real"][1])]
     monkeypatch.setattr(cli_module, "build_mixture", explode)
     return [command, "--config", _config(tmp_path, TINY)]

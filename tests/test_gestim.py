@@ -214,7 +214,7 @@ def test_each_candidate_matches_gamma1_to_its_own_delta_hat0(p, seed):
     """Over the default grid, a candidate's matched shrinkage is, bit for bit,
     gamma1_hat of the delta_hat0 its margins report."""
     data = sample_scenario(small_config(p=p, n0=80, n1=40, seed=seed), replicate=seed)
-    canonical = pipeline_module._canonical(TrainingSet(X0=data.train0, X1=data.train1), None)
+    canonical, _ = pipeline_module._canonical(TrainingSet(X0=data.train0, X1=data.train1), None)
     n0, n1 = canonical.counts
     for gamma0 in map(float, pipeline_module.default_grid()):
         margins = gestim._candidate(

@@ -142,6 +142,22 @@ def test_tuning_failure_entries_record_the_reason(majority_first_train, monkeypa
     assert all(e.failure is None for e in result.trace[1:])
 
 
+def test_tuning_ties_go_to_the_smallest_candidate(majority_first_train, monkeypatch):
+    train, _ = majority_first_train
+    import hdqda.pipeline as pipeline_module
+
+    real = pipeline_module._candidate
+
+    def flat(*args):
+        margins, bias, estimate = real(*args)
+        return margins, bias, dataclasses.replace(estimate, total_hat=0.25)
+
+    monkeypatch.setattr(pipeline_module, "_candidate", flat)
+    result = fit_improved(train, None, grid=np.array([2.0, 0.5, 1.0]))
+    assert result.fit.gamma0 == 0.5
+    assert [entry.total_hat for entry in result.trace] == [0.25] * 3
+
+
 def test_tuning_raises_when_every_candidate_fails(majority_first_train, monkeypatch):
     train, _ = majority_first_train
     canonical = train.swapped()
@@ -153,6 +169,25 @@ def test_tuning_raises_when_every_candidate_fails(majority_first_train, monkeypa
     monkeypatch.setattr(pipeline_module, "_candidate", broken)
     with pytest.raises(TuningError):
         fit_improved(canonical, None, grid=np.array([0.5, 1.0]))
+
+
+# At 2e153 the candidate's own weights overflow before its margins are formed.
+@pytest.mark.parametrize("scale", [1e100, 1e150, 2e153])
+def test_a_candidate_whose_estimate_overflows_is_a_recorded_failure(scale):
+    """Data so large that the estimator's forms leave the float range: every
+    candidate is a recorded DegenerateEstimateError, with no RuntimeWarning
+    (an error under this suite's filter) and no bare OverflowError."""
+    rng = np.random.default_rng(0)
+    X0, X1 = rng.standard_normal((8, 5)), rng.standard_normal((12, 5)) + 1.0
+    train = TrainingSet(X0=scale * X0, X1=scale * X1)
+    with pytest.raises(TuningError) as caught:
+        fit_improved(train, None)
+    reasons = caught.value.failures
+    assert sorted(reasons) == list(default_grid())
+    assert all(reason.startswith("DegenerateEstimateError: ") for reason in reasons.values())
+    assert any("float range" in reason for reason in reasons.values())
+    with pytest.raises(DegenerateEstimateError, match="float range"):
+        fit_improved(train, 100.0)
 
 
 def test_fit_improved_tunes_when_no_shrinkage_given(majority_first_train):
