@@ -177,11 +177,6 @@ def _scenario_from(settings: dict, **overrides) -> ScenarioConfig:
         raise click.ClickException("invalid scenario: %s" % (exc,))
 
 
-def _config_hash(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -192,8 +187,22 @@ def _format_cell(value) -> str:
     return "%.17g" % (value,)
 
 
-def _write_csv(out: str, meta: dict, header: list[str], rows: list[list]) -> None:
+def _write_csv(seed: int, payload: dict, header: list, rows: list, chosen_gamma0=None) -> None:
+    """Write the running subcommand's CSV to its ``--out``: the metadata line,
+    its fields in key order (the subcommand's name, ``seed``, a hash of the
+    configuration ``payload`` the subcommand ran and, for ``tune``, the
+    chosen shrinkage), then the header row and the data rows."""
     import csv as _csv
+
+    context = click.get_current_context()
+    canonical = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
+    meta = {
+        "command": context.command.name,
+        "seed": seed,
+        "config_hash": hashlib.sha256(canonical).hexdigest()[:12],
+    }
+    if chosen_gamma0 is not None:
+        meta["chosen_gamma0"] = "%.17g" % chosen_gamma0
 
     def emit(handle):
         handle.write("# " + " ".join("%s=%s" % (k, meta[k]) for k in sorted(meta)) + "\n")
@@ -202,6 +211,7 @@ def _write_csv(out: str, meta: dict, header: list[str], rows: list[list]) -> Non
         for row in rows:
             writer.writerow([_format_cell(cell) for cell in row])
 
+    out = context.params["out"]
     if out == "-":
         emit(sys.stdout)
     else:
@@ -376,12 +386,8 @@ def histogram(**flags) -> None:
     for rule, pair in blocks.items():
         for true_class, scores in zip((0, 1), pair):
             rows.extend([rule, true_class, value] for value in scores)
-    meta = {
-        "command": "histogram",
-        "seed": scenario.seed,
-        "config_hash": _config_hash({"scenario": scenario.to_json(), "gamma0": gamma0}),
-    }
-    _write_csv(flags["out"], meta, ["rule", "true_class", "score"], rows)
+    payload = {"scenario": scenario.to_json(), "gamma0": gamma0}
+    _write_csv(scenario.seed, payload, ["rule", "true_class", "score"], rows)
 
 
 def _replicate_outcomes(config, model, gammas: list, replicate: int) -> list:
@@ -458,14 +464,8 @@ def sweep_gamma(**flags) -> None:
     grid, bounds = _grid(settings)
     replicates = settings["replicates"]
     rows = _sweep_rows([(float(g), scenario, g) for g in grid], replicates, settings["threads"])
-    meta = {
-        "command": "sweep-gamma",
-        "seed": scenario.seed,
-        "config_hash": _config_hash(
-            {"scenario": scenario.to_json(), "grid": bounds, "replicates": replicates}
-        ),
-    }
-    _write_csv(flags["out"], meta, ["gamma0", *_SWEEP_HEADER], rows)
+    payload = {"scenario": scenario.to_json(), "grid": bounds, "replicates": replicates}
+    _write_csv(scenario.seed, payload, ["gamma0", *_SWEEP_HEADER], rows)
 
 
 @main.command(name="sweep-p")
@@ -488,14 +488,8 @@ def sweep_p(**flags) -> None:
     gamma0, replicates = settings["gamma0"], settings["replicates"]
     points = [(p, _scenario_from(settings, p=p, n0=p, n1=p // 2), gamma0) for p in dims]
     rows = _sweep_rows(points, replicates, settings["threads"])
-    meta = {
-        "command": "sweep-p",
-        "seed": base.seed,
-        "config_hash": _config_hash(
-            {"scenario": base.to_json(), "gamma0": gamma0, "p_list": dims, "replicates": replicates}
-        ),
-    }
-    _write_csv(flags["out"], meta, ["p", *_SWEEP_HEADER], rows)
+    payload = {"scenario": base.to_json(), "gamma0": gamma0, "p_list": dims, "replicates": replicates}
+    _write_csv(base.seed, payload, ["p", *_SWEEP_HEADER], rows)
 
 
 def _real_split_totals(ds, class_a, class_b, ratio, n1, grid, split_seed):
@@ -582,23 +576,17 @@ def real(**flags) -> None:
         stacked = np.asarray(chunk)
         for column, method in enumerate((RULE_IMPROVED_RQDA, RULE_STANDARD_RQDA, RULE_RLDA)):
             rows.append([ratio, method, float(stacked[:, column].mean())])
-    meta = {
-        "command": "real",
-        "seed": seed,
-        "config_hash": _config_hash(
-            {
-                "dataset": str(dataset),
-                "label": label,
-                "classes": [class_a, class_b],
-                "ratios": ratios,
-                "n1": n1,
-                "standardize": standardize,
-                "replicates": replicates,
-                "grid": bounds,
-            }
-        ),
+    payload = {
+        "dataset": str(dataset),
+        "label": label,
+        "classes": [class_a, class_b],
+        "ratios": ratios,
+        "n1": n1,
+        "standardize": standardize,
+        "replicates": replicates,
+        "grid": bounds,
     }
-    _write_csv(flags["out"], meta, ["ratio", "method", "error"], rows)
+    _write_csv(seed, payload, ["ratio", "method", "error"], rows)
 
 
 @main.command()
@@ -615,13 +603,10 @@ def tune(**flags) -> None:
     tuned = fit_improved(train, None, priors=(model.prior0, model.prior1), grid=grid)
 
     rows = [[entry.gamma0, entry.total_hat, entry.failure] for entry in tuned.trace]
-    meta = {
-        "command": "tune",
-        "seed": scenario.seed,
-        "chosen_gamma0": "%.17g" % tuned.fit.gamma0,
-        "config_hash": _config_hash({"scenario": scenario.to_json(), "grid": bounds}),
-    }
-    _write_csv(flags["out"], meta, ["gamma0", "total_hat", "failure"], rows)
+    payload = {"scenario": scenario.to_json(), "grid": bounds}
+    _write_csv(
+        scenario.seed, payload, ["gamma0", "total_hat", "failure"], rows, chosen_gamma0=tuned.fit.gamma0
+    )
 
 
 if __name__ == "__main__":

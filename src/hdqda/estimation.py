@@ -151,6 +151,32 @@ def eigenpair(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(values, 0.0, None), basis
 
 
+class _Kept:
+    """A value derived from its instance on first read and kept in the
+    instance dict, which every later read finds before the class. The
+    standard library's cached property holds one lock per class while it
+    derives on Python < 3.12; this holds none, so instances on other threads
+    never wait for each other's p^3 factorizations and eigenproblems. Two
+    threads that read one instance's missing value may each derive it; the
+    two are equal, and one is kept. It writes past a frozen dataclass's
+    ``__setattr__``, and ``dataclasses.replace`` starts without what it
+    kept."""
+
+    def __init__(self, derive):
+        self.derive = derive
+        self.__doc__ = derive.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.derive(instance)
+        instance.__dict__[self.name] = value
+        return value
+
+
 class SpectralPair:
     """Two covariances sigma_i = U_i diag(l_i) U_i^T, coupled by W = R o R with
     R = U_0^T U_1, and a mean ``gap`` expressed in each eigenbasis.
@@ -164,12 +190,6 @@ class SpectralPair:
     p - r_i null directions then enter in closed form: there l_i = 0, and each
     row and column of R has unit norm over a full basis, so the null part of a
     row or column of W sums to 1 minus its kept part.
-
-    The quartic weights ``quartic`` = (M0 o M0, M1 o M1), for M0 = R^T diag(l0) R
-    and M1 = R diag(l1) R^T, each covariance in the other's basis, are derived on
-    first read and kept: Tr[sigma_0 H sigma_0 H] for H = U_1 diag(w) U_1^T is
-    w^T (M0 o M0) w, and symmetrically. Each is its r_j x r_j block on the other
-    class's range when that basis is thin.
     """
 
     def __init__(self, spectra, gap: np.ndarray):
@@ -183,17 +203,17 @@ class SpectralPair:
     def across(self, a0: np.ndarray, a1: np.ndarray) -> float:
         return float(a0 @ self.weights @ a1)
 
-    def __getattr__(self, name: str):
-        # Reached only while ``quartic`` is missing from the instance dict; kept
-        # there directly, not by a ``cached_property``, for the reason
-        # :meth:`FittedStats.__getattr__` gives.
-        if name != "quartic":
-            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+    @_Kept
+    def quartic(self) -> tuple[np.ndarray, np.ndarray]:
+        """The quartic weights (M0 o M0, M1 o M1), for M0 = R^T diag(l0) R and
+        M1 = R diag(l1) R^T, each covariance in the other's basis, derived on
+        first read and kept: Tr[sigma_0 H sigma_0 H] for H = U_1 diag(w) U_1^T
+        is w^T (M0 o M0) w, and symmetrically. Each is its r_j x r_j block on
+        the other class's range when that basis is thin."""
         R = self.rotation
         m0 = R.T @ (self.values0[:, None] * R)
         m1 = (R * self.values1) @ R.T
-        self.quartic = (np.square(m0, out=m0), np.square(m1, out=m1))
-        return self.quartic
+        return np.square(m0, out=m0), np.square(m1, out=m1)
 
 
 def _range_eigenpair(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,12 +262,12 @@ def _resolvent_weights(values, gamma) -> tuple:
 class FittedStats:
     """Per-class sample moments and shrinkage parameters, checked at
     construction, and what follows from them, each derived on first read and
-    kept: the resolvents ``H0`` and ``H1`` with the log-determinants of both
-    shifted covariances (``_logdets``), formed together from one factorization
-    per class; and the spectral kernel :attr:`pair`, which keeps its own
-    quartic weights. None is an init field, so ``dataclasses.replace`` starts
-    without them, and the error estimator, which reads only the kernel, never
-    factors a shifted covariance.
+    kept (:class:`_Kept`): the resolvents ``H0`` and ``H1`` with the
+    log-determinants of both shifted covariances (``_logdets``), formed
+    together from one factorization per class; and the spectral kernel
+    :attr:`pair`, which keeps its own quartic weights. None is an init field,
+    so ``dataclasses.replace`` starts without them, and the error estimator,
+    which reads only the kernel, never factors a shifted covariance.
     """
 
     mu_hat0: np.ndarray
@@ -271,22 +291,22 @@ class FittedStats:
         _check_shrinkage(self.gamma0)
         _check_shrinkage(self.gamma1)
 
-    def __getattr__(self, name: str):
-        # Reached only while ``name`` is missing from the instance dict. What a
-        # fit derives is kept there directly: ``cached_property`` would hold one
-        # lock per class while building it on Python < 3.12, so fits on other
-        # threads would take turns at their p^3 factorizations and eigenproblems.
-        if name == "pair":
-            self.__dict__["pair"] = _sample_pair(
-                self.mu_hat0, self.mu_hat1, self.sigma_hat0, self.sigma_hat1, self.n0
-            )
-        elif name in ("H0", "H1", "_logdets"):
-            H0, logdet0 = _shifted_inverse(self.sigma_hat0, self.gamma0)
-            H1, logdet1 = _shifted_inverse(self.sigma_hat1, self.gamma1)
-            self.__dict__.update(H0=H0, H1=H1, _logdets=(logdet0, logdet1))
-        else:
-            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-        return self.__dict__[name]
+    @_Kept
+    def pair(self) -> SpectralPair:
+        """The spectral kernel of the moments, which keeps its own quartic weights."""
+        return _sample_pair(self.mu_hat0, self.mu_hat1, self.sigma_hat0, self.sigma_hat1, self.n0)
+
+    @_Kept
+    def _shifted(self) -> tuple:
+        """Each class's :func:`_shifted_inverse`, both formed together."""
+        return (
+            _shifted_inverse(self.sigma_hat0, self.gamma0),
+            _shifted_inverse(self.sigma_hat1, self.gamma1),
+        )
+
+    H0 = _Kept(lambda fit: fit._shifted[0][0])
+    H1 = _Kept(lambda fit: fit._shifted[1][0])
+    _logdets = _Kept(lambda fit: (fit._shifted[0][1], fit._shifted[1][1]))
 
     @property
     def p(self) -> int:

@@ -136,7 +136,8 @@ def _in_float_range(estimate):
     """``estimate`` with a value that overflows the float range, in numpy or in
     a float power, refused as DegenerateEstimateError, not left to warn or to
     raise a bare arithmetic error; tuning records it as a failed candidate.
-    It guards both routes into :func:`_pieces`, the quartic weights included."""
+    It guards both routes into :func:`_pieces`, the quartic weights included,
+    and a draw's moments and kernel (:func:`~hdqda.pipeline._canonical`)."""
 
     @functools.wraps(estimate)
     def guarded(*args):
@@ -149,9 +150,12 @@ def _in_float_range(estimate):
     return guarded
 
 
-def _pieces(pair: SpectralPair, gammas: tuple[float, float], counts: tuple[int, int]) -> _Margins:
+def _pieces(
+    pair: SpectralPair, gammas: tuple[float, float], counts: tuple[int, int], weights0=None
+) -> _Margins:
     """The sample-spectrum margins at ``gammas`` and ``counts``, every trace and
-    quadratic form taken on the spectral kernel, by one route for any rank.
+    quadratic form taken on the spectral kernel, by one route for any rank;
+    ``weights0`` is class 0's :func:`_weights` when the caller has formed it.
 
     ``pair`` holds the two sample covariances S_i, the mean gap mu_hat0 - mu_hat1
     and their quartic weights :attr:`~SpectralPair.quartic`; the resolvents
@@ -165,7 +169,9 @@ def _pieces(pair: SpectralPair, gammas: tuple[float, float], counts: tuple[int, 
     # W and R oriented with the test class's coordinates first.
     W, R = (pair.weights, pair.weights.T), (pair.rotation, pair.rotation.T)
     quartic = pair.quartic
-    w, v, delta = zip(*(_weights(l[k], gammas[k], p, counts[k]) for k in (0, 1)))
+    if weights0 is None:
+        weights0 = _weights(l[0], gammas[0], p, counts[0])
+    w, v, delta = zip(weights0, _weights(l[1], gammas[1], p, counts[1]))
     beta, shift, trace_gap, B, r = [], [], [], [], []
     for i, sign in ((0, -1.0), (1, 1.0)):
         j, n, gamma, d = 1 - i, counts[i], gammas[i], delta[i]
@@ -225,9 +231,9 @@ def _candidate(
     ``gamma0``, then :func:`theta_hat` and the error estimate at that bias, all
     from one set of margins on ``pair``, which are returned too; their
     ``gammas`` are (``gamma0``, the matched shrinkage)."""
-    d0 = _weights(pair.values0, gamma0, pair.dim, counts[0])[2]
-    gamma1 = gamma1_hat(d0, counts[0], counts[1], gamma0)
-    margins = _pieces(pair, (gamma0, gamma1), counts)
+    weights0 = _weights(pair.values0, gamma0, pair.dim, counts[0])
+    gamma1 = gamma1_hat(weights0[2], counts[0], counts[1], gamma0)
+    margins = _pieces(pair, (gamma0, gamma1), counts, weights0)
     bias = _bias_from(margins, priors)
     return margins, bias, _error_from(margins, bias, bias.theta_hat, priors)
 

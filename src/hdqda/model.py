@@ -12,13 +12,13 @@ import json
 import math
 import numbers
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NotSpdError
-from .estimation import SpectralPair, eigenpair
+from .estimation import SpectralPair, _Kept, eigenpair
 
 __all__ = [
     "ClassStatistics",
@@ -90,7 +90,7 @@ class ClassStatistics:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @cached_property
+    @_Kept
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """:func:`~hdqda.estimation.eigenpair` of the covariance."""
         return eigenpair(self.covariance)
@@ -132,7 +132,7 @@ class MixtureModel:
         """The same mixture with the class roles exchanged."""
         return MixtureModel(self.class1, self.class0, self.prior1, self.prior0)
 
-    @cached_property
+    @_Kept
     def pair(self) -> SpectralPair:
         """The spectral kernel of the two class covariances and the mean gap
         mu1 - mu0, built once from the classes' kept spectra; never passed in,
@@ -322,30 +322,6 @@ class ScenarioData:
     test1: np.ndarray
 
 
-def _fill_beside_a_helper(here: list, there: list) -> None:
-    """Run :func:`_fill_class` on each argument tuple of ``here`` on the calling
-    thread and of ``there`` on one helper thread; join the helper before
-    returning, and raise here what it raised."""
-    failures = []
-
-    def fill_there() -> None:
-        try:
-            for args in there:
-                _fill_class(*args)
-        except BaseException as exc:  # re-raised on the calling thread
-            failures.append(exc)
-
-    helper = threading.Thread(target=fill_there, name="hdqda-sample-class1")
-    helper.start()
-    try:
-        for args in here:
-            _fill_class(*args)
-    finally:
-        helper.join()
-    if failures:
-        raise failures[0]
-
-
 def sample_scenario(
     config: ScenarioConfig,
     *,
@@ -358,14 +334,15 @@ def sample_scenario(
     basis); replicate r draws its four blocks from spawn keys (1..4, r), so
     replicates are independent and reproducible in any execution order.
 
-    Called on the main thread, it draws the two classes at once: one helper
-    thread fills class 1's blocks (train1, then test1: the normals, then the
-    product with the Cholesky factor) while the calling thread fills class
-    0's, and the call joins the helper before it returns, raising any error
-    the helper met. Each block reads only its own stream and writes only its
-    own array, and numpy fills and multiplies with the GIL released, so the
-    bytes are those of :func:`sample_class` run block after block, whatever
-    the scheduling. Every array is allocated on the calling thread; the helper
+    Called on the main thread, it draws the two classes at once: the one
+    thread of a one-worker :class:`~concurrent.futures.ThreadPoolExecutor`
+    fills class 1's blocks (train1, then test1: the normals, then the product
+    with the Cholesky factor) while the calling thread fills class 0's. The
+    call shuts the executor down, joining its thread, before it returns, and
+    the future's ``result()`` raises any error the helper met. Each block
+    reads only its own stream and writes only its own array, and numpy fills
+    and multiplies with the GIL released, so the bytes are those of
+    :func:`sample_class` run block after block, whatever the scheduling. Every array is allocated on the calling thread; the helper
     only fills. Called on any other thread, as by the CLI's ``--threads``
     workers, which already keep the cores busy, it fills the four blocks
     itself: with glibc, a helper per worker spread the workers' blocks over
@@ -384,13 +361,19 @@ def sample_scenario(
             for n, key in zip(rows, keys)
         ]
 
+    def fill(blocks: list) -> None:
+        for args in blocks:
+            _fill_class(*args)
+
     class0 = plan(model.class0, (config.n0, config.test0), (1, 3))
     class1 = plan(model.class1, (config.n1, config.test1), (2, 4))
     if threading.current_thread() is threading.main_thread():
-        _fill_beside_a_helper(class0, class1)
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="hdqda-sample-class1") as helper:
+            there = helper.submit(fill, class1)
+            fill(class0)
+            there.result()
     else:
-        for args in class0 + class1:
-            _fill_class(*args)
+        fill(class0 + class1)
     (_, _, train0, _), (_, _, test0, _) = class0
     (_, _, train1, _), (_, _, test1, _) = class1
     return ScenarioData(model=model, train0=train0, train1=train1, test0=test0, test1=test1)

@@ -19,7 +19,7 @@ import numpy as np
 from .discriminant import classify_values, improved_scores
 from .errors import HdqdaError, TuningError
 from .estimation import FittedStats, SpectralPair, TrainingSet, _sample_spectra, sample_moments
-from .gestim import BiasEstimate, _candidate
+from .gestim import BiasEstimate, _candidate, _in_float_range
 from .model import _check_priors, _is_symmetric
 from .rmt import _Margins
 
@@ -167,13 +167,15 @@ class _Canonical:
     pair: SpectralPair
 
 
+@_in_float_range
 def _canonical(train: TrainingSet, priors: tuple[float, float] | None) -> tuple[_Canonical, tuple]:
     """Orient ``train`` and ``priors`` (the caller's labeling; the training
     proportions when None) so the smaller class comes first, then form its
-    moments and their kernel. Returns the record and, beside it, the per-class
-    ``(values, basis)`` spectra the kernel was built from, for a caller that
-    scores on them; no fit keeps them, as holding a p x p basis while tuning
-    raises a fit's peak memory."""
+    moments and their kernel, refusing data whose moments or kernel leave the
+    float range as :class:`~hdqda.errors.DegenerateEstimateError`. Returns
+    the record and, beside it, the per-class ``(values, basis)`` spectra the
+    kernel was built from, for a caller that scores on them; no fit keeps
+    them, as holding a p x p basis while tuning raises a fit's peak memory."""
     swapped = train.n1 < train.n0
     canonical = train.swapped() if swapped else train
     if priors is not None:

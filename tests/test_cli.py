@@ -21,6 +21,7 @@ from hdqda.gestim import g_estimator_error
 from hdqda.ingestion import load_csv, make_imbalanced_split
 from hdqda.model import build_mixture, sample_scenario
 from hdqda.pipeline import fit_improved
+from hdqda.rmt import asymptotic_error, eigen_delta_solver, gamma1_theoretical, theta_star_theoretical
 
 from conftest import small_config
 
@@ -162,6 +163,23 @@ def test_a_sweep_whose_estimates_overflow_records_failure_rows(runner, tmp_path)
     for row in rows:
         assert row[1:5] == ["", "", "", ""]
         assert row[5].startswith("1/1 replicates failed; first: DegenerateEstimateError: ")
+
+
+def test_a_sweep_whose_kernel_overflows_records_failure_rows(runner, tmp_path):
+    """A mean offset of 1e160 takes the squared mean gap of each draw's kernel
+    out of the float range: the draw is a failure on every row, with exit 0
+    and no RuntimeWarning (an error under this suite's filter)."""
+    config = _config(tmp_path, dict(TINY, n0=20, n1=10, test0=20, test1=10, mean_offset=1e160))
+    result = runner.invoke(
+        main, ["sweep-gamma", "--config", config, "--grid-points", "2", "--replicates", "1"]
+    )
+    assert result.exit_code == 0, result.output
+    _, _, rows = _parse_output(result.output)
+    assert len(rows) == 2
+    for row in rows:
+        assert row[1:5] == ["", "", "", ""]
+        assert row[5].startswith("1/1 replicates failed; first: DegenerateEstimateError: ")
+        assert "float range" in row[5]
 
 
 def test_output_file_matches_stdout_bytes(runner, tmp_path):
@@ -414,8 +432,13 @@ def _reference_sweep_rows(scenario, gammas, replicates):
     (gamma0, replicate), from the public API alone."""
     model = build_mixture(scenario)
     priors = (model.prior0, model.prior1)
+    # The limit takes the minority class first.
+    if scenario.n1 >= scenario.n0:
+        oriented, c0, c1 = model, scenario.n0, scenario.n1
+    else:
+        oriented, c0, c1 = model.swapped(), scenario.n1, scenario.n0
     rows = []
-    for gamma0 in gammas:
+    for gamma0 in map(float, gammas):
         good, bad = [], []
         for replicate in range(replicates):
             try:
@@ -436,8 +459,11 @@ def _reference_sweep_rows(scenario, gammas, replicates):
                 bad.append("%s: %s" % (type(exc).__name__, exc))
         failure = "%d/%d replicates failed; first: %s" % (len(bad), replicates, bad[0]) if bad else None
         improved_total, standard_total, estimate_total = (float(m) for m in np.asarray(good).mean(axis=0))
-        theory = cli_module._theory_total(model, scenario.n0, scenario.n1, float(gamma0))
-        rows.append([float(gamma0), standard_total, improved_total, theory, estimate_total, failure])
+        delta0 = eigen_delta_solver(oriented.class0.spectrum[0], c0, gamma0)
+        gamma1 = gamma1_theoretical(oriented.class0.covariance, c0, c1, gamma0, delta0=delta0)
+        design = theta_star_theoretical(oriented, c0, c1, gamma0, gamma1)
+        theory = asymptotic_error(oriented, c0, c1, gamma0, gamma1, design.theta_star).total
+        rows.append([gamma0, standard_total, improved_total, theory, estimate_total, failure])
     return rows
 
 

@@ -332,3 +332,56 @@ def test_a_failure_filling_class1_reaches_the_caller_and_no_thread_outlives_the_
     assert sorted((stats is model.class1, thread is caller) for stats, thread in filled_on) == [
         (False, True), (False, True), (True, False)
     ]
+
+
+def test_mixtures_and_classes_derive_their_kept_values_without_a_shared_lock(monkeypatch):
+    """While one mixture builds its spectral kernel, another mixture's kernel is
+    built on another thread without waiting for it; likewise two classes'
+    spectra."""
+    entered, release = threading.Event(), threading.Event()
+
+    def held(real):
+        """``real``, held on its first call until ``release`` is set."""
+        calls = []
+
+        def derive(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                entered.set()
+                release.wait(30.0)
+            return real(*args)
+
+        return derive
+
+    def beside(first, second) -> list:
+        """Run ``first`` on one thread until it is held, then ``second`` on
+        another for up to a second; what ``second`` returned in that time."""
+        entered.clear()
+        release.clear()
+        reader = threading.Thread(target=first)
+        reader.start()
+        try:
+            assert entered.wait(30.0)
+            returned = []
+            other = threading.Thread(target=lambda: returned.append(second()))
+            other.start()
+            other.join(1.0)
+            return returned
+        finally:
+            release.set()
+            reader.join(30.0)
+
+    mixtures = [build_mixture(small_config(seed=seed)) for seed in (1, 2)]
+    for mixture in mixtures:  # the spectra first, so only the kernels are held
+        mixture.class0.spectrum, mixture.class1.spectrum
+    monkeypatch.setattr(model_module, "SpectralPair", held(model_module.SpectralPair))
+    built = beside(lambda: mixtures[0].pair, lambda: mixtures[1].pair)
+    assert built, "the second mixture's kernel waited for the first mixture's"
+    assert built[0] is mixtures[1].pair and "pair" in vars(mixtures[0])
+
+    rng = np.random.default_rng(5)
+    classes = [ClassStatistics(np.zeros(6), random_spd(6, rng)) for _ in range(2)]
+    monkeypatch.setattr(model_module, "eigenpair", held(model_module.eigenpair))
+    derived = beside(lambda: classes[0].spectrum, lambda: classes[1].spectrum)
+    assert derived, "the second class's spectrum waited for the first class's"
+    assert derived[0] is classes[1].spectrum and "spectrum" in vars(classes[0])

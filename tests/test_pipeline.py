@@ -190,6 +190,21 @@ def test_a_candidate_whose_estimate_overflows_is_a_recorded_failure(scale):
         fit_improved(train, 100.0)
 
 
+# From about 3e153 on this draw the sample covariance itself overflows.
+@pytest.mark.parametrize("scale", [3e153, 1e160, 1e200])
+def test_a_draw_whose_moments_overflow_raises_a_package_error(scale):
+    """Data so large that the sample moments leave the float range: a fit,
+    tuned or not, raises DegenerateEstimateError before any candidate, with no
+    RuntimeWarning (an error under this suite's filter) and no numpy
+    LinAlgError from the kernel's eigenproblems."""
+    rng = np.random.default_rng(0)
+    X0, X1 = rng.standard_normal((8, 5)), rng.standard_normal((12, 5)) + 1.0
+    train = TrainingSet(X0=scale * X0, X1=scale * X1)
+    for gamma0 in (None, 100.0):
+        with pytest.raises(DegenerateEstimateError, match="float range"):
+            fit_improved(train, gamma0)
+
+
 def test_fit_improved_tunes_when_no_shrinkage_given(majority_first_train):
     train, _ = majority_first_train
     grid = np.logspace(-1, 1, 5)
