@@ -13,8 +13,8 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
+from . import _lapack
 from .errors import InsufficientSamplesError
 from .estimation import FittedStats, PooledStats, _resolvent_weights
 from .model import MixtureModel, _check_priors
@@ -170,7 +170,7 @@ def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:
     for stats in (model.class0, model.class1):
         d = X - stats.mean
         # d^T Sigma^{-1} d = |z|^2 for L z = d, one column of z per row of d.
-        z = sla.solve_triangular(stats.cholesky, d.T, lower=True, check_finite=False)
+        z = _lapack.dtrtrs(stats.cholesky, d.T)
         half_logdet = float(np.sum(np.log(np.diag(stats.cholesky))))
         halves.append(0.5 * np.einsum("ij,ij->j", z, z) + half_logdet)
     return _finite_scores(halves[1] - halves[0] - math.log(model.prior1 / model.prior0))

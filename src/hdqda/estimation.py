@@ -19,13 +19,14 @@ near full rank the range route is slower than a p x p ``eigh``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .errors import InsufficientSamplesError, NotSpdError
+from . import _lapack
+from .errors import DegenerateEstimateError, InsufficientSamplesError, NotSpdError
 
 __all__ = [
     "TrainingSet",
@@ -92,8 +93,29 @@ def _check_whole(n, name: str) -> None:
         raise ValueError("%s must be a whole number, got %r" % (name, n))
 
 
+def _in_float_range(estimate):
+    """``estimate`` with a value that overflows the float range, in numpy or in
+    a float power, refused as DegenerateEstimateError, not left to warn or to
+    raise a bare arithmetic error; tuning records it as a failed candidate.
+    It guards the sample moments (:func:`sample_moments`, :func:`fit_pooled`),
+    both routes into :func:`~hdqda.gestim._pieces`, the quartic weights
+    included, and a draw's kernel (:func:`~hdqda.pipeline._canonical`)."""
+
+    @functools.wraps(estimate)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return estimate(*args, **kwargs)
+        except (FloatingPointError, OverflowError) as exc:
+            raise DegenerateEstimateError("estimate leaves the float range: %s" % (exc,)) from None
+
+    return guarded
+
+
+@_in_float_range
 def sample_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column mean and unbiased (n-1 normalized) sample covariance."""
+    """Column mean and unbiased (n-1 normalized) sample covariance; rows so
+    large that a moment overflows are refused (:func:`_in_float_range`)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("expected a 2-D row matrix, got shape %s" % (X.shape,))
@@ -120,22 +142,25 @@ def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, f
     ``dpotri`` with its lower triangle mirrored, so it is exactly symmetric."""
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     _check_shrinkage(gamma)
+    p = sigma_hat.shape[0]
     if gamma == 0.0:
-        return np.eye(sigma_hat.shape[0]), 0.0
-    factor = gamma * sigma_hat  # I + gamma * sigma_hat, then its lower Cholesky factor
-    factor.flat[:: sigma_hat.shape[0] + 1] += 1.0
-    factor, info = lapack.dpotrf(factor, lower=1, clean=1, overwrite_a=1)
+        return np.eye(p), 0.0
+    # I + gamma * sigma_hat, formed in the Fortran order LAPACK reads so that
+    # it is factored and inverted in place; then its lower Cholesky factor.
+    factor = np.multiply(gamma, sigma_hat, order="F")
+    factor.flat[:: p + 1] += 1.0
+    factor, info = _lapack.dpotrf(factor)
     if info != 0:
-        cond = float(np.linalg.cond(gamma * sigma_hat + np.eye(sigma_hat.shape[0])))
+        cond = float(np.linalg.cond(gamma * sigma_hat + np.eye(p)))
         raise NotSpdError(
             "I + %r * sigma is not positive definite: leading minor %d fails "
             "(condition estimate %.3e)" % (gamma, info, cond)
         )
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
-    # dpotri cannot fail on a factor, and it leaves the zeroed upper triangle
-    # as it is, so adding the transposed strict lower triangle mirrors it.
-    inverse, _ = lapack.dpotri(factor, lower=1, overwrite_c=1)
-    inverse += np.tril(inverse, -1).T
+    # dpotri cannot fail on a factor. Both routines leave the strict upper
+    # triangle as they found it, so the lower one's mirror is copied onto it.
+    inverse, _ = _lapack.dpotri(factor)
+    np.copyto(inverse, inverse.T.copy(), where=np.tri(p, k=-1, dtype=bool).T)
     return inverse, logdet
 
 
@@ -225,7 +250,7 @@ def _range_eigenpair(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     spectrum, so an r x r eigh gives the eigenvalues l and F V / sqrt(l) the
     basis; no p x p eigenproblem is solved.
     """
-    factor, pivots, rank, _ = lapack.dpstrf(matrix, lower=1)
+    factor, pivots, rank, _ = _lapack.dpstrf(matrix)
     # The factor's first r columns, rows put back in the matrix's order. LAPACK
     # leaves the upper triangle as it found it and the trailing block unfactored.
     thin = np.tril(factor[:, :rank])[np.argsort(pivots)]
@@ -321,8 +346,8 @@ def fit(train: TrainingSet, gamma0: float, gamma1: float) -> FittedStats:
 
 @dataclass(frozen=True)
 class PooledStats:
-    """Class means and a pooled covariance for the linear baseline, with its
-    resolvent ``H`` derived at construction."""
+    """Class means and a pooled covariance for the linear baseline, checked
+    finite at construction, with its resolvent ``H`` derived there."""
 
     mu_hat0: np.ndarray
     mu_hat1: np.ndarray
@@ -331,11 +356,17 @@ class PooledStats:
     H: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("mu_hat0", "mu_hat1", "sigma_hat"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError("%s must be finite; found NaN or inf" % name)
         object.__setattr__(self, "H", regularized_resolvent(self.sigma_hat, self.gamma))
 
 
+@_in_float_range
 def fit_pooled(train: TrainingSet, gamma: float) -> PooledStats:
-    """Pool the class covariances with n - 2 normalization."""
+    """Pool the class covariances with n - 2 normalization; moments that
+    overflow, or a pooled covariance that does, are refused
+    (:func:`_in_float_range`)."""
     mu0, sig0 = sample_moments(train.X0)
     mu1, sig1 = sample_moments(train.X1)
     pooled = ((train.n0 - 1) * sig0 + (train.n1 - 1) * sig1) / (train.n - 2)

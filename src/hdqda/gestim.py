@@ -32,7 +32,6 @@ matched shrinkage formulas it feeds live once in :mod:`hdqda.rmt`.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -40,7 +39,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DegenerateEstimateError, InvalidRegularizerError
-from .estimation import FittedStats, SpectralPair, _check_whole, _resolvent_weights
+from .estimation import (
+    FittedStats,
+    SpectralPair,
+    _check_whole,
+    _in_float_range,
+    _resolvent_weights,
+)
 from .model import _check_priors
 from .rmt import _class_errors, _designed_bias, _Margins, _matched_shrinkage, _Vocabulary
 
@@ -130,24 +135,6 @@ def _weights(values: np.ndarray, gamma: float, p: int, n: int) -> tuple:
     and :func:`delta_hat` from its trace sum(w) + (p - len(w)); margins and matching share it."""
     w, v = _resolvent_weights(values, gamma)
     return w, v, _delta_from_trace(float(np.sum(w)) + (p - w.shape[0]), p, n, gamma)
-
-
-def _in_float_range(estimate):
-    """``estimate`` with a value that overflows the float range, in numpy or in
-    a float power, refused as DegenerateEstimateError, not left to warn or to
-    raise a bare arithmetic error; tuning records it as a failed candidate.
-    It guards both routes into :func:`_pieces`, the quartic weights included,
-    and a draw's moments and kernel (:func:`~hdqda.pipeline._canonical`)."""
-
-    @functools.wraps(estimate)
-    def guarded(*args):
-        try:
-            with np.errstate(over="raise"):
-                return estimate(*args)
-        except (FloatingPointError, OverflowError) as exc:
-            raise DegenerateEstimateError("estimate leaves the float range: %s" % (exc,)) from None
-
-    return guarded
 
 
 def _pieces(

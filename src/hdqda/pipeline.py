@@ -18,8 +18,15 @@ import numpy as np
 
 from .discriminant import classify_values, improved_scores
 from .errors import HdqdaError, TuningError
-from .estimation import FittedStats, SpectralPair, TrainingSet, _sample_spectra, sample_moments
-from .gestim import BiasEstimate, _candidate, _in_float_range
+from .estimation import (
+    FittedStats,
+    SpectralPair,
+    TrainingSet,
+    _in_float_range,
+    _sample_spectra,
+    sample_moments,
+)
+from .gestim import BiasEstimate, _candidate
 from .model import _check_priors, _is_symmetric
 from .rmt import _Margins
 

@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.special import ndtr
 
+from . import _lapack
 from .errors import (
     ConvergenceError,
     DegenerateDesignError,
@@ -211,6 +210,11 @@ def _designed_bias(
     return theta, alpha
 
 
+def _normal_cdf(x: float) -> float:
+    """The standard normal distribution function Phi(x) = erfc(-x / sqrt(2)) / 2."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def _class_errors(
     theta: float, margins: _Margins, priors, words: _Vocabulary
 ) -> tuple[list[float], list[float], float]:
@@ -225,7 +229,7 @@ def _class_errors(
         spread = 2.0 * margins.variance[i] + 4.0 * margins.offset[i]
         if not spread > 0.0:
             raise words.unstable("%s score spread is %r" % (words.adjective, spread))
-        eps.append(float(ndtr(-sign * (xi[i] - margins.trace_gap[i]) / math.sqrt(spread))))
+        eps.append(_normal_cdf(-sign * (xi[i] - margins.trace_gap[i]) / math.sqrt(spread)))
     return xi, eps, priors[0] * eps[0] + priors[1] * eps[1]
 
 
@@ -338,12 +342,9 @@ def _shifted_trace(diagonal: np.ndarray, off: np.ndarray, scale: float) -> float
     """Tr[(I + scale * tri)^-1] in O(p), tri the symmetric tridiagonal with ``diagonal``
     and ``off``: with f and g the pivots of A = I + scale * tri factored from the top
     and from the bottom (``dpttrf``), 1 / (A^-1)_ii = f_i + g_i - a_i."""
-    a = 1.0 + scale * diagonal
-    # At p = 1 the pivot is a itself; scipy's dpttrf rejects the empty off-diagonal.
-    forward, backward, info = a, a, int(not a[0] > 0.0)
-    if a.size > 1:
-        forward, _, info = lapack.dpttrf(a, scale * off)
-        backward, _, _ = lapack.dpttrf(a[::-1], scale * off[::-1])
+    a, e = 1.0 + scale * diagonal, scale * off
+    forward, _, info = _lapack.dpttrf(a, e)
+    backward, _, _ = _lapack.dpttrf(a[::-1], e[::-1])
     if info != 0:
         raise NotSpdError("I + %r * sigma is not positive definite: leading minor %d "
                           "fails on its tridiagonal form" % (scale, info))
@@ -372,8 +373,7 @@ def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquival
         raise ValueError("covariance is not symmetric within tolerance")
     _check_solver_args(n, gamma)
     p = sigma.shape[0]
-    work, _ = lapack.dsytrd_lwork(p, lower=1)
-    _, diagonal, off, _, _ = lapack.dsytrd(sigma, lower=1, lwork=int(work))
+    diagonal, off = _lapack.dsytrd(sigma)
 
     def trace_map(scale: float) -> float:
         if scale == 0.0:  # gamma * delta overflowed; the division below would fail

@@ -575,26 +575,96 @@ def test_real_rows_match_the_per_split_reference(runner, tmp_path, features, n1,
     assert [[float(ratio), method, float(error)] for ratio, method, error in rows] == expected
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
-    """The package root-finds with its own Brent port, so importing it and its
-    CLI, solving the fixed point, taking the limiting error and running a sweep
-    never load scipy.optimize."""
+def _run_python(script: str) -> str:
+    """Standard output of ``script`` in a fresh interpreter that imports this
+    checkout's package."""
     src = str(Path(cli_module.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_cli_loads_no_scipy_module(tmp_path):
+    """The package binds its LAPACK routines from numpy's own library, takes Phi
+    from the math module and root-finds with its own Brent port, so importing
+    it and its CLI, solving the fixed point, fitting, taking the limiting error
+    and running a sweep load no scipy module at all."""
     script = f"""
 import sys
 import numpy as np
 import hdqda.cli
+from hdqda.estimation import TrainingSet, fit
+from hdqda.discriminant import rqda_scores
 from hdqda.model import ScenarioConfig, build_mixture
 from hdqda.rmt import asymptotic_error, solve_delta
 assert solve_delta(np.diag([1.0, 2.0, 3.0]), 4, 1.0).iterations > 1
 asymptotic_error(build_mixture(ScenarioConfig(**{TINY!r})), 8, 16, 0.5, 0.9, 0.0)
+rng = np.random.default_rng(0)
+train = TrainingSet(rng.standard_normal((8, 5)), rng.standard_normal((12, 5)))
+rqda_scores(train.X0, fit(train, 1.0, 1.0), (0.5, 0.5))
 hdqda.cli.main(["sweep-gamma", "--config", {_config(tmp_path, TINY)!r}, "--grid-points", "2",
                 "--replicates", "1", "--out", {str(tmp_path / "sweep.csv")!r}], standalone_mode=False)
-print('scipy.optimize' in sys.modules)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert done.stdout.strip() == "False"
+    assert _run_python(script).strip() == "[]"
+
+
+def test_every_entry_point_runs_with_scipy_blocked(tmp_path):
+    """With ``import scipy`` made to fail, every public function that computes
+    runs, and so does each subcommand, on small inputs."""
+    blobs = _blobs(tmp_path)
+    configs = {
+        command: _config(tmp_path, _FLAG_KEYS[command][1], name=command + ".json")
+        for command in _SUBCOMMANDS
+    }
+    runs = [
+        [command] + ([blobs] if command == "real" else [])
+        + ["--config", configs[command], "--out", str(tmp_path / (command + ".csv"))]
+        for command in _SUBCOMMANDS
+    ]
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from hdqda import *
+from hdqda.cli import main
+
+config = ScenarioConfig(**{TINY!r})
+mixture = build_mixture(config)
+data = sample_scenario(config, model=mixture)
+# the minority class first, as the estimators expect
+train = TrainingSet(data.train1, data.train0)
+priors = (mixture.prior1, mixture.prior0)
+shared = fit(train, 1.0, 1.0)
+two = fit(train, 1.0, 0.8)
+pooled = fit_pooled(train, 1.0)
+bias = theta_hat(two, priors)
+g_estimator_error(two, bias.theta_hat, priors)
+gamma1_hat(delta_hat(two.H0, train.n0, 1.0), train.n0, train.n1, 1.0)
+empirical_error(rqda_scores(data.test0, shared, priors), rqda_scores(data.test1, shared, priors), priors)
+classify_values(improved_scores(data.test0, two, bias.theta_hat))
+rlda_scores(data.test0, pooled, priors)
+qda_scores_true(data.test0, mixture)
+conditional_score_moments(two, mixture, bias.theta_hat)
+regularized_resolvent(sample_moments(data.train0)[1], 2.0)
+for gamma0 in (None, 1.0):
+    model = fit_improved(train, gamma0, grid=default_grid()[::6])
+    ImprovedModel.from_json(model.to_json()).predict(data.test0)
+sigma0 = mixture.class0.covariance
+equivalents = solve_delta(sigma0, train.n0, 1.0)
+eigen_delta_solver(np.linalg.eigvalsh(sigma0), train.n0, 1.0)
+gamma1 = gamma1_theoretical(sigma0, train.n0, train.n1, 1.0, delta0=equivalents.delta)
+design = theta_star_theoretical(mixture, train.n0, train.n1, 1.0, gamma1)
+asymptotic_error(mixture, train.n0, train.n1, 1.0, gamma1, design.theta_star)
+sample_class(mixture.class1, 4, stream(0, 1))
+make_spiked_covariance(1.0, 2.0, 2, 6, 0)
+make_imbalanced_split(load_csv({blobs!r}, "label"), 0, 1, 0.5, 12)
+for args in {runs!r}:
+    assert main(args, standalone_mode=False) in (None, 0), args
+print("ran")
+"""
+    assert _run_python(script).strip() == "ran"

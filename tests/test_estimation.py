@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdqda import estimation
-from hdqda.discriminant import RULE_STANDARD_RQDA, conditional_score_moments, rqda_scores
-from hdqda.errors import InsufficientSamplesError, NotSpdError
+from hdqda.discriminant import RULE_STANDARD_RQDA, conditional_score_moments, rlda_scores, rqda_scores
+from hdqda.errors import DegenerateEstimateError, InsufficientSamplesError, NotSpdError
 from hdqda.estimation import (
     FittedStats,
     PooledStats,
@@ -272,6 +272,48 @@ def test_a_fit_rejects_nonfinite_moments_and_bad_counts(field, value, message):
     fields[field] = value
     with pytest.raises(ValueError, match=message):
         FittedStats(**fields)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("mu_hat0", np.array([0.0, math.nan, 0.0])), ("sigma_hat", np.diag([1.0, math.inf, 1.0]))],
+)
+def test_pooled_stats_reject_nonfinite_moments(field, value):
+    fields = dict(mu_hat0=np.zeros(3), mu_hat1=np.ones(3), sigma_hat=np.eye(3), gamma=1.0)
+    PooledStats(**fields)
+    fields[field] = value
+    with pytest.raises(ValueError, match="%s must be finite" % field):
+        PooledStats(**fields)
+
+
+def _scaled_draw(scale: float) -> TrainingSet:
+    """p = 5 with 8 and 12 standard-normal rows, class 1 shifted by 1, scaled."""
+    rng = np.random.default_rng(0)
+    X0, X1 = rng.standard_normal((8, 5)), rng.standard_normal((12, 5)) + 1.0
+    return TrainingSet(X0=scale * X0, X1=scale * X1)
+
+
+# From about 3e153 on this draw each class's sample covariance overflows.
+@pytest.mark.parametrize("scale", [3e153, 1e160, 1e200])
+def test_both_fits_refuse_moments_that_overflow(scale):
+    """Moments that leave the float range raise DegenerateEstimateError, with
+    no RuntimeWarning (an error under this suite's filter). fit_pooled used to
+    return a model whose pooled covariance was not finite, and whose linear
+    scores of 0 labeled every row class 1."""
+    train = _scaled_draw(scale)
+    with pytest.raises(DegenerateEstimateError, match="float range"):
+        rqda_scores(train.X0, fit(train, 1.0, 1.0), (0.5, 0.5))
+    with pytest.raises(DegenerateEstimateError, match="float range"):
+        rlda_scores(train.X0, fit_pooled(train, 1.0), (0.5, 0.5))
+
+
+def test_a_pooled_covariance_that_overflows_is_refused():
+    """At 2.5e153 each class's covariance is finite, so the quadratic rule
+    scores, but their count-weighted sum overflows while it is pooled."""
+    train = _scaled_draw(2.5e153)
+    assert np.all(np.isfinite(rqda_scores(train.X0, fit(train, 1.0, 1.0), (0.5, 0.5))))
+    with pytest.raises(DegenerateEstimateError, match="float range: overflow encountered in add"):
+        fit_pooled(train, 1.0)
 
 
 def test_fit_pooled_uses_n_minus_two_normalization(small_train):

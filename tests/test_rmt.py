@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy.linalg import lapack, solve_triangular
+from scipy.special import ndtr
 
 from hdqda.errors import (
     ConvergenceError,
@@ -244,6 +245,22 @@ def test_tridiagonal_trace_matches_the_cholesky_route(p, rank_share, log_scale, 
     inverse = solve_triangular(np.linalg.cholesky(np.eye(p) + scale * sigma), np.eye(p), lower=True)
     dense = (p - float(np.sum(inverse * inverse))) / scale
     assert abs(tridiagonal - dense) <= 1e-11 * dense + 64 * p * np.finfo(float).eps / scale
+
+
+def test_phi_matches_scipy_and_a_multiprecision_reference():
+    """Phi(x) = erfc(-x / sqrt(2)) / 2, on 6000 points from -37 (Phi about 6e-300)
+    to 8. Rounding x / sqrt(2) alone moves Phi by about x^2 units in the last
+    place far in the lower tail, so each bound grows with it: the largest gap
+    to mpmath was 0.8 (1 + x^2) units for this form and 2.0 (1 + x^2) for
+    scipy's ndtr, which are equally accurate."""
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for x in np.linspace(-37.0, 8.0, 6000).tolist():
+            phi, reference = rmt._normal_cdf(x), mpmath.ncdf(x)
+            room = (1.0 + x * x) * eps * phi
+            assert abs(phi - float(ndtr(x))) <= 4.0 * room
+            assert float(abs(phi - reference)) <= 1.5 * room
 
 
 def test_one_dimensional_solve_matches_the_spectral_route():
