@@ -1,5 +1,6 @@
-"""The six LAPACK routines the package calls, bound with ``ctypes`` from the
-OpenBLAS that numpy itself loads, so no second LAPACK is needed.
+"""The four LAPACK routines the package calls (``dpotrf``, ``dpotri``,
+``dpstrf``, ``dtrtrs``), bound with ``ctypes`` from the OpenBLAS that numpy
+itself loads, so no second LAPACK is needed.
 
 numpy's linear-algebra extension links that library, and a handle opened on
 the extension finds its symbols through the extension's own dependencies;
@@ -50,8 +51,6 @@ _dpotri = _bind("dpotri", _CHAR, _INT, _PTR, _INT, _INT, _LEN)
 _dpstrf = _bind(
     "dpstrf", _CHAR, _INT, _PTR, _INT, _PTR, _INT, ctypes.POINTER(ctypes.c_double), _PTR, _INT, _LEN
 )
-_dsytrd = _bind("dsytrd", _CHAR, _INT, _PTR, _INT, _PTR, _PTR, _PTR, _PTR, _INT, _INT, _LEN)
-_dpttrf = _bind("dpttrf", _INT, _PTR, _PTR, _INT)
 _dtrtrs = _bind(
     "dtrtrs", _CHAR, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT, _LEN, _LEN, _LEN
 )
@@ -124,39 +123,6 @@ def dpstrf(a) -> tuple[np.ndarray, np.ndarray, int, int]:
         ctypes.byref(ctypes.c_double(-1.0)), _address(work), ctypes.byref(info), 1,
     )
     return a, pivots, rank.value, info.value
-
-
-def dsytrd(a) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the Householder tridiagonal form that
-    LAPACK reduces a copy of symmetric ``a`` to, from its lower triangle, with
-    the workspace LAPACK asks for."""
-    a = np.array(a, dtype=np.float64, order="F")
-    n = _square(a)
-    diagonal, off, tau = np.empty(n), np.empty(max(n - 1, 0)), np.empty(max(n - 1, 0))
-    args = (b"L", _int(n), _address(a), _int(max(n, 1)), _address(diagonal), _address(off),
-            _address(tau))
-    size, info = np.empty(1), ctypes.c_int64(0)
-    _dsytrd(*args, _address(size), _int(-1), ctypes.byref(info), 1)
-    work = np.empty(max(int(size[0]), 1))
-    _dsytrd(*args, _address(work), _int(work.size), ctypes.byref(info), 1)
-    if info.value != 0:
-        raise ValueError("dsytrd rejected argument %d" % (-info.value,))
-    return diagonal, off
-
-
-def dpttrf(d, e) -> tuple[np.ndarray, np.ndarray, int]:
-    """L D L^T factorization of copies of the symmetric tridiagonal matrix with
-    diagonal ``d`` and off-diagonal ``e``: D's diagonal, L's subdiagonal, and
-    LAPACK's ``info``: 0, or the order of the first leading minor that is not
-    positive definite, where the factorization stopped."""
-    d, e = np.array(d, dtype=np.float64), np.array(e, dtype=np.float64)
-    n = d.shape[0]
-    if d.ndim != 1 or e.shape != (max(n - 1, 0),):
-        raise ValueError("a diagonal of shape %r takes no off-diagonal of shape %r"
-                         % (d.shape, e.shape))
-    info = ctypes.c_int64(0)
-    _dpttrf(_int(n), _address(d), _address(e), ctypes.byref(info))
-    return d, e, info.value
 
 
 def dtrtrs(lower, b) -> np.ndarray:

@@ -139,7 +139,8 @@ def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, f
     """(I + gamma * sigma_hat)^{-1} and log det(I + gamma * sigma_hat) from one LAPACK
     Cholesky factorization (``dpotrf``), the one place a shifted covariance, sample or
     true, is factored: the log-det from the factor's diagonal, the inverse from
-    ``dpotri`` with its lower triangle mirrored, so it is exactly symmetric."""
+    ``dpotri`` with its lower triangle mirrored, so it is exactly symmetric. A
+    gamma * sigma_hat that overflows is refused as DegenerateEstimateError."""
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     _check_shrinkage(gamma)
     p = sigma_hat.shape[0]
@@ -147,7 +148,13 @@ def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, f
         return np.eye(p), 0.0
     # I + gamma * sigma_hat, formed in the Fortran order LAPACK reads so that
     # it is factored and inverted in place; then its lower Cholesky factor.
-    factor = np.multiply(gamma, sigma_hat, order="F")
+    try:
+        with np.errstate(over="raise"):
+            factor = np.multiply(gamma, sigma_hat, order="F")
+    except FloatingPointError:
+        raise DegenerateEstimateError(
+            "I + %r * sigma leaves the float range" % (gamma,)
+        ) from None
     factor.flat[:: p + 1] += 1.0
     factor, info = _lapack.dpotrf(factor)
     if info != 0:

@@ -10,10 +10,10 @@ covariance is diagonalized once, the fixed point is found on its spectrum
 over the two eigenbases, on the kernel the training-only estimator shares
 (:class:`~hdqda.estimation.SpectralPair`), which a mixture builds once and keeps.
 
-The fixed point has one bracketed root-find and two independent trace maps:
-:func:`eigen_delta_solver` sums over the spectrum, and :func:`solve_delta`
-reads a Householder tridiagonal form of the dense covariance and never forms
-an eigenvalue, so the two agreeing cross-checks the trace.
+The fixed point has one bracketed root-find and one trace map, a sum over the
+spectrum: :func:`eigen_delta_solver` takes a known spectrum, and
+:func:`solve_delta` the eigenvalues of a dense covariance, adding the dense
+resolvent limit at the root and the fixed-point residual it leaves.
 
 The designed bias, the class-error assembly and the matched shrinkage live here
 once. They read one :class:`_Margins` record, built in one pass of one shape
@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _lapack
 from .errors import (
     ConvergenceError,
     DegenerateDesignError,
@@ -311,95 +310,21 @@ def _brentq(f: Callable[[float], float], upper: float, top: float) -> tuple[floa
     )
 
 
-def _fixed_point(
-    trace_map: Callable[[float], float], upper: float, n: int, gamma: float
-) -> tuple[float, int]:
-    """The one root-find both solvers share: delta = trace_map(s(delta)) / n.
-
-    ``trace_map(s)`` returns Tr[sigma (I + s sigma)^-1] and
-    s(delta) = gamma / (1 + gamma delta). The root lies in [0, upper] with
-    upper = Tr[sigma] / n, where the gap delta - trace_map(s)/n changes sign,
-    and Brent's bracketing method (:func:`_brentq`) closes in on it. Returns the
-    root and the number of trace-map evaluations spent.
-    """
-    if gamma == 0.0 or upper == 0.0:
-        return upper, 0
-
-    def gap(delta: float) -> float:
-        value = delta - trace_map(gamma / (1.0 + gamma * delta)) / n
-        if math.isnan(value):  # an overflowing trace; every bracket test is false on NaN
-            raise ValueError("fixed-point gap is NaN at delta=%r; the root-find cannot continue"
-                             % (delta,))
-        return value
-
-    top = gap(upper)
-    if top <= 0.0:
-        return upper, 1
-    return _brentq(gap, upper, top)
+def _trace_map(eig: np.ndarray, scale: float) -> float:
+    """Tr[sigma (I + scale sigma)^-1], the sum of l / (1 + scale l) over sigma's spectrum."""
+    return float(np.sum(eig / (1.0 + scale * eig)))
 
 
-def _shifted_trace(diagonal: np.ndarray, off: np.ndarray, scale: float) -> float:
-    """Tr[(I + scale * tri)^-1] in O(p), tri the symmetric tridiagonal with ``diagonal``
-    and ``off``: with f and g the pivots of A = I + scale * tri factored from the top
-    and from the bottom (``dpttrf``), 1 / (A^-1)_ii = f_i + g_i - a_i."""
-    a, e = 1.0 + scale * diagonal, scale * off
-    forward, _, info = _lapack.dpttrf(a, e)
-    backward, _, _ = _lapack.dpttrf(a[::-1], e[::-1])
-    if info != 0:
-        raise NotSpdError("I + %r * sigma is not positive definite: leading minor %d "
-                          "fails on its tridiagonal form" % (scale, info))
-    return float(np.sum(1.0 / (forward + backward[::-1] - a)))
+def _spectral_fixed_point(eigenvalues, n: int, gamma: float) -> tuple[np.ndarray, float, int]:
+    """The one root-find both solvers share: delta = Tr[sigma (I + s sigma)^-1] / n
+    with s(delta) = gamma / (1 + gamma delta), on sigma's spectrum (:func:`_trace_map`).
 
-
-def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquivalents:
-    """Fixed point and resolvent limit on the dense covariance ``sigma`` (p x p,
-    symmetric positive semidefinite) of a class with ``n`` training rows, at
-    shrinkage ``gamma`` >= 0.
-
-    One bracketed root-find, two independent trace maps: this one reduces sigma
-    once to tridiagonal form (``dsytrd``), takes each step's Tr[(I + a sigma)^-1]
-    from it in O(p) (:func:`_shifted_trace`) and the map through
-    Tr[sigma (I + a sigma)^-1] = (p - Tr[(I + a sigma)^-1]) / a, so it never
-    forms an eigenvalue and serves as the dense cross-check of
-    :func:`eigen_delta_solver`. One Cholesky factorization at the root forms
-    ``T``, and ``residual`` checks the tridiagonal trace against the dense sigma T.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.size == 0:
-        raise ValueError("covariance must be square and nonempty, got shape %r" % (sigma.shape,))
-    if not np.isfinite(sigma).all():
-        raise ValueError("covariance has non-finite entries")
-    if not _is_symmetric(sigma):
-        raise ValueError("covariance is not symmetric within tolerance")
-    _check_solver_args(n, gamma)
-    p = sigma.shape[0]
-    diagonal, off = _lapack.dsytrd(sigma)
-
-    def trace_map(scale: float) -> float:
-        if scale == 0.0:  # gamma * delta overflowed; the division below would fail
-            raise StabilityError(
-                "fixed-point scale gamma / (1 + gamma * delta) underflows to 0 at gamma=%r; "
-                "the dense trace map divides by it" % (gamma,)
-            )
-        return (p - _shifted_trace(diagonal, off, scale)) / scale
-
-    delta, evaluations = _fixed_point(trace_map, float(np.trace(sigma)) / n, n, gamma)
-    T, _ = _shifted_inverse(sigma, gamma / (1.0 + gamma * delta))
-    product = sigma @ T
-    phi = float(np.vdot(product, product)) / n
-    return DeterministicEquivalents(
-        delta=delta, T=T, phi=phi, gamma=gamma, n=n,
-        residual=abs(delta - float(np.trace(product)) / n), iterations=evaluations,
-    )
-
-
-def eigen_delta_solver(eigenvalues: np.ndarray, n: int, gamma: float) -> float:
-    """Fixed point on a known spectrum.
-
-    One bracketed root-find, two independent trace maps: this one sums
-    l / (1 + s l) over the eigenvalues, while :func:`solve_delta` reads a
-    tridiagonal form of the dense covariance, so the two agreeing is a
-    meaningful cross-check of the trace, not a redundancy.
+    Refuses an empty or non-finite spectrum, one with an entry below -1e-12 of
+    its largest magnitude, and a bad count or shrinkage, then clips the rounding
+    negatives to 0. The root lies in [0, upper] with upper = Tr[sigma] / n, where
+    the gap delta - Tr[sigma (I + s sigma)^-1] / n changes sign, and Brent's
+    bracketing method (:func:`_brentq`) closes in on it. Returns the clipped
+    spectrum, the root and the number of trace-map evaluations spent.
     """
     eig = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if eig.size == 0:
@@ -411,12 +336,56 @@ def eigen_delta_solver(eigenvalues: np.ndarray, n: int, gamma: float) -> float:
         raise NotSpdError("covariance spectrum has negative entries")
     eig = np.clip(eig, 0.0, None)
     _check_solver_args(n, gamma)
-    return _fixed_point(
-        lambda scale: float(np.sum(eig / (1.0 + scale * eig))),
-        float(np.sum(eig)) / n,
-        n,
-        gamma,
-    )[0]
+    upper = float(np.sum(eig)) / n
+    if gamma == 0.0 or upper == 0.0:
+        return eig, upper, 0
+
+    def gap(delta: float) -> float:
+        value = delta - _trace_map(eig, gamma / (1.0 + gamma * delta)) / n
+        if math.isnan(value):  # an overflowing trace; every bracket test is false on NaN
+            raise ValueError("fixed-point gap is NaN at delta=%r; the root-find cannot continue"
+                             % (delta,))
+        return value
+
+    top = gap(upper)
+    if top <= 0.0:
+        return eig, upper, 1
+    return eig, *_brentq(gap, upper, top)
+
+
+def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquivalents:
+    """Fixed point and resolvent limit on the dense covariance ``sigma`` (p x p,
+    symmetric positive semidefinite) of a class with ``n`` training rows, at
+    shrinkage ``gamma`` >= 0.
+
+    The root-find is :func:`eigen_delta_solver`'s, on the eigenvalues of
+    ``sigma``, with ``phi`` summed over them. One Cholesky factorization at the
+    root forms the dense ``T``, and ``residual`` checks the root against it
+    through the dense trace of sigma T.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.size == 0:
+        raise ValueError("covariance must be square and nonempty, got shape %r" % (sigma.shape,))
+    if not np.isfinite(sigma).all():
+        raise ValueError("covariance has non-finite entries")
+    if not _is_symmetric(sigma):
+        raise ValueError("covariance is not symmetric within tolerance")
+    eig, delta, evaluations = _spectral_fixed_point(np.linalg.eigvalsh(sigma), n, gamma)
+    scale = gamma / (1.0 + gamma * delta)
+    T, _ = _shifted_inverse(sigma, scale)
+    with np.errstate(over="ignore"):  # an infinite phi fails the record's own checks
+        phi = float(np.sum((eig / (1.0 + scale * eig)) ** 2)) / n
+    return DeterministicEquivalents(
+        delta=delta, T=T, phi=phi, gamma=gamma, n=n,
+        residual=abs(delta - float(np.vdot(sigma, T)) / n), iterations=evaluations,
+    )
+
+
+def eigen_delta_solver(eigenvalues: np.ndarray, n: int, gamma: float) -> float:
+    """Fixed point on a known spectrum, which must be finite and nonnegative up
+    to rounding; :func:`solve_delta` takes the same root-find from a dense
+    covariance and adds its resolvent limit."""
+    return _spectral_fixed_point(eigenvalues, n, gamma)[1]
 
 
 def _limit_margins(

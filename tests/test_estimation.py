@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import threading
 
 import numpy as np
@@ -314,6 +315,19 @@ def test_a_pooled_covariance_that_overflows_is_refused():
     assert np.all(np.isfinite(rqda_scores(train.X0, fit(train, 1.0, 1.0), (0.5, 0.5))))
     with pytest.raises(DegenerateEstimateError, match="float range: overflow encountered in add"):
         fit_pooled(train, 1.0)
+
+
+@pytest.mark.parametrize("gamma", [1e300, 1e307])
+def test_a_shifted_covariance_that_overflows_is_refused(gamma):
+    """On the draw scaled by 1e5 the moments are finite but gamma * sigma_hat
+    is not: the quadratic rule's resolvents are refused as the pooled one is,
+    with no RuntimeWarning (an error under this suite's filter)."""
+    train = _scaled_draw(1e5)
+    message = re.escape("I + %r * sigma leaves the float range" % (gamma,))
+    with pytest.raises(DegenerateEstimateError, match=message):
+        rqda_scores(train.X0, fit(train, gamma, gamma), (0.5, 0.5))
+    with pytest.raises(DegenerateEstimateError, match="float range"):
+        fit_pooled(train, gamma)
 
 
 def test_fit_pooled_uses_n_minus_two_normalization(small_train):

@@ -386,12 +386,17 @@ def test_a_rank_deficient_minority_runs_no_full_eigh(monkeypatch):
 @example(seed=1, p=30, share=0.67, extra=8, gamma0=0.3, gamma1=1.7)  # both classes thin
 @example(seed=1, p=70, share=1.0, extra=10, gamma0=40.0, gamma1=0.9)  # one null direction
 @example(seed=2, p=70, share=0.3, extra=20, gamma0=5.0, gamma1=0.05)  # both classes thin
+@example(seed=9377, p=12, share=0.25, extra=0, gamma0=11.0, gamma1=1.0)  # eigh's null rounding
 def test_the_thin_kernel_matches_the_full_one(seed, p, share, extra, gamma0, gamma1):
     """Every margin from the thin kernel of a rank-deficient minority (3 to p
     rows) against the full p x p kernel of the same moments, under the
     tolerance and skip rule of :func:`test_spectral_pieces_match_the_dense_reference`.
     When the majority is rank-deficient too (n1 - 1 < p), a kernel with both
-    bases thin is checked the same way."""
+    bases thin is checked the same way.
+
+    The full kernel's eigenvalues past the rank n - 1 the rows allow are set to
+    0: ``eigh`` returns those null eigenvalues as rounding up to about 1e-14,
+    which at gamma0 = 11 moved a margin of the reference by 1e-12."""
     n0 = 3 + round(share * (p - 3))
     rng = np.random.default_rng(seed)
     scales = rng.uniform(0.3, 3.0, p)
@@ -401,7 +406,12 @@ def test_the_thin_kernel_matches_the_full_one(seed, p, share, extra, gamma0, gam
     fitted = fit(TrainingSet(X0=X0, X1=X1), gamma0, gamma1)
     assert fitted.pair.values0.shape[0] < p
     gap = fitted.mu_hat0 - fitted.mu_hat1
-    full = SpectralPair((eigenpair(fitted.sigma_hat0), eigenpair(fitted.sigma_hat1)), gap)
+    spectra = []
+    for sigma_hat, rows in ((fitted.sigma_hat0, fitted.n0), (fitted.sigma_hat1, fitted.n1)):
+        values, basis = eigenpair(sigma_hat)
+        values[: max(0, p - (rows - 1))] = 0.0
+        spectra.append((values, basis))
+    full = SpectralPair(tuple(spectra), gap)
     thin = [fitted.pair]
     if fitted.n1 - 1 < p:
         spectra = (_range_eigenpair(fitted.sigma_hat0), _range_eigenpair(fitted.sigma_hat1))

@@ -21,7 +21,6 @@ from scipy.linalg import lapack, solve_triangular
 from hdqda import _lapack
 from hdqda.errors import NotSpdError
 from hdqda.estimation import _shifted_inverse
-from hdqda.rmt import _shifted_trace
 
 from conftest import random_spd
 
@@ -93,48 +92,6 @@ def test_pivoted_cholesky_matches_scipy(p, rank, layout):
     assert _close(np.tril(factor[:, :found]), np.tril(expected[:, :found]))
 
 
-@pytest.mark.parametrize("p, rank", SHAPES)
-@pytest.mark.parametrize("layout", ["C", "F", "strided"])
-def test_tridiagonal_reduction_matches_scipy(p, rank, layout):
-    matrix = _psd(p, rank, 5 * p + rank)
-    view = _layouts(matrix)[layout]
-    before = view.copy()
-    diagonal, off = _lapack.dsytrd(view)
-    work, _ = lapack.dsytrd_lwork(p, lower=1)
-    _, expected_diagonal, expected_off, _, _ = lapack.dsytrd(matrix, lower=1, lwork=int(work))
-    assert np.array_equal(view, before)
-    assert off.shape == (p - 1,)
-    assert _close(diagonal, expected_diagonal)
-    assert _close(off, expected_off)
-
-
-@pytest.mark.parametrize("p", [2, 3, 50, 300])
-def test_tridiagonal_factorization_matches_scipy(p):
-    rng = np.random.default_rng(p)
-    d, e = 1.0 + rng.uniform(0.0, 1.0, p), rng.uniform(-0.4, 0.4, p - 1)
-    pivots, multipliers, info = _lapack.dpttrf(d[::-1], e[::-1])
-    expected, expected_multipliers, expected_info = lapack.dpttrf(d[::-1], e[::-1])
-    assert info == expected_info == 0
-    assert _close(pivots, expected) and _close(multipliers, expected_multipliers)
-
-
-def test_tridiagonal_factorization_reports_the_failing_minor_as_scipy_does():
-    """[[1, 2], [2, 1]] block first: the second leading minor is -3."""
-    d, e = np.array([1.0, 1.0, 5.0, 5.0]), np.array([2.0, 0.1, 0.1])
-    _, _, info = _lapack.dpttrf(d, e)
-    assert info == lapack.dpttrf(d, e)[2] == 2
-    assert _lapack.dpttrf(np.array([-1.0]), np.empty(0))[2] == 1
-    with pytest.raises(ValueError, match="off-diagonal"):
-        _lapack.dpttrf(d, e[:2])
-
-
-def test_a_one_dimensional_trace_takes_the_tridiagonal_route():
-    """p = 1 has an empty off-diagonal, which the binding passes as it is."""
-    assert _shifted_trace(np.array([3.0]), np.empty(0), 0.5) == 1.0 / 2.5
-    with pytest.raises(NotSpdError, match="leading minor 1 fails"):
-        _shifted_trace(np.array([-3.0]), np.empty(0), 0.5)
-
-
 @pytest.mark.parametrize("p", [1, 6, 90])
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 def test_triangular_solve_matches_scipy(p, layout):
@@ -178,19 +135,15 @@ def test_the_failing_leading_minor_is_named(minor):
 def test_two_threads_calling_at_once_get_the_serial_results():
     """Each call makes its own integers and info, and ctypes releases the GIL
     during it, so two threads factoring at once get what one thread gets."""
-    rng = np.random.default_rng(0)
     inputs = [np.eye(120) + _psd(120, 60 + 10 * k, k) for k in range(8)]
-    tridiagonals = [(1.0 + rng.uniform(0.0, 1.0, 200), rng.uniform(-0.4, 0.4, 199)) for _ in range(8)]
 
     def work(k):
         matrix = inputs[k]
         factor, info = _lapack.dpotrf(matrix)
         inverse, _ = _lapack.dpotri(factor.copy(order="F"))
         pivoted = _lapack.dpstrf(matrix)
-        reduced = _lapack.dsytrd(matrix)
-        pivots = _lapack.dpttrf(*tridiagonals[k])
         solved = _lapack.dtrtrs(np.tril(factor), matrix.copy(order="F"))
-        return [factor, info, inverse, *pivoted, *reduced, *pivots, solved]
+        return [factor, info, inverse, *pivoted, solved]
 
     serial = [work(k) for k in range(8)]
     results = [[None] * 8 for _ in range(2)]

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
-from scipy.linalg import lapack, solve_triangular
 from scipy.special import ndtr
 
 from hdqda.errors import (
@@ -193,18 +192,18 @@ def test_an_overflowing_trace_stops_the_root_find():
 def test_root_find_evaluates_each_point_once(monkeypatch):
     """Every trace-map evaluation is at a new point, ``iterations`` counts them,
     and the dense shifted covariance is factored once per solve, at the root."""
-    shifted_trace, shifted_inverse = rmt._shifted_trace, rmt._shifted_inverse
+    trace_map, shifted_inverse = rmt._trace_map, rmt._shifted_inverse
     scales, factored = [], []
 
-    def trace_spy(diagonal, off, scale):
+    def trace_spy(eig, scale):
         scales.append(scale)
-        return shifted_trace(diagonal, off, scale)
+        return trace_map(eig, scale)
 
     def inverse_spy(sigma, scale):
         factored.append(scale)
         return shifted_inverse(sigma, scale)
 
-    monkeypatch.setattr(rmt, "_shifted_trace", trace_spy)
+    monkeypatch.setattr(rmt, "_trace_map", trace_spy)
     monkeypatch.setattr(rmt, "_shifted_inverse", inverse_spy)
     sigma = random_spd(60, np.random.default_rng(0))
     eq = solve_delta(sigma, 30, 2.0)
@@ -212,39 +211,6 @@ def test_root_find_evaluates_each_point_once(monkeypatch):
     assert len(set(scales)) == len(scales)
     assert factored == [2.0 / (1.0 + 2.0 * eq.delta)]
     assert abs(eq.delta - eigen_delta_solver(np.linalg.eigvalsh(sigma), 30, 2.0)) <= 1e-12
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    p=st.integers(1, 80),
-    rank_share=st.floats(0.02, 2.0),
-    log_scale=st.floats(-3.0, 2.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(p=1, rank_share=1.0, log_scale=0.0, seed=0)
-@example(p=2, rank_share=0.5, log_scale=2.0, seed=1)
-@example(p=2, rank_share=1.0, log_scale=-3.0, seed=2)
-@example(p=66, rank_share=0.021484375, log_scale=-3.0, seed=767)  # rank 1, worst rounding
-def test_tridiagonal_trace_matches_the_cholesky_route(p, rank_share, log_scale, seed):
-    """The O(p) trace on the Householder tridiagonal form gives the trace map
-    (p - ||L^-1||_F^2) / s of the Cholesky factor L of I + s sigma, for
-    positive definite and rank-deficient covariances.
-
-    Both routes subtract a trace of order p from p and divide by s, so each
-    carries a rounding of some p * eps / s that no route avoids: at rank 1 and
-    s = 1e-3 it is up to 5e-11 of the map against the exact spectral sum. The
-    bound is 1e-11 relative plus 64 times that rounding; the largest gap seen
-    over 6000 draws was 37 times it."""
-    rng = np.random.default_rng(seed)
-    m = max(1, round(rank_share * p))
-    A = rng.standard_normal((p, m))
-    sigma = A @ A.T / max(m, p)
-    scale = 10.0**log_scale
-    _, diagonal, off, _, _ = lapack.dsytrd(sigma, lower=1)
-    tridiagonal = (p - rmt._shifted_trace(diagonal, off, scale)) / scale
-    inverse = solve_triangular(np.linalg.cholesky(np.eye(p) + scale * sigma), np.eye(p), lower=True)
-    dense = (p - float(np.sum(inverse * inverse))) / scale
-    assert abs(tridiagonal - dense) <= 1e-11 * dense + 64 * p * np.finfo(float).eps / scale
 
 
 def test_phi_matches_scipy_and_a_multiprecision_reference():
@@ -279,18 +245,17 @@ def test_solve_delta_rejects_asymmetric_empty_and_indefinite_covariances():
     assert solve_delta(sigma, 10, 1.0).delta > 0.0
     with pytest.raises(ValueError, match="nonempty"):
         solve_delta(np.zeros((0, 0)), 10, 1.0)
-    # I + s diag(-2, 5) loses its first leading minor at s = 1/2; the root-find
-    # first tries s = gamma = 10, at delta = 0.
-    with pytest.raises(NotSpdError, match=r"I \+ 10\.0 \* sigma is not positive definite: leading minor 1 fails"):
-        solve_delta(np.diag([-2.0, 5.0]), 1, 10.0)
+    # A negative eigenvalue is refused before the root-find starts, whether or
+    # not I + s sigma would stay positive definite on the bracket.
     rotation = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))[0]
     indefinite = (rotation * np.array([-3.0, 1.0, 2.0, 4.0, 5.0, 6.0])) @ rotation.T
-    with pytest.raises(NotSpdError, match=r"not positive definite: leading minor [1-6] fails"):
-        solve_delta(0.5 * (indefinite + indefinite.T), 1, 10.0)
-    # I + s diag(1, -0.5) stays positive definite on the whole bracket, but the
-    # trace map is negative there, so the fixed-point gap never changes sign.
-    with pytest.raises(ValueError, match=r"f\(a\) and f\(b\) must have different signs"):
-        solve_delta(np.diag([1.0, -0.5]), 100, 1.0)
+    for sigma, n, gamma in (
+        (np.diag([-2.0, 5.0]), 1, 10.0),
+        (0.5 * (indefinite + indefinite.T), 1, 10.0),
+        (np.diag([1.0, -0.5]), 100, 1.0),
+    ):
+        with pytest.raises(NotSpdError, match="covariance spectrum has negative entries"):
+            solve_delta(sigma, n, gamma)
 
 
 def _identity_mixture(scale: float) -> MixtureModel:
@@ -306,10 +271,10 @@ def _identity_mixture(scale: float) -> MixtureModel:
 @pytest.mark.parametrize(
     "call, message",
     [
-        # gamma * delta overflows, so the scale s(delta) is 0.
+        # gamma * delta overflows, so the shrinkage factor 1 / (1 + gamma * delta)^2 is 0.
         pytest.param(
             lambda: solve_delta(1e10 * np.eye(3), 1, 1e300),
-            r"underflows to 0 at gamma=1e\+300",
+            r"shrinkage factor out of \(0, 1\]: 0\.0",
             id="dense-scale",
         ),
         # (1 + gamma * delta)^2 overflows at the root, on either route.
@@ -356,13 +321,29 @@ def test_past_the_float_range_the_theory_raises_stability_error(call, message):
     scale=st.floats(0.1, 10.0),
 )
 def test_route_agreement_property(seed, n, gamma, scale):
-    """The dense and the spectral trace map give the same root."""
+    """solve_delta's root on a rotated, non-diagonal covariance equals the
+    dense fixed point, whose trace map solves with I + s sigma."""
     rng = np.random.default_rng(seed)
-    eigs = scale * rng.uniform(0.2, 3.0, size=16)
-    dense = solve_delta(np.diag(eigs), n, gamma).delta
-    scalar = eigen_delta_solver(eigs, n, gamma)
-    assert dense >= 0.0
-    assert abs(dense - scalar) <= 1e-12 * max(1.0, scalar)
+    rotation = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+    sigma = (rotation * (scale * rng.uniform(0.2, 3.0, size=16))) @ rotation.T
+    sigma = 0.5 * (sigma + sigma.T)
+    eq = solve_delta(sigma, n, gamma)
+    dense = _dense_fixed_point(sigma, n, gamma)
+    assert eq.delta >= 0.0
+    assert abs(eq.delta - dense) <= 1e-12 * max(1.0, dense)
+    assert eq.residual <= 1e-12 * max(1.0, eq.delta)
+
+
+def _dense_fixed_point(sigma: np.ndarray, n: int, gamma: float) -> float:
+    """Root of delta - Tr[sigma (I + s sigma)^-1] / n with s = gamma / (1 + gamma
+    delta), each trace from a dense solve and the root from scipy's brentq."""
+    identity = np.eye(sigma.shape[0])
+
+    def gap(delta):
+        scale = gamma / (1.0 + gamma * delta)
+        return delta - float(np.trace(np.linalg.solve(identity + scale * sigma, sigma))) / n
+
+    return optimize.brentq(gap, 0.0, float(np.trace(sigma)) / n, xtol=1e-14)
 
 
 def _commuting_model(p=48, seed=0):
@@ -371,14 +352,16 @@ def _commuting_model(p=48, seed=0):
 
 
 def _dense_margins(model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float):
-    """Reference (phi, phi_tilde) and margins from the dense resolvent limits of
-    :func:`solve_delta`; no eigendecomposition."""
+    """Reference (phi, phi_tilde) and margins from the dense resolvent limits T
+    of :func:`solve_delta`, phi = ||sigma T||_F^2 / n included; every trace and
+    quadratic form is taken on dense matrices."""
     sigmas = (model.class0.covariance, model.class1.covariance)
     counts, gammas, p = (n0, n1), (gamma0, gamma1), model.dim
     eqs = [solve_delta(sigmas[i], counts[i], gammas[i]) for i in (0, 1)]
-    margin = tuple(eq.stability_margin() for eq in eqs)
-    mu = model.class1.mean - model.class0.mean
     T = (eqs[0].T, eqs[1].T)
+    phi = tuple(float(np.sum((sigmas[i] @ T[i]) ** 2)) / counts[i] for i in (0, 1))
+    margin = tuple(1.0 - gammas[i] ** 2 * phi[i] * eqs[i].phi_tilde for i in (0, 1))
+    mu = model.class1.mean - model.class0.mean
     shift, trace_gap, beta, variance, offset = [], [], [], [], []
     for i, sign in ((0, -1.0), (1, 1.0)):
         j = 1 - i
@@ -387,7 +370,7 @@ def _dense_margins(model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1:
         trace_gap.append(float(np.sum(sigmas[i] * (T[i] - T[j]))) * sign / math.sqrt(p))
         beta.append(-shift[i] + sign * trace_gap[i])
         variance.append(
-            counts[i] / p * eqs[i].phi / margin[i]
+            counts[i] / p * phi[i] / margin[i]
             + float(np.sum((sigmas[i] @ T[j]) ** 2)) / p
             - 2.0 * float(np.sum((sigmas[i] @ T[1]) * (sigmas[i] @ T[0]).T)) / p
             + gammas[j] ** 2 * eqs[j].phi_tilde / margin[j]
@@ -396,7 +379,7 @@ def _dense_margins(model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1:
         offset.append(float(mu @ sandwiched @ mu) / p / margin[j])
     fixed = tuple(eq.delta for eq in eqs)
     margins = _Margins(gammas, fixed, *map(tuple, (beta, shift, trace_gap, variance, offset)))
-    return (tuple(eq.phi for eq in eqs), tuple(eq.phi_tilde for eq in eqs)), margins
+    return (phi, tuple(eq.phi_tilde for eq in eqs)), margins
 
 
 def _covariance_pair(kind: str, p: int, rng: np.random.Generator):
