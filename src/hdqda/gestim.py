@@ -77,24 +77,21 @@ def delta_hat(H: np.ndarray, n: int, gamma: float) -> float:
     _check_whole(n, "n")
     if n < 2:
         raise ValueError("need at least two observations, got n=%d" % (n,))
-    return _delta_from_trace(float(np.trace(H)), H.shape[0], n, gamma)
+    spent = H.shape[0] - float(np.trace(H))
+    return _delta_from_range(spent, n - 1 - spent, gamma)
 
 
-def _delta_from_trace(trace: float, p: int, n: int, gamma: float) -> float:
-    """:func:`delta_hat` given Tr[H] = ``trace`` of a p x p resolvent."""
+def _delta_from_range(spent: float, left: float, gamma: float) -> float:
+    """:func:`delta_hat` = sum(v) / (gamma (m - sum(v))) at m = n - 1, from ``spent`` =
+    sum(v) = p - Tr[H] and ``left`` = m - sum(v), each passed in rather than left to cancel."""
     if not 0.0 < gamma < math.inf:
         raise InvalidRegularizerError(
             "fixed-point inversion needs finite, strictly positive shrinkage, got %r" % (gamma,)
         )
-    m = n - 1
-    ratio = trace / m
-    numerator = p / m - ratio
-    denominator = 1.0 - p / m + ratio
-    if not (denominator > 0.0 and numerator >= 0.0):
-        raise DegenerateEstimateError(
-            "resolvent trace %r is inconsistent with n=%d, p=%d" % (trace, n, p)
-        )
-    return numerator / (gamma * denominator)
+    if not (spent >= 0.0 and left > 0.0):
+        raise DegenerateEstimateError("resolvent range sum %r leaves %r of the count's degrees "
+                                      "of freedom; the two are inconsistent" % (spent, left))
+    return spent / (gamma * left)
 
 
 def gamma1_hat(delta0: float, n0: int, n1: int, gamma0: float) -> float:
@@ -130,11 +127,13 @@ class BiasEstimate:
     B_hat0: float
 
 
-def _weights(values: np.ndarray, gamma: float, p: int, n: int) -> tuple:
+def _weights(values: np.ndarray, gamma: float, n: int) -> tuple:
     """A resolvent's range weights w and v (:func:`~hdqda.estimation._resolvent_weights`)
-    and :func:`delta_hat` from its trace sum(w) + (p - len(w)); margins and matching share it."""
+    and :func:`delta_hat` from sum(v) and m - sum(v) = (m - len(v)) + sum(w);
+    margins and matching share it."""
     w, v = _resolvent_weights(values, gamma)
-    return w, v, _delta_from_trace(float(np.sum(w)) + (p - w.shape[0]), p, n, gamma)
+    left = (n - 1 - v.shape[0]) + float(np.sum(w))
+    return w, v, _delta_from_range(float(np.sum(v)), left, gamma)
 
 
 def _pieces(
@@ -157,8 +156,8 @@ def _pieces(
     W, R = (pair.weights, pair.weights.T), (pair.rotation, pair.rotation.T)
     quartic = pair.quartic
     if weights0 is None:
-        weights0 = _weights(l[0], gammas[0], p, counts[0])
-    w, v, delta = zip(weights0, _weights(l[1], gammas[1], p, counts[1]))
+        weights0 = _weights(l[0], gammas[0], counts[0])
+    w, v, delta = zip(weights0, _weights(l[1], gammas[1], counts[1]))
     beta, shift, trace_gap, B, r = [], [], [], [], []
     for i, sign in ((0, -1.0), (1, 1.0)):
         j, n, gamma, d = 1 - i, counts[i], gammas[i], delta[i]
@@ -218,7 +217,7 @@ def _candidate(
     ``gamma0``, then :func:`theta_hat` and the error estimate at that bias, all
     from one set of margins on ``pair``, which are returned too; their
     ``gammas`` are (``gamma0``, the matched shrinkage)."""
-    weights0 = _weights(pair.values0, gamma0, pair.dim, counts[0])
+    weights0 = _weights(pair.values0, gamma0, counts[0])
     gamma1 = gamma1_hat(weights0[2], counts[0], counts[1], gamma0)
     margins = _pieces(pair, (gamma0, gamma1), counts, weights0)
     bias = _bias_from(margins, priors)

@@ -5,15 +5,11 @@ resolvent of each shrunken sample covariance concentrates around a
 deterministic matrix driven by a scalar fixed point. The limiting error, the
 matched shrinkage and the designed bias need only a few traces and quadratic
 forms of those limits, and one spectral route computes them all: each class
-covariance is diagonalized once, the fixed point is found on its spectrum
-(:func:`eigen_delta_solver`), and every cross-class trace is a weighted sum
-over the two eigenbases, on the kernel the training-only estimator shares
+covariance is diagonalized once, the fixed point is found on its spectrum by
+Newton's method from above (:func:`eigen_delta_solver`; :func:`solve_delta` adds
+the dense resolvent limit at the root), and every cross-class trace is a weighted
+sum over the two eigenbases, on the kernel the training-only estimator shares
 (:class:`~hdqda.estimation.SpectralPair`), which a mixture builds once and keeps.
-
-The fixed point has one bracketed root-find and one trace map, a sum over the
-spectrum: :func:`eigen_delta_solver` takes a known spectrum, and
-:func:`solve_delta` the eigenvalues of a dense covariance, adding the dense
-resolvent limit at the root and the fixed-point residual it leaves.
 
 The designed bias, the class-error assembly and the matched shrinkage live here
 once. They read one :class:`_Margins` record, built in one pass of one shape
@@ -24,7 +20,6 @@ from the true spectra here (:func:`_limit_margins`) and from the sample ones in
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -63,7 +58,7 @@ class DeterministicEquivalents:
     fixed-point denominator, derived from ``delta`` and ``gamma`` at
     construction. ``residual`` is the fixed-point gap
     |delta - (1/n) Tr[sigma T]| at the returned root and ``iterations`` the
-    number of trace-map evaluations the root-find spent.
+    number of gap evaluations the root-find spent.
     """
 
     delta: float
@@ -256,76 +251,40 @@ def _check_solver_args(n: int, gamma: float) -> None:
 
 
 _MAX_ROOT_STEPS = 100
-_XTOL = 1e-14
 _RTOL = 4.0 * np.finfo(float).eps
 
 
-def _brentq(f: Callable[[float], float], upper: float, top: float) -> tuple[float, int]:
-    """Root of ``f`` in [0, upper] by Brent's method (Brent 1973, ch. 4), step for
-    step as scipy's ``brentq.c`` takes it, so roots and call counts match it bit for bit.
-
-    ``top`` is f(upper), already evaluated and nonzero. As in ``brentq.c``, f(0) = 0
-    returns 0 and a bracket whose ends share a sign raises ``ValueError``. Returns
-    the root and the number of evaluations of ``f``, ``top``'s included; raises
-    :class:`ConvergenceError` after ``_MAX_ROOT_STEPS`` steps.
-    """
-    xpre, xcur, fpre, fcur = 0.0, upper, f(0.0), top
-    xblk = fblk = spre = scur = 0.0
-    calls = 2
-    if fpre == 0.0:
-        return xpre, calls
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError(
-            "f(a) and f(b) must have different signs: the fixed-point gap is %r at "
-            "delta=0 and %r at delta=%r" % (fpre, fcur, upper)
-        )
-    for _ in range(_MAX_ROOT_STEPS):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return float(xcur), calls
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
-            spre, scur = (scur, stry) if short else (sbis, sbis)
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-        calls += 1
-    raise ConvergenceError(
-        "fixed-point root-find did not converge after %d iterations" % (_MAX_ROOT_STEPS,)
-    )
-
-
-def _trace_map(eig: np.ndarray, scale: float) -> float:
-    """Tr[sigma (I + scale sigma)^-1], the sum of l / (1 + scale l) over sigma's spectrum."""
-    return float(np.sum(eig / (1.0 + scale * eig)))
+def _newton_step(eig: np.ndarray, n: int, gamma: float, delta: float) -> float:
+    """Newton's next point delta - g / g' for the gap g(delta) = delta - sum(l t) / n,
+    t = 1 / (1 + gamma u l), u = 1 / (1 + gamma delta), or ``delta`` where g <= 0. The
+    slope g' = 1 - sum((1 - t)^2) / n is the stability margin, and the step is written
+    with nonnegative terms only, so it neither cancels nor underflows on a tiny root."""
+    u = 1.0 / (1.0 + gamma * delta)
+    t = 1.0 / (1.0 + gamma * u * eig)
+    lt = eig * t
+    trace = float(np.sum(lt))
+    gap = delta - trace / n
+    if math.isnan(gap):  # an overflowing trace
+        raise ValueError("fixed-point gap is NaN at delta=%r; the root-find cannot continue"
+                         % (delta,))
+    if gap <= 0.0:
+        return delta
+    slope = n - float(np.sum((1.0 - t) ** 2))
+    if not slope > 0.0:
+        raise StabilityError("spectral stability margin is %r; the fixed point is not "
+                             "admissible" % (slope / n,))
+    return (u * trace + (1.0 - u) * float(np.sum(lt * t))) / slope
 
 
 def _spectral_fixed_point(eigenvalues, n: int, gamma: float) -> tuple[np.ndarray, float, int]:
     """The one root-find both solvers share: delta = Tr[sigma (I + s sigma)^-1] / n
-    with s(delta) = gamma / (1 + gamma delta), on sigma's spectrum (:func:`_trace_map`).
-
-    Refuses an empty or non-finite spectrum, one with an entry below -1e-12 of
-    its largest magnitude, and a bad count or shrinkage, then clips the rounding
-    negatives to 0. The root lies in [0, upper] with upper = Tr[sigma] / n, where
-    the gap delta - Tr[sigma (I + s sigma)^-1] / n changes sign, and Brent's
-    bracketing method (:func:`_brentq`) closes in on it. Returns the clipped
-    spectrum, the root and the number of trace-map evaluations spent.
-    """
+    with s = gamma / (1 + gamma delta), on sigma's spectrum. Refuses an empty or
+    non-finite spectrum, one with an entry below -1e-12 of its largest magnitude,
+    and a bad count or shrinkage, then clips the rounding negatives to 0. The gap is
+    convex, negative at 0 and nonnegative at Tr[sigma] / n, so Newton's method
+    (:func:`_newton_step`) started there falls monotonically onto the root, until a
+    step moves it by no more than ``_RTOL`` of it. Returns the clipped spectrum, the
+    root and the number of gap evaluations."""
     eig = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if eig.size == 0:
         raise ValueError("need at least one eigenvalue")
@@ -336,33 +295,22 @@ def _spectral_fixed_point(eigenvalues, n: int, gamma: float) -> tuple[np.ndarray
         raise NotSpdError("covariance spectrum has negative entries")
     eig = np.clip(eig, 0.0, None)
     _check_solver_args(n, gamma)
-    upper = float(np.sum(eig)) / n
-    if gamma == 0.0 or upper == 0.0:
-        return eig, upper, 0
-
-    def gap(delta: float) -> float:
-        value = delta - _trace_map(eig, gamma / (1.0 + gamma * delta)) / n
-        if math.isnan(value):  # an overflowing trace; every bracket test is false on NaN
-            raise ValueError("fixed-point gap is NaN at delta=%r; the root-find cannot continue"
-                             % (delta,))
-        return value
-
-    top = gap(upper)
-    if top <= 0.0:
-        return eig, upper, 1
-    return eig, *_brentq(gap, upper, top)
+    delta = float(np.sum(eig)) / n
+    if gamma == 0.0 or delta == 0.0:
+        return eig, delta, 0
+    for evaluations in range(1, _MAX_ROOT_STEPS + 1):
+        step = _newton_step(eig, n, gamma, delta)
+        if delta - step <= _RTOL * step:
+            return eig, min(delta, step), evaluations
+        delta = step
+    raise ConvergenceError(
+        "fixed-point root-find did not converge after %d iterations" % (_MAX_ROOT_STEPS,)
+    )
 
 
-def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquivalents:
-    """Fixed point and resolvent limit on the dense covariance ``sigma`` (p x p,
-    symmetric positive semidefinite) of a class with ``n`` training rows, at
-    shrinkage ``gamma`` >= 0.
-
-    The root-find is :func:`eigen_delta_solver`'s, on the eigenvalues of
-    ``sigma``, with ``phi`` summed over them. One Cholesky factorization at the
-    root forms the dense ``T``, and ``residual`` checks the root against it
-    through the dense trace of sigma T.
-    """
+def _checked_covariance(sigma) -> np.ndarray:
+    """``sigma`` as a float array, refused unless square, nonempty, finite and
+    symmetric within the tolerance :class:`~hdqda.model.ClassStatistics` uses."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.size == 0:
         raise ValueError("covariance must be square and nonempty, got shape %r" % (sigma.shape,))
@@ -370,6 +318,16 @@ def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquival
         raise ValueError("covariance has non-finite entries")
     if not _is_symmetric(sigma):
         raise ValueError("covariance is not symmetric within tolerance")
+    return sigma
+
+
+def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquivalents:
+    """Fixed point and resolvent limit on the dense covariance ``sigma`` (p x p,
+    symmetric positive semidefinite) of a class with ``n`` training rows, at
+    shrinkage ``gamma`` >= 0: :func:`eigen_delta_solver`'s root on the eigenvalues
+    of ``sigma``, ``phi`` summed over them, ``T`` from one Cholesky factorization
+    at the root, and ``residual`` the root's gap against the dense trace of sigma T."""
+    sigma = _checked_covariance(sigma)
     eig, delta, evaluations = _spectral_fixed_point(np.linalg.eigvalsh(sigma), n, gamma)
     scale = gamma / (1.0 + gamma * delta)
     T, _ = _shifted_inverse(sigma, scale)
@@ -485,7 +443,7 @@ def gamma1_theoretical(
     _check_solver_args(n0, gamma0)
     _check_whole(n1, "n1")
     if delta0 is None:
-        delta0 = eigen_delta_solver(np.linalg.eigvalsh(sigma0), n0, gamma0)
+        delta0 = eigen_delta_solver(np.linalg.eigvalsh(_checked_covariance(sigma0)), n0, gamma0)
     return _matched_shrinkage(gamma0, delta0, n0 / n1, _LIMITING)
 
 

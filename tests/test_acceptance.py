@@ -75,8 +75,8 @@ def test_fixed_point_matches_isotropic_closed_form():
         "worst |delta - closed form| = %.2e (tol 1e-8) over 27 configs, %.2fs (budget 1s)"
         % (worst, elapsed),
     )
-    # The bracketed root-find needs about ten dense trace evaluations a solve.
-    assert evaluations <= 300, "%d dense trace evaluations" % (evaluations,)
+    # Newton's method from above needs a handful of spectral evaluations a solve.
+    assert evaluations <= 300, "%d spectral evaluations" % (evaluations,)
 
 
 def test_balanced_counts_collapse_the_minority_shrinkage():

@@ -590,7 +590,7 @@ def _run_python(script: str) -> str:
 
 def test_importing_the_cli_loads_no_scipy_module(tmp_path):
     """The package binds its LAPACK routines from numpy's own library, takes Phi
-    from the math module and root-finds with its own Brent port, so importing
+    from the math module and root-finds by its own Newton iteration, so importing
     it and its CLI, solving the fixed point, fitting, taking the limiting error
     and running a sweep load no scipy module at all."""
     script = f"""

@@ -90,6 +90,25 @@ def test_delta_hat_rejects_inconsistent_traces():
         delta_hat(np.full((20, 20), np.nan), 5, 1.0)
 
 
+def test_delta_hat_keeps_its_digits_at_small_and_large_shrinkage():
+    """The margins' delta_hat on both classes of a draw whose minority
+    covariance is rank-deficient (p=60, 49 degrees of freedom) is within 1e-14
+    relative of sum(v) / (gamma (m - sum(v))), v = gamma l / (1 + gamma l),
+    taken to 40 digits on the same eigenvalues, from gamma 1e-12 to 100."""
+    mpmath = pytest.importorskip("mpmath")
+    fitted = _fitted()
+    pair, counts = fitted.pair, (fitted.n0, fitted.n1)
+    assert pair.values0.shape[0] < pair.dim
+    for gamma in (1e-12, 1e-8, 1e-4, 100.0):
+        deltas = _pieces(pair, (gamma, gamma), counts).delta
+        with mpmath.workdps(40):
+            g = mpmath.mpf(gamma)
+            for values, n, delta in zip((pair.values0, pair.values1), counts, deltas):
+                range_sum = mpmath.fsum(g * mpmath.mpf(l) / (1 + g * mpmath.mpf(l)) for l in values)
+                reference = range_sum / (g * (n - 1 - range_sum))
+                assert abs(delta - reference) <= 1e-14 * reference, (gamma, n)
+
+
 def test_gamma1_hat_is_bitwise_gamma0_for_balanced_counts():
     for gamma0 in (0.037, 1.0, 52.2):
         assert gamma1_hat(0.83, 64, 64, gamma0) == gamma0

@@ -53,13 +53,14 @@ def test_dense_route_satisfies_its_own_fixed_point():
 
 
 def test_both_routes_agree_on_a_generic_spectrum():
+    """Both solvers hit the root of the fixed point whose traces come from dense solves."""
     rng = np.random.default_rng(3)
     sigma = random_spd(50, rng)
     eigs = np.linalg.eigvalsh(sigma)
     for n, gamma in ((25, 0.2), (50, 1.0), (100, 8.0)):
-        dense = solve_delta(sigma, n, gamma).delta
-        scalar = eigen_delta_solver(eigs, n, gamma)
-        assert dense == pytest.approx(scalar, rel=1e-12)
+        reference = _dense_fixed_point(sigma, n, gamma)
+        assert solve_delta(sigma, n, gamma).delta == pytest.approx(reference, rel=1e-12)
+        assert eigen_delta_solver(eigs, n, gamma) == pytest.approx(reference, rel=1e-12)
 
 
 def test_isotropic_fixed_point_matches_the_closed_form():
@@ -145,41 +146,25 @@ def test_nonconverged_root_find_raises(monkeypatch):
         eigen_delta_solver(np.linalg.eigvalsh(sigma), 10, 5.0)
 
 
-def test_brent_port_matches_scipy_bit_for_bit(monkeypatch):
-    """``rmt._brentq`` takes scipy's ``brentq`` steps: on random eigen-route
-    fixed points (p 1-400, up to half the spectrum zero, gamma log-uniform on
-    [1e-3, 1e3]) it returns the same root bits and call count, and where scipy
-    stops unconverged after one step, or refuses the bracket, the port raises."""
+def test_newton_root_find_matches_a_tight_scipy_root():
+    """On random eigen-route fixed points (p 1-400, up to half the spectrum zero,
+    gamma log-uniform on [1e-8, 1e8]) the root is within 1e-13 relative of
+    scipy's ``brentq`` run to its relative tolerance alone, however small the
+    root, and each solve spends at most 20 gap evaluations."""
     rng = np.random.default_rng(23)
-    cases = []
     for _ in range(300):
         p = int(rng.integers(1, 401))
         eig = 10.0 ** rng.uniform(-2.0, 2.0, p)
         eig[: int(rng.integers(0, p // 2 + 1))] = 0.0
-        n, gamma = int(rng.integers(1, 2 * p + 1)), float(10.0 ** rng.uniform(-3.0, 3.0))
+        n, gamma = int(rng.integers(1, 2 * p + 1)), float(10.0 ** rng.uniform(-8.0, 8.0))
 
         def gap(delta, eig=eig, n=n, gamma=gamma):
             return delta - float(np.sum(eig / (1.0 + gamma / (1.0 + gamma * delta) * eig))) / n
 
-        upper = float(np.sum(eig)) / n
-        top = gap(upper)
-        assert top > 0.0
-        root, info = optimize.brentq(gap, 0.0, upper, xtol=1e-14, full_output=True)
-        assert info.converged
-        found, calls = rmt._brentq(gap, upper, top)
-        assert (found.hex(), calls) == (root.hex(), info.function_calls)
-        cases.append((gap, upper, top))
-    monkeypatch.setattr(rmt, "_MAX_ROOT_STEPS", 1)
-    for gap, upper, top in cases:
-        _, info = optimize.brentq(gap, 0.0, upper, xtol=1e-14, maxiter=1, full_output=True, disp=False)
-        assert not info.converged
-        with pytest.raises(ConvergenceError, match="after 1 iterations"):
-            rmt._brentq(gap, upper, top)
-    # A bracket whose ends share a sign is refused, as scipy refuses it.
-    with pytest.raises(ValueError, match="must have different signs"):
-        optimize.brentq(lambda delta: delta + 1.0, 0.0, 1.0, xtol=1e-14)
-    with pytest.raises(ValueError, match="must have different signs"):
-        rmt._brentq(lambda delta: delta + 1.0, 1.0, 2.0)
+        root = optimize.brentq(gap, 0.0, float(np.sum(eig)) / n, xtol=1e-300)
+        _, found, evaluations = rmt._spectral_fixed_point(eig, n, gamma)
+        assert abs(found - root) <= 1e-13 * root
+        assert 1 <= evaluations <= 20
 
 
 def test_an_overflowing_trace_stops_the_root_find():
@@ -189,26 +174,33 @@ def test_an_overflowing_trace_stops_the_root_find():
         eigen_delta_solver(np.full(2, 1e308), 1, 1e300)
 
 
-def test_root_find_evaluates_each_point_once(monkeypatch):
-    """Every trace-map evaluation is at a new point, ``iterations`` counts them,
-    and the dense shifted covariance is factored once per solve, at the root."""
-    trace_map, shifted_inverse = rmt._trace_map, rmt._shifted_inverse
-    scales, factored = [], []
+def test_a_vanishing_slope_stops_the_root_find():
+    """With p = n and a huge shrinkage the gap's slope, the stability margin,
+    rounds to 0 above the root; no Newton step exists and the solve says so."""
+    with pytest.raises(StabilityError, match="spectral stability margin is 0.0"):
+        eigen_delta_solver([1.0], 1, 1e60)
 
-    def trace_spy(eig, scale):
-        scales.append(scale)
-        return trace_map(eig, scale)
+
+def test_root_find_evaluates_each_point_once(monkeypatch):
+    """Every gap evaluation is at a new point, ``iterations`` counts them,
+    and the dense shifted covariance is factored once per solve, at the root."""
+    newton_step, shifted_inverse = rmt._newton_step, rmt._shifted_inverse
+    points, factored = [], []
+
+    def step_spy(eig, n, gamma, delta):
+        points.append(delta)
+        return newton_step(eig, n, gamma, delta)
 
     def inverse_spy(sigma, scale):
         factored.append(scale)
         return shifted_inverse(sigma, scale)
 
-    monkeypatch.setattr(rmt, "_trace_map", trace_spy)
+    monkeypatch.setattr(rmt, "_newton_step", step_spy)
     monkeypatch.setattr(rmt, "_shifted_inverse", inverse_spy)
     sigma = random_spd(60, np.random.default_rng(0))
     eq = solve_delta(sigma, 30, 2.0)
-    assert eq.iterations == len(scales) >= 3
-    assert len(set(scales)) == len(scales)
+    assert eq.iterations == len(points) >= 3
+    assert len(set(points)) == len(points)
     assert factored == [2.0 / (1.0 + 2.0 * eq.delta)]
     assert abs(eq.delta - eigen_delta_solver(np.linalg.eigvalsh(sigma), 30, 2.0)) <= 1e-12
 
@@ -246,7 +238,7 @@ def test_solve_delta_rejects_asymmetric_empty_and_indefinite_covariances():
     with pytest.raises(ValueError, match="nonempty"):
         solve_delta(np.zeros((0, 0)), 10, 1.0)
     # A negative eigenvalue is refused before the root-find starts, whether or
-    # not I + s sigma would stay positive definite on the bracket.
+    # not I + s sigma would stay positive definite between 0 and Tr[sigma] / n.
     rotation = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))[0]
     indefinite = (rotation * np.array([-3.0, 1.0, 2.0, 4.0, 5.0, 6.0])) @ rotation.T
     for sigma, n, gamma in (
@@ -533,6 +525,18 @@ def test_matched_shrinkage_closed_form_and_orientation_guard():
     for delta0 in (-0.01, math.nan):
         with pytest.raises(ValueError, match="nonnegative"):
             gamma1_theoretical(sigma, n0, n1, gamma0, delta0=delta0)
+
+
+def test_gamma1_theoretical_refuses_a_malformed_covariance():
+    """Without ``delta0`` the class-0 covariance gets solve_delta's checks: an
+    asymmetric matrix, which eigvalsh would read by its lower triangle alone, and
+    a non-square one are refused by name."""
+    with pytest.raises(ValueError, match="covariance is not symmetric within tolerance"):
+        gamma1_theoretical(np.array([[1.0, 5.0], [0.0, 1.0]]), 4, 8, 0.5)
+    with pytest.raises(ValueError, match=r"covariance must be square and nonempty, got shape \(2, 3\)"):
+        gamma1_theoretical(np.ones((2, 3)), 4, 8, 0.5)
+    # With delta0 given the covariance is not read.
+    assert gamma1_theoretical(np.ones((2, 3)), 4, 8, 0.5, delta0=0.25) == pytest.approx(0.5 / 1.0625)
 
 
 def test_design_centers_margins_at_equal_priors():
