@@ -1,6 +1,6 @@
-"""The four LAPACK routines the package calls (``dpotrf``, ``dpotri``,
-``dpstrf``, ``dtrtrs``), bound with ``ctypes`` from the OpenBLAS that numpy
-itself loads, so no second LAPACK is needed.
+"""The three LAPACK routines the package calls (``dpotrf``, ``dpotri`` and
+``dpstrf``), bound with ``ctypes`` from the OpenBLAS that numpy itself loads,
+so no second LAPACK is needed.
 
 numpy's linear-algebra extension links that library, and a handle opened on
 the extension finds its symbols through the extension's own dependencies;
@@ -50,9 +50,6 @@ _dpotrf = _bind("dpotrf", _CHAR, _INT, _PTR, _INT, _INT, _LEN)
 _dpotri = _bind("dpotri", _CHAR, _INT, _PTR, _INT, _INT, _LEN)
 _dpstrf = _bind(
     "dpstrf", _CHAR, _INT, _PTR, _INT, _PTR, _INT, ctypes.POINTER(ctypes.c_double), _PTR, _INT, _LEN
-)
-_dtrtrs = _bind(
-    "dtrtrs", _CHAR, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT, _LEN, _LEN, _LEN
 )
 
 
@@ -123,25 +120,3 @@ def dpstrf(a) -> tuple[np.ndarray, np.ndarray, int, int]:
         ctypes.byref(ctypes.c_double(-1.0)), _address(work), ctypes.byref(info), 1,
     )
     return a, pivots, rank.value, info.value
-
-
-def dtrtrs(lower, b) -> np.ndarray:
-    """The solution z of L z = b for lower-triangular ``lower`` (its strict
-    upper triangle is not read), one column per column of ``b``, written over
-    ``b`` when that is a writeable Fortran-ordered float64 matrix. A writeable
-    C-ordered ``lower`` is read in place, as the upper-triangular L^T."""
-    upper = _writeable_fortran(np.asarray(lower).T)
-    n = _square(upper)
-    b = _writeable_fortran(b)
-    if b.ndim != 2 or b.shape[0] != n:
-        raise ValueError("right-hand side of shape %r does not fit a %d x %d matrix"
-                         % (b.shape, n, n))
-    info = ctypes.c_int64(0)
-    _dtrtrs(
-        b"U", b"T", b"N", _int(n), _int(b.shape[1]), _address(upper), _int(max(n, 1)),
-        _address(b), _int(max(n, 1)), ctypes.byref(info), 1, 1, 1,
-    )
-    if info.value != 0:
-        raise np.linalg.LinAlgError("singular triangular matrix: diagonal entry %d is zero"
-                                    % (info.value,))
-    return b

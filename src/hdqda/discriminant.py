@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _lapack
 from .errors import InsufficientSamplesError
 from .estimation import FittedStats, PooledStats, _resolvent_weights
 from .model import MixtureModel, _check_priors
@@ -161,18 +160,16 @@ def _grid_scores(X, spectra, means, candidates, priors) -> tuple[np.ndarray, np.
 
 
 def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:
-    """Oracle quadratic rule evaluated with the true class statistics and the
-    Cholesky factors their validation computed. Rows so far out that their
-    forms overflow are refused by :func:`_finite_scores`."""
-    p = model.dim
-    X = _rows(X, p)
+    """Oracle quadratic rule on the true class statistics: each form is
+    |(x - mu) L^-T|^2 with the inverse Cholesky factor the class keeps (the first
+    call inverts L), plus sum(log diag L). Rows so far out that their forms
+    overflow are refused by :func:`_finite_scores`."""
+    X = _rows(X, model.dim)
     halves = []
     for stats in (model.class0, model.class1):
-        d = X - stats.mean
-        # d^T Sigma^{-1} d = |z|^2 for L z = d, one column of z per row of d.
-        z = _lapack.dtrtrs(stats.cholesky, d.T)
+        z = (X - stats.mean) @ stats._inverse_cholesky.T
         half_logdet = float(np.sum(np.log(np.diag(stats.cholesky))))
-        halves.append(0.5 * np.einsum("ij,ij->j", z, z) + half_logdet)
+        halves.append(0.5 * np.einsum("ij,ij->i", z, z) + half_logdet)
     return _finite_scores(halves[1] - halves[0] - math.log(model.prior1 / model.prior0))
 
 

@@ -93,13 +93,17 @@ def _check_whole(n, name: str) -> None:
         raise ValueError("%s must be a whole number, got %r" % (name, n))
 
 
-def _in_float_range(estimate):
+def _in_float_range(
+    estimate, *, error=DegenerateEstimateError, message="estimate leaves the float range"
+):
     """``estimate`` with a value that overflows the float range, in numpy or in
     a float power, refused as DegenerateEstimateError, not left to warn or to
     raise a bare arithmetic error; tuning records it as a failed candidate.
     It guards the sample moments (:func:`sample_moments`, :func:`fit_pooled`),
     both routes into :func:`~hdqda.gestim._pieces`, the quartic weights
-    included, and a draw's kernel (:func:`~hdqda.pipeline._canonical`)."""
+    included, and a draw's kernel (:func:`~hdqda.pipeline._canonical`).
+    The limit's margins (:func:`~hdqda.rmt._limit_margins`) pass their own
+    ``error`` and ``message``."""
 
     @functools.wraps(estimate)
     def guarded(*args, **kwargs):
@@ -107,7 +111,7 @@ def _in_float_range(estimate):
             with np.errstate(over="raise"):
                 return estimate(*args, **kwargs)
         except (FloatingPointError, OverflowError) as exc:
-            raise DegenerateEstimateError("estimate leaves the float range: %s" % (exc,)) from None
+            raise error("%s: %s" % (message, exc)) from None
 
     return guarded
 

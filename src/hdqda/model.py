@@ -41,17 +41,26 @@ def _is_symmetric(m: np.ndarray) -> bool:
     return float(np.max(np.abs(m - m.T), initial=0.0)) <= _SYM_RTOL * max(scale, 1.0)
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_covariance(a) -> np.ndarray:
+    """``a`` as a float array if square and nonempty, finite and symmetric within
+    _SYM_RTOL, the one check of a true covariance. A bad shape or an asymmetry is
+    NotSpdError; a non-finite entry is ValueError, named before the symmetry test warns."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSpdError("covariance must be a square matrix, got shape %s" % (m.shape,))
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise NotSpdError("covariance must be square and nonempty, got shape %r" % (m.shape,))
+    if not np.isfinite(m).all():
+        raise ValueError("covariance must be finite; found NaN or inf")
+    if not _is_symmetric(m):
+        raise NotSpdError("covariance is not symmetric within tolerance")
     return m
 
 
 @dataclass(frozen=True)
 class ClassStatistics:
-    """Mean and SPD covariance of one Gaussian class, with the lower Cholesky
-    factor its validation computes and, kept from first use, its spectrum.
+    """Mean and SPD covariance of one Gaussian class, checked by
+    :func:`_as_covariance`, with the lower Cholesky factor L its validation
+    computes and, kept from first use, its spectrum and the inverse factor L^-1
+    that :func:`~hdqda.discriminant.qda_scores_true` whitens with.
 
     When that factor is diagonal (a diagonal covariance, such as the isotropic
     class 0 of every synthetic scenario) its diagonal is kept as the scale
@@ -65,17 +74,14 @@ class ClassStatistics:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = _as_matrix(self.covariance)
+        cov = _as_covariance(self.covariance)
         if mean.shape[0] != cov.shape[0]:
             raise ValueError(
                 "mean length %d does not match covariance dimension %d"
                 % (mean.shape[0], cov.shape[0])
             )
-        for name, value in (("mean", mean), ("covariance", cov)):
-            if not np.all(np.isfinite(value)):
-                raise ValueError("%s must be finite; found NaN or inf" % (name,))
-        if not _is_symmetric(cov):
-            raise NotSpdError("covariance is not symmetric within tolerance")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean must be finite; found NaN or inf")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
@@ -94,6 +100,11 @@ class ClassStatistics:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """:func:`~hdqda.estimation.eigenpair` of the covariance."""
         return eigenpair(self.covariance)
+
+    @_Kept
+    def _inverse_cholesky(self) -> np.ndarray:
+        """L^-1, lower triangular: (x - mu)^T Sigma^-1 (x - mu) = |L^-1 (x - mu)|^2."""
+        return np.tril(np.linalg.inv(self.cholesky))
 
 
 def _check_priors(priors) -> tuple[float, float]:

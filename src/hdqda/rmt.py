@@ -19,6 +19,7 @@ from the true spectra here (:func:`_limit_margins`) and from the sample ones in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -32,8 +33,8 @@ from .errors import (
     NotSpdError,
     StabilityError,
 )
-from .estimation import _check_whole, _shifted_inverse
-from .model import MixtureModel, _is_symmetric
+from .estimation import _check_whole, _in_float_range, _shifted_inverse
+from .model import MixtureModel, _as_covariance
 
 __all__ = [
     "DeterministicEquivalents",
@@ -250,30 +251,34 @@ def _check_solver_args(n: int, gamma: float) -> None:
         raise InvalidRegularizerError("shrinkage must be finite, got %r" % (gamma,))
 
 
-_MAX_ROOT_STEPS = 100
+_MAX_ROOT_STEPS = 600
 _RTOL = 4.0 * np.finfo(float).eps
 
 
 def _newton_step(eig: np.ndarray, n: int, gamma: float, delta: float) -> float:
     """Newton's next point delta - g / g' for the gap g(delta) = delta - sum(l t) / n,
-    t = 1 / (1 + gamma u l), u = 1 / (1 + gamma delta), or ``delta`` where g <= 0. The
-    slope g' = 1 - sum((1 - t)^2) / n is the stability margin, and the step is written
-    with nonnegative terms only, so it neither cancels nor underflows on a tiny root."""
+    t = 1 / (1 + gamma u l), u = 1 / (1 + gamma delta), or ``delta`` where g <= 0.
+    The slope g' = 1 - sum((1 - t)^2) / n is the stability margin. Since
+    delta - l t = t (delta - u l) and 1 - (1 - t)^2 = t (2 - t), n g and n g' are
+    formed as (n - p) delta + sum(t (delta - u l)) and (n - p) + sum(t (2 - t)):
+    at p <= n neither cancels as t -> 0, where the plain forms lose every digit
+    at p = n. The step is written with nonnegative terms only, so it neither
+    cancels nor underflows on a tiny root."""
     u = 1.0 / (1.0 + gamma * delta)
     t = 1.0 / (1.0 + gamma * u * eig)
-    lt = eig * t
-    trace = float(np.sum(lt))
-    gap = delta - trace / n
+    excess = n - eig.size
+    gap = excess * delta + float(np.sum(t * (delta - u * eig)))
     if math.isnan(gap):  # an overflowing trace
         raise ValueError("fixed-point gap is NaN at delta=%r; the root-find cannot continue"
                          % (delta,))
     if gap <= 0.0:
         return delta
-    slope = n - float(np.sum((1.0 - t) ** 2))
+    slope = excess + float(np.sum(t * (2.0 - t)))
     if not slope > 0.0:
         raise StabilityError("spectral stability margin is %r; the fixed point is not "
                              "admissible" % (slope / n,))
-    return (u * trace + (1.0 - u) * float(np.sum(lt * t))) / slope
+    lt = eig * t
+    return (u * float(np.sum(lt)) + (1.0 - u) * float(np.sum(lt * t))) / slope
 
 
 def _spectral_fixed_point(eigenvalues, n: int, gamma: float) -> tuple[np.ndarray, float, int]:
@@ -283,8 +288,11 @@ def _spectral_fixed_point(eigenvalues, n: int, gamma: float) -> tuple[np.ndarray
     and a bad count or shrinkage, then clips the rounding negatives to 0. The gap is
     convex, negative at 0 and nonnegative at Tr[sigma] / n, so Newton's method
     (:func:`_newton_step`) started there falls monotonically onto the root, until a
-    step moves it by no more than ``_RTOL`` of it. Returns the clipped spectrum, the
-    root and the number of gap evaluations."""
+    step moves it by no more than ``_RTOL`` of it. At p = n the root is nearly
+    double, so the steps about halve delta until it nears 1/sqrt(gamma); that takes
+    up to about 520 evaluations at gamma = 1.7e308 with unit eigenvalues, within
+    ``_MAX_ROOT_STEPS``. Returns the clipped spectrum, the root and the number of
+    gap evaluations."""
     eig = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if eig.size == 0:
         raise ValueError("need at least one eigenvalue")
@@ -308,26 +316,13 @@ def _spectral_fixed_point(eigenvalues, n: int, gamma: float) -> tuple[np.ndarray
     )
 
 
-def _checked_covariance(sigma) -> np.ndarray:
-    """``sigma`` as a float array, refused unless square, nonempty, finite and
-    symmetric within the tolerance :class:`~hdqda.model.ClassStatistics` uses."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.size == 0:
-        raise ValueError("covariance must be square and nonempty, got shape %r" % (sigma.shape,))
-    if not np.isfinite(sigma).all():
-        raise ValueError("covariance has non-finite entries")
-    if not _is_symmetric(sigma):
-        raise ValueError("covariance is not symmetric within tolerance")
-    return sigma
-
-
 def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquivalents:
     """Fixed point and resolvent limit on the dense covariance ``sigma`` (p x p,
     symmetric positive semidefinite) of a class with ``n`` training rows, at
     shrinkage ``gamma`` >= 0: :func:`eigen_delta_solver`'s root on the eigenvalues
     of ``sigma``, ``phi`` summed over them, ``T`` from one Cholesky factorization
     at the root, and ``residual`` the root's gap against the dense trace of sigma T."""
-    sigma = _checked_covariance(sigma)
+    sigma = _as_covariance(sigma)
     eig, delta, evaluations = _spectral_fixed_point(np.linalg.eigvalsh(sigma), n, gamma)
     scale = gamma / (1.0 + gamma * delta)
     T, _ = _shifted_inverse(sigma, scale)
@@ -346,6 +341,9 @@ def eigen_delta_solver(eigenvalues: np.ndarray, n: int, gamma: float) -> float:
     return _spectral_fixed_point(eigenvalues, n, gamma)[1]
 
 
+@functools.partial(
+    _in_float_range, error=StabilityError, message="limiting margins leave the float range"
+)
 def _limit_margins(
     model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float
 ) -> tuple[tuple[tuple[float, float], tuple[float, float]], _Margins]:
@@ -354,7 +352,9 @@ def _limit_margins(
     with (phi, phi_tilde) for :class:`AsymptoticPrediction`.
 
     The resolvent limit is T_i = U_i diag(t_i) U_i^T with t_i = 1 / (1 + s_i l_i)
-    and s_i = gamma_i / (1 + gamma_i delta_i).
+    and s_i = gamma_i / (1 + gamma_i delta_i). Moments that overflow, as the
+    squared spectra of covariances near 1e160 do, are refused as StabilityError
+    (:func:`~hdqda.estimation._in_float_range`).
     """
     pair, p = model.pair, model.dim
     sqrt_p = math.sqrt(p)
@@ -443,7 +443,7 @@ def gamma1_theoretical(
     _check_solver_args(n0, gamma0)
     _check_whole(n1, "n1")
     if delta0 is None:
-        delta0 = eigen_delta_solver(np.linalg.eigvalsh(_checked_covariance(sigma0)), n0, gamma0)
+        delta0 = eigen_delta_solver(np.linalg.eigvalsh(_as_covariance(sigma0)), n0, gamma0)
     return _matched_shrinkage(gamma0, delta0, n0 / n1, _LIMITING)
 
 

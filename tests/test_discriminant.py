@@ -426,6 +426,33 @@ def test_true_qda_matches_a_dense_inverse_and_slogdet_reference():
     got = qda_scores_true(X, model)
     scale = np.maximum(1.0, np.abs(forms[0]) + np.abs(forms[1]))
     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+    # Ill-conditioned classes against a 50-digit reference on the same float
+    # covariances, relative to |form0| + |form1|. The error is the Cholesky
+    # factor's rounding, about kappa * eps; each bound is twice what a
+    # triangular solve per call (LAPACK's dtrtrs) read on these inputs,
+    # 1.7e-13 and 4.4e-10.
+    mpmath = pytest.importorskip("mpmath")
+    p = 40
+    for kappa, bound in ((1e6, 3.5e-13), (1e10, 9e-10)):
+        classes = []
+        for _ in range(2):
+            rotation = np.linalg.qr(rng.standard_normal((p, p)))[0]
+            sigma = (rotation * np.logspace(0.0, math.log10(kappa), p)) @ rotation.T
+            classes.append(ClassStatistics(rng.standard_normal(p), 0.5 * (sigma + sigma.T)))
+        model = MixtureModel(class0=classes[0], class1=classes[1], prior0=0.3, prior1=0.7)
+        X = rng.standard_normal((20, p)) * 2.0
+        got = qda_scores_true(X, model)
+        with mpmath.workdps(50):
+            forms = []
+            for stats in classes:
+                sigma = mpmath.matrix(stats.covariance.tolist())
+                inverse, logdet = mpmath.inverse(sigma), mpmath.log(mpmath.det(sigma))
+                rows, mean = mpmath.matrix(X.tolist()), mpmath.matrix([stats.mean.tolist()])
+                d = [rows[i, :] - mean for i in range(len(X))]
+                forms.append([(row * inverse * row.T)[0] + logdet for row in d])
+            for k, (form0, form1) in enumerate(zip(*forms)):
+                expected = (form1 - form0) / 2 - mpmath.log(mpmath.mpf(0.7) / mpmath.mpf(0.3))
+                assert abs(got[k] - expected) <= bound * (abs(form0) + abs(form1))
 
 
 def test_empirical_error_weights_priors_and_counts_ties_as_class_one():

@@ -16,13 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from hdqda import _lapack
 from hdqda.errors import NotSpdError
 from hdqda.estimation import _shifted_inverse
-
-from conftest import random_spd
 
 RTOL = 1e-13
 
@@ -92,26 +90,6 @@ def test_pivoted_cholesky_matches_scipy(p, rank, layout):
     assert _close(np.tril(factor[:, :found]), np.tril(expected[:, :found]))
 
 
-@pytest.mark.parametrize("p", [1, 6, 90])
-@pytest.mark.parametrize("layout", ["C", "F", "strided"])
-def test_triangular_solve_matches_scipy(p, layout):
-    lower = np.linalg.cholesky(random_spd(p, np.random.default_rng(p)))
-    rows = np.random.default_rng(p + 1).standard_normal((11, p))
-    right = rows.T.copy(order="F")
-    z = _lapack.dtrtrs(_layouts(lower)[layout], right)
-    assert z is right
-    expected = solve_triangular(lower, rows.T, lower=True, check_finite=False)
-    assert _close(z, expected)
-    # A C-ordered right-hand side is left alone.
-    assert _close(_lapack.dtrtrs(lower, rows.T.copy()), expected)
-
-
-def test_a_singular_triangle_is_refused():
-    lower = np.array([[1.0, 0.0], [3.0, 0.0]])
-    with pytest.raises(np.linalg.LinAlgError, match="diagonal entry 2"):
-        _lapack.dtrtrs(lower, np.ones((2, 1), order="F"))
-
-
 def test_a_read_only_input_is_copied_not_written():
     shifted = np.eye(5) + _psd(5, 5, 0)
     frozen = np.asfortranarray(shifted)
@@ -142,8 +120,7 @@ def test_two_threads_calling_at_once_get_the_serial_results():
         factor, info = _lapack.dpotrf(matrix)
         inverse, _ = _lapack.dpotri(factor.copy(order="F"))
         pivoted = _lapack.dpstrf(matrix)
-        solved = _lapack.dtrtrs(np.tril(factor), matrix.copy(order="F"))
-        return [factor, info, inverse, *pivoted, solved]
+        return [factor, info, inverse, *pivoted]
 
     serial = [work(k) for k in range(8)]
     results = [[None] * 8 for _ in range(2)]

@@ -94,7 +94,7 @@ def test_solver_argument_validation():
     with pytest.raises(ValueError, match="sample count must be positive, got nan"):
         eigen_delta_solver(np.ones(3), math.nan, 1.0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="covariance has non-finite entries"):
+        with pytest.raises(ValueError, match="covariance must be finite; found NaN or inf"):
             solve_delta(np.diag([1.0, bad, 2.0]), 10, 1.0)
     with pytest.raises(InvalidRegularizerError, match="shrinkage must be finite, got inf"):
         gamma1_theoretical(np.eye(3), 10, 20, math.inf, delta0=0.5)
@@ -174,11 +174,39 @@ def test_an_overflowing_trace_stops_the_root_find():
         eigen_delta_solver(np.full(2, 1e308), 1, 1e300)
 
 
-def test_a_vanishing_slope_stops_the_root_find():
-    """With p = n and a huge shrinkage the gap's slope, the stability margin,
-    rounds to 0 above the root; no Newton step exists and the solve says so."""
-    with pytest.raises(StabilityError, match="spectral stability margin is 0.0"):
-        eigen_delta_solver([1.0], 1, 1e60)
+def _multiprecision_root(eig, n: int, gamma: float):
+    """The fixed point at 100 digits, by bisection on the geometric mean of a
+    bracket that starts at [0, Tr / n], to 1e-40 relative."""
+    import mpmath
+
+    with mpmath.workdps(100):
+        eig, gamma = [mpmath.mpf(float(l)) for l in eig], mpmath.mpf(gamma)
+        lo, hi = mpmath.mpf(0), mpmath.fsum(eig) / n
+        while hi - lo > hi * mpmath.mpf(10) ** -40:
+            mid = mpmath.sqrt(lo * hi) if lo > 0 else hi / 2**64
+            trace = mpmath.fsum(l / (1 + gamma * l / (1 + gamma * mid)) for l in eig)
+            lo, hi = (lo, mid) if mid - trace / n > 0 else (mid, hi)
+        return hi
+
+
+@pytest.mark.parametrize("regime", ["p-equals-n", "p-above-n", "p-below-n"])
+def test_the_root_keeps_its_digits_at_any_shrinkage(regime):
+    """Against a 100-digit root on random spectra (p up to 40, gamma
+    log-uniform on [1e-8, 1e40]) the root is within 1e-14 relative. At p = n
+    the root is nearly double and near 1/sqrt(gamma): with l = 1 and gamma =
+    1e60 it is 1e-30, reached in about 100 evaluations."""
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(["p-equals-n", "p-above-n", "p-below-n"].index(regime))
+    cases = [([1.0], 1, 1e60)] if regime == "p-equals-n" else []
+    for _ in range(15):
+        p = int(rng.integers(2, 41))
+        n = {"p-equals-n": p, "p-above-n": int(rng.integers(1, p)),
+             "p-below-n": p + int(rng.integers(1, 40))}
+        eig = 10.0 ** rng.uniform(-2.0, 2.0, p)
+        cases.append((eig, n[regime], float(10.0 ** rng.uniform(-8.0, 40.0))))
+    for eig, n, gamma in cases:
+        root = _multiprecision_root(eig, n, gamma)
+        assert abs(eigen_delta_solver(eig, n, gamma) - root) <= 1e-14 * root
 
 
 def test_root_find_evaluates_each_point_once(monkeypatch):
@@ -260,6 +288,16 @@ def _identity_mixture(scale: float) -> MixtureModel:
     )
 
 
+def _spread_mixture(scale: float) -> MixtureModel:
+    """``scale * I`` and ``scale * diag(1, 2, 3, 4)`` in p=4, means 0 and 1."""
+    return MixtureModel(
+        ClassStatistics(np.zeros(4), scale * np.eye(4)),
+        ClassStatistics(np.ones(4), scale * np.diag([1.0, 2.0, 3.0, 4.0])),
+        0.5,
+        0.5,
+    )
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -295,6 +333,17 @@ def _identity_mixture(scale: float) -> MixtureModel:
             lambda: theta_star_theoretical(_identity_mixture(1e10), 5, 5, 1e300, 1e300),
             r"gamma\^2 overflows at gamma=1e\+300",
             id="eigen-margin-large-classes",
+        ),
+        # The squared spectra in the limit's moments overflow, in either call.
+        pytest.param(
+            lambda: asymptotic_error(_spread_mixture(1e160), 8, 12, 1.0, 1.0, 0.0),
+            r"limiting margins leave the float range: overflow",
+            id="margins-1e160",
+        ),
+        pytest.param(
+            lambda: theta_star_theoretical(_spread_mixture(1e200), 8, 12, 1.0, 1.0),
+            r"limiting margins leave the float range: overflow",
+            id="margins-1e200",
         ),
     ],
 )
@@ -537,6 +586,35 @@ def test_gamma1_theoretical_refuses_a_malformed_covariance():
         gamma1_theoretical(np.ones((2, 3)), 4, 8, 0.5)
     # With delta0 given the covariance is not read.
     assert gamma1_theoretical(np.ones((2, 3)), 4, 8, 0.5, delta0=0.25) == pytest.approx(0.5 / 1.0625)
+
+
+@pytest.mark.parametrize(
+    "covariance, error, message",
+    [
+        pytest.param(np.ones((2, 3)), NotSpdError,
+                     "covariance must be square and nonempty, got shape (2, 3)", id="non-square"),
+        pytest.param(np.zeros((0, 0)), NotSpdError,
+                     "covariance must be square and nonempty, got shape (0, 0)", id="empty"),
+        pytest.param(np.diag([1.0, math.nan]), ValueError,
+                     "covariance must be finite; found NaN or inf", id="nan"),
+        pytest.param(np.diag([math.inf, 1.0]), ValueError,
+                     "covariance must be finite; found NaN or inf", id="inf"),
+        pytest.param(np.array([[1.0, 5.0], [0.0, 1.0]]), NotSpdError,
+                     "covariance is not symmetric within tolerance", id="asymmetric"),
+    ],
+)
+def test_every_reader_of_a_true_covariance_refuses_it_alike(covariance, error, message):
+    """ClassStatistics, solve_delta and gamma1_theoretical (without delta0)
+    share one check: the same exception class and message for each bad input."""
+    for call in (
+        lambda: ClassStatistics(np.zeros(covariance.shape[0]), covariance),
+        lambda: solve_delta(covariance, 4, 0.5),
+        lambda: gamma1_theoretical(covariance, 4, 8, 0.5),
+    ):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert type(raised.value) is error
+        assert str(raised.value) == message
 
 
 def test_design_centers_margins_at_equal_priors():
