@@ -162,12 +162,14 @@ def _grid_scores(X, spectra, means, candidates, priors) -> tuple[np.ndarray, np.
 def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:
     """Oracle quadratic rule on the true class statistics: each form is
     |(x - mu) L^-T|^2 with the inverse Cholesky factor the class keeps (the first
-    call inverts L), plus sum(log diag L). Rows so far out that their forms
-    overflow are refused by :func:`_finite_scores`."""
+    call inverts L), or the product's bits with the reciprocals of a diagonal L's
+    kept scale, plus sum(log diag L). Rows so far out that their forms overflow
+    are refused by :func:`_finite_scores`."""
     X = _rows(X, model.dim)
     halves = []
     for stats in (model.class0, model.class1):
-        z = (X - stats.mean) @ stats._inverse_cholesky.T
+        d = X - stats.mean
+        z = d @ stats._inverse_cholesky.T if stats._scale is None else d * (1.0 / stats._scale)
         half_logdet = float(np.sum(np.log(np.diag(stats.cholesky))))
         halves.append(0.5 * np.einsum("ij,ij->i", z, z) + half_logdet)
     return _finite_scores(halves[1] - halves[0] - math.log(model.prior1 / model.prior0))

@@ -2,13 +2,13 @@
 the spectral kernel that the error estimator and the theory share.
 
 The resolvent of a sample covariance at shrinkage gamma is (I + gamma * S)^{-1},
-always SPD for gamma >= 0. Every shifted covariance, sample or true, is
-factored here by LAPACK's Cholesky; a sample one once, when a resolvent is
-first read, the resolvent its SPD inverse and its log-determinant from the same
-factor. A trace or quadratic form of covariances against resolvents needs no
-resolvent: with each covariance diagonalized once (:func:`eigenpair`), a
-resolvent is a weight vector on its eigenvalues, and :class:`SpectralPair`
-takes every such trace at O(p^2) cost.
+always SPD for gamma >= 0. A shifted sample covariance is factored here, by
+LAPACK's Cholesky, once, when a resolvent is first read, the resolvent its SPD
+inverse and its log-determinant from the same factor; no true one is factored,
+as the theory works on spectra. A trace or quadratic form of covariances
+against resolvents needs no resolvent: with each covariance diagonalized once
+(:func:`eigenpair`), a resolvent is a weight vector on its eigenvalues, and
+:class:`SpectralPair` takes every such trace at O(p^2) cost.
 
 The paper's minority class has fewer rows than features, so its sample
 covariance has rank r = n0 - 1 < p, and only its range is diagonalized, from a
@@ -141,8 +141,8 @@ def _check_shrinkage(gamma: float) -> None:
 
 def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
     """(I + gamma * sigma_hat)^{-1} and log det(I + gamma * sigma_hat) from one LAPACK
-    Cholesky factorization (``dpotrf``), the one place a shifted covariance, sample or
-    true, is factored: the log-det from the factor's diagonal, the inverse from
+    Cholesky factorization (``dpotrf``), the one place a shifted sample covariance is
+    factored: the log-det from the factor's diagonal, the inverse from
     ``dpotri`` with its lower triangle mirrored, so it is exactly symmetric. A
     gamma * sigma_hat that overflows is refused as DegenerateEstimateError."""
     sigma_hat = np.asarray(sigma_hat, dtype=float)

@@ -63,8 +63,8 @@ class ClassStatistics:
     that :func:`~hdqda.discriminant.qda_scores_true` whitens with.
 
     When that factor is diagonal (a diagonal covariance, such as the isotropic
-    class 0 of every synthetic scenario) its diagonal is kept as the scale
-    :func:`sample_class` draws with; otherwise the scale is None.
+    class 0 of every synthetic scenario) its diagonal is kept as the scale that
+    :func:`sample_class` draws with and the oracle whitens with; otherwise None.
     """
 
     mean: np.ndarray

@@ -7,8 +7,8 @@ matched shrinkage and the designed bias need only a few traces and quadratic
 forms of those limits, and one spectral route computes them all: each class
 covariance is diagonalized once, the fixed point is found on its spectrum by
 Newton's method from above (:func:`eigen_delta_solver`; :func:`solve_delta` adds
-the dense resolvent limit at the root), and every cross-class trace is a weighted
-sum over the two eigenbases, on the kernel the training-only estimator shares
+the moments at the root), and every cross-class trace is a weighted sum over the
+two eigenbases, on the kernel the training-only estimator shares
 (:class:`~hdqda.estimation.SpectralPair`), which a mixture builds once and keeps.
 
 The designed bias, the class-error assembly and the matched shrinkage live here
@@ -33,7 +33,7 @@ from .errors import (
     NotSpdError,
     StabilityError,
 )
-from .estimation import _check_whole, _in_float_range, _shifted_inverse
+from .estimation import _check_whole, _in_float_range
 from .model import MixtureModel, _as_covariance
 
 __all__ = [
@@ -50,20 +50,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeterministicEquivalents:
-    """Scalar fixed point and resolvent limit for one class.
+    """Scalar fixed point of one class and the moments read at it.
 
-    ``delta`` solves delta = (1/n) Tr[sigma (I + gamma/(1+gamma*delta) sigma)^-1]
-    and ``T`` is the matrix inverse evaluated at the solution, a finite square
-    array. ``phi`` is the second spectral moment (1/n) Tr[sigma^2 T^2] and
-    ``phi_tilde`` the squared shrinkage 1 / (1 + gamma delta)^2 of the
-    fixed-point denominator, derived from ``delta`` and ``gamma`` at
-    construction. ``residual`` is the fixed-point gap
-    |delta - (1/n) Tr[sigma T]| at the returned root and ``iterations`` the
-    number of gap evaluations the root-find spent.
+    ``delta`` solves delta = (1/n) Tr[sigma T] with the resolvent limit
+    T = (I + gamma/(1+gamma*delta) sigma)^-1. ``phi`` is the second spectral
+    moment (1/n) Tr[sigma^2 T^2] and ``phi_tilde`` the squared shrinkage
+    1 / (1 + gamma delta)^2 of the fixed-point denominator, derived from
+    ``delta`` and ``gamma`` at construction. ``residual`` is the fixed-point gap
+    |delta - (1/n) Tr[sigma T]| at the returned root, taken on sigma's spectrum,
+    and ``iterations`` the number of gap evaluations the root-find spent.
     """
 
     delta: float
-    T: np.ndarray
     phi: float
     phi_tilde: float = field(init=False)
     gamma: float
@@ -74,11 +72,6 @@ class DeterministicEquivalents:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("sample count must be positive, got %d" % (self.n,))
-        T = self.T
-        if not (isinstance(T, np.ndarray) and T.ndim == 2 and T.shape[0] == T.shape[1] > 0
-                and np.isfinite(T).all()):
-            raise ValueError("T must be a finite, square, nonempty 2-D array, got shape %r"
-                             % (np.shape(T),))
         if self.gamma < 0.0:
             raise InvalidRegularizerError("shrinkage must be nonnegative, got %r" % (self.gamma,))
         if self.delta < 0.0 or not math.isfinite(self.delta):
@@ -291,8 +284,9 @@ def _spectral_fixed_point(eigenvalues, n: int, gamma: float) -> tuple[np.ndarray
     step moves it by no more than ``_RTOL`` of it. At p = n the root is nearly
     double, so the steps about halve delta until it nears 1/sqrt(gamma); that takes
     up to about 520 evaluations at gamma = 1.7e308 with unit eigenvalues, within
-    ``_MAX_ROOT_STEPS``. Returns the clipped spectrum, the root and the number of
-    gap evaluations."""
+    ``_MAX_ROOT_STEPS``. A finite start whose gamma * delta overflows, where the
+    first step would return it unmoved, is refused as StabilityError. Returns the
+    clipped spectrum, the root and the number of gap evaluations."""
     eig = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if eig.size == 0:
         raise ValueError("need at least one eigenvalue")
@@ -306,6 +300,8 @@ def _spectral_fixed_point(eigenvalues, n: int, gamma: float) -> tuple[np.ndarray
     delta = float(np.sum(eig)) / n
     if gamma == 0.0 or delta == 0.0:
         return eig, delta, 0
+    if math.isinf(gamma * delta) and delta < math.inf:  # an infinite trace fails as a NaN gap
+        raise StabilityError("gamma * delta overflows at gamma=%r, delta=%r" % (gamma, delta))
     for evaluations in range(1, _MAX_ROOT_STEPS + 1):
         step = _newton_step(eig, n, gamma, delta)
         if delta - step <= _RTOL * step:
@@ -317,27 +313,27 @@ def _spectral_fixed_point(eigenvalues, n: int, gamma: float) -> tuple[np.ndarray
 
 
 def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquivalents:
-    """Fixed point and resolvent limit on the dense covariance ``sigma`` (p x p,
-    symmetric positive semidefinite) of a class with ``n`` training rows, at
-    shrinkage ``gamma`` >= 0: :func:`eigen_delta_solver`'s root on the eigenvalues
-    of ``sigma``, ``phi`` summed over them, ``T`` from one Cholesky factorization
-    at the root, and ``residual`` the root's gap against the dense trace of sigma T."""
-    sigma = _as_covariance(sigma)
-    eig, delta, evaluations = _spectral_fixed_point(np.linalg.eigvalsh(sigma), n, gamma)
+    """Fixed point on the dense covariance ``sigma`` (p x p, symmetric positive
+    semidefinite) of a class with ``n`` training rows, at shrinkage ``gamma`` >= 0:
+    :func:`eigen_delta_solver`'s root on the eigenvalues l of ``sigma``, with
+    ``phi`` = sum((l t)^2) / n and ``residual`` = |delta - sum(l t) / n| at the
+    root, t = 1 / (1 + s l) and s = gamma / (1 + gamma delta)."""
+    eig = np.linalg.eigvalsh(_as_covariance(sigma))
+    eig, delta, evaluations = _spectral_fixed_point(eig, n, gamma)
     scale = gamma / (1.0 + gamma * delta)
-    T, _ = _shifted_inverse(sigma, scale)
     with np.errstate(over="ignore"):  # an infinite phi fails the record's own checks
-        phi = float(np.sum((eig / (1.0 + scale * eig)) ** 2)) / n
+        lt = eig / (1.0 + scale * eig)
+        phi = float(np.sum(lt**2)) / n
+        residual = abs(delta - float(np.sum(lt)) / n)
     return DeterministicEquivalents(
-        delta=delta, T=T, phi=phi, gamma=gamma, n=n,
-        residual=abs(delta - float(np.vdot(sigma, T)) / n), iterations=evaluations,
+        delta=delta, phi=phi, gamma=gamma, n=n, residual=residual, iterations=evaluations
     )
 
 
 def eigen_delta_solver(eigenvalues: np.ndarray, n: int, gamma: float) -> float:
     """Fixed point on a known spectrum, which must be finite and nonnegative up
     to rounding; :func:`solve_delta` takes the same root-find from a dense
-    covariance and adds its resolvent limit."""
+    covariance and returns it in a record with its moments."""
     return _spectral_fixed_point(eigenvalues, n, gamma)[1]
 
 

@@ -51,7 +51,8 @@ def _caller_total(improved, data, priors) -> float:
 
 
 def test_fixed_point_matches_isotropic_closed_form():
-    # For sigma*I both fixed-point routes must hit the positive root of
+    # For sigma*I, solve_delta on the dense matrix and eigen_delta_solver on its
+    # spectrum must both hit the positive root of
     # gamma*d^2 + d*(1 + gamma*sigma - c*gamma*sigma) - c*sigma = 0, c = p/n.
     start = time.perf_counter()
     p = 100

@@ -455,6 +455,32 @@ def test_true_qda_matches_a_dense_inverse_and_slogdet_reference():
                 assert abs(got[k] - expected) <= bound * (abs(form0) + abs(form1))
 
 
+@pytest.mark.parametrize("base", [2.0, 3.0, 4.0, 7.3, None])
+def test_true_qda_scales_a_diagonal_class_without_inverting_it(base):
+    """A diagonal class (isotropic at ``base``, or a random diagonal at p=300)
+    is whitened by the reciprocals of its kept scale, bit for bit as the dense
+    product with L^-T that a non-diagonal class takes, and never inverts L."""
+    rng = np.random.default_rng(8)
+    p = 300 if base is None else 20
+    diagonal = rng.uniform(0.5, 5.0, p) if base is None else np.full(p, base)
+    spiked = rng.standard_normal((p, p)) / math.sqrt(p)
+    model = MixtureModel(
+        class0=ClassStatistics(rng.standard_normal(p), np.diag(diagonal)),
+        class1=ClassStatistics(rng.standard_normal(p), spiked @ spiked.T + np.eye(p)),
+        prior0=0.4,
+        prior1=0.6,
+    )
+    X = rng.standard_normal((200, p)) * 3.0
+    got = qda_scores_true(X, model)
+    assert model.class0._scale is not None and model.class1._scale is None
+    assert "_inverse_cholesky" not in model.class0.__dict__
+    dense = ClassStatistics(model.class0.mean, model.class0.covariance)
+    object.__setattr__(dense, "_scale", None)  # as if the factor were not diagonal
+    reference = qda_scores_true(X, MixtureModel(dense, model.class1, 0.4, 0.6))
+    assert "_inverse_cholesky" in dense.__dict__
+    np.testing.assert_array_equal(got, reference)
+
+
 def test_empirical_error_weights_priors_and_counts_ties_as_class_one():
     scores0 = np.array([1.0, -1.0, 0.0, 2.0])   # two of four misread as class 1
     scores1 = np.array([-3.0, 0.0, 1.0])        # one of three misread as class 0

@@ -15,7 +15,7 @@ from hdqda.errors import (
     NotSpdError,
     StabilityError,
 )
-from hdqda import rmt
+from hdqda import _lapack, rmt
 from hdqda.estimation import SpectralPair
 from hdqda.model import ClassStatistics, MixtureModel, build_mixture
 from hdqda.rmt import (
@@ -39,14 +39,21 @@ def _isotropic_delta(sigma: float, gamma: float, c: float) -> float:
     return (-b + math.sqrt(b * b + 4.0 * gamma * c * sigma)) / (2.0 * gamma)
 
 
+def _resolvent_limit(sigma: np.ndarray, gamma: float, delta: float) -> np.ndarray:
+    """T = (I + s sigma)^-1 at s = gamma / (1 + gamma delta), by a dense inverse."""
+    scale = gamma / (1.0 + gamma * delta)
+    return np.linalg.inv(np.eye(sigma.shape[0]) + scale * sigma)
+
+
 def test_dense_route_satisfies_its_own_fixed_point():
+    """The spectral root and moments satisfy the fixed point and phi's
+    definition with T from a dense inverse."""
     rng = np.random.default_rng(2)
     sigma = random_spd(40, rng)
     eq = solve_delta(sigma, 60, 1.3)
-    scale = 1.3 / (1.0 + 1.3 * eq.delta)
-    T_direct = np.linalg.inv(np.eye(40) + scale * sigma)
-    np.testing.assert_allclose(eq.T, T_direct, atol=1e-9)
-    assert eq.delta == pytest.approx(np.trace(sigma @ eq.T) / 60, abs=1e-8)
+    T_direct = _resolvent_limit(sigma, 1.3, eq.delta)
+    assert eq.delta == pytest.approx(np.trace(sigma @ T_direct) / 60, abs=1e-8)
+    assert eq.phi == pytest.approx(float(np.sum((sigma @ T_direct) ** 2)) / 60, rel=1e-12)
     assert eq.stability_margin() > 0.0
     assert eq.residual <= 1e-12 * max(1.0, eq.delta)
     assert 2 <= eq.iterations <= 20
@@ -73,7 +80,7 @@ def test_zero_shrinkage_short_circuits():
     sigma = np.diag(np.array([1.0, 2.0, 3.0]))
     eq = solve_delta(sigma, 6, 0.0)
     assert eq.delta == pytest.approx(1.0)
-    np.testing.assert_array_equal(eq.T, np.eye(3))
+    assert eq.residual == 0.0 and eq.iterations == 0
     assert eigen_delta_solver(np.array([1.0, 2.0, 3.0]), 6, 0.0) == pytest.approx(1.0)
 
 
@@ -211,25 +218,25 @@ def test_the_root_keeps_its_digits_at_any_shrinkage(regime):
 
 def test_root_find_evaluates_each_point_once(monkeypatch):
     """Every gap evaluation is at a new point, ``iterations`` counts them,
-    and the dense shifted covariance is factored once per solve, at the root."""
-    newton_step, shifted_inverse = rmt._newton_step, rmt._shifted_inverse
+    and a solve factors no shifted covariance: the theory stays on the spectrum."""
+    newton_step, dpotrf = rmt._newton_step, _lapack.dpotrf
     points, factored = [], []
 
     def step_spy(eig, n, gamma, delta):
         points.append(delta)
         return newton_step(eig, n, gamma, delta)
 
-    def inverse_spy(sigma, scale):
-        factored.append(scale)
-        return shifted_inverse(sigma, scale)
+    def factor_spy(a):
+        factored.append(a.shape)
+        return dpotrf(a)
 
     monkeypatch.setattr(rmt, "_newton_step", step_spy)
-    monkeypatch.setattr(rmt, "_shifted_inverse", inverse_spy)
+    monkeypatch.setattr(_lapack, "dpotrf", factor_spy)
     sigma = random_spd(60, np.random.default_rng(0))
     eq = solve_delta(sigma, 30, 2.0)
     assert eq.iterations == len(points) >= 3
     assert len(set(points)) == len(points)
-    assert factored == [2.0 / (1.0 + 2.0 * eq.delta)]
+    assert factored == [] and not hasattr(rmt, "_shifted_inverse")
     assert abs(eq.delta - eigen_delta_solver(np.linalg.eigvalsh(sigma), 30, 2.0)) <= 1e-12
 
 
@@ -253,7 +260,8 @@ def test_one_dimensional_solve_matches_the_spectral_route():
     eq = solve_delta([[2.0]], 3, 0.5)
     assert eq.delta == pytest.approx(eigen_delta_solver([2.0], 3, 0.5), rel=1e-15, abs=0.0)
     assert eq.delta == pytest.approx(0.36092084343274, rel=1e-13)
-    assert eq.T[0, 0] == pytest.approx(1.0 / (1.0 + 2.0 * 0.5 / (1.0 + 0.5 * eq.delta)))
+    T = _resolvent_limit(np.array([[2.0]]), 0.5, eq.delta)
+    assert T[0, 0] == pytest.approx(1.0 / (1.0 + 2.0 * 0.5 / (1.0 + 0.5 * eq.delta)))
 
 
 def test_solve_delta_rejects_asymmetric_empty_and_indefinite_covariances():
@@ -301,11 +309,27 @@ def _spread_mixture(scale: float) -> MixtureModel:
 @pytest.mark.parametrize(
     "call, message",
     [
-        # gamma * delta overflows, so the shrinkage factor 1 / (1 + gamma * delta)^2 is 0.
+        # gamma * delta overflows at the root-find's start, which the first
+        # Newton step would return unmoved.
         pytest.param(
             lambda: solve_delta(1e10 * np.eye(3), 1, 1e300),
-            r"shrinkage factor out of \(0, 1\]: 0\.0",
+            r"gamma \* delta overflows at gamma=1e\+300, delta=30000000000\.0",
             id="dense-scale",
+        ),
+        pytest.param(
+            lambda: eigen_delta_solver([1e100] * 3, 3, 1e300),
+            r"gamma \* delta overflows at gamma=1e\+300, delta=1e\+100",
+            id="eigen-start",
+        ),
+        pytest.param(
+            lambda: gamma1_theoretical(1e100 * np.eye(3), 3, 6, 1e300),
+            r"gamma \* delta overflows at gamma=1e\+300, delta=1e\+100",
+            id="matched-start",
+        ),
+        pytest.param(
+            lambda: theta_star_theoretical(_identity_mixture(1e10), 5, 5, 1e300, 1e300),
+            r"gamma \* delta overflows at gamma=1e\+300",
+            id="eigen-margin-large-classes",
         ),
         # (1 + gamma * delta)^2 overflows at the root, on either route.
         pytest.param(
@@ -328,11 +352,6 @@ def _spread_mixture(scale: float) -> MixtureModel:
             lambda: theta_star_theoretical(_identity_mixture(1.0), 5, 5, 1e200, 1e200),
             r"gamma\^2 overflows at gamma=1e\+200",
             id="eigen-margin",
-        ),
-        pytest.param(
-            lambda: theta_star_theoretical(_identity_mixture(1e10), 5, 5, 1e300, 1e300),
-            r"gamma\^2 overflows at gamma=1e\+300",
-            id="eigen-margin-large-classes",
         ),
         # The squared spectra in the limit's moments overflow, in either call.
         pytest.param(
@@ -393,13 +412,13 @@ def _commuting_model(p=48, seed=0):
 
 
 def _dense_margins(model: MixtureModel, n0: int, n1: int, gamma0: float, gamma1: float):
-    """Reference (phi, phi_tilde) and margins from the dense resolvent limits T
-    of :func:`solve_delta`, phi = ||sigma T||_F^2 / n included; every trace and
-    quadratic form is taken on dense matrices."""
+    """Reference (phi, phi_tilde) and margins from the dense resolvent limits T,
+    inverted at :func:`solve_delta`'s roots, phi = ||sigma T||_F^2 / n included;
+    every trace and quadratic form is taken on dense matrices."""
     sigmas = (model.class0.covariance, model.class1.covariance)
     counts, gammas, p = (n0, n1), (gamma0, gamma1), model.dim
     eqs = [solve_delta(sigmas[i], counts[i], gammas[i]) for i in (0, 1)]
-    T = (eqs[0].T, eqs[1].T)
+    T = tuple(_resolvent_limit(sigmas[i], gammas[i], eqs[i].delta) for i in (0, 1))
     phi = tuple(float(np.sum((sigmas[i] @ T[i]) ** 2)) / counts[i] for i in (0, 1))
     margin = tuple(1.0 - gammas[i] ** 2 * phi[i] * eqs[i].phi_tilde for i in (0, 1))
     mu = model.class1.mean - model.class0.mean
@@ -647,32 +666,19 @@ def test_inadmissible_fixed_point_records_are_rejected():
     from hdqda.rmt import DeterministicEquivalents
 
     with pytest.raises(StabilityError):
-        DeterministicEquivalents(
-            delta=1.0, T=np.eye(2), phi=10.0, gamma=1.0, n=4
-        )
+        DeterministicEquivalents(delta=1.0, phi=10.0, gamma=1.0, n=4)
     with pytest.raises(StabilityError):
-        DeterministicEquivalents(
-            delta=-0.5, T=np.eye(2), phi=0.1, gamma=1.0, n=4
-        )
+        DeterministicEquivalents(delta=-0.5, phi=0.1, gamma=1.0, n=4)
     with pytest.raises(InvalidRegularizerError):
-        DeterministicEquivalents(
-            delta=0.5, T=np.eye(2), phi=0.1, gamma=-1.0, n=4
-        )
+        DeterministicEquivalents(delta=0.5, phi=0.1, gamma=-1.0, n=4)
     # A NaN margin is not > 0 either.
     with pytest.raises(StabilityError, match="margin is nan"):
-        DeterministicEquivalents(
-            delta=0.5, T=np.eye(2), phi=math.nan, gamma=1.0, n=4
-        )
+        DeterministicEquivalents(delta=0.5, phi=math.nan, gamma=1.0, n=4)
     # phi_tilde is derived from the record's own delta and gamma, never stored
     # as given, so it cannot disagree with them.
-    record = DeterministicEquivalents(delta=1.0, T=np.eye(2), phi=0.1, gamma=1.0, n=4)
+    record = DeterministicEquivalents(delta=1.0, phi=0.1, gamma=1.0, n=4)
     assert record.phi_tilde == 0.25 and record.stability_margin() == 0.975
     with pytest.raises(TypeError, match="phi_tilde"):
-        DeterministicEquivalents(
-            delta=1.0, T=np.eye(2), phi=0.1, phi_tilde=1.0, gamma=1.0, n=4
-        )
-    # T must be a finite, square 2-D array.
-    for T in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2)), np.empty((0, 0)),
-              np.array([[1.0, math.nan], [0.0, 1.0]]), [[1.0, 0.0], [0.0, 1.0]]):
-        with pytest.raises(ValueError, match="T "):
-            DeterministicEquivalents(delta=0.5, T=T, phi=0.1, gamma=1.0, n=4)
+        DeterministicEquivalents(delta=1.0, phi=0.1, phi_tilde=1.0, gamma=1.0, n=4)
+    # The record keeps no dense resolvent limit.
+    assert "T" not in {field.name for field in dataclasses.fields(DeterministicEquivalents)}
