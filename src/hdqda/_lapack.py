@@ -1,6 +1,7 @@
 """The three LAPACK routines the package calls (``dpotrf``, ``dpotri`` and
 ``dpstrf``), bound with ``ctypes`` from the OpenBLAS that numpy itself loads,
-so no second LAPACK is needed.
+so no second LAPACK is needed, and a reader of that library's thread count
+(:func:`blas_threads`).
 
 numpy's linear-algebra extension links that library, and a handle opened on
 the extension finds its symbols through the extension's own dependencies;
@@ -14,6 +15,11 @@ factors in place overwrites its input when that is already a writeable
 Fortran-ordered float64 array and works on a copy otherwise, as scipy's
 ``overwrite_a`` does. Every call makes its own integers and ``info``, and
 ctypes releases the GIL for the call, so threads may call these at once.
+
+The thread count comes from ``scipy_openblas_get_num_threads64_``, found by
+the same lookup. It is only read: nothing here changes a process-wide setting.
+Where the library does not export it (a numpy built on another BLAS), the
+reader reports no count rather than failing the import.
 """
 
 from __future__ import annotations
@@ -51,6 +57,26 @@ _dpotri = _bind("dpotri", _CHAR, _INT, _PTR, _INT, _INT, _LEN)
 _dpstrf = _bind(
     "dpstrf", _CHAR, _INT, _PTR, _INT, _PTR, _INT, ctypes.POINTER(ctypes.c_double), _PTR, _INT, _LEN
 )
+
+
+def _thread_reader():
+    try:
+        reader = _LIBRARY.scipy_openblas_get_num_threads64_
+    except AttributeError:
+        return None
+    reader.argtypes = ()
+    reader.restype = ctypes.c_int
+    return reader
+
+
+_openblas_get_num_threads = _thread_reader()
+
+
+def blas_threads() -> int | None:
+    """The number of threads numpy's OpenBLAS runs a call on, or None where it
+    exports no reader."""
+    reader = _openblas_get_num_threads
+    return None if reader is None else reader()
 
 
 def _int(value: int):

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InsufficientSamplesError
-from .estimation import FittedStats, PooledStats, _resolvent_weights
+from .estimation import FittedStats, PooledStats, _both, _helper_allowed, _resolvent_weights
 from .model import MixtureModel, _check_priors
 
 __all__ = [
@@ -97,18 +97,43 @@ def _quad_gap(X: np.ndarray, fit: FittedStats) -> np.ndarray:
 
     The rows are scored in :func:`_row_blocks`, so d and d (H_1 - H_0) are
     never whole rows x p arrays; a call with one block gives exactly the
-    one-product result. Rows so far out that their forms overflow are refused
-    by :func:`_finite_scores`. This is the route of a single fit; a grid of
-    shrinkage values on one draw takes :func:`_grid_scores`.
+    one-product result. Each block's d, d (H_1 - H_0) and d h are written with
+    ``out=`` into block buffers allocated here and reused block after block.
+    Where :func:`~hdqda.estimation._helper_allowed` and there are two blocks
+    or more, the blocks are split in two halves, the first scored here and the
+    second on a helper (:func:`~hdqda.estimation._both`), each half with its
+    own buffers: every block is the same computation as serially, so the
+    scores are bit for bit the same. Rows so far out that their forms overflow
+    are refused by :func:`_finite_scores`. This is the route of a single fit;
+    a grid of shrinkage values on one draw takes :func:`_grid_scores`.
     """
     gap = fit.H1 - fit.H0
     e = fit.mu_hat1 - fit.mu_hat0
     h = fit.H1 @ e
     offset = float(e @ h)
     out = np.empty(len(X))
-    for block in _row_blocks(len(X), fit.p):
-        d = X[block] - fit.mu_hat0
-        out[block] = np.einsum("ij,ij->i", d @ gap, d) - 2.0 * (d @ h) + offset
+
+    def buffers(blocks: list[slice]) -> tuple:
+        rows = max(block.stop - block.start for block in blocks)
+        return np.empty((rows, fit.p)), np.empty((rows, fit.p)), np.empty(rows)
+
+    def score(blocks: list[slice], d_rows, dg_rows, dh_rows) -> None:
+        for block in blocks:
+            rows = block.stop - block.start
+            d = np.subtract(X[block], fit.mu_hat0, out=d_rows[:rows])
+            dg = np.matmul(d, gap, out=dg_rows[:rows])
+            dh = np.matmul(d, h, out=dh_rows[:rows])
+            scores = np.einsum("ij,ij->i", dg, d, out=out[block])
+            scores -= np.multiply(dh, 2.0, out=dh)
+            scores += offset
+
+    blocks = _row_blocks(len(X), fit.p)
+    if len(blocks) > 1 and _helper_allowed():
+        halves = blocks[: (len(blocks) + 1) // 2], blocks[(len(blocks) + 1) // 2 :]
+        first, second = ((half, *buffers(half)) for half in halves)
+        _both(lambda: score(*first), lambda: score(*second))
+    else:
+        score(blocks, *buffers(blocks))
     return _finite_scores(out)
 
 

@@ -15,12 +15,19 @@ covariance has rank r = n0 - 1 < p, and only its range is diagonalized, from a
 pivoted Cholesky factor. Either basis may be thin, its null space, where every
 resolvent is the identity, entering in closed form; only the minority's is, as
 near full rank the range route is slower than a p x p ``eigh``.
+
+Work made of two independent halves (two classes' factorizations here, two
+halves of a scoring's row blocks, two classes' draws) runs through
+:func:`_both`: at once on the main thread while BLAS runs one thread of its
+own, one half after the other elsewhere, with the same bits either way.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,40 +146,116 @@ def _check_shrinkage(gamma: float) -> None:
         raise ValueError("shrinkage parameter must be finite and >= 0, got %r" % (gamma,))
 
 
-def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
-    """(I + gamma * sigma_hat)^{-1} and log det(I + gamma * sigma_hat) from one LAPACK
-    Cholesky factorization (``dpotrf``), the one place a shifted sample covariance is
-    factored: the log-det from the factor's diagonal, the inverse from
-    ``dpotri`` with its lower triangle mirrored, so it is exactly symmetric. A
-    gamma * sigma_hat that overflows is refused as DegenerateEstimateError."""
+def _helper_allowed() -> bool:
+    """Whether :func:`_both` may run a helper thread beside the caller: only on
+    the main thread, while numpy's OpenBLAS reports exactly one thread of its
+    own (:func:`~hdqda._lapack.blas_threads`). A worker thread, such as the
+    CLI's ``--threads`` workers, already keeps a core busy, and with glibc a
+    helper per worker spread the workers' arrays over more malloc arenas, each
+    keeping its freed memory (peak RSS +10-14% on the benchmark's paper-sweep
+    workload, 2-core Linux host). A multi-threaded BLAS already spreads each
+    call over the cores: there two threads scoring 2000 rows at p = 200 took
+    4.0-5.8 ms against 2.9-3.4 ms serially (medians of 100 calls,
+    ``OPENBLAS_NUM_THREADS=2``, same host)."""
+    return threading.current_thread() is threading.main_thread() and _lapack.blas_threads() == 1
+
+
+def _both(first, second) -> tuple:
+    """``(first(), second())``, the two calls run at once where
+    :func:`_helper_allowed`: ``second`` on a helper thread, in a copy of the
+    caller's context (so numpy's ``errstate`` holds there too), while the
+    caller runs ``first``. Elsewhere ``first`` runs, then ``second``.
+
+    The helper is joined before the call returns or raises, so no thread
+    outlives it, and an error of ``first`` surfaces before one of ``second``,
+    as it would serially. A bare thread, not an executor, carries the helper:
+    it starts and joins in about half the time (85 against 160 us on a
+    2-core host), and a score of two halves pays that once per call. Both
+    calls may only fill arrays the caller allocated: numpy and LAPACK release
+    the GIL while they compute, and each call's bits are those it gives
+    alone, whatever the scheduling, provided the two write to different
+    arrays.
+    """
+    if not _helper_allowed():
+        return first(), second()
+    context, outcome = contextvars.copy_context(), []
+
+    def there() -> None:
+        try:
+            outcome.append((True, context.run(second)))
+        except BaseException as error:
+            outcome.append((False, error))
+
+    helper = threading.Thread(target=there, name="hdqda-helper")
+    helper.start()
+    try:
+        here = first()
+    finally:
+        helper.join()
+    returned, value = outcome.pop()
+    if not returned:
+        raise value
+    return here, value
+
+
+def _shift(sigma_hat: np.ndarray, gamma: float) -> np.ndarray:
+    """I + gamma * sigma_hat, formed in the Fortran order LAPACK reads so that
+    :func:`_invert_shifted` factors and inverts it in place; the identity at
+    gamma = 0. A gamma * sigma_hat that overflows is refused as
+    DegenerateEstimateError."""
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     _check_shrinkage(gamma)
     p = sigma_hat.shape[0]
     if gamma == 0.0:
-        return np.eye(p), 0.0
-    # I + gamma * sigma_hat, formed in the Fortran order LAPACK reads so that
-    # it is factored and inverted in place; then its lower Cholesky factor.
+        return np.eye(p)
     try:
         with np.errstate(over="raise"):
-            factor = np.multiply(gamma, sigma_hat, order="F")
+            shifted = np.multiply(gamma, sigma_hat, order="F")
     except FloatingPointError:
         raise DegenerateEstimateError(
             "I + %r * sigma leaves the float range" % (gamma,)
         ) from None
-    factor.flat[:: p + 1] += 1.0
-    factor, info = _lapack.dpotrf(factor)
+    shifted.flat[:: p + 1] += 1.0
+    return shifted
+
+
+def _invert_shifted(shifted: np.ndarray, sigma_hat: np.ndarray, gamma: float) -> float:
+    """log det(I + gamma * sigma_hat), with ``shifted`` = I + gamma * sigma_hat
+    (:func:`_shift`) overwritten by the lower triangle of its inverse, from one
+    LAPACK Cholesky factorization (``dpotrf``): the one place a shifted sample
+    covariance is factored. The log-det comes from the factor's diagonal, the
+    inverse from ``dpotri``; both routines leave the strict upper triangle as
+    they found it, and :func:`_mirrored` copies the lower one onto it. At
+    gamma = 0, ``shifted`` is already its own inverse."""
+    if gamma == 0.0:
+        return 0.0
+    factor, info = _lapack.dpotrf(shifted)
     if info != 0:
-        cond = float(np.linalg.cond(gamma * sigma_hat + np.eye(p)))
+        p = factor.shape[0]
+        cond = float(np.linalg.cond(gamma * np.asarray(sigma_hat, dtype=float) + np.eye(p)))
         raise NotSpdError(
             "I + %r * sigma is not positive definite: leading minor %d fails "
             "(condition estimate %.3e)" % (gamma, info, cond)
         )
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
-    # dpotri cannot fail on a factor. Both routines leave the strict upper
-    # triangle as they found it, so the lower one's mirror is copied onto it.
-    inverse, _ = _lapack.dpotri(factor)
+    _lapack.dpotri(factor)  # cannot fail on a factor
+    return logdet
+
+
+def _mirrored(inverse: np.ndarray) -> np.ndarray:
+    """``inverse`` with its lower triangle copied onto the strict upper one, so
+    it is exactly symmetric."""
+    p = inverse.shape[0]
     np.copyto(inverse, inverse.T.copy(), where=np.tri(p, k=-1, dtype=bool).T)
-    return inverse, logdet
+    return inverse
+
+
+def _shifted_inverse(sigma_hat: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
+    """(I + gamma * sigma_hat)^{-1}, exactly symmetric, and log det(I + gamma * sigma_hat),
+    by :func:`_shift`, :func:`_invert_shifted` and :func:`_mirrored`."""
+    shifted = _shift(sigma_hat, gamma)
+    logdet = _invert_shifted(shifted, sigma_hat, gamma)
+    return _mirrored(shifted), logdet
 
 
 def regularized_resolvent(sigma_hat: np.ndarray, gamma: float) -> np.ndarray:
@@ -300,8 +383,10 @@ class FittedStats:
     construction, and what follows from them, each derived on first read and
     kept (:class:`_Kept`): the resolvents ``H0`` and ``H1`` with the
     log-determinants of both shifted covariances (``_logdets``), formed
-    together from one factorization per class; and the spectral kernel
-    :attr:`pair`, which keeps its own quartic weights. None is an init field,
+    together from one factorization per class, the two classes' factorizations
+    at once on the main thread (:func:`_both`) and bit for bit what one
+    thread gives; and the spectral kernel :attr:`pair`, which keeps its own
+    quartic weights and is built on the calling thread alone. None is an init field,
     so ``dataclasses.replace`` starts without them, and the error estimator,
     which reads only the kernel, never factors a shifted covariance.
     """
@@ -334,11 +419,18 @@ class FittedStats:
 
     @_Kept
     def _shifted(self) -> tuple:
-        """Each class's :func:`_shifted_inverse`, both formed together."""
-        return (
-            _shifted_inverse(self.sigma_hat0, self.gamma0),
-            _shifted_inverse(self.sigma_hat1, self.gamma1),
+        """Each class's ``(resolvent, log-det)``, as :func:`_shifted_inverse`
+        gives it: both I + gamma_i * sigma_hat_i formed here, class 0's first,
+        each overflow refused as it is formed; then both factored and inverted
+        in place at once (:func:`_both`, class 1 on the helper), so class 0's
+        ``NotSpdError`` surfaces first; then both mirrored here."""
+        shifted0 = _shift(self.sigma_hat0, self.gamma0)
+        shifted1 = _shift(self.sigma_hat1, self.gamma1)
+        logdet0, logdet1 = _both(
+            lambda: _invert_shifted(shifted0, self.sigma_hat0, self.gamma0),
+            lambda: _invert_shifted(shifted1, self.sigma_hat1, self.gamma1),
         )
+        return (_mirrored(shifted0), logdet0), (_mirrored(shifted1), logdet1)
 
     H0 = _Kept(lambda fit: fit._shifted[0][0])
     H1 = _Kept(lambda fit: fit._shifted[1][0])

@@ -11,14 +11,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import NotSpdError
-from .estimation import SpectralPair, _Kept, eigenpair
+from .estimation import SpectralPair, _both, _Kept, eigenpair
 
 __all__ = [
     "ClassStatistics",
@@ -345,20 +343,16 @@ def sample_scenario(
     basis); replicate r draws its four blocks from spawn keys (1..4, r), so
     replicates are independent and reproducible in any execution order.
 
-    Called on the main thread, it draws the two classes at once: the one
-    thread of a one-worker :class:`~concurrent.futures.ThreadPoolExecutor`
-    fills class 1's blocks (train1, then test1: the normals, then the product
-    with the Cholesky factor) while the calling thread fills class 0's. The
-    call shuts the executor down, joining its thread, before it returns, and
-    the future's ``result()`` raises any error the helper met. Each block
-    reads only its own stream and writes only its own array, and numpy fills
-    and multiplies with the GIL released, so the bytes are those of
-    :func:`sample_class` run block after block, whatever the scheduling. Every array is allocated on the calling thread; the helper
-    only fills. Called on any other thread, as by the CLI's ``--threads``
-    workers, which already keep the cores busy, it fills the four blocks
-    itself: with glibc, a helper per worker spread the workers' blocks over
-    more malloc arenas, each keeping its freed memory (peak RSS +10-14% on
-    the benchmark's paper-sweep workload, 2-core Linux host).
+    The two classes are drawn through :func:`~hdqda.estimation._both`:
+    on the main thread, while numpy's OpenBLAS runs one thread of its own, a
+    helper fills class 1's blocks (train1, then test1: the normals, then the
+    product with the Cholesky factor) while the calling thread fills class
+    0's; elsewhere, as on the CLI's ``--threads`` workers or under a
+    multi-threaded BLAS, the calling thread fills the four blocks itself.
+    Every array is allocated on the calling thread; the helper only fills.
+    Each block reads only its own stream and writes only its own array, so
+    the bytes are those of :func:`sample_class` run block after block,
+    whatever the scheduling, and an error of either class reaches the caller.
     """
     if model is None:
         model = build_mixture(config)
@@ -378,13 +372,7 @@ def sample_scenario(
 
     class0 = plan(model.class0, (config.n0, config.test0), (1, 3))
     class1 = plan(model.class1, (config.n1, config.test1), (2, 4))
-    if threading.current_thread() is threading.main_thread():
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="hdqda-sample-class1") as helper:
-            there = helper.submit(fill, class1)
-            fill(class0)
-            there.result()
-    else:
-        fill(class0 + class1)
+    _both(lambda: fill(class0), lambda: fill(class1))
     (_, _, train0, _), (_, _, test0, _) = class0
     (_, _, train1, _), (_, _, test1, _) = class1
     return ScenarioData(model=model, train0=train0, train1=train1, test0=test0, test1=test1)

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hdqda.discriminant import (
     _BLOCK_BYTES,
     _grid_scores,
     _logdet_ratio,
+    _row_blocks,
     _rows,
     classify_values,
     conditional_score_moments,
@@ -22,6 +24,8 @@ from hdqda.discriminant import (
 from hdqda.errors import InsufficientSamplesError
 from hdqda.estimation import FittedStats, TrainingSet, _sample_spectra, fit, fit_pooled
 from hdqda.model import ClassStatistics, MixtureModel, sample_class, stream
+
+from conftest import on_a_worker
 
 
 def _toy_fit(p=5, seed=0, gamma0=0.8, gamma1=2.0, n0=12, n1=9):
@@ -252,30 +256,63 @@ def test_scoring_a_block_equals_scoring_its_halves(p):
         assert np.all(np.abs(score(X) - halves) <= 1e-12 * np.maximum(1.0, q0 + q1))
 
 
-def test_scoring_memory_stays_below_one_rows_by_p_array():
+def _rows_in_blocks(blocks: int, p: int) -> int:
+    """A row count that :func:`_row_blocks` splits into ``blocks`` blocks at
+    dimension p, the last one with a ragged tail."""
+    rows = _block_rows(p)
+    return blocks * rows + rows // 3 + 7
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 5])
+def test_two_threads_score_bit_for_bit_as_one(blocks, helper_open, thread_starts):
+    """On the main thread the row blocks are split between the caller and a
+    helper, one helper per call from two blocks on; a worker thread scores
+    them all itself. The scores of both rules are equal bit for bit: one
+    block, two, and an odd count whose last block takes a tail."""
+    p = 200
+    train, _ = _gap_case(p, 150, 250, 2.0, 1.0, 8)
+    X = 2.0 + np.random.default_rng(blocks).standard_normal((_rows_in_blocks(blocks, p), p))
+    assert len(_row_blocks(len(X), p)) == blocks
+    improved, shared = fit(train, 0.5, 2.0), fit(train, 1.5, 1.5)
+    score = lambda: (improved_scores(X, improved, 0.3), rqda_scores(X, shared, (0.4, 0.6)))
+    serial = on_a_worker(score)
+    started, alive = len(thread_starts), threading.active_count()
+    two = score()
+    assert len(thread_starts) - started == (2 if blocks > 1 else 0)
+    assert threading.active_count() == alive
+    for got, want in zip(two, serial):
+        assert got.tobytes() == want.tobytes()
+
+
+def _traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scoring_memory_stays_below_one_rows_by_p_array(helper_open):
     """Scoring holds a few block temporaries and the scores, and no rows x p
-    array, not even the byte-per-entry mask of a finiteness check."""
+    array, not even the byte-per-entry mask of a finiteness check. Scored in
+    two halves on two threads, each half holds its own few block temporaries,
+    and still no rows x p array."""
     train, _ = _gap_case(100, 60, 80, 0.0, 1.0, 3)
     fitted = fit(train, 0.8, 1.6)
     fitted.H0  # form the resolvents before measuring
     X = np.random.default_rng(4).standard_normal((20000, 100))
-    tracemalloc.start()
-    try:
-        improved_scores(X, fitted, 0.2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: on_a_worker(lambda: improved_scores(X, fitted, 0.2)))
     assert peak < 3 * _BLOCK_BYTES + 8 * len(X) < X.size, peak
+    peak = _traced_peak(lambda: improved_scores(X, fitted, 0.2))
+    assert peak < 2 * 3 * _BLOCK_BYTES + 8 * len(X) < X.nbytes, peak
     # Nor does grid scoring hold a whole projection of the rows: a few block
     # temporaries and the scores of three candidates under two rules.
     spectra = _sample_spectra(fitted.sigma_hat0, fitted.sigma_hat1, fitted.n0)
     candidates = ([0.5, 1.0, 2.0], [0.4, 0.8, 1.6], [0.0, 0.1, 0.2])
-    tracemalloc.start()
-    try:
-        _grid_scores(X, spectra, (fitted.mu_hat0, fitted.mu_hat1), candidates, (0.5, 0.5))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    means = (fitted.mu_hat0, fitted.mu_hat1)
+    peak = _traced_peak(lambda: _grid_scores(X, spectra, means, candidates, (0.5, 0.5)))
     assert peak < 4 * _BLOCK_BYTES + 8 * 6 * len(X) < X.nbytes, peak
 
 

@@ -1,7 +1,12 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from hdqda.estimation import (
 from hdqda.gestim import g_estimator_error, theta_hat
 from hdqda.pipeline import ImprovedModel, fit_improved
 
-from conftest import random_spd
+from conftest import on_a_worker, random_spd
 
 
 def test_sample_moments_match_numpy_reference():
@@ -125,13 +130,13 @@ def test_each_shifted_covariance_is_factored_once(small_scenario, small_train, m
     rule and its exact moments reuse the fit's log-determinants."""
     _, model, data = small_scenario
     calls = []
-    factor = estimation._shifted_inverse
+    factor = estimation._invert_shifted
 
-    def spy(sigma, gamma):
+    def spy(shifted, sigma, gamma):
         calls.append(gamma)
-        return factor(sigma, gamma)
+        return factor(shifted, sigma, gamma)
 
-    monkeypatch.setattr(estimation, "_shifted_inverse", spy)
+    monkeypatch.setattr(estimation, "_invert_shifted", spy)
     fitted = fit(small_train, 0.7, 0.7)
     assert len(calls) == 0
     rqda_scores(data.test0, fitted, (0.4, 0.6))
@@ -185,6 +190,109 @@ def test_a_fit_derives_its_resolvents_from_its_moments(small_train):
         FittedStats(mu0, mu1, sig0, sig1, 0.7, 2.5, n0, n1, H0=fitted.H0)
     with pytest.raises(TypeError):
         PooledStats(mu0, mu1, sig1, 1.3, H=pooled.H)
+
+
+def _draw(name: str) -> TrainingSet:
+    """A training draw: the minority second, so ``fit_improved`` swaps it
+    ("swapped"), or a minority of fewer rows than features first ("thin")."""
+    rng = np.random.default_rng(21)
+    p = 60
+    counts = {"swapped": (120, 70), "thin": (30, 90)}[name]
+    scales = [rng.uniform(0.5, 3.0, p), rng.uniform(0.5, 3.0, p)]
+    X0, X1 = (rng.standard_normal((n, p)) * scale + shift for n, scale, shift in zip(counts, scales, (0.0, 0.4)))
+    return TrainingSet(X0, X1)
+
+
+@pytest.mark.parametrize("name", ["swapped", "thin"])
+def test_both_classes_factored_at_once_equal_one_thread_bit_for_bit(name, helper_open, thread_starts):
+    """On the main thread class 1 is factored and inverted on a helper while
+    class 0 is here; a worker thread does both itself. H0, H1 and the
+    log-determinants are equal bit for bit."""
+    train = _draw(name)
+    for draw in (train, train.swapped()):
+        fitted = fit(draw, 0.8, 3.0)
+        serial = on_a_worker(lambda: dataclasses.replace(fitted)._shifted)
+        started, alive = len(thread_starts), threading.active_count()
+        assert fitted.H0.tobytes() == serial[0][0].tobytes()
+        assert fitted.H1.tobytes() == serial[1][0].tobytes()
+        assert fitted._logdets == (serial[0][1], serial[1][1])
+        assert len(thread_starts) - started == 1 and threading.active_count() == alive
+
+
+def _indefinite_fit(gamma0: float, gamma1: float, fail: tuple[bool, bool]) -> FittedStats:
+    """A fit whose class-i I + gamma_i * sigma_i is indefinite where ``fail[i]``:
+    there sigma_i = -2 I, so I + gamma_i * sigma_i fails at its first minor."""
+    p = 4
+    sigmas = [-2.0 * np.eye(p) if bad else np.eye(p) for bad in fail]
+    return FittedStats(np.zeros(p), np.ones(p), *sigmas, gamma0, gamma1, 10, 10)
+
+
+@pytest.mark.parametrize("fail", [(True, True), (False, True)])
+def test_a_failed_factorization_reaches_the_caller_class_0s_first(fail, helper_open, thread_starts, monkeypatch):
+    """Both classes indefinite: class 0's NotSpdError, with its message as when
+    one thread factors both. Class 1 alone: class 1's, raised on the helper.
+    Either way the helper ran, and no thread outlives the read, although
+    class 1 takes longer than class 0 to fail."""
+    invert = estimation._invert_shifted
+
+    def slow_class1(shifted, sigma, gamma):
+        if gamma == 2.0:
+            time.sleep(0.2)
+        return invert(shifted, sigma, gamma)
+
+    monkeypatch.setattr(estimation, "_invert_shifted", slow_class1)
+    alive = threading.active_count()
+    fitted = _indefinite_fit(1.0, 2.0, fail)
+    message = "I + %r * sigma is not positive definite: leading minor 1 fails (condition estimate 1.000e+00)"
+    message = "^%s$" % re.escape(message % (1.0 if fail[0] else 2.0))
+    with pytest.raises(NotSpdError, match=message):
+        fitted.H0
+    assert len(thread_starts) == 1 and threading.active_count() == alive
+    with pytest.raises(NotSpdError, match=message):
+        on_a_worker(lambda: _indefinite_fit(1.0, 2.0, fail).H1)
+
+
+@pytest.mark.parametrize("overflowing", [0, 1])
+def test_a_shifted_covariance_that_overflows_is_refused_before_any_helper(overflowing, helper_open, thread_starts):
+    """gamma * sigma past the float range, in either class, is a
+    DegenerateEstimateError raised while the caller forms the shifted
+    covariances, so no helper starts."""
+    p = 3
+    sigmas = [np.eye(p), np.eye(p)]
+    sigmas[overflowing] = 1e300 * np.eye(p)
+    fitted = FittedStats(np.zeros(p), np.ones(p), *sigmas, 1e10, 1e10, 10, 10)
+    with pytest.raises(DegenerateEstimateError, match=re.escape("I + 10000000000.0 * sigma leaves the float range")):
+        fitted._logdets
+    assert thread_starts == []
+
+
+def test_a_closed_gate_factors_both_classes_on_the_caller(helper_closed, small_train, thread_starts):
+    """With numpy's OpenBLAS at two threads, or no reader of its count, a fit
+    read on the main thread starts no helper and keeps the same bits."""
+    fitted = fit(small_train, 0.7, 2.5)
+    serial = on_a_worker(lambda: fit(small_train, 0.7, 2.5)._shifted)
+    started = len(thread_starts)
+    assert fitted.H0.tobytes() == serial[0][0].tobytes() and fitted._logdets[1] == serial[1][1]
+    assert len(thread_starts) == started
+
+
+@pytest.mark.skipif(estimation._lapack.blas_threads() is None, reason="numpy's BLAS exports no thread reader")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_importing_the_package_leaves_the_blas_thread_count_unchanged(threads):
+    """A fresh interpreter reads numpy's OpenBLAS thread count itself, imports
+    hdqda and reads it again; the package's reader gives the same count."""
+    script = (
+        "import ctypes, numpy.linalg._umath_linalg as linalg\n"
+        "read = ctypes.CDLL(linalg.__file__).scipy_openblas_get_num_threads64_\n"
+        "read.restype = ctypes.c_int\n"
+        "before = read()\n"
+        "import hdqda, hdqda.cli\n"
+        "print(before, read(), hdqda._lapack.blas_threads())\n"
+    )
+    src = str(Path(estimation.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [threads] * 3
 
 
 def test_fits_derive_their_kernels_without_a_shared_lock(small_train, monkeypatch):

@@ -275,7 +275,7 @@ def test_sample_scenario_equals_sample_class_drawn_serially(name):
 
 
 @pytest.mark.parametrize("name", ["synthetic", "both non-diagonal"])
-def test_sample_scenario_is_bitwise_when_four_threads_call_it_at_once(name):
+def test_sample_scenario_is_bitwise_when_four_threads_call_it_at_once(name, helper_open):
     # Three pool workers, as CLI --threads workers, draw beside the main thread:
     # four callers at once, and the main thread's draws add a helper each.
     config, model = _concurrent_case(name)
@@ -316,7 +316,20 @@ def test_a_worker_thread_draws_all_four_blocks_itself(monkeypatch):
     assert _drawn_bytes(data) == [block.tobytes() for block in _serial_draw(config, model, 0)]
 
 
-def test_a_failure_filling_class1_reaches_the_caller_and_no_thread_outlives_the_call(monkeypatch):
+def test_the_main_thread_draws_all_four_blocks_itself_behind_a_closed_gate(monkeypatch, helper_closed, thread_starts):
+    """With numpy's OpenBLAS at two threads, or no reader of its count, the
+    main thread starts no helper and fills the four blocks in serial order."""
+    config = small_config(seed=2)
+    model = build_mixture(config)
+    filled_on = _record_fills(monkeypatch)
+    data = sample_scenario(config, model=model)
+    assert thread_starts == []
+    caller = threading.current_thread()
+    assert filled_on == [(model.class0, caller)] * 2 + [(model.class1, caller)] * 2
+    assert _drawn_bytes(data) == [block.tobytes() for block in _serial_draw(config, model, 0)]
+
+
+def test_a_failure_filling_class1_reaches_the_caller_and_no_thread_outlives_the_call(monkeypatch, helper_open):
     config = small_config(seed=2)
     model = build_mixture(config)
     before = threading.active_count()

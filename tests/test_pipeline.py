@@ -1,12 +1,13 @@
 import base64
 import dataclasses
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hdqda.discriminant import qda_scores_true, rlda_scores, rqda_scores
+from hdqda.discriminant import _BLOCK_BYTES, _row_blocks, qda_scores_true, rlda_scores, rqda_scores
 from hdqda.errors import DegenerateEstimateError, NotSpdError, TuningError
 from hdqda.estimation import FittedStats, TrainingSet, fit, fit_pooled
 from hdqda.gestim import theta_hat
@@ -19,7 +20,7 @@ from hdqda.pipeline import (
     fit_improved,
 )
 
-from conftest import small_config
+from conftest import on_a_worker, small_config
 
 
 @pytest.fixture
@@ -545,3 +546,49 @@ def test_model_json_rejects_broken_fields(majority_first_train):
             pytest.fail("accepted %r as %s" % (broken, field))
     accepted = ImprovedModel.from_json(json.dumps(dict(good, n0=float(good["n0"]), trace=[entry])))
     assert accepted.fit.n0 == good["n0"] and accepted.trace[0].total_hat == 0.1
+
+
+def _helper_case(name: str, blocks: int):
+    """A model tuned on a draw whose majority comes first, so it is swapped
+    ("swapped"), or whose minority has fewer rows than features ("thin"), and
+    test rows that :func:`_row_blocks` splits into ``blocks`` blocks, the last
+    with a ragged tail."""
+    p = 100
+    n0, n1 = {"swapped": (160, 120), "thin": (40, 160)}[name]
+    config = small_config(p=p, n0=n0, n1=n1, test0=30, test1=30, seed=5)
+    data = sample_scenario(config, model=build_mixture(config))
+    model = fit_improved(TrainingSet(data.train0, data.train1), None, grid=np.logspace(-1, 1, 3))
+    assert model.label_map == ((1, 0) if name == "swapped" else (0, 1))
+    assert (model.fit.n0 - 1 < p) == (name == "thin")
+    rows = 64 * max(1, _BLOCK_BYTES // (8 * p) // 64)
+    X = np.random.default_rng(blocks).standard_normal((blocks * rows + rows // 3 + 7, p))
+    assert len(_row_blocks(len(X), p)) == blocks
+    return model, X
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("name", ["swapped", "thin"])
+def test_predict_on_two_threads_equals_one_bit_for_bit(name, blocks, helper_open, thread_starts):
+    """predict on the main thread, its row blocks split with a helper from two
+    blocks on, gives the labels and scores of a worker thread's serial call,
+    bit for bit, and leaves no thread running."""
+    model, X = _helper_case(name, blocks)
+    serial = on_a_worker(lambda: (model.predict(X), model.decision_values(X)))
+    started, alive = len(thread_starts), threading.active_count()
+    two = (model.predict(X), model.decision_values(X))
+    assert len(thread_starts) - started == (2 if blocks > 1 else 0)
+    assert threading.active_count() == alive
+    assert [a.tobytes() for a in two] == [a.tobytes() for a in serial]
+
+
+def test_predict_starts_no_helper_behind_a_closed_gate(helper_closed, thread_starts):
+    """With numpy's OpenBLAS at two threads, or no reader of its count, predict
+    on the main thread scores its blocks itself, a reloaded model forms its
+    resolvents itself too, and the labels are a worker thread's."""
+    model, X = _helper_case("swapped", 3)
+    reloaded = ImprovedModel.from_json(model.to_json())
+    serial = on_a_worker(lambda: ImprovedModel.from_json(model.to_json()).decision_values(X))
+    started = len(thread_starts)
+    assert reloaded.decision_values(X).tobytes() == serial.tobytes()
+    assert np.array_equal(reloaded.predict(X), model.predict(X))
+    assert len(thread_starts) == started
