@@ -189,15 +189,18 @@ def qda_scores_true(X: np.ndarray, model: MixtureModel) -> np.ndarray:
     |(x - mu) L^-T|^2 with the inverse Cholesky factor the class keeps (the first
     call inverts L), or the product's bits with the reciprocals of a diagonal L's
     kept scale, plus sum(log diag L). Rows so far out that their forms overflow
-    are refused by :func:`_finite_scores`."""
+    are refused by :func:`_finite_scores`, with no warning first."""
     X = _rows(X, model.dim)
     halves = []
-    for stats in (model.class0, model.class1):
-        d = X - stats.mean
-        z = d @ stats._inverse_cholesky.T if stats._scale is None else d * (1.0 / stats._scale)
-        half_logdet = float(np.sum(np.log(np.diag(stats.cholesky))))
-        halves.append(0.5 * np.einsum("ij,ij->i", z, z) + half_logdet)
-    return _finite_scores(halves[1] - halves[0] - math.log(model.prior1 / model.prior0))
+    # A half that overflows is infinite, and two make a NaN score: both are refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stats in (model.class0, model.class1):
+            d = X - stats.mean
+            z = d @ stats._inverse_cholesky.T if stats._scale is None else d * (1.0 / stats._scale)
+            half_logdet = float(np.sum(np.log(np.diag(stats.cholesky))))
+            halves.append(0.5 * np.einsum("ij,ij->i", z, z) + half_logdet)
+        scores = halves[1] - halves[0] - math.log(model.prior1 / model.prior0)
+    return _finite_scores(scores)
 
 
 def _require_shared_gamma(fit: FittedStats) -> float:

@@ -54,36 +54,17 @@ _ESTIMATED = _Vocabulary("estimated", DegenerateEstimateError, DegenerateEstimat
 __all__ = [
     "BiasEstimate",
     "GEstimate",
-    "delta_hat",
     "gamma1_hat",
     "theta_hat",
     "g_estimator_error",
 ]
 
 
-def delta_hat(H: np.ndarray, n: int, gamma: float) -> float:
-    """Estimate the resolvent fixed point from a fitted resolvent trace.
-
-    Inverts the relation between Tr[H] and the deterministic equivalent at the
-    effective count n - 1. For a resolvent actually produced by shrinking a
-    de-meaned sample covariance the denominator is strictly positive, because
-    the covariance has rank at most n - 1; a nonpositive value means the
-    inputs do not belong together and is reported as an error rather than
-    clamped.
-    """
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("resolvent must be square, got shape %r" % (H.shape,))
-    _check_whole(n, "n")
-    if n < 2:
-        raise ValueError("need at least two observations, got n=%d" % (n,))
-    spent = H.shape[0] - float(np.trace(H))
-    return _delta_from_range(spent, n - 1 - spent, gamma)
-
-
 def _delta_from_range(spent: float, left: float, gamma: float) -> float:
-    """:func:`delta_hat` = sum(v) / (gamma (m - sum(v))) at m = n - 1, from ``spent`` =
-    sum(v) = p - Tr[H] and ``left`` = m - sum(v), each passed in rather than left to cancel."""
+    """delta_hat = sum(v) / (gamma (m - sum(v))) at m = n - 1, the fixed point read off a
+    fitted resolvent H, from ``spent`` = sum(v) = p - Tr[H] and ``left`` = m - sum(v), each
+    passed in rather than left to cancel. A shrunk de-meaned covariance has rank at most m,
+    so ``left`` > 0; anything else is inconsistent, and refused rather than clamped."""
     if not 0.0 < gamma < math.inf:
         raise InvalidRegularizerError(
             "fixed-point inversion needs finite, strictly positive shrinkage, got %r" % (gamma,)
@@ -99,7 +80,7 @@ def gamma1_hat(delta0: float, n0: int, n1: int, gamma0: float) -> float:
 
     Equal counts return ``gamma0`` exactly, bit for bit, because the imbalance
     factor vanishes identically; the factor is formed from the effective
-    counts to stay aligned with :func:`delta_hat`.
+    counts to stay aligned with :func:`_delta_from_range`'s m = n - 1.
     """
     _check_whole(n0, "n0")
     _check_whole(n1, "n1")
@@ -129,8 +110,8 @@ class BiasEstimate:
 
 def _weights(values: np.ndarray, gamma: float, n: int) -> tuple:
     """A resolvent's range weights w and v (:func:`~hdqda.estimation._resolvent_weights`)
-    and :func:`delta_hat` from sum(v) and m - sum(v) = (m - len(v)) + sum(w);
-    margins and matching share it."""
+    and the only program path to delta_hat, :func:`_delta_from_range` of sum(v) and
+    m - sum(v) = (m - len(v)) + sum(w); margins and matching share it."""
     w, v = _resolvent_weights(values, gamma)
     left = (n - 1 - v.shape[0]) + float(np.sum(w))
     return w, v, _delta_from_range(float(np.sum(v)), left, gamma)

@@ -85,6 +85,10 @@ def _parse_label(cell: str, line: int, column: int) -> int:
         raise CsvFormatError(
             "line %d, column %d: label %r is not an integer" % (line, column, cell)
         )
+    if not -(2.0**63) <= value < 2.0**63:
+        raise CsvFormatError(
+            "line %d, column %d: label %r is outside the int64 range" % (line, column, cell)
+        )
     return int(value)
 
 
@@ -227,12 +231,8 @@ class SplitResult:
 
 
 def _split_class(
-    rows: np.ndarray, n_train: int, rng: np.random.Generator, label: int
+    rows: np.ndarray, n_train: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    if rows.size < n_train:
-        raise InsufficientSamplesError(
-            "label %r has %d rows, need %d for training" % (label, rows.size, n_train)
-        )
     order = rng.permutation(rows.size)
     return np.sort(rows[order[:n_train]]), np.sort(rows[order[n_train:]])
 
@@ -251,7 +251,8 @@ def make_imbalanced_split(
     ``class_a`` becomes class 0 with floor(ratio * n1) training rows and
     ``class_b`` becomes class 1 with ``n1``. Rows not drawn for training form
     the per-class test pools; train and test are always disjoint and the
-    selection is reproducible from ``seed``.
+    selection is reproducible from ``seed``. A count beyond its class's rows is
+    refused before the floor of ratio * n1, so no count past the float range reaches it.
     """
     if class_a == class_b:
         raise ValueError("the two classes must differ, got %r twice" % (class_a,))
@@ -259,15 +260,22 @@ def make_imbalanced_split(
         raise InsufficientSamplesError("need n1 >= 2, got %d" % (n1,))
     if not 0.0 < ratio < math.inf:
         raise ValueError("ratio must be finite and strictly positive, got %r" % (ratio,))
+    rows_a = ds.class_indices(class_a)
+    rows_b = ds.class_indices(class_b)
+    if n1 > rows_b.size:
+        raise InsufficientSamplesError(
+            "label %r has %d rows, need %d for training" % (class_b, rows_b.size, n1)
+        )
+    if not ratio * n1 < rows_a.size + 1:
+        raise InsufficientSamplesError("label %r has %d rows, fewer than ratio %r with n1=%d "
+                                       "asks for" % (class_a, rows_a.size, ratio, n1))
     n0 = int(math.floor(ratio * n1))
     if n0 < 2:
         raise InsufficientSamplesError(
             "ratio %r with n1=%d gives n0=%d; need at least 2" % (ratio, n1, n0)
         )
-    rows_a = ds.class_indices(class_a)
-    rows_b = ds.class_indices(class_b)
-    train0, test0 = _split_class(rows_a, n0, stream(seed, 11), class_a)
-    train1, test1 = _split_class(rows_b, n1, stream(seed, 12), class_b)
+    train0, test0 = _split_class(rows_a, n0, stream(seed, 11))
+    train1, test1 = _split_class(rows_b, n1, stream(seed, 12))
     return SplitResult(
         train=TrainingSet(X0=ds.X[train0], X1=ds.X[train1]),
         test0=ds.X[test0],

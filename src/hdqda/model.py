@@ -203,6 +203,7 @@ class ScenarioConfig:
                 "base_scale + spike_strength must be > 0, got %r + %r"
                 % (self.base_scale, self.spike_strength)
             )
+        _check_scale_range(self.base_scale, self.spike_strength)
 
     def to_json(self) -> str:
         return json.dumps({k: getattr(self, k) for k in _CONFIG_FIELDS}, sort_keys=True)
@@ -234,6 +235,14 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def _check_scale_range(base_scale: float, spike_strength: float) -> None:
+    """Refuse scales whose covariance base_scale * I + (B + B^T) / 2, B = spike_strength
+    * Q Q^T, may overflow: base_scale + 2 |spike_strength| bounds its entries and B + B^T's."""
+    if not math.isfinite(float(base_scale) + 2.0 * abs(float(spike_strength))):
+        raise ValueError("scales base_scale=%r, spike_strength=%r put the covariance past "
+                         "the float range" % (base_scale, spike_strength))
+
+
 def make_spiked_covariance(
     base_scale: float,
     spike_strength: float,
@@ -255,6 +264,7 @@ def make_spiked_covariance(
             "scales base_scale=%r, spike_strength=%r do not yield a positive definite matrix"
             % (base_scale, spike_strength)
         )
+    _check_scale_range(base_scale, spike_strength)
     sigma = base_scale * np.eye(p)
     if spike_rank == 0 or spike_strength == 0.0:
         return sigma

@@ -76,41 +76,31 @@ class DeterministicEquivalents:
             raise InvalidRegularizerError("shrinkage must be nonnegative, got %r" % (self.gamma,))
         if self.delta < 0.0 or not math.isfinite(self.delta):
             raise StabilityError("fixed point must be finite and nonnegative, got %r" % (self.delta,))
-        object.__setattr__(self, "phi_tilde", _shrinkage_factor(self.gamma, self.delta))
+        try:
+            phi_tilde = 1.0 / (1.0 + self.gamma * self.delta) ** 2
+        except OverflowError as exc:
+            raise StabilityError(
+                "(1 + gamma * delta)^2 overflows at gamma=%r, delta=%r; the shrinkage factor "
+                "phi_tilde is out of range" % (self.gamma, self.delta)
+            ) from exc
+        object.__setattr__(self, "phi_tilde", phi_tilde)
         if not 0.0 < self.phi_tilde <= 1.0:
             raise StabilityError("shrinkage factor out of (0, 1]: %r" % (self.phi_tilde,))
         self.stability_margin()  # raises StabilityError unless > 0
 
     def stability_margin(self) -> float:
-        """1 - gamma^2 phi phi_tilde; must stay strictly positive."""
-        return _stability_margin(self.gamma, self.phi, self.phi_tilde)
-
-
-def _shrinkage_factor(gamma: float, delta: float) -> float:
-    """phi_tilde = 1 / (1 + gamma delta)^2, or StabilityError where the square overflows."""
-    try:
-        return 1.0 / (1.0 + gamma * delta) ** 2
-    except OverflowError as exc:
-        raise StabilityError(
-            "(1 + gamma * delta)^2 overflows at gamma=%r, delta=%r; the shrinkage factor "
-            "phi_tilde is out of range" % (gamma, delta)
-        ) from exc
-
-
-def _stability_margin(gamma: float, phi: float, phi_tilde: float) -> float:
-    """1 - gamma^2 phi phi_tilde, or StabilityError where gamma^2 overflows or the
-    margin is not > 0, NaN included: the fixed point is then not admissible."""
-    try:
-        margin = 1.0 - gamma**2 * phi * phi_tilde
-    except OverflowError as exc:
-        raise StabilityError(
-            "gamma^2 overflows at gamma=%r; the stability margin is out of range" % (gamma,)
-        ) from exc
-    if not margin > 0.0:
-        raise StabilityError(
-            "spectral stability margin is %r; the fixed point is not admissible" % (margin,)
-        )
-    return margin
+        """1 - gamma^2 phi phi_tilde, or StabilityError where gamma^2 overflows or the
+        margin is not > 0, NaN included: the fixed point is then not admissible."""
+        try:
+            margin = 1.0 - self.gamma**2 * self.phi * self.phi_tilde
+        except OverflowError as exc:
+            raise StabilityError("gamma^2 overflows at gamma=%r; the stability margin is out "
+                                 "of range" % (self.gamma,)) from exc
+        if not margin > 0.0:
+            raise StabilityError(
+                "spectral stability margin is %r; the fixed point is not admissible" % (margin,)
+            )
+        return margin
 
 
 @dataclass(frozen=True)
@@ -312,22 +302,29 @@ def _spectral_fixed_point(eigenvalues, n: int, gamma: float) -> tuple[np.ndarray
     )
 
 
-def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquivalents:
-    """Fixed point on the dense covariance ``sigma`` (p x p, symmetric positive
-    semidefinite) of a class with ``n`` training rows, at shrinkage ``gamma`` >= 0:
-    :func:`eigen_delta_solver`'s root on the eigenvalues l of ``sigma``, with
-    ``phi`` = sum((l t)^2) / n and ``residual`` = |delta - sum(l t) / n| at the
-    root, t = 1 / (1 + s l) and s = gamma / (1 + gamma delta)."""
-    eig = np.linalg.eigvalsh(_as_covariance(sigma))
-    eig, delta, evaluations = _spectral_fixed_point(eig, n, gamma)
+def _class_limit(eigenvalues, n: int, gamma: float) -> tuple[DeterministicEquivalents, np.ndarray]:
+    """One class's limit, for :func:`solve_delta` and :func:`_limit_margins`: the
+    checked record of :func:`_spectral_fixed_point`'s root on the spectrum l, with
+    ``phi`` = sum((l t)^2) / n (in range wherever l t is) and ``residual`` =
+    |delta - sum(l t) / n|, and its weights t = 1 / (1 + s l), s = gamma / (1 + gamma delta)."""
+    eig, delta, evaluations = _spectral_fixed_point(eigenvalues, n, gamma)
     scale = gamma / (1.0 + gamma * delta)
     with np.errstate(over="ignore"):  # an infinite phi fails the record's own checks
-        lt = eig / (1.0 + scale * eig)
+        t = 1.0 / (1.0 + scale * eig)
+        lt = eig * t
         phi = float(np.sum(lt**2)) / n
         residual = abs(delta - float(np.sum(lt)) / n)
     return DeterministicEquivalents(
         delta=delta, phi=phi, gamma=gamma, n=n, residual=residual, iterations=evaluations
-    )
+    ), t
+
+
+def solve_delta(sigma: np.ndarray, n: int, gamma: float) -> DeterministicEquivalents:
+    """Fixed point on the dense covariance ``sigma`` (p x p, symmetric positive
+    semidefinite) of a class with ``n`` training rows, at shrinkage ``gamma`` >= 0:
+    :func:`_class_limit` on the eigenvalues of ``sigma``, the step the limit's
+    margins take on each class's kept spectrum."""
+    return _class_limit(np.linalg.eigvalsh(_as_covariance(sigma)), n, gamma)[0]
 
 
 def eigen_delta_solver(eigenvalues: np.ndarray, n: int, gamma: float) -> float:
@@ -347,25 +344,19 @@ def _limit_margins(
     spectral kernel the mixture keeps (:attr:`~hdqda.model.MixtureModel.pair`),
     with (phi, phi_tilde) for :class:`AsymptoticPrediction`.
 
-    The resolvent limit is T_i = U_i diag(t_i) U_i^T with t_i = 1 / (1 + s_i l_i)
-    and s_i = gamma_i / (1 + gamma_i delta_i). Moments that overflow, as the
-    squared spectra of covariances near 1e160 do, are refused as StabilityError
-    (:func:`~hdqda.estimation._in_float_range`).
+    Each class's fixed point, moments, stability margin and weights t_i come from
+    :func:`_class_limit` on its kept spectrum l_i, the step :func:`solve_delta`
+    takes, so the resolvent limit is T_i = U_i diag(t_i) U_i^T. Cross moments
+    that overflow, as the squared spectra of covariances near 1e160 do, are
+    refused as StabilityError (:func:`~hdqda.estimation._in_float_range`).
     """
     pair, p = model.pair, model.dim
     sqrt_p = math.sqrt(p)
     counts, gammas = (n0, n1), (gamma0, gamma1)
     l = (pair.values0, pair.values1)
-    delta, t, phi, phi_tilde, margin = [], [], [], [], []
-    for k in (0, 1):
-        n, gamma = counts[k], gammas[k]
-        d = eigen_delta_solver(l[k], n, gamma)
-        scale = gamma / (1.0 + gamma * d) if gamma > 0.0 else 0.0
-        t.append(1.0 / (1.0 + scale * l[k]))
-        phi.append(float(np.sum(l[k] ** 2 * t[k] ** 2)) / n)
-        phi_tilde.append(_shrinkage_factor(gamma, d))
-        margin.append(_stability_margin(gamma, phi[k], phi_tilde[k]))
-        delta.append(d)
+    records, t = zip(*map(_class_limit, l, counts, gammas))
+    delta, phi, phi_tilde = zip(*((r.delta, r.phi, r.phi_tilde) for r in records))
+    margin = [r.stability_margin() for r in records]
     across = pair.across
     # Tr[sigma_i T_j], ||sigma_i T_j||_F^2 = Tr[sigma_i^2 T_j^2], Tr[sigma_i^2 T_i T_j]
     # and Tr[sigma_i T_j sigma_j T_j] for j = 1 - i, over both bases.
@@ -388,8 +379,8 @@ def _limit_margins(
             + (gammas[j] ** 2 * phi_tilde[j] / margin[j]) * sandwich[i] ** 2 / (counts[j] * p)
         )
         offset.append(float(np.sum(pair.gap[j] ** 2 * l[j] * t[j] ** 2)) / p / margin[j])
-    margins = _Margins(gammas, *map(tuple, (delta, beta, shift, trace_gap, variance, offset)))
-    return (tuple(phi), tuple(phi_tilde)), margins
+    margins = _Margins(gammas, delta, *map(tuple, (beta, shift, trace_gap, variance, offset)))
+    return (phi, phi_tilde), margins
 
 
 def asymptotic_error(

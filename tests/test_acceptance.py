@@ -19,7 +19,6 @@ from hdqda import (
     build_mixture,
     classify_values,
     conditional_score_moments,
-    delta_hat,
     eigen_delta_solver,
     empirical_error,
     fit,
@@ -37,6 +36,7 @@ from hdqda import (
     stream,
     theta_star_theoretical,
 )
+from hdqda.gestim import _delta_from_range
 
 
 def _verdict(number: int, passed: bool, detail: str) -> None:
@@ -101,7 +101,8 @@ def test_balanced_counts_collapse_the_minority_shrinkage():
         model = build_mixture(config)
         data = sample_scenario(config, model=model)
         fitted = fit(TrainingSet(X0=data.train0, X1=data.train1), gamma0, gamma0)
-        d0 = delta_hat(fitted.H0, n, gamma0)
+        spent = p - float(np.trace(fitted.H0))
+        d0 = _delta_from_range(spent, n - 1 - spent, gamma0)
         worst_estimated = max(worst_estimated, abs(gamma1_hat(d0, n, n, gamma0) - gamma0))
         worst_theoretical = max(
             worst_theoretical,

@@ -182,6 +182,39 @@ def test_a_sweep_whose_kernel_overflows_records_failure_rows(runner, tmp_path):
         assert "float range" in row[5]
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("label", "line 2, column 6: label '1e300' is outside the int64 range"),
+        ("ratio", "label 0 has 30 rows, fewer than ratio 1e+308 with n1=10 asks for"),
+        ("n1", "label 1 has 30 rows, need 1" + "0" * 400),
+        ("scales", "invalid scenario: scales base_scale=1e+308, spike_strength=1e+308"),
+    ],
+    ids=["label", "ratio", "n1", "scales"],
+)
+def test_input_past_the_float_range_exits_one_with_a_message(runner, tmp_path, case, message):
+    """A CSV label, a ratio, an n1 or scenario scales past the float range exit 1
+    with an error line, not a traceback, and warn nothing (an error under this
+    suite's filter)."""
+    blobs = _blobs(tmp_path)
+    if case == "label":
+        lines = Path(blobs).read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",1e300"
+        Path(blobs).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = {
+        "label": ["real", blobs, "--label-column", "label"],
+        "ratio": ["real", blobs, "--label-column", "label", "--ratios", "1e308", "--n1", "10"],
+        "n1": ["real", blobs, "--label-column", "label", "--n1", str(10**400)],
+        "scales": ["tune", "--config", _config(
+            tmp_path, dict(TINY, base_scale=1e308, spike_strength=1e308)
+        )],
+    }[case]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # click's own exit, no traceback
+    assert result.stderr.startswith("Error: ") and message in result.stderr
+
+
 def test_output_file_matches_stdout_bytes(runner, tmp_path):
     config = _config(tmp_path, TINY)
     to_stdout = runner.invoke(main, ["histogram", "--config", config, "--seed", "4"])
@@ -632,6 +665,7 @@ sys.modules["scipy"] = None
 import numpy as np
 from hdqda import *
 from hdqda.cli import main
+from hdqda.gestim import _delta_from_range
 
 config = ScenarioConfig(**{TINY!r})
 mixture = build_mixture(config)
@@ -644,7 +678,8 @@ two = fit(train, 1.0, 0.8)
 pooled = fit_pooled(train, 1.0)
 bias = theta_hat(two, priors)
 g_estimator_error(two, bias.theta_hat, priors)
-gamma1_hat(delta_hat(two.H0, train.n0, 1.0), train.n0, train.n1, 1.0)
+spent = two.p - float(np.trace(two.H0))
+gamma1_hat(_delta_from_range(spent, train.n0 - 1 - spent, 1.0), train.n0, train.n1, 1.0)
 empirical_error(rqda_scores(data.test0, shared, priors), rqda_scores(data.test1, shared, priors), priors)
 classify_values(improved_scores(data.test0, two, bias.theta_hat))
 rlda_scores(data.test0, pooled, priors)

@@ -426,6 +426,22 @@ def test_linear_rule_is_affine_in_the_observation(small_train):
     assert s[0] == pytest.approx(expected, abs=1e-10)
 
 
+def test_the_oracle_refuses_overflowing_rows_without_a_warning():
+    """Rows whose two halves overflow are refused by the score check's own
+    ValueError, under this suite's RuntimeWarning filter and with no errstate,
+    on a diagonal class and on a dense one."""
+    model = MixtureModel(
+        class0=ClassStatistics(np.zeros(5), 2.0 * np.eye(5)),
+        class1=ClassStatistics(np.ones(5), np.eye(5) + 0.5),
+        prior0=0.4,
+        prior1=0.6,
+    )
+    X = np.full((2, 5), 1e200)
+    X[1] *= -1.0
+    with pytest.raises(ValueError, match="2 of 2 scores are NaN or infinite"):
+        qda_scores_true(X, model)
+
+
 def test_true_qda_recovers_the_bayes_rule_on_known_gaussians():
     mean1 = np.array([2.0, 0.0])
     model = MixtureModel(

@@ -24,9 +24,9 @@ from hdqda.estimation import (
     sample_moments,
 )
 from hdqda.gestim import (
+    _delta_from_range,
     _fit_pieces,
     _pieces,
-    delta_hat,
     g_estimator_error,
     gamma1_hat,
     theta_hat,
@@ -50,13 +50,20 @@ def _fitted(p=60, n0=50, n1=100, gamma0=0.8, gamma1=1.1, seed=0):
     return fit(TrainingSet(X0=data.train1, X1=data.train0), gamma0, gamma1)
 
 
+def _dense_delta(H, n, gamma):
+    """delta_hat read off a dense resolvent H: :func:`_delta_from_range` of
+    p - Tr[H] and (n - 1) - (p - Tr[H])."""
+    spent = H.shape[0] - float(np.trace(H))
+    return _delta_from_range(spent, n - 1 - spent, gamma)
+
+
 def test_delta_hat_tracks_the_deterministic_fixed_point():
     config = small_config(p=240, n0=480, n1=240, seed=2)
     model = build_mixture(config)
     data = sample_scenario(config, model=model)
     _, sigma = sample_moments(data.train1)
     H = regularized_resolvent(sigma, 0.7)
-    estimate = delta_hat(H, 240, 0.7)
+    estimate = _dense_delta(H, 240, 0.7)
     limit = eigen_delta_solver(
         np.linalg.eigvalsh(model.class1.covariance), 240, 0.7
     )
@@ -64,30 +71,24 @@ def test_delta_hat_tracks_the_deterministic_fixed_point():
 
 
 def test_delta_hat_input_validation():
-    H = 0.5 * np.eye(6)
-    with pytest.raises(ValueError):
-        delta_hat(np.zeros((2, 3)), 10, 1.0)
-    with pytest.raises(ValueError):
-        delta_hat(H, 1, 1.0)
+    """The inversion refuses a shrinkage that is zero, NaN or infinite."""
+    spent, left = 3.0, 6.0  # H = I / 2 at p = 6 and n = 10
     with pytest.raises(InvalidRegularizerError):
-        delta_hat(H, 10, 0.0)
+        _delta_from_range(spent, left, 0.0)
     with pytest.raises(InvalidRegularizerError):
-        delta_hat(H, 10, float("nan"))
+        _delta_from_range(spent, left, float("nan"))
     with pytest.raises(InvalidRegularizerError, match="finite"):
-        delta_hat(H, 10, float("inf"))
-    for bad in (10.5, True, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="n must be a whole number, got %r" % (bad,)):
-            delta_hat(H, bad, 1.0)
-    assert delta_hat(H, 10.0, 1.0) == delta_hat(H, 10, 1.0)
+        _delta_from_range(spent, left, float("inf"))
+    assert _delta_from_range(spent, left, 1.0) == 0.5
 
 
 def test_delta_hat_rejects_inconsistent_traces():
     # Tr[H] below p - (n - 1) is impossible for a genuine shrunken resolvent.
     bogus = 0.01 * np.eye(20)
     with pytest.raises(DegenerateEstimateError):
-        delta_hat(bogus, 5, 1.0)
+        _dense_delta(bogus, 5, 1.0)
     with pytest.raises(DegenerateEstimateError):
-        delta_hat(np.full((20, 20), np.nan), 5, 1.0)
+        _dense_delta(np.full((20, 20), np.nan), 5, 1.0)
 
 
 def test_delta_hat_keeps_its_digits_at_small_and_large_shrinkage():
@@ -170,10 +171,10 @@ def test_reported_delta_is_the_plain_trace_inversion():
     estimate = g_estimator_error(fitted, 0.1, (0.5, 0.5))
     # Sum of eigenvalue weights against Tr[H]: equal up to summation order.
     assert estimate.delta_hat0 == pytest.approx(
-        delta_hat(fitted.H0, fitted.n0, fitted.gamma0), rel=1e-12
+        _dense_delta(fitted.H0, fitted.n0, fitted.gamma0), rel=1e-12
     )
     assert estimate.delta_hat1 == pytest.approx(
-        delta_hat(fitted.H1, fitted.n1, fitted.gamma1), rel=1e-12
+        _dense_delta(fitted.H1, fitted.n1, fitted.gamma1), rel=1e-12
     )
     assert estimate.gamma1_hat == fitted.gamma1
 
@@ -220,7 +221,7 @@ def test_bias_estimate_reduces_to_margin_midpoint_at_equal_priors():
 def test_matched_estimate_never_leaves_its_domain(seed, gamma0):
     """gamma1_hat composed with delta_hat stays positive and finite."""
     fitted = _fitted(p=30, n0=25, n1=50, gamma0=gamma0, gamma1=gamma0, seed=seed)
-    d0 = delta_hat(fitted.H0, fitted.n0, fitted.gamma0)
+    d0 = _dense_delta(fitted.H0, fitted.n0, fitted.gamma0)
     g1 = gamma1_hat(d0, fitted.n0, fitted.n1, gamma0)
     assert np.isfinite(g1) and g1 > 0.0
     # More samples support a weaker matched shrinkage, never a stronger one.
@@ -259,7 +260,7 @@ def _dense_pieces(fitted):
     for i, sign in ((0, -1.0), (1, 1.0)):
         j, n, gamma = 1 - i, counts[i], gammas[i]
         m = n - 1
-        d = delta_hat(H[i], n, gamma)
+        d = _dense_delta(H[i], n, gamma)
         shrink = 1.0 + gamma * d
         leading.append(shrink**4 * _trace_quartic(S[i], H[i], H[i]) / p)
         curvature = leading[i] - m / p * d**2 * shrink**2
@@ -572,7 +573,7 @@ def test_error_estimate_tracks_the_limit_on_one_draw():
     canonical = TrainingSet(X0=data.train1, X1=data.train0)
     gamma0 = 1.0
     fitted_plain = fit(canonical, gamma0, gamma0)
-    d0 = delta_hat(fitted_plain.H0, canonical.n0, gamma0)
+    d0 = _dense_delta(fitted_plain.H0, canonical.n0, gamma0)
     g1 = gamma1_hat(d0, canonical.n0, canonical.n1, gamma0)
     fitted = fit(canonical, gamma0, g1)
     priors = (1.0 / 3.0, 2.0 / 3.0)

@@ -59,6 +59,15 @@ def test_load_csv_strict_cell_errors_carry_positions(tmp_path):
         load_csv(_write(tmp_path, HEADED, "o.csv"), 7)
 
 
+def test_load_csv_refuses_labels_outside_int64(tmp_path):
+    """A whole-number label past int64 is a format error naming its cell, not
+    an OverflowError from the label array."""
+    for label in ("1e300", "-1e300", "9223372036854775808"):
+        text = "f,label\n1,0\n2,%s\n" % (label,)
+        with pytest.raises(CsvFormatError, match="line 3, column 2: label .* outside the int64"):
+            load_csv(_write(tmp_path, text), "label")
+
+
 def test_load_csv_requires_four_rows_per_label(tmp_path):
     text = "f,label\n1,0\n2,0\n3,0\n4,0\n5,1\n"
     with pytest.raises(InsufficientSamplesError):
@@ -131,6 +140,19 @@ def test_split_validation_errors():
     for ratio in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="ratio must be finite and strictly positive"):
             make_imbalanced_split(ds, 3, 7, ratio=ratio, n1=10)
+
+
+def test_split_refuses_counts_past_the_class_before_they_overflow():
+    """A ratio or an n1 asking for more rows than the class has is refused as
+    InsufficientSamplesError, also where ratio * n1 leaves the float range."""
+    ds = _blob_dataset()
+    with pytest.raises(InsufficientSamplesError, match="label 3 has 40 rows, fewer than ratio"):
+        make_imbalanced_split(ds, 3, 7, ratio=1e308, n1=10)
+    with pytest.raises(InsufficientSamplesError, match="label 7 has 40 rows, need 10{400}"):
+        make_imbalanced_split(ds, 3, 7, ratio=0.5, n1=10**400)
+    with pytest.raises(InsufficientSamplesError, match="label 3 has 40 rows"):
+        make_imbalanced_split(ds, 3, 7, ratio=2.05, n1=20)
+    assert make_imbalanced_split(ds, 3, 7, ratio=2.04, n1=20).train.n0 == 40
 
 
 def test_labeled_dataset_validation():

@@ -112,6 +112,18 @@ def test_spiked_covariance_rejects_indefinite_scales():
         make_spiked_covariance(1.0, 1.0, 11, 10, seed=0)
 
 
+def test_scales_past_the_float_range_are_refused_before_they_warn():
+    """Under this suite's RuntimeWarning filter, scales whose covariance would
+    overflow are refused as ValueError before any entry is formed, by the
+    config and by the builder alike."""
+    for base, spike in ((1.0, 1e308), (1e308, 1e308)):
+        with pytest.raises(ValueError, match="past the float range"):
+            make_spiked_covariance(base, spike, 3, 5, 0)
+        with pytest.raises(ValueError, match="past the float range"):
+            small_config(p=5, base_scale=base, spike_strength=spike)
+    assert np.isfinite(make_spiked_covariance(1e307, 1e307, 3, 5, 0)).all()
+
+
 def test_class_statistics_validation():
     with pytest.raises(NotSpdError):
         ClassStatistics(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))

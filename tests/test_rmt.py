@@ -18,6 +18,7 @@ from hdqda.errors import (
 from hdqda import _lapack, rmt
 from hdqda.estimation import SpectralPair
 from hdqda.model import ClassStatistics, MixtureModel, build_mixture
+from hdqda.pipeline import default_grid
 from hdqda.rmt import (
     _Margins,
     asymptotic_error,
@@ -262,6 +263,32 @@ def test_one_dimensional_solve_matches_the_spectral_route():
     assert eq.delta == pytest.approx(0.36092084343274, rel=1e-13)
     T = _resolvent_limit(np.array([[2.0]]), 0.5, eq.delta)
     assert T[0, 0] == pytest.approx(1.0 / (1.0 + 2.0 * 0.5 / (1.0 + 0.5 * eq.delta)))
+
+
+def test_the_dense_solve_and_the_limit_take_one_class_step():
+    """On an exactly diagonal class both read the same spectrum, and one step
+    forms each class's record, so delta, phi and phi_tilde agree bit for bit
+    over the default grid."""
+    p, n0, n1 = 40, 20, 40
+    sigma0 = np.diag(np.random.default_rng(3).uniform(0.5, 5.0, p))
+    model = MixtureModel(
+        ClassStatistics(np.zeros(p), sigma0), ClassStatistics(np.full(p, 0.3), 2.0 * np.eye(p)),
+        0.5, 0.5,
+    )
+    for gamma in map(float, default_grid()):
+        eq = solve_delta(sigma0, n0, gamma)
+        limit = asymptotic_error(model, n0, n1, gamma, gamma, 0.0)
+        assert (eq.delta, eq.phi, eq.phi_tilde) == (
+            limit.delta[0], limit.phi[0], limit.phi_tilde[0]
+        ), gamma
+
+
+def test_phi_stays_in_range_where_the_squared_spectrum_does_not():
+    """At l = 1e160, l^2 overflows but l t = 1 + delta = 2 does not, so
+    phi = 3 * 2^2 / 6 exactly, in the record the limit's margins take too."""
+    assert solve_delta(1e160 * np.eye(3), 6, 1.0).phi == 2.0
+    record, t = rmt._class_limit(np.full(3, 1e160), 6, 1.0)
+    assert record == solve_delta(1e160 * np.eye(3), 6, 1.0) and (1e160 * t == 2.0).all()
 
 
 def test_solve_delta_rejects_asymmetric_empty_and_indefinite_covariances():
